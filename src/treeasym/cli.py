@@ -9,9 +9,11 @@ Subcommands::
     verify-oeis  exact comparison against OEIS b-files (bundled fixtures
                  by default; --fetch opts into the network)
 
-Shared flags on every subcommand: ``--digits`` (target precision D),
-``--terms`` (series truncation order N), ``--format {json,csv}``,
-``--cache-dir``, ``--offline``.  Cache directory precedence: flag, then
+Each subcommand takes the variety and only the flags it reads:
+``--digits`` (target precision D) and ``--terms`` (series truncation order
+N) on ``expand``, ``estimate`` and ``error-table``; ``--format {json,csv}``
+on ``counts``, ``expand`` and ``estimate``; ``--cache-dir`` and
+``--offline`` on ``verify-oeis``.  Cache directory precedence: flag, then
 ``TREEASYM_CACHE_DIR``, then ``~/.cache/treeasym``.
 
 Output is deterministic for a fixed configuration: data lines carry no
@@ -28,7 +30,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import hp, oeis
@@ -52,45 +53,16 @@ class ConfigError(ValueError):
     """Invalid run configuration."""
 
 
-@dataclass
-class RunConfig:
-    """Validated knobs shared by the subcommands."""
-
-    variety: str
-    digits: int = DEFAULT_DIGITS
-    terms: int = DEFAULT_TERMS
-    fmt: str = "json"
-    cache_dir: Path | None = None
-    offline: bool = False
-
-    def validate(self) -> None:
-        if self.variety not in VARIETY_NAMES:
-            raise ConfigError(
-                f"unknown variety {self.variety!r}; expected one of {VARIETY_NAMES}"
-            )
-        if self.digits < hp.MIN_DIGITS:
-            raise ConfigError(f"--digits must be >= {hp.MIN_DIGITS}, got {self.digits}")
-        if self.terms < 1:
-            raise ConfigError(f"--terms must be positive, got {self.terms}")
-        if self.fmt not in ("json", "csv"):
-            raise ConfigError(f"--format must be json or csv, got {self.fmt}")
-
-
-def _common_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("variety", choices=VARIETY_NAMES, help="tree variety")
-    common.add_argument("--digits", type=int, default=DEFAULT_DIGITS,
+def _add_precision_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--digits", type=int, default=DEFAULT_DIGITS,
                         help=f"target decimal digits D (default {DEFAULT_DIGITS})")
-    common.add_argument("--terms", type=int, default=DEFAULT_TERMS,
+    parser.add_argument("--terms", type=int, default=DEFAULT_TERMS,
                         help=f"series truncation order N (default {DEFAULT_TERMS})")
-    common.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json",
+
+
+def _add_format_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json",
                         help="output format (default json)")
-    common.add_argument("--cache-dir", type=Path, default=None,
-                        help="b-file cache directory (default $TREEASYM_CACHE_DIR "
-                             "or ~/.cache/treeasym)")
-    common.add_argument("--offline", action="store_true",
-                        help="never touch the network")
-    return common
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,15 +72,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "for three tree varieties (sizes: nodes for polya/identity, "
                     "leaves for hierarchy).",
     )
-    common = _common_parser()
+    variety = argparse.ArgumentParser(add_help=False)
+    variety.add_argument("variety", choices=VARIETY_NAMES, help="tree variety")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_counts = sub.add_parser("counts", parents=[common],
+    p_counts = sub.add_parser("counts", parents=[variety],
                               help="exact counting sequence")
+    _add_format_flag(p_counts)
     p_counts.add_argument("--n", type=int, default=50, help="largest index (default 50)")
 
-    p_expand = sub.add_parser("expand", parents=[common],
+    p_expand = sub.add_parser("expand", parents=[variety],
                               help="singularity and expansion coefficients")
+    _add_precision_flags(p_expand)
+    _add_format_flag(p_expand)
     p_expand.add_argument("--order", type=int, default=4,
                           help="asymptotic order L; singular coefficients go up to "
                                "2L+1 unless --puiseux-terms is larger (default 4)")
@@ -119,15 +95,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("--table2", action="store_true",
                           help="also print asymptotic coefficients as plain rows")
 
-    p_est = sub.add_parser("estimate", parents=[common],
+    p_est = sub.add_parser("estimate", parents=[variety],
                            help="asymptotic approximation vs exact count")
+    _add_precision_flags(p_est)
+    _add_format_flag(p_est)
     p_est.add_argument("--size", type=int, required=True, help="object size n")
     p_est.add_argument("--order", type=int, default=4, help="approximation order k")
     p_est.add_argument("--max-size", type=int, default=MAX_COUNT_REACH,
                        help=f"largest size allowed (default {MAX_COUNT_REACH})")
 
-    p_err = sub.add_parser("error-table", parents=[common],
+    p_err = sub.add_parser("error-table", parents=[variety],
                            help="relative-error grid (CSV) and ratio series")
+    _add_precision_flags(p_err)
     p_err.add_argument("--sizes", default=DEFAULT_SIZES,
                        help=f"comma-separated sizes (default {DEFAULT_SIZES})")
     p_err.add_argument("--orders", default=DEFAULT_ORDERS,
@@ -137,9 +116,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_err.add_argument("--max-size", type=int, default=MAX_COUNT_REACH,
                        help=f"largest size allowed (default {MAX_COUNT_REACH})")
 
-    p_ver = sub.add_parser("verify-oeis", parents=[common],
+    p_ver = sub.add_parser("verify-oeis", parents=[variety],
                            help="exact comparison against an OEIS b-file")
     p_ver.add_argument("--n", type=int, default=500, help="largest index (default 500)")
+    p_ver.add_argument("--cache-dir", type=Path, default=None,
+                       help="b-file cache directory (default $TREEASYM_CACHE_DIR "
+                            "or ~/.cache/treeasym)")
+    p_ver.add_argument("--offline", action="store_true",
+                       help="never touch the network")
     p_ver.add_argument("--fetch", action="store_true",
                        help="fetch the b-file from oeis.org (cached afterwards)")
     p_ver.add_argument("--offset", type=int, default=None,
@@ -147,17 +131,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(
-        variety=args.variety,
-        digits=args.digits,
-        terms=args.terms,
-        fmt=args.fmt,
-        cache_dir=args.cache_dir,
-        offline=args.offline,
-    )
-    config.validate()
-    return config
+def _check_precision(args: argparse.Namespace) -> None:
+    if args.digits < hp.MIN_DIGITS:
+        raise ConfigError(f"--digits must be >= {hp.MIN_DIGITS}, got {args.digits}")
+    if args.terms < 1:
+        raise ConfigError(f"--terms must be positive, got {args.terms}")
 
 
 def _print(line: str = "") -> None:
@@ -165,11 +143,10 @@ def _print(line: str = "") -> None:
 
 
 def cmd_counts(args: argparse.Namespace) -> int:
-    config = _config_from(args)
     if args.n < 0:
         raise ConfigError(f"--n must be non-negative, got {args.n}")
-    seq = counts_for(config.variety, args.n)
-    if config.fmt == "csv":
+    seq = counts_for(args.variety, args.n)
+    if args.fmt == "csv":
         _print(f"# counts variety={seq.variety} n_max={seq.n_max}")
         for n, value in enumerate(seq.values):
             _print(f"{n},{value}")
@@ -206,18 +183,13 @@ def _expansion_payload(result: VarietyExpansion) -> dict:
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    L = args.order
-    if L < 0:
-        raise ConfigError(f"--order must be non-negative, got {L}")
-    K = args.puiseux_terms if args.puiseux_terms is not None else max(2 * L + 1, 1)
-    if K < 2 * L + 1:
-        raise ConfigError(f"--puiseux-terms {K} too small for --order {L}")
-    if config.terms < 2 * K:
-        raise ConfigError(f"--terms {config.terms} too small; need >= {2 * K} for K={K}")
-    result = expand_variety(config.variety, L=L, K=K, N=config.terms, D=config.digits)
+    _check_precision(args)
+    if args.order < 0:
+        raise ConfigError(f"--order must be non-negative, got {args.order}")
+    result = expand_variety(args.variety, L=args.order, K=args.puiseux_terms,
+                            N=args.terms, D=args.digits)
     payload = _expansion_payload(result)
-    if config.fmt == "csv":
+    if args.fmt == "csv":
         _print(f"# expand variety={payload['variety']} N={payload['n_series']} "
                f"D={payload['digits']}")
         _print(f"rho,,{payload['rho']},{payload['rho_certified_digits']}")
@@ -239,36 +211,35 @@ def cmd_expand(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _expansion_for_orders(config: RunConfig, max_order: int, n_counts: int) -> VarietyExpansion:
-    needed_K = max(2 * max_order + 1, 1)
-    N = max(config.terms, 2 * needed_K)
-    counts = counts_for(config.variety, max(N, n_counts))
-    return expand_variety(
-        config.variety, L=max_order, K=needed_K, N=N, D=config.digits, counts=counts
-    )
+def _expansion_for_orders(args: argparse.Namespace, max_order: int,
+                          n_counts: int) -> VarietyExpansion:
+    # raise N to 2K for the default K = 2L+1, so high orders run at small --terms
+    N = max(args.terms, 2 * (2 * max_order + 1))
+    counts = counts_for(args.variety, max(N, n_counts))
+    return expand_variety(args.variety, L=max_order, N=N, D=args.digits, counts=counts)
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    config = _config_from(args)
+    _check_precision(args)
     if args.size < 1:
         raise ConfigError(f"--size must be positive, got {args.size}")
     if args.size > args.max_size:
         raise ConfigError(f"--size {args.size} beyond --max-size {args.max_size}")
     if args.order < 0:
         raise ConfigError(f"--order must be non-negative, got {args.order}")
-    result = _expansion_for_orders(config, args.order, args.size)
+    result = _expansion_for_orders(args, args.order, args.size)
     estimate = estimate_count(result.asym, args.size, args.order)
     exact = result.counts[args.size]
     ctx = result.asym.ctx
     rel = abs(estimate - ctx.convert(exact)) / ctx.convert(exact) if exact else None
-    if config.fmt == "csv":
-        _print("# estimate variety=%s size=%d order=%d" % (config.variety, args.size, args.order))
+    if args.fmt == "csv":
+        _print("# estimate variety=%s size=%d order=%d" % (args.variety, args.size, args.order))
         _print("size,order,estimate,exact,relative_error")
         _print(f"{args.size},{args.order},{ctx.nstr(estimate, 20)},{exact},"
                f"{ctx.nstr(rel, 6) if rel is not None else ''}")
     else:
         _print(json.dumps({
-            "variety": config.variety,
+            "variety": args.variety,
             "size": args.size,
             "order": args.order,
             "estimate": ctx.nstr(estimate, 20),
@@ -279,7 +250,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_error_table(args: argparse.Namespace) -> int:
-    config = _config_from(args)
+    _check_precision(args)
     try:
         sizes = [int(s) for s in str(args.sizes).split(",") if s.strip()]
         orders = [int(s) for s in str(args.orders).split(",") if s.strip()]
@@ -289,10 +260,10 @@ def cmd_error_table(args: argparse.Namespace) -> int:
         raise ConfigError("--sizes and --orders must be non-empty")
     if max(sizes) > args.max_size:
         raise ConfigError(f"size {max(sizes)} beyond --max-size {args.max_size}")
-    result = _expansion_for_orders(config, max(orders), max(sizes))
+    result = _expansion_for_orders(args, max(orders), max(sizes))
     table = error_table(result.asym, result.counts, sizes, orders)
     ctx = result.asym.ctx
-    _print(f"# error-table variety={config.variety} sizes={args.sizes} orders={args.orders}")
+    _print(f"# error-table variety={args.variety} sizes={args.sizes} orders={args.orders}")
     _print("size,order,relative_error")
     for n, k, rel, _ in table.rows():
         _print(f"{n},{k},{ctx.nstr(rel, 6)}")
@@ -307,17 +278,16 @@ def cmd_error_table(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_oeis(args: argparse.Namespace) -> int:
-    config = _config_from(args)
     if args.n < 0:
         raise ConfigError(f"--n must be non-negative, got {args.n}")
-    sequence_id = oeis.SEQUENCE_IDS[config.variety]
+    sequence_id = oeis.SEQUENCE_IDS[args.variety]
     fixture, source = oeis.get_sequence(
         sequence_id,
-        cache_dir=config.cache_dir,
-        offline=config.offline,
+        cache_dir=args.cache_dir,
+        offline=args.offline,
         fetch=args.fetch,
     )
-    seq = counts_for(config.variety, args.n)
+    seq = counts_for(args.variety, args.n)
     report = oeis.verify_counts(seq, fixture, index_offset=args.offset, source=source)
     _print(report.summary())
     for n, ours, ref in report.mismatches[:10]:

@@ -16,8 +16,8 @@ recurrences:
   picks up whenever ``T_1`` is hit.
 
 All divisions must be exact; every sequence value is an arbitrary-size
-non-negative integer.  The hierarchy recurrence is assembled in exact
-rational arithmetic and asserts integrality of the result.
+non-negative integer, and each recurrence raises :class:`ArithmeticError`
+when a division leaves a remainder.
 
 Independent product/fixpoint forms of the same sequences are provided in
 :func:`product_form_oracle` for cross-validation; they extract coefficients
@@ -91,11 +91,16 @@ def _divisor_sum_recurrence(n_max: int, signed: bool) -> list[int]:
         publish(1)
     for n in range(2, n_max + 1):
         total = sum(s[j] * T[n - j] for j in range(1, n))
-        q, rem = divmod(total, n - 1)
-        assert rem == 0, f"inexact division at n={n}: {total} / {n - 1}"
-        T[n] = q
+        T[n] = _divide_exactly(total, n - 1, n)
         publish(n)
     return T
+
+
+def _divide_exactly(total: int, divisor: int, n: int) -> int:
+    q, rem = divmod(total, divisor)
+    if rem:
+        raise ArithmeticError(f"inexact division at n={n}: {total} / {divisor}")
+    return q
 
 
 def hierarchy_counts(n_max: int) -> CountSequence:
@@ -103,7 +108,7 @@ def hierarchy_counts(n_max: int) -> CountSequence:
 
     Size is the number of leaves.  The -1/2 correction attached to each
     inner-sum term with ``T_1`` pairs up across the doubled sum, so the
-    result is integral; this is asserted rather than assumed.
+    result is integral; this is checked rather than assumed.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
@@ -121,9 +126,7 @@ def hierarchy_counts(n_max: int) -> CountSequence:
     for n in range(2, n_max + 1):
         # s[n] currently holds sum_{m | n, m != n} m T_m since T_n is unset
         conv = sum(s[j] * T[n - j] for j in range(1, n))
-        value = Fraction(s[n], n) + Fraction(2 * conv - s[n - 1], n)
-        assert value.denominator == 1, f"non-integral hierarchy count at n={n}: {value}"
-        T[n] = int(value)
+        T[n] = _divide_exactly(s[n] + 2 * conv - s[n - 1], n, n)
         publish(n)
     return CountSequence("hierarchy", T)
 
@@ -211,7 +214,7 @@ def _hierarchy_fixpoint(n_max: int) -> list[int]:
         T_d = [d == 1] + U_d + V_d,   S_d = T_d + V_d,   E_d = U_d + S_d
 
     All intermediates have denominators dividing ``d``; ``T_d`` must be an
-    integer, which is asserted.
+    integer, which is checked.
     """
     T = [0] * (n_max + 1)
     S = [Fraction(0)] * (n_max + 1)
@@ -224,7 +227,8 @@ def _hierarchy_fixpoint(n_max: int) -> list[int]:
             Fraction(0),
         )
         value = (1 if d == 1 else 0) + U + V
-        assert value.denominator == 1, f"non-integral hierarchy coefficient at {d}"
+        if value.denominator != 1:
+            raise ArithmeticError(f"non-integral hierarchy coefficient at {d}: {value}")
         T[d] = int(value)
         S[d] = T[d] + V
         E[d] = U + S[d]

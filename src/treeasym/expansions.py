@@ -32,6 +32,7 @@ approximation keeps the terms through ``tau_k / n^k`` (``k+1`` summands).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -39,8 +40,13 @@ from typing import Sequence
 from . import hp
 from .counts import CountSequence
 from .kernels import b_seq, gen_binom, tau_symbolic
-from .solver import RhoResult, solve_rho
-from .varieties import VarietySpec, ZetaDerivatives, get_variety, zeta_derivatives
+from .series import TruncationWarning, series_eval_deriv_tail
+from .solver import DEFAULT_BRACKET, MAX_NEWTON, RhoResult, check_series_inputs, find_root
+from .varieties import VarietySpec, get_variety, zeta_series
+
+# Not called here; the benchmark traces both names in this module (perfbench/layers.py).
+from .solver import solve_rho  # noqa: F401
+from .varieties import zeta_derivatives  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -53,12 +59,7 @@ class PuiseuxExpansion:
     certified_digits: tuple[int, ...]
     n_series: int
     digits: int
-    t_half: tuple  # recomputation at halved truncation order (certification)
     ctx: object
-
-    @property
-    def order(self) -> int:
-        return len(self.t) - 1
 
 
 @dataclass(frozen=True)
@@ -111,11 +112,6 @@ def _t_values(rho, deriv_values: Sequence, K: int, ctx) -> list:
     sqrt_rho = ctx.sqrt(rho)
     m_max = (K - 1) // 2
     if m_max >= 1:
-        needed = m_max + 1
-        if len(deriv_values) <= needed:
-            raise ValueError(
-                f"need zeta derivatives up to order {needed}, got {len(deriv_values) - 1}"
-            )
         weights = [None] + [
             deriv_values[i + 1] / math.factorial(i + 1) for i in range(1, m_max + 1)
         ]
@@ -156,50 +152,25 @@ def _apply_post_transform(t: list, rho, spec: VarietySpec) -> list:
     return out
 
 
-def puiseux_coeffs(
-    spec: VarietySpec,
-    rho_result: RhoResult,
-    zeta_derivs: ZetaDerivatives,
-    K: int,
-) -> PuiseuxExpansion:
-    """Assemble ``t_0 .. t_K``, with halved-order recomputation for certification.
+def puiseux_coeffs(spec: VarietySpec, rho, derivs: Sequence, K: int, ctx) -> tuple:
+    """Singular coefficients ``t_0 .. t_K`` from ``rho`` and ``derivs[r] = zeta^(r)(rho)``.
 
-    The full-order route uses ``rho`` and derivatives at truncation order
-    ``N``; the certification route independently uses the half-order root
-    and derivative values.  The hierarchy affine correction is applied to
-    both after the generic coefficients are computed.
+    ``derivs`` must reach order :func:`derivative_orders_needed` ``(K)``.  The
+    hierarchy affine correction is applied after the generic coefficients.
     """
     if K < 1:
         raise ValueError(f"order K must be >= 1, got {K}")
     needed = derivative_orders_needed(K)
-    if zeta_derivs.r_max < needed:
+    if len(derivs) <= needed:
         raise ValueError(
             f"zeta derivatives up to order {needed} required for K={K}, "
-            f"got r_max={zeta_derivs.r_max}"
+            f"got r_max={len(derivs) - 1}"
         )
-    ctx = zeta_derivs.ctx
-    t_full = _t_values(rho_result.rho, zeta_derivs.values, K, ctx)
-    t_half = _t_values(rho_result.rho_half, zeta_derivs.values_half, K, ctx)
-    t_full = _apply_post_transform(t_full, rho_result.rho, spec)
-    t_half = _apply_post_transform(t_half, rho_result.rho_half, spec)
-    certified = tuple(
-        min(hp.agreement_digits(a, b, ctx), rho_result.digits)
-        for a, b in zip(t_full, t_half)
-    )
-    return PuiseuxExpansion(
-        variety=spec.name,
-        rho=rho_result.rho,
-        t=tuple(t_full),
-        certified_digits=certified,
-        n_series=rho_result.n_used,
-        digits=rho_result.digits,
-        t_half=tuple(t_half),
-        ctx=ctx,
-    )
+    return tuple(_apply_post_transform(_t_values(rho, derivs, K, ctx), rho, spec))
 
 
-def tau_coeffs(puiseux: PuiseuxExpansion, L: int) -> AsymptoticExpansion:
-    """Instantiate ``tau_0 .. tau_L`` from the odd singular coefficients.
+def tau_coeffs(t: Sequence, L: int, ctx) -> tuple:
+    """Instantiate ``tau_0 .. tau_L`` from the singular coefficients ``t``.
 
     Requires ``t``-indices up to ``2L+1``.  Only odd indices enter, so the
     hierarchy post-transform (touching ``t_0`` and ``t_2``) is irrelevant
@@ -207,27 +178,11 @@ def tau_coeffs(puiseux: PuiseuxExpansion, L: int) -> AsymptoticExpansion:
     """
     if L < 0:
         raise ValueError(f"order L must be >= 0, got {L}")
-    if puiseux.order < 2 * L + 1:
+    if len(t) - 1 < 2 * L + 1:
         raise ValueError(
-            f"tau_{L} needs t-indices up to {2 * L + 1}, expansion has {puiseux.order}"
+            f"tau_{L} needs t-indices up to {2 * L + 1}, expansion has {len(t) - 1}"
         )
-    ctx = puiseux.ctx
-    tau, certified = [], []
-    for ell in range(L + 1):
-        form = tau_symbolic(ell)
-        value = form.evaluate(puiseux.t, ctx)
-        value_half = form.evaluate(puiseux.t_half, ctx)
-        tau.append(value)
-        certified.append(min(hp.agreement_digits(value, value_half, ctx), puiseux.digits))
-    return AsymptoticExpansion(
-        variety=puiseux.variety,
-        rho=puiseux.rho,
-        tau=tuple(tau),
-        certified_digits=tuple(certified),
-        n_series=puiseux.n_series,
-        digits=puiseux.digits,
-        ctx=ctx,
-    )
+    return tuple(tau_symbolic(ell).evaluate(t, ctx) for ell in range(L + 1))
 
 
 def estimate_count(asym: AsymptoticExpansion, n: int, order: int):
@@ -325,7 +280,10 @@ def expand_variety(
     """Full pipeline: counts, singularity, derivatives, ``t`` and ``tau``.
 
     ``K`` defaults to ``max(2L+1, 1)`` so that ``tau_0 .. tau_L`` are
-    derivable; pass a larger ``K`` for more singular terms.
+    derivable; pass a larger ``K`` for more singular terms.  The pipeline
+    runs at truncation orders ``N`` and ``N//2``; the agreement of the two
+    runs gives the certified digits of ``rho``, every ``t_n`` and every
+    ``tau_l``.
     """
     spec = get_variety(variety)
     if K is None:
@@ -336,19 +294,59 @@ def expand_variety(
         raise ValueError(f"series order N={N} too small for K={K}; need N >= {2 * K}")
     if counts is None:
         counts = spec.count_source(N)
-    rho_result = solve_rho(spec, counts, N, D)
-    derivs = zeta_derivatives(
-        spec,
-        counts,
-        rho_result.rho,
-        derivative_orders_needed(K),
-        N,
-        rho_result.ctx,
-        x_half=rho_result.rho_half,
-        target_digits=D,
+    check_series_inputs(counts, N, D)
+    ctx = hp.working_context(D)
+    rho, iterations, t, tau, tail = _expand_at(spec, counts, N, D, K, L, ctx)
+    rho_check, _, t_check, tau_check, _ = _expand_at(spec, counts, N // 2, D, K, L, ctx)
+    if tail > ctx.mpf(10) ** (-(D - 10)):
+        warnings.warn(
+            f"zeta derivative tails reach {ctx.nstr(tail, 3)}; "
+            f"truncation order {N} is small for {D} digits",
+            TruncationWarning,
+            stacklevel=2,
+        )
+    rho_result = RhoResult(
+        variety=spec.name,
+        rho=rho,
+        certified_digits=hp.certified_digits(rho, rho_check, D, ctx),
+        n_used=N,
+        iterations=iterations,
+        digits=D,
+        ctx=ctx,
     )
-    puiseux = puiseux_coeffs(spec, rho_result, derivs, K)
-    asym = tau_coeffs(puiseux, L)
+    puiseux = PuiseuxExpansion(
+        variety=spec.name,
+        rho=rho,
+        t=t,
+        certified_digits=tuple(hp.certified_digits(a, b, D, ctx) for a, b in zip(t, t_check)),
+        n_series=N,
+        digits=D,
+        ctx=ctx,
+    )
+    asym = AsymptoticExpansion(
+        variety=spec.name,
+        rho=rho,
+        tau=tau,
+        certified_digits=tuple(
+            hp.certified_digits(a, b, D, ctx) for a, b in zip(tau, tau_check)
+        ),
+        n_series=N,
+        digits=D,
+        ctx=ctx,
+    )
     return VarietyExpansion(
         spec=spec, counts=counts, rho_result=rho_result, puiseux=puiseux, asym=asym
     )
+
+
+def _expand_at(spec: VarietySpec, counts: CountSequence, N: int, D: int, K: int, L: int, ctx):
+    """``(rho, iterations, t, tau, tail)`` from one ``zeta`` series truncated at order ``N``.
+
+    ``tail`` is the largest tail indicator of the derivative evaluations.
+    """
+    zeta = zeta_series(spec, counts, N, ctx)
+    rho, iterations = find_root(zeta, ctx, DEFAULT_BRACKET, D, MAX_NEWTON, spec.name)
+    orders = range(derivative_orders_needed(K) + 1)
+    derivs, tails = zip(*(series_eval_deriv_tail(zeta, rho, r, ctx) for r in orders))
+    t = puiseux_coeffs(spec, rho, derivs, K, ctx)
+    return rho, iterations, t, tau_coeffs(t, L, ctx), max(tails)

@@ -8,7 +8,7 @@ precisions never interfere and all operations are thread-safe.
 Working precision policy: computations targeting ``D`` reported digits run
 at ``D + GUARD_DIGITS`` internal digits.  Certification of the reported
 digits is done separately, by recomputing with the series truncation order
-halved and counting agreement digits (see :func:`agreement_digits`).
+halved and counting agreement digits (see :func:`certified_digits`).
 """
 
 from __future__ import annotations
@@ -57,6 +57,15 @@ def agreement_digits(a, b, ctx) -> int:
         return ctx.dps
     digits = int(mpmath.floor(-ctx.log10(rel)))
     return max(0, min(digits, ctx.dps))
+
+
+def certified_digits(value, check, D: int, ctx) -> int:
+    """Digits of ``value`` certified by ``check``, its recomputation at order ``N//2``.
+
+    The agreement count of the two, capped at the target ``D``; used for
+    ``rho``, every ``t_n`` and every ``tau_l``.
+    """
+    return min(agreement_digits(value, check, ctx), D)
 
 
 def to_decimal(x, digits: int, ctx) -> str:

@@ -8,9 +8,11 @@ characteristic system to a single root-finding problem in ``rho``, solved by
 bracketing + bisection to ~10 digits followed by Newton refinement with the
 term-wise series derivative.
 
-Certification is independent of the Newton stopping rule: the root is
-re-solved with the series truncated at half the order, and the number of
-agreeing digits is reported.
+:func:`find_root` solves on one given ``zeta`` series.  :func:`solve_rho` is
+the certified form for direct callers: it solves at truncation orders ``N``
+and ``N//2`` and reports their agreement through
+:func:`treeasym.hp.certified_digits`, the same helper that certifies the
+full expansion in :func:`treeasym.expansions.expand_variety`.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from .varieties import VarietySpec, zeta_series
 DEFAULT_BRACKET = (Fraction(1, 20), Fraction(3, 5))
 
 MIN_SERIES_ORDER = 50
+
+MAX_NEWTON = 80
 
 
 class SolverError(RuntimeError):
@@ -51,7 +55,6 @@ class RhoResult:
     certified_digits: int
     n_used: int
     iterations: int
-    rho_half: object  # root of the half-truncation-order series
     digits: int       # target digits requested
     ctx: object
 
@@ -67,40 +70,47 @@ def solve_rho(
     D: int,
     *,
     bracket=DEFAULT_BRACKET,
-    max_newton: int = 80,
+    max_newton: int = MAX_NEWTON,
 ) -> RhoResult:
-    """Solve ``zeta(rho) = exp(-1)`` to ``D`` target digits.
+    """Solve ``zeta(rho) = exp(-1)`` to ``D`` target digits, certified at ``N//2``.
 
     ``counts`` must cover indices up to ``N`` and ``N`` must be at least
     ``MIN_SERIES_ORDER``.  Raises :class:`NoBracketError` when no sign change
     exists on ``bracket`` and :class:`StalledError` when Newton fails to
     reach the ``10**-(D+5)`` step tolerance within ``max_newton`` iterations.
     """
+    check_series_inputs(counts, N, D)
+    ctx = hp.working_context(D)
+    full = zeta_series(spec, counts, N, ctx)
+    rho, iterations = find_root(full, ctx, bracket, D, max_newton, spec.name)
+    check = zeta_series(spec, counts, N // 2, ctx)
+    rho_check, _ = find_root(check, ctx, bracket, D, max_newton, spec.name)
+    return RhoResult(
+        variety=spec.name,
+        rho=rho,
+        certified_digits=hp.certified_digits(rho, rho_check, D, ctx),
+        n_used=N,
+        iterations=iterations,
+        digits=D,
+        ctx=ctx,
+    )
+
+
+def check_series_inputs(counts: CountSequence, N: int, D: int) -> None:
+    """Reject a series order, target precision or count reach the solver cannot use."""
     if N < MIN_SERIES_ORDER:
         raise ValueError(f"series order {N} too small, need >= {MIN_SERIES_ORDER}")
     if D < hp.MIN_DIGITS:
         raise ValueError(f"target digits {D} too small, need >= {hp.MIN_DIGITS}")
     if counts.n_max < N:
         raise ValueError(f"counts cover n <= {counts.n_max}, need {N}")
-    ctx = hp.working_context(D)
-    full = zeta_series(spec, counts, N, ctx)
-    rho, iterations = _refine_root(full, ctx, bracket, D, max_newton, spec.name)
-    half = zeta_series(spec, counts, N // 2, ctx)
-    rho_half, _ = _refine_root(half, ctx, bracket, D, max_newton, spec.name)
-    certified = min(hp.agreement_digits(rho, rho_half, ctx), D)
-    return RhoResult(
-        variety=spec.name,
-        rho=rho,
-        certified_digits=certified,
-        n_used=N,
-        iterations=iterations,
-        rho_half=rho_half,
-        digits=D,
-        ctx=ctx,
-    )
 
 
-def _refine_root(f, ctx, bracket, D, max_newton, name):
+def find_root(f, ctx, bracket, D, max_newton, name):
+    """Root of ``f(x) = 1/e`` on ``bracket`` and the Newton iteration count.
+
+    Bisection to about 10 digits, then Newton to a ``10**-(D+5)`` step.
+    """
     target = ctx.exp(ctx.mpf(-1))
 
     def residual(x):

@@ -30,7 +30,6 @@ admit a solution of ``zeta(rho) = 1/e`` at all, which
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -39,7 +38,6 @@ from . import hp
 from .counts import CountSequence, hierarchy_counts, identity_counts, polya_counts
 from .series import (
     PowerSeries,
-    TruncationWarning,
     series_eval_deriv_tail,
     series_exp,
     series_scale,
@@ -151,72 +149,14 @@ def zeta_series(spec: VarietySpec, counts: CountSequence, N: int, ctx) -> PowerS
     return series_shift(out, spec.z_exponent)
 
 
-@dataclass(frozen=True)
-class ZetaDerivatives:
-    """Values ``zeta^(0)(x) .. zeta^(r_max)(x)`` with halved-order recomputation."""
-
-    spec: VarietySpec
-    x: object
-    values: tuple
-    values_half: tuple
-    certified_digits: tuple[int, ...]
-    n_used: int
-    ctx: object
-
-    @property
-    def r_max(self) -> int:
-        return len(self.values) - 1
-
-
 def zeta_derivatives(
-    spec: VarietySpec,
-    counts: CountSequence,
-    x,
-    r_max: int,
-    N: int,
-    ctx,
-    *,
-    x_half=None,
-    target_digits: int | None = None,
-) -> ZetaDerivatives:
-    """Term-wise derivatives of the ``zeta`` series at ``x``, orders ``0..r_max``.
-
-    Each value is recomputed at truncation order ``N//2`` (optionally at a
-    separately solved point ``x_half``); the per-order agreement defines the
-    certified digits.  A :class:`TruncationWarning` is emitted when the tail
-    indicator at order ``N`` is too large for ``target_digits``.
-    """
+    spec: VarietySpec, counts: CountSequence, x, r_max: int, N: int, ctx
+) -> tuple:
+    """Term-wise derivatives ``zeta^(0)(x) .. zeta^(r_max)(x)`` of the order-``N`` series."""
     if r_max < 0:
         raise ValueError("r_max must be non-negative")
-    x = hp.convert(x, ctx)
-    x_half = x if x_half is None else hp.convert(x_half, ctx)
-    full = zeta_series(spec, counts, N, ctx)
-    half = zeta_series(spec, counts, N // 2, ctx)
-    values, values_half, certified = [], [], []
-    worst_tail = ctx.mpf(0)
-    for r in range(r_max + 1):
-        v, tail = series_eval_deriv_tail(full, x, r, ctx)
-        vh, _ = series_eval_deriv_tail(half, x_half, r, ctx)
-        values.append(v)
-        values_half.append(vh)
-        certified.append(hp.agreement_digits(v, vh, ctx))
-        worst_tail = max(worst_tail, tail)
-    if target_digits is not None and worst_tail > ctx.mpf(10) ** (-(target_digits - 10)):
-        warnings.warn(
-            f"zeta derivative tails reach {ctx.nstr(worst_tail, 3)}; "
-            f"truncation order {N} is small for {target_digits} digits",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    return ZetaDerivatives(
-        spec=spec,
-        x=x,
-        values=tuple(values),
-        values_half=tuple(values_half),
-        certified_digits=tuple(certified),
-        n_used=N,
-        ctx=ctx,
-    )
+    zeta = zeta_series(spec, counts, N, ctx)
+    return tuple(series_eval_deriv_tail(zeta, x, r, ctx)[0] for r in range(r_max + 1))
 
 
 def functional_residual_exact(spec: VarietySpec, counts: CountSequence, N: int) -> PowerSeries:

@@ -179,6 +179,19 @@ def test_unknown_subcommand_exits_2(capsys):
     assert excnfo.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["error-table", "hierarchy", "--format", "json"],
+    ["expand", "polya", "--offline"],
+    ["expand", "polya", "--cache-dir", "cache"],
+    ["counts", "polya", "--digits", "40"],
+])
+def test_flag_outside_its_subcommand_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_unknown_variety_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["counts", "bonsai"])

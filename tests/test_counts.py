@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeasym.counts import (
+    _divide_exactly,
     counts_for,
     hierarchy_counts,
     identity_counts,
@@ -102,3 +103,10 @@ def test_prefix_stability(shorter, longer):
     lo, hi = sorted((shorter, longer))
     for fn in (polya_counts, identity_counts, hierarchy_counts):
         assert fn(hi).values[: lo + 1] == fn(lo).values
+
+
+def test_inexact_division_raises():
+    # an explicit raise, so the integrality check also runs under python -O
+    assert _divide_exactly(12, 4, 5) == 3
+    with pytest.raises(ArithmeticError, match="inexact division at n=5"):
+        _divide_exactly(13, 4, 5)

@@ -1,5 +1,6 @@
 import pytest
 
+from treeasym import varieties
 from treeasym.expansions import (
     composition_power_table,
     derivative_orders_needed,
@@ -47,7 +48,7 @@ class TestSingularCoefficients:
         ctx = result.puiseux.ctx
         counts = result.counts
         derivs = zeta_derivatives(result.spec, counts, result.rho_result.rho, 1, 200, ctx)
-        expected = -ctx.sqrt(2 * ctx.e * result.rho_result.rho * derivs.values[1])
+        expected = -ctx.sqrt(2 * ctx.e * result.rho_result.rho * derivs[1])
         assert agreement_digits(result.puiseux.t[1], expected, ctx) >= 25
 
     def test_t2_is_t1_squared_over_three(self, pipeline):
@@ -61,7 +62,7 @@ class TestSingularCoefficients:
         ctx = result.puiseux.ctx
         rho = result.rho_result.rho
         derivs = zeta_derivatives(result.spec, result.counts, rho, 2, 200, ctx)
-        zp, zpp = derivs.values[1], derivs.values[2]
+        zp, zpp = derivs[1], derivs[2]
         expected = -(
             11 * ctx.sqrt(2) * (ctx.e * rho * zp) ** ctx.mpf("1.5") / 36
             - ctx.sqrt(2 * ctx.e) * rho ** ctx.mpf("1.5") * zpp / (4 * ctx.sqrt(zp))
@@ -73,7 +74,7 @@ class TestSingularCoefficients:
         ctx = result.puiseux.ctx
         rho = result.rho_result.rho
         assert agreement_digits(result.puiseux.t[0], 1 - (1 - rho) / 2, ctx) >= 50
-        # odd coefficients and t_half bookkeeping untouched by the transform
+        # odd coefficients untouched by the transform
         assert result.puiseux.t[1] < 0
 
     @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
@@ -90,12 +91,10 @@ class TestSingularCoefficients:
 
     def test_insufficient_derivatives_rejected(self, pipeline):
         result = pipeline("polya")
-        derivs = zeta_derivatives(
-            result.spec, result.counts, result.rho_result.rho, 2, 200,
-            result.puiseux.ctx, x_half=result.rho_result.rho_half,
-        )
+        rho, ctx = result.rho_result.rho, result.puiseux.ctx
+        derivs = zeta_derivatives(result.spec, result.counts, rho, 2, 200, ctx)
         with pytest.raises(ValueError, match="derivatives up to order"):
-            puiseux_coeffs(result.spec, result.rho_result, derivs, 10)
+            puiseux_coeffs(result.spec, rho, derivs, 10, ctx)
 
 
 class TestAsymptoticCoefficients:
@@ -125,7 +124,7 @@ class TestAsymptoticCoefficients:
     def test_requires_enough_t_indices(self, pipeline):
         result = pipeline("polya")
         with pytest.raises(ValueError, match="needs t-indices"):
-            tau_coeffs(result.puiseux, 10)
+            tau_coeffs(result.puiseux.t, 10, result.puiseux.ctx)
 
 
 class TestEstimates:
@@ -229,6 +228,19 @@ class TestCertification:
         tau_cert = result.asym.certified_digits
         assert all(5 <= c <= 60 for c in tau_cert)
         assert all(c >= 15 for c in tau_cert[:5])
+
+    def test_one_series_exponential_per_order(self, monkeypatch):
+        # the pipeline builds the zeta series once at N and once at N // 2
+        orders = []
+        original = varieties.series_exp
+
+        def counted(g, ctx=None):
+            orders.append(g.order)
+            return original(g, ctx)
+
+        monkeypatch.setattr(varieties, "series_exp", counted)
+        expand_variety("polya", L=2, N=100, D=30)
+        assert orders == [100, 50]
 
     def test_stability_between_orders(self, pipeline):
         # rho and tau stable to >= 15 digits between N=200 and N=300
