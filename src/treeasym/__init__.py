@@ -33,11 +33,7 @@ from .kernels import (
     b_seq,
     bell_partial,
     cayley_puiseux,
-    compositions,
     gen_binom,
-    q_symbolic,
-    r_inner,
-    r_seq,
     tau_symbolic,
 )
 from .series import (
@@ -79,7 +75,6 @@ __all__ = [
     "b_seq",
     "bell_partial",
     "cayley_puiseux",
-    "compositions",
     "counts_for",
     "error_table",
     "estimate_count",
@@ -91,9 +86,6 @@ __all__ = [
     "polya_counts",
     "product_form_oracle",
     "puiseux_coeffs",
-    "q_symbolic",
-    "r_inner",
-    "r_seq",
     "series_eval_deriv",
     "series_exp",
     "series_mul",

@@ -19,7 +19,8 @@ on ``counts``, ``expand`` and ``estimate``; ``--cache-dir`` and
 Output is deterministic for a fixed configuration: data lines carry no
 timestamps and metadata goes into ``#``-prefixed header lines (CSV) or
 fixed JSON keys.  Exit codes: 0 success, 1 verification mismatch, 2 invalid
-configuration, 3 solver failure.
+configuration (including a verification that compares nothing), 3 solver
+failure.
 
 Sizes are node counts for polya and identity trees and leaf counts for
 hierarchies.
@@ -258,6 +259,10 @@ def cmd_error_table(args: argparse.Namespace) -> int:
         raise ConfigError("--sizes and --orders must be comma-separated integers")
     if not sizes or not orders:
         raise ConfigError("--sizes and --orders must be non-empty")
+    if min(sizes) < 1:
+        raise ConfigError(f"--sizes must be positive, got {min(sizes)}")
+    if min(orders) < 0:
+        raise ConfigError(f"--orders must be non-negative, got {min(orders)}")
     if max(sizes) > args.max_size:
         raise ConfigError(f"size {max(sizes)} beyond --max-size {args.max_size}")
     result = _expansion_for_orders(args, max(orders), max(sizes))
@@ -289,6 +294,8 @@ def cmd_verify_oeis(args: argparse.Namespace) -> int:
     )
     seq = counts_for(args.variety, args.n)
     report = oeis.verify_counts(seq, fixture, index_offset=args.offset, source=source)
+    if report.empty:
+        raise ConfigError(report.summary())
     _print(report.summary())
     for n, ours, ref in report.mismatches[:10]:
         _print(f"  n={n}: computed {ours} != reference {ref}")

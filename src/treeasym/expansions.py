@@ -12,7 +12,7 @@ with ``t_1 = -sqrt(2 e rho zeta'(rho))`` and, for ``n > 1``,
           - sum_{1 <= l <= n-1, l == n (mod 2)} (-1)^((n-l)/2) rho^(n/2) B(l)/l!
             (2 e zeta')^(l/2)
             sum_{r=1}^{(n-l)/2} binom(l/2, r) zeta'^(-r)
-            sum over compositions (i_1..i_r) of (n-l)/2 of
+            sum over i_1..i_r >= 1 with i_1 + ... + i_r = (n-l)/2 of
                 prod_j zeta^(i_j+1)(rho) / (i_j+1)!
 
 The innermost composition sum is the coefficient of ``u^M`` in the ``r``-th
@@ -24,9 +24,11 @@ The counting sequence then satisfies
 
     T_n ~ rho^(-n) / sqrt(pi n^3) * sum_{l>=0} tau_l / n^l
 
-with ``tau_l = sum_{r=1}^{l+1} Q_r R_{l+1-r}`` instantiated from the odd
-``t``-coefficients (see :mod:`treeasym.kernels`).  An order-``k``
-approximation keeps the terms through ``tau_k / n^k`` (``k+1`` summands).
+with ``tau_l = sum_{j=0}^{l} t_{2j+1} w_j c_{l-j}(j + 1/2)`` instantiated from
+the odd ``t``-coefficients: ``w_j = sqrt(pi) / Gamma(-j-1/2)`` and ``c_m(a)`` is
+the ``n^-m`` coefficient of ``Gamma(n-a) n^(a+1) / Gamma(n+1)``, both exact
+rationals (see :mod:`treeasym.kernels`).  An order-``k`` approximation keeps
+the terms through ``tau_k / n^k`` (``k+1`` summands).
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ class AsymptoticExpansion:
 
 
 def composition_power_table(values: Sequence, m_max: int, ctx) -> list[list]:
-    """Table ``W[r][M] = sum over compositions (i_1..i_r) of M of prod_j values[i_j]``.
+    """Table ``W[r][M] = sum over i_1..i_r >= 1 summing to M of prod_j values[i_j]``.
 
     ``values[i]`` must be defined for ``1 <= i <= m_max``.  Computed by the
     convolution recurrence ``W[r][M] = sum_i values[i] W[r-1][M-i]``.
@@ -116,6 +118,13 @@ def _t_values(rho, deriv_values: Sequence, K: int, ctx) -> list:
             deriv_values[i + 1] / math.factorial(i + 1) for i in range(1, m_max + 1)
         ]
         table = composition_power_table(weights, m_max, ctx)
+    # binom(l/2, r) and zeta'^r for every (l, r) read below, each built once per call
+    binoms = {
+        (l, r): hp.convert(gen_binom(Fraction(l, 2), r), ctx)
+        for l in range(1, K - 1)
+        for r in range(1, (K - l) // 2 + 1)
+    }
+    zeta_prime_powers = [zeta_prime**r for r in range(m_max + 1)]
     t = [ctx.mpf(1)]
     for n in range(1, K + 1):
         total = -hp.convert(b_seq(n), ctx) / math.factorial(n) * sqrt_big**n
@@ -132,11 +141,7 @@ def _t_values(rho, deriv_values: Sequence, K: int, ctx) -> list:
             )
             inner = ctx.mpf(0)
             for r in range(1, M + 1):
-                inner += (
-                    hp.convert(gen_binom(Fraction(l, 2), r), ctx)
-                    / zeta_prime**r
-                    * table[r][M]
-                )
+                inner += binoms[l, r] / zeta_prime_powers[r] * table[r][M]
             total += outer * inner
         t.append(total)
     return t
@@ -279,15 +284,17 @@ def expand_variety(
 ) -> VarietyExpansion:
     """Full pipeline: counts, singularity, derivatives, ``t`` and ``tau``.
 
-    ``K`` defaults to ``max(2L+1, 1)`` so that ``tau_0 .. tau_L`` are
+    ``K`` defaults to ``2L+1`` so that ``tau_0 .. tau_L`` are
     derivable; pass a larger ``K`` for more singular terms.  The pipeline
     runs at truncation orders ``N`` and ``N//2``; the agreement of the two
     runs gives the certified digits of ``rho``, every ``t_n`` and every
     ``tau_l``.
     """
     spec = get_variety(variety)
+    if L < 0:
+        raise ValueError(f"order L must be >= 0, got {L}")
     if K is None:
-        K = max(2 * L + 1, 1)
+        K = 2 * L + 1
     if K < 2 * L + 1:
         raise ValueError(f"K={K} too small for L={L}; need K >= {2 * L + 1}")
     if N < 2 * K:

@@ -4,10 +4,17 @@ Everything in this module is computed in ``fractions.Fraction`` arithmetic
 and is independent of the tree variety: partial Bell polynomials, the signed
 weight sequence ``B(l)`` driving the square-root singular expansion of the
 tree function ``C(z) = z*exp(C(z))``, its explicit coefficients, generalized
-binomials, composition enumeration, and the two universal sequences ``R_l``
-and ``Q_r`` that convert singular-expansion coefficients into asymptotic
-ones.  Values are cached per index and shared across varieties; the caches
-are write-once-per-key and safe under concurrent readers.
+binomials, and the linear forms ``tau_l`` that convert singular-expansion
+coefficients into asymptotic ones.
+
+The ``tau`` weights come from the transfer of each odd singular term,
+``[z^n](1-z)^(k/2) = Gamma(n-k/2) / (Gamma(-k/2) Gamma(n+1))``, and from the
+Bernoulli-polynomial series of ``log(Gamma(n+a)/Gamma(n+b))`` (Tricomi &
+Erdelyi, *The asymptotic expansion of a ratio of gamma functions*, Pacific
+J. Math. 1951; Flajolet & Sedgewick, *Analytic Combinatorics*, Thm VI.1):
+``tau_0 .. tau_L`` cost ``O(L^3)`` rational operations.  Values are cached
+per index and shared across varieties; the caches are write-once-per-key
+and safe under concurrent readers.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import hp
 
@@ -148,67 +155,6 @@ def gen_binom(a, r: int) -> Fraction:
     return prod / math.factorial(r)
 
 
-def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Yield every ordered tuple of ``parts`` positive integers summing to ``total``.
-
-    There are ``binom(total-1, parts-1)`` of them.
-    """
-    if total < 1 or parts < 1:
-        raise ValueError("total and parts must be positive")
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-@lru_cache(maxsize=None)
-def r_inner(k: int) -> Fraction:
-    """Inner double sum of the ``R_l`` weights.
-
-    ``sum_{s=0}^{2k} 1/(s+1) sum_{j=0}^{s} (-1)^j binom(s,j) j^(2k)`` with the
-    convention ``0**0 == 1`` (Python's native one), so the ``s = 0`` term is
-    well-defined and vanishes for ``k >= 1``.
-    """
-    if k < 1:
-        raise ValueError(f"index must be positive, got {k}")
-    acc = Fraction(0)
-    for s in range(0, 2 * k + 1):
-        inner = sum((-1) ** j * math.comb(s, j) * j ** (2 * k) for j in range(s + 1))
-        acc += Fraction(inner, s + 1)
-    return acc
-
-
-@lru_cache(maxsize=None)
-def _r_ell(ell: int) -> Fraction:
-    if ell == 0:
-        return Fraction(1)
-    acc = Fraction(0)
-    for r in range(1, ell + 1):
-        if (ell - r) % 2 != 0:
-            continue
-        ksum = (ell + r) // 2
-        if ksum < r:
-            continue
-        for ks in compositions(ksum, r):
-            prod = Fraction(1)
-            prefix = 0  # running value of 2k_1 + ... + 2k_{i-1}
-            for i, k_i in enumerate(ks, start=1):
-                numer = (Fraction(1, 4**k_i) - 1) * r_inner(k_i)
-                prod *= numer / ((ell - prefix + i - 1) * k_i)
-                prefix += 2 * k_i
-            acc += prod
-    return acc
-
-
-def r_seq(ell_max: int) -> list[Fraction]:
-    """The universal weights ``R_0 .. R_{ell_max}`` (``R_0 = 1``)."""
-    if ell_max < 0:
-        raise ValueError(f"l_max must be non-negative, got {ell_max}")
-    return [_r_ell(ell) for ell in range(ell_max + 1)]
-
-
 @dataclass
 class SymbolicTauPolynomial:
     """Linear form ``sum_j c_j t_j`` over the odd-index expansion symbols."""
@@ -228,15 +174,6 @@ class SymbolicTauPolynomial:
             acc += hp.convert(c, ctx) * hp.convert(t_values[idx], ctx)
         return acc
 
-    def scaled(self, factor: Fraction) -> "SymbolicTauPolynomial":
-        return SymbolicTauPolynomial({i: c * factor for i, c in self.coeffs.items()})
-
-    def __add__(self, other: "SymbolicTauPolynomial") -> "SymbolicTauPolynomial":
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            out[i] = out.get(i, Fraction(0)) + c
-        return SymbolicTauPolynomial(out)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, SymbolicTauPolynomial):
             return self.coeffs == other.coeffs
@@ -244,52 +181,57 @@ class SymbolicTauPolynomial:
             return self.coeffs == {i: Fraction(c) for i, c in other.items() if c != 0}
         return NotImplemented
 
-    def max_index(self) -> int:
-        return max(self.coeffs, default=1)
+
+@lru_cache(maxsize=None)
+def _bernoulli(m: int) -> Fraction:
+    """Bernoulli number ``B_m`` (``B_1 = -1/2``), from ``sum_{i<=m} binom(m+1, i) B_i = 0``."""
+    if m == 0:
+        return Fraction(1)
+    # ascending calls find every smaller index cached, so the recursion stays shallow
+    return -sum(math.comb(m + 1, i) * _bernoulli(i) for i in range(m)) / (m + 1)
 
 
 @lru_cache(maxsize=None)
-def _q_weight(j: int, s: int) -> Fraction:
-    """``sum over compositions (l_0..l_j) of s of prod_i (i + 1/2)^(l_i)``.
+def _log_gamma_ratio(j: int, k: int) -> Fraction:
+    """``n^-k`` coefficient of ``log(Gamma(n-a) n^(a+1) / Gamma(n+1))`` at ``a = j + 1/2``.
 
-    Memoized recursion over the last part; identical to enumerating the
-    compositions explicitly, which the tests do for small arguments.
+    That is ``(-1)^(k+1) (B_{k+1}(-a) - B_{k+1}(1)) / (k (k+1))`` for ``k >= 1``,
+    where ``B_{k+1}(1) = B_{k+1}`` cancels the constant term of ``B_{k+1}(-a)``.
     """
-    base = Fraction(2 * j + 1, 2)
-    if j == 0:
-        return base**s if s >= 1 else Fraction(0)
-    acc = Fraction(0)
-    power = Fraction(1)
-    for part in range(1, s - j + 1):
-        power *= base
-        acc += _q_weight(j - 1, s - part) * power
-    return acc
+    x = Fraction(-2 * j - 1, 2)
+    poly = sum(math.comb(k + 1, i) * _bernoulli(i) * x ** (k + 1 - i) for i in range(k + 1))
+    return (-1) ** (k + 1) * poly / (k * (k + 1))
 
 
 @lru_cache(maxsize=None)
-def _q_poly(r: int) -> SymbolicTauPolynomial:
-    return SymbolicTauPolynomial(
-        {2 * j + 1: Fraction((-1) ** (j + 1)) * _q_weight(j, r) for j in range(r)}
-    )
+def _gamma_ratio(j: int, m: int) -> Fraction:
+    """``c_m``: the ``n^-m`` coefficient of ``Gamma(n-a) n^(a+1) / Gamma(n+1)`` at ``a = j + 1/2``.
 
-
-def q_symbolic(r_max: int) -> list[SymbolicTauPolynomial]:
-    """The linear forms ``Q_1 .. Q_{r_max}`` in the odd symbols ``t_1, t_3, ...``
-
-    ``Q_r = sum_{j=0}^{r-1} (-1)^(j+1) t_{2j+1} *
-            sum over compositions (l_0..l_j) of r of prod_i (i + 1/2)^(l_i)``.
+    The exponential of the :func:`_log_gamma_ratio` series ``s_k``, through
+    ``m c_m = sum_{k=1}^{m} k s_k c_{m-k}``.
     """
-    if r_max < 1:
-        raise ValueError(f"r_max must be positive, got {r_max}")
-    return [_q_poly(r) for r in range(1, r_max + 1)]
+    if m == 0:
+        return Fraction(1)
+    return sum((m - i) * _log_gamma_ratio(j, m - i) * _gamma_ratio(j, i) for i in range(m)) / m
 
 
 @lru_cache(maxsize=None)
 def tau_symbolic(ell: int) -> SymbolicTauPolynomial:
-    """Asymptotic coefficient ``tau_l = sum_{r=1}^{l+1} Q_r R_{l+1-r}`` as a linear form."""
+    """Asymptotic coefficient ``tau_l`` as a linear form in ``t_1, t_3, ..., t_{2l+1}``.
+
+    ``tau_l = sum_{j=0}^{l} t_{2j+1} w_j c_{l-j}(j + 1/2)``: each odd term
+    ``t_k (1 - z/rho)^(k/2)`` contributes ``rho^-n Gamma(n-k/2) / (Gamma(-k/2) Gamma(n+1))``
+    to ``T_n``, so ``w_j = sqrt(pi) / Gamma(-j-1/2)`` and ``c_m(a)`` is the
+    ``n^-m`` coefficient of ``Gamma(n-a) n^(a+1) / Gamma(n+1)``.  The log of
+    that Gamma ratio has a Bernoulli-polynomial series (Tricomi & Erdelyi,
+    Pacific J. Math. 1951; Flajolet & Sedgewick, Analytic Combinatorics,
+    Thm VI.1), so every weight is an exact ``Fraction`` in polynomial time.
+    """
     if ell < 0:
         raise ValueError(f"index must be non-negative, got {ell}")
-    out = SymbolicTauPolynomial({})
-    for r in range(1, ell + 2):
-        out = out + _q_poly(r).scaled(_r_ell(ell + 1 - r))
-    return out
+    coeffs = {}
+    weight = Fraction(-1, 2)  # w_0 = sqrt(pi) / Gamma(-1/2)
+    for j in range(ell + 1):
+        coeffs[2 * j + 1] = weight * _gamma_ratio(j, ell - j)
+        weight *= Fraction(-2 * j - 3, 2)  # Gamma(x) = Gamma(x+1) / x
+    return SymbolicTauPolynomial(coeffs)

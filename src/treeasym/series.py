@@ -42,10 +42,6 @@ class PowerSeries:
     def __len__(self) -> int:
         return len(self.coeffs)
 
-    def to_context(self, ctx) -> "PowerSeries":
-        """Convert coefficients into ``ctx`` (the exact-to-numeric boundary)."""
-        return PowerSeries(tuple(hp.convert(c, ctx) for c in self.coeffs))
-
 
 def series_mul(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     """Cauchy product truncated at ``min(f.order, g.order)``."""

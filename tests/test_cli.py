@@ -137,6 +137,19 @@ class TestErrorTable:
                            "--orders", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--orders", "-1", "--sizes", "10"],
+        ["--orders", "1", "--sizes", "0"],
+    ])
+    def test_bad_grid_rejected_before_any_work(self, capsys, monkeypatch, flags):
+        def no_series(*args, **kwargs):
+            raise AssertionError("series exponential computed for a rejected grid")
+
+        monkeypatch.setattr("treeasym.varieties.series_exp", no_series)
+        code, _, err = run(capsys, "error-table", "hierarchy", *flags)
+        assert code == 2
+        assert "must be" in err
+
 
 class TestVerifyOeis:
     @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
@@ -152,6 +165,13 @@ class TestVerifyOeis:
                            "--cache-dir", str(tmp_path))
         assert code == 1
         assert "mismatch" in out
+
+    @pytest.mark.parametrize("offset", ["-9", "900"])
+    def test_nothing_compared_exits_2(self, capsys, tmp_path, offset):
+        code, out, err = run(capsys, "verify-oeis", "polya", "--n", "5", "--offset", offset,
+                             "--offline", "--cache-dir", str(tmp_path))
+        assert code == 2
+        assert "nothing to verify" in err and out == ""
 
     def test_env_var_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("TREEASYM_CACHE_DIR", str(tmp_path))

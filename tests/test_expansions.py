@@ -11,10 +11,10 @@ from treeasym.expansions import (
     tau_coeffs,
 )
 from treeasym.hp import agreement_digits, context
-from treeasym.kernels import compositions
 from treeasym.series import series_eval_deriv
 from treeasym.varieties import zeta_derivatives, zeta_series
 
+from qr_oracle import compositions
 from reference_values import T_TABLE, TAU_TABLE
 
 
@@ -167,6 +167,14 @@ class TestPipelineGuards:
     def test_k_must_cover_l(self):
         with pytest.raises(ValueError, match="too small for L"):
             expand_variety("polya", L=4, K=5)
+
+    def test_negative_l_rejected_before_any_work(self, monkeypatch):
+        def no_series(*args, **kwargs):
+            raise AssertionError("series exponential computed for a rejected order")
+
+        monkeypatch.setattr(varieties, "series_exp", no_series)
+        with pytest.raises(ValueError, match="order L must be >= 0, got -1"):
+            expand_variety("hierarchy", L=-1)
 
     def test_n_must_cover_k(self):
         with pytest.raises(ValueError, match="too small for K"):

@@ -14,14 +14,11 @@ from treeasym.kernels import (
     b_seq_direct,
     bell_partial,
     cayley_puiseux,
-    compositions,
     gen_binom,
-    q_symbolic,
-    r_inner,
-    r_seq,
     tau_symbolic,
 )
-from treeasym.kernels import _q_weight
+
+from qr_oracle import _q_weight, compositions, q_symbolic, r_inner, r_seq, tau_qr
 
 fractions_st = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
@@ -233,6 +230,38 @@ class TestTauSymbolic:
         value = tau_symbolic(1).evaluate(t, ctx)
         # -3(t_1 - 4 t_3)/16 = -3(-2 - 16)/16 = 27/8
         assert abs(value - ctx.mpf("3.375")) < ctx.mpf(10) ** -25
+
+    @pytest.mark.parametrize("ell", range(19))
+    def test_matches_composition_oracle(self, ell):
+        # the paper's Q/R composition sums give the same Fractions, in the same order
+        form, oracle = tau_symbolic(ell), tau_qr(ell)
+        assert form == oracle
+        assert list(form.coeffs) == list(oracle.coeffs)
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 9, 15])
+    def test_truncation_error_decay(self, k):
+        # with t = e_k the order-L sum approximates sqrt(pi n^3) [z^n](1-z)^(k/2);
+        # its relative error is ~ n^-(L+1-(k-1)/2), so one decade in n gains
+        # L+1-(k-1)/2 decades, and a wrong coefficient of order <= L breaks that
+        L = 30
+        ctx = context(220)
+        half_k = ctx.mpf(k) / 2
+        taus = [tau_symbolic(ell).coeffs.get(k, Fraction(0)) for ell in range(L + 1)]
+
+        def rel_error(n):
+            n = ctx.mpf(n)
+            exact = (
+                ctx.sqrt(ctx.pi * n**3)
+                * ctx.gamma(n - half_k)
+                / (ctx.gamma(-half_k) * ctx.gamma(n + 1))
+            )
+            approx = sum(ctx.mpf(c.numerator) / c.denominator / n**ell
+                         for ell, c in enumerate(taus))
+            return abs(approx - exact) / abs(exact)
+
+        ratio = rel_error(10**4) / rel_error(10**5)
+        expected = ctx.mpf(10) ** (L + 1 - (k - 1) // 2)
+        assert abs(ratio / expected - 1) < 0.05, ctx.nstr(ratio / expected, 6)
 
     def test_symbol_validation(self):
         with pytest.raises(ValueError):
