@@ -10,8 +10,8 @@ Subcommands::
                  by default; --fetch opts into the network)
 
 Each subcommand takes the variety and only the flags it reads:
-``--digits`` (target precision D) and ``--terms`` (series truncation order
-N) on ``expand``, ``estimate`` and ``error-table``; ``--format {json,csv}``
+``--digits`` (target precision D) and ``--terms`` (count reach N; the
+exponent of ``zeta`` goes to degree 2N) on ``expand``, ``estimate`` and ``error-table``; ``--format {json,csv}``
 on ``counts``, ``expand`` and ``estimate``; ``--cache-dir`` and
 ``--offline`` on ``verify-oeis``.  Cache directory precedence: flag, then
 ``TREEASYM_CACHE_DIR``, then ``~/.cache/treeasym``.
@@ -58,7 +58,8 @@ def _add_precision_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--digits", type=int, default=DEFAULT_DIGITS,
                         help=f"target decimal digits D (default {DEFAULT_DIGITS})")
     parser.add_argument("--terms", type=int, default=DEFAULT_TERMS,
-                        help=f"series truncation order N (default {DEFAULT_TERMS})")
+                        help=f"count reach N; zeta's exponent has degree 2N "
+                             f"(default {DEFAULT_TERMS})")
 
 
 def _add_format_flag(parser: argparse.ArgumentParser) -> None:

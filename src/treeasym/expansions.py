@@ -1,7 +1,11 @@
 """Singular and asymptotic expansions of the counting sequences.
 
-Given a variety with singularity ``rho`` and derivative values
-``zeta^(r)(rho)``, the counting series expands in half-integer powers of
+The pipeline builds the exact exponent ``h = log(zeta / (c z^a))`` to degree
+``2N`` once and converts it to the working context, then solves for ``rho``
+in log form (:func:`treeasym.solver.find_root`) and reads the derivative
+values ``zeta^(r)(rho)`` off the Horner Taylor shift of ``h`` and a short
+exponential (:func:`treeasym.varieties.zeta_taylor`).  From these, the
+counting series expands in half-integer powers of
 ``u = 1 - z/rho``::
 
     T(z) = 1 + sum_{n>=1} t_n u^(n/2)
@@ -42,9 +46,16 @@ from typing import Sequence
 from . import hp
 from .counts import CountSequence
 from .kernels import b_seq, gen_binom, tau_symbolic
-from .series import TruncationWarning, series_eval_deriv_tail
+from .series import PowerSeries, TruncationWarning
 from .solver import DEFAULT_BRACKET, MAX_NEWTON, RhoResult, check_series_inputs, find_root
-from .varieties import VarietySpec, get_variety, zeta_series
+from .varieties import (
+    VarietySpec,
+    exponent_prefix,
+    exponent_tail,
+    get_variety,
+    numeric_exponent,
+    zeta_taylor,
+)
 
 # Not called here; the benchmark traces both names in this module (perfbench/layers.py).
 from .solver import solve_rho  # noqa: F401
@@ -285,10 +296,11 @@ def expand_variety(
     """Full pipeline: counts, singularity, derivatives, ``t`` and ``tau``.
 
     ``K`` defaults to ``2L+1`` so that ``tau_0 .. tau_L`` are
-    derivable; pass a larger ``K`` for more singular terms.  The pipeline
-    runs at truncation orders ``N`` and ``N//2``; the agreement of the two
-    runs gives the certified digits of ``rho``, every ``t_n`` and every
-    ``tau_l``.
+    derivable; pass a larger ``K`` for more singular terms.  ``N`` is the
+    count reach: the exponent of ``zeta`` is taken to degree ``2N``.  The
+    pipeline runs at truncation orders ``N`` and ``N//2``; the agreement of
+    the two runs gives the certified digits of ``rho``, every ``t_n`` and
+    every ``tau_l``.
     """
     spec = get_variety(variety)
     if L < 0:
@@ -303,11 +315,14 @@ def expand_variety(
         counts = spec.count_source(N)
     check_series_inputs(counts, N, D)
     ctx = hp.working_context(D)
-    rho, iterations, t, tau, tail = _expand_at(spec, counts, N, D, K, L, ctx)
-    rho_check, _, t_check, tau_check, _ = _expand_at(spec, counts, N // 2, D, K, L, ctx)
+    h = numeric_exponent(spec, counts, N, ctx)
+    rho, iterations, t, tau, tail = _expand_at(spec, h, D, K, L, ctx)
+    rho_check, _, t_check, tau_check, _ = _expand_at(
+        spec, exponent_prefix(h, N // 2), D, K, L, ctx
+    )
     if tail > ctx.mpf(10) ** (-(D - 10)):
         warnings.warn(
-            f"zeta derivative tails reach {ctx.nstr(tail, 3)}; "
+            f"relative tail of the highest zeta derivative reaches {ctx.nstr(tail, 3)}; "
             f"truncation order {N} is small for {D} digits",
             TruncationWarning,
             stacklevel=2,
@@ -346,14 +361,17 @@ def expand_variety(
     )
 
 
-def _expand_at(spec: VarietySpec, counts: CountSequence, N: int, D: int, K: int, L: int, ctx):
-    """``(rho, iterations, t, tau, tail)`` from one ``zeta`` series truncated at order ``N``.
+def _expand_at(spec: VarietySpec, h: PowerSeries, D: int, K: int, L: int, ctx):
+    """``(rho, iterations, t, tau, tail)`` from one numeric exponent ``h``.
 
-    ``tail`` is the largest tail indicator of the derivative evaluations.
+    ``tail`` estimates the relative truncation error of the highest
+    derivative that ``t_K`` reads, ``zeta(rho) |delta h_r| / |zeta^(r)(rho)/r!|``
+    with ``delta h_r`` the tail indicator of the ``r``-th Taylor coefficient of ``h``.
     """
-    zeta = zeta_series(spec, counts, N, ctx)
-    rho, iterations = find_root(zeta, ctx, DEFAULT_BRACKET, D, MAX_NEWTON, spec.name)
-    orders = range(derivative_orders_needed(K) + 1)
-    derivs, tails = zip(*(series_eval_deriv_tail(zeta, rho, r, ctx) for r in orders))
+    rho, iterations = find_root(spec, h, ctx, DEFAULT_BRACKET, D, MAX_NEWTON)
+    r_max = derivative_orders_needed(K)
+    taylor = zeta_taylor(spec, h, rho, r_max, ctx)
+    derivs = [math.factorial(r) * z for r, z in enumerate(taylor)]
     t = puiseux_coeffs(spec, rho, derivs, K, ctx)
-    return rho, iterations, t, tau_coeffs(t, L, ctx), max(tails)
+    tail = taylor[0] * exponent_tail(h, rho, r_max) / abs(taylor[r_max])
+    return rho, iterations, t, tau_coeffs(t, L, ctx), tail

@@ -147,6 +147,26 @@ def series_eval_deriv_tail(f: PowerSeries, x, r: int, ctx, *, radius_bound=None)
     return acc, tail
 
 
+def series_taylor(f: PowerSeries, x, r: int) -> tuple:
+    """Taylor coefficients ``f^(j)(x) / j!`` for ``j = 0 .. r``.
+
+    ``r + 1`` synthetic divisions of ``c_0 + ... + c_N z^N`` by ``z - x``
+    (Horner's rule, run as the first ``r + 1`` steps of the Taylor shift
+    ``f(x + y)``): about ``(r + 1) N`` multiply-adds.  The coefficients and
+    ``x`` must already share one number type; nothing is converted.
+    """
+    if not 0 <= r <= f.order:
+        raise ValueError(f"derivative order {r} outside 0..{f.order}")
+    a = list(f.coeffs)
+    top = f.order
+    for j in range(r + 1):
+        acc = a[top]
+        for k in range(top - 1, j - 1, -1):
+            acc = a[k] + x * acc
+            a[k] = acc
+    return tuple(a[: r + 1])
+
+
 def series_derivative(f: PowerSeries) -> PowerSeries:
     """Coefficient-wise derivative, order drops by one.  Test helper."""
     if f.order == 0:

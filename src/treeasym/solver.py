@@ -4,13 +4,15 @@ At the dominant singularity ``rho`` of a variety in this framework the tree
 function reaches the value 1 and the perturbation factor satisfies
 ``zeta(rho) = 1/e`` (the characteristic point of ``C = z*exp(C)`` transported
 through the functional equation).  That collapses the two-equation
-characteristic system to a single root-finding problem in ``rho``, solved by
-bracketing + bisection to ~10 digits followed by Newton refinement with the
-term-wise series derivative.
+characteristic system to a single root-finding problem in ``rho``.  It is
+solved in log form, ``h(x) + a log x + log c + 1 = 0`` with
+``h = log(zeta / (c x^a))`` the exponent polynomial of degree ``2N``
+(:func:`treeasym.varieties.zeta_exponent`): bisection on the bracket to
+about three digits, then Newton with ``h`` and ``h'`` from Horner passes.
 
-:func:`find_root` solves on one given ``zeta`` series.  :func:`solve_rho` is
-the certified form for direct callers: it solves at truncation orders ``N``
-and ``N//2`` and reports their agreement through
+:func:`find_root` solves on one given exponent.  :func:`solve_rho` is the
+certified form for direct callers: it solves at truncation orders ``N`` and
+``N//2`` and reports their agreement through
 :func:`treeasym.hp.certified_digits`, the same helper that certifies the
 full expansion in :func:`treeasym.expansions.expand_variety`.
 """
@@ -22,8 +24,12 @@ from fractions import Fraction
 
 from . import hp
 from .counts import CountSequence
-from .series import series_eval_deriv_tail
-from .varieties import VarietySpec, zeta_series
+from .series import PowerSeries, series_taylor
+from .varieties import VarietySpec, exponent_prefix, numeric_exponent
+
+# Not called here; the benchmark traces both names in this module (perfbench/layers.py).
+from .series import series_eval_deriv_tail  # noqa: F401
+from .varieties import zeta_series  # noqa: F401
 
 #: Default bracketing interval; all three shipped varieties have their
 #: singularity well inside it and their zeta is increasing across it.
@@ -32,6 +38,11 @@ DEFAULT_BRACKET = (Fraction(1, 20), Fraction(3, 5))
 MIN_SERIES_ORDER = 50
 
 MAX_NEWTON = 80
+
+#: Count reach of the exponent prefix that the bracket phase bisects on; its
+#: truncation error at ``rho`` (about ``rho^25``, below ``1e-9``) moves the
+#: root far less than the ``10**-3`` bisection width.
+BRACKET_REACH = 25
 
 
 class SolverError(RuntimeError):
@@ -81,10 +92,9 @@ def solve_rho(
     """
     check_series_inputs(counts, N, D)
     ctx = hp.working_context(D)
-    full = zeta_series(spec, counts, N, ctx)
-    rho, iterations = find_root(full, ctx, bracket, D, max_newton, spec.name)
-    check = zeta_series(spec, counts, N // 2, ctx)
-    rho_check, _ = find_root(check, ctx, bracket, D, max_newton, spec.name)
+    h = numeric_exponent(spec, counts, N, ctx)
+    rho, iterations = find_root(spec, h, ctx, bracket, D, max_newton)
+    rho_check, _ = find_root(spec, exponent_prefix(h, N // 2), ctx, bracket, D, max_newton)
     return RhoResult(
         variety=spec.name,
         rho=rho,
@@ -106,32 +116,34 @@ def check_series_inputs(counts: CountSequence, N: int, D: int) -> None:
         raise ValueError(f"counts cover n <= {counts.n_max}, need {N}")
 
 
-def find_root(f, ctx, bracket, D, max_newton, name):
-    """Root of ``f(x) = 1/e`` on ``bracket`` and the Newton iteration count.
+def find_root(spec: VarietySpec, h: PowerSeries, ctx, bracket, D, max_newton):
+    """Root of ``h(x) + a log x + log c + 1 = 0`` on ``bracket`` and the Newton iteration count.
 
-    Bisection to about 10 digits, then Newton to a ``10**-(D+5)`` step.
+    ``h`` is the numeric exponent, so the equation is ``zeta(x) = 1/e``.
+    Bisection to a width of ``10**-3`` on the exponent's prefix of count
+    reach ``BRACKET_REACH``, then Newton on all of ``h`` to a
+    ``10**-(D+5)`` step.
     """
-    target = ctx.exp(ctx.mpf(-1))
+    a = spec.z_exponent
+    offset = ctx.log(hp.convert(spec.prefactor, ctx)) + 1
+    coarse = exponent_prefix(h, BRACKET_REACH)
 
     def residual(x):
-        value, _ = series_eval_deriv_tail(f, x, 0, ctx)
-        return value - target
+        return series_taylor(coarse, x, 0)[0] + a * ctx.log(x) + offset
 
-    lo = hp.convert(bracket[0], ctx)
-    hi = hp.convert(bracket[1], ctx)
+    x_min, x_max = lo, hi = hp.convert(bracket[0], ctx), hp.convert(bracket[1], ctx)
     f_lo = residual(lo)
     f_hi = residual(hi)
-    if f_lo == 0:
-        return lo, 0
-    if f_hi == 0:
-        return hi, 0
-    if (f_lo < 0) == (f_hi < 0):
+    if f_lo == 0 or f_hi == 0:
+        lo = hi = lo if f_lo == 0 else hi
+    elif (f_lo < 0) == (f_hi < 0):
         raise NoBracketError(
-            f"{name}: no sign change of zeta - 1/e on [{ctx.nstr(lo, 6)}, {ctx.nstr(hi, 6)}]"
+            f"{spec.name}: no sign change of log(zeta) + 1 on "
+            f"[{ctx.nstr(lo, 6)}, {ctx.nstr(hi, 6)}]"
             f" (endpoint residuals {ctx.nstr(f_lo, 6)}, {ctx.nstr(f_hi, 6)})"
         )
-    # bisect to ~10 digits to give Newton a safe start
-    while hi - lo > ctx.mpf(10) ** -10:
+    # bisect to ~3 digits; Newton converges quadratically from there
+    while hi - lo > ctx.mpf(10) ** -3:
         mid = (lo + hi) / 2
         f_mid = residual(mid)
         if f_mid == 0:
@@ -145,16 +157,20 @@ def find_root(f, ctx, bracket, D, max_newton, name):
     tolerance = ctx.mpf(10) ** (-(D + 5))
     steps = []
     for iteration in range(1, max_newton + 1):
-        slope, _ = series_eval_deriv_tail(f, x, 1, ctx)
+        value, slope = series_taylor(h, x, 1)
+        value += a * ctx.log(x) + offset
+        slope += a / x
         if slope == 0:
-            raise StalledError(f"{name}: zero derivative at {ctx.nstr(x, 12)}")
-        step = residual(x) / slope
+            raise StalledError(f"{spec.name}: zero derivative at {ctx.nstr(x, 12)}")
+        step = value / slope
         x -= step
         steps.append(abs(step))
         if abs(step) < tolerance:
             return x, iteration
+        if not x_min <= x <= x_max:
+            raise StalledError(f"{spec.name}: Newton left the bracket at {ctx.nstr(x, 12)}")
     raise StalledError(
-        f"{name}: Newton not contracting after {max_newton} iterations; "
+        f"{spec.name}: Newton not contracting after {max_newton} iterations; "
         f"last steps {[ctx.nstr(s, 3) for s in steps[-3:]]} vs tolerance {ctx.nstr(tolerance, 3)}"
-        " (series order likely too small)"
+        " (truncation order likely too small)"
     )

@@ -26,23 +26,32 @@ inside the exponential: substituting ``T~`` into the functional equation
 forces ``sigma = -1`` (exp of ``-(1-z)/2``); the opposite sign does not
 admit a solution of ``zeta(rho) = 1/e`` at all, which
 :func:`hierarchy_spec_flipped_shift` exists to demonstrate.
+
+Numerically ``zeta`` is evaluated through its exponent
+``h = log(zeta / (c z^a)) = sum_m g_m z^m``, whose coefficients are exact
+sums of counts (:func:`zeta_exponent`).  Taken to degree ``2N`` it still
+reads the counts only up to ``N``, and its truncation error at ``rho`` is
+about ``rho^N``; the order-``N`` series of ``zeta`` itself
+(:func:`zeta_series`) is accurate there only to about ``rho^(N/2)``, because
+``zeta`` converges only for ``|z| < sqrt(rho)``.  Horner passes over the
+``2N+1`` coefficients give ``h^(j)(x)/j!`` and the exponential of that short
+series gives the Taylor coefficients of ``zeta`` at ``x``
+(:func:`zeta_taylor`) in ``O(rN)`` multiply-adds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from . import hp
 from .counts import CountSequence, hierarchy_counts, identity_counts, polya_counts
-from .series import (
-    PowerSeries,
-    series_eval_deriv_tail,
-    series_exp,
-    series_scale,
-    series_shift,
-)
+from .series import PowerSeries, series_exp, series_scale, series_shift, series_taylor
+
+# Not called here; the benchmark traces this name in this module (perfbench/layers.py).
+from .series import series_eval_deriv_tail  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -122,41 +131,87 @@ def hierarchy_spec_flipped_shift() -> VarietySpec:
 
 
 def zeta_exponent(spec: VarietySpec, counts: CountSequence, N: int) -> PowerSeries:
-    """Exact series of ``sigma*(1-z)/2 + sum_{i>=2} eps_i T(z^i)/i`` to order ``N``."""
+    """Exact coefficients ``g_0 .. g_(2N)`` of ``h = sigma*(1-z)/2 + sum_{i>=2} eps_i T(z^i)/i``.
+
+    ``g_m`` sums ``eps_i T_(m/i) / i`` over the divisors ``i >= 2`` of ``m``;
+    for ``m <= 2N`` every ``m/i`` is at most ``N``, so the counts are read
+    only up to ``N`` and the first ``2n+1`` coefficients are the exponent of
+    degree ``2n`` for every ``n <= N`` (:func:`exponent_prefix`).
+    """
     if counts.n_max < N:
         raise ValueError(f"counts cover n <= {counts.n_max}, need {N}")
-    g = [Fraction(0)] * (N + 1)
+    g = [Fraction(0)] * (2 * N + 1)
     if spec.shift_sign:
         g[0] += Fraction(spec.shift_sign, 2)
         if N >= 1:
             g[1] -= Fraction(spec.shift_sign, 2)
-    for i in range(2, N + 1):
+    for i in range(2, 2 * N + 1):
         e = spec.eps(i)
-        for n in range(1, N // i + 1):
+        for n in range(1, 2 * N // i + 1):
             g[i * n] += Fraction(e * counts[n], i)
     return PowerSeries(tuple(g))
+
+
+def numeric_exponent(spec: VarietySpec, counts: CountSequence, N: int, ctx) -> PowerSeries:
+    """:func:`zeta_exponent` converted to ``ctx`` once, for the root step and the Taylor step."""
+    g = zeta_exponent(spec, counts, N)
+    return PowerSeries(tuple(hp.convert(c, ctx) for c in g.coeffs))
+
+
+def exponent_prefix(h: PowerSeries, n: int) -> PowerSeries:
+    """The exponent of degree ``2n`` (counts read up to ``n``), cut from a longer one."""
+    return PowerSeries(h.coeffs[: 2 * n + 1])
 
 
 def zeta_series(spec: VarietySpec, counts: CountSequence, N: int, ctx) -> PowerSeries:
     """Numeric series of ``zeta`` to order ``N`` at the context's precision.
 
-    The exponent is assembled exactly and converted to ``ctx`` only at the
-    exponential step; the prefactor ``c * z^a`` is applied afterwards.
+    The exponential of the first ``N+1`` exponent coefficients, converted to
+    ``ctx`` only at that step, times ``c * z^a``.  Its value at ``rho`` is
+    accurate to about ``rho^(N/2)``; the pipeline uses :func:`zeta_taylor`.
     """
     g = zeta_exponent(spec, counts, N)
-    expo = series_exp(g, ctx)
+    expo = series_exp(PowerSeries(g.coeffs[: N + 1]), ctx)
     out = series_scale(expo, hp.convert(spec.prefactor, ctx))
     return series_shift(out, spec.z_exponent)
+
+
+def zeta_taylor(spec: VarietySpec, h: PowerSeries, x, r: int, ctx) -> tuple:
+    """Taylor coefficients ``zeta^(j)(x) / j!`` for ``j = 0 .. r`` from the numeric exponent ``h``.
+
+    ``r + 1`` Horner passes give ``h^(j)(x) / j!``; the exponential of that
+    length-``r+1`` series times ``c (x + y)^a`` is ``zeta(x + y)`` to order ``r``.
+    """
+    x = hp.convert(x, ctx)
+    expo = series_exp(PowerSeries(series_taylor(h, x, r)), ctx)
+    a = spec.z_exponent
+    power = [math.comb(a, k) * x ** (a - k) for k in range(min(a, r) + 1)]  # (x + y)^a
+    c = hp.convert(spec.prefactor, ctx)
+    return tuple(
+        c * sum(power[k] * expo[j - k] for k in range(min(a, j) + 1)) for j in range(r + 1)
+    )
+
+
+def exponent_tail(h: PowerSeries, x, r: int):
+    """Tail indicator of ``h^(r)(x) / r!``: the summed size of its last five retained terms.
+
+    The terms are ``binom(m, r) g_m x^(m-r)`` for the top five degrees ``m``
+    of ``h``, a stand-in for the first omitted ones.
+    """
+    top = h.order
+    degrees = range(max(r, top - 4), top + 1)
+    return sum(abs(h[m]) * math.comb(m, r) * x ** (m - r) for m in degrees)
 
 
 def zeta_derivatives(
     spec: VarietySpec, counts: CountSequence, x, r_max: int, N: int, ctx
 ) -> tuple:
-    """Term-wise derivatives ``zeta^(0)(x) .. zeta^(r_max)(x)`` of the order-``N`` series."""
+    """``zeta^(0)(x) .. zeta^(r_max)(x)`` from the exponent of degree ``2N``."""
     if r_max < 0:
         raise ValueError("r_max must be non-negative")
-    zeta = zeta_series(spec, counts, N, ctx)
-    return tuple(series_eval_deriv_tail(zeta, x, r, ctx)[0] for r in range(r_max + 1))
+    h = numeric_exponent(spec, counts, N, ctx)
+    taylor = zeta_taylor(spec, h, x, r_max, ctx)
+    return tuple(math.factorial(j) * z for j, z in enumerate(taylor))
 
 
 def functional_residual_exact(spec: VarietySpec, counts: CountSequence, N: int) -> PowerSeries:

@@ -143,8 +143,9 @@ class TestErrorTable:
     ])
     def test_bad_grid_rejected_before_any_work(self, capsys, monkeypatch, flags):
         def no_series(*args, **kwargs):
-            raise AssertionError("series exponential computed for a rejected grid")
+            raise AssertionError("zeta computed for a rejected grid")
 
+        monkeypatch.setattr("treeasym.varieties.zeta_exponent", no_series)
         monkeypatch.setattr("treeasym.varieties.series_exp", no_series)
         code, _, err = run(capsys, "error-table", "hierarchy", *flags)
         assert code == 2

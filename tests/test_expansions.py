@@ -1,6 +1,8 @@
+import warnings
+
 import pytest
 
-from treeasym import varieties
+from treeasym import series, solver, varieties
 from treeasym.expansions import (
     composition_power_table,
     derivative_orders_needed,
@@ -11,11 +13,12 @@ from treeasym.expansions import (
     tau_coeffs,
 )
 from treeasym.hp import agreement_digits, context
-from treeasym.series import series_eval_deriv
+from treeasym.series import TruncationWarning, series_eval_deriv
+from treeasym.solver import solve_rho
 from treeasym.varieties import zeta_derivatives, zeta_series
 
 from qr_oracle import compositions
-from reference_values import T_TABLE, TAU_TABLE
+from reference_values import RHO_50, T_TABLE, TAU_TABLE
 
 
 class TestCompositionPowerTable:
@@ -170,8 +173,9 @@ class TestPipelineGuards:
 
     def test_negative_l_rejected_before_any_work(self, monkeypatch):
         def no_series(*args, **kwargs):
-            raise AssertionError("series exponential computed for a rejected order")
+            raise AssertionError("zeta computed for a rejected order")
 
+        monkeypatch.setattr(varieties, "zeta_exponent", no_series)
         monkeypatch.setattr(varieties, "series_exp", no_series)
         with pytest.raises(ValueError, match="order L must be >= 0, got -1"):
             expand_variety("hierarchy", L=-1)
@@ -238,7 +242,8 @@ class TestCertification:
         assert all(c >= 15 for c in tau_cert[:5])
 
     def test_one_series_exponential_per_order(self, monkeypatch):
-        # the pipeline builds the zeta series once at N and once at N // 2
+        # one short exponential of the Taylor series of h at rho per
+        # truncation order (N and N // 2); none of order N or N // 2
         orders = []
         original = varieties.series_exp
 
@@ -248,7 +253,9 @@ class TestCertification:
 
         monkeypatch.setattr(varieties, "series_exp", counted)
         expand_variety("polya", L=2, N=100, D=30)
-        assert orders == [100, 50]
+        assert len(orders) == 2
+        assert all(order == derivative_orders_needed(5) for order in orders)
+        assert 100 not in orders and 50 not in orders
 
     def test_stability_between_orders(self, pipeline):
         # rho and tau stable to >= 15 digits between N=200 and N=300
@@ -258,3 +265,47 @@ class TestCertification:
         assert agreement_digits(a.rho_result.rho, b.rho_result.rho, ctx) >= 15
         for x, y in zip(a.asym.tau, b.asym.tau):
             assert agreement_digits(x, y, ctx) >= 15
+
+
+class TestDirectZetaRoute:
+    @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
+    def test_forty_digits_at_n_200(self, pipeline, variety):
+        # the order-N zeta series needed N=400 for this
+        result = pipeline(variety, L=8, N=200, D=40)
+        ctx = result.asym.ctx
+        assert result.rho_result.certified_digits == 40
+        assert result.asym.certified_digits[0] == 40
+        assert agreement_digits(result.rho_result.rho, ctx.mpf(RHO_50[variety]), ctx) >= 49
+
+    def test_no_order_n_exponential_and_no_termwise_evaluation(self, monkeypatch):
+        orders = []
+        original = varieties.series_exp
+
+        def counted(g, ctx=None):
+            orders.append(g.order)
+            return original(g, ctx)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("term-wise series evaluation on the pipeline path")
+
+        monkeypatch.setattr(varieties, "series_exp", counted)
+        for owner in (series, varieties, solver):
+            monkeypatch.setattr(owner, "series_eval_deriv_tail", forbidden)
+        result = expand_variety("identity", L=4, N=120, D=40)
+        assert orders == [derivative_orders_needed(9)] * 2
+        orders.clear()
+        solve_rho(result.spec, result.counts, 120, 40)
+        assert orders == []
+
+
+class TestTruncationWarning:
+    def test_fires_when_the_exponent_is_short(self):
+        # polya at N=50: the exponent's truncation error is about rho^50 ~ 1e-24
+        with pytest.warns(TruncationWarning, match="truncation order 50 is small for 60 digits"):
+            expand_variety("polya", L=4, N=50, D=60)
+
+    @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
+    def test_silent_at_n_200_for_40_digits(self, variety):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TruncationWarning)
+            expand_variety(variety, L=8, N=200, D=40)

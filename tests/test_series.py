@@ -15,6 +15,7 @@ from treeasym.series import (
     series_exp,
     series_mul,
     series_substitute_power,
+    series_taylor,
 )
 
 fractions_st = st.fractions(min_value=-2, max_value=2, max_denominator=8)
@@ -175,3 +176,25 @@ def test_tail_indicator_reported():
     geometric = from_integers([1] * 51)
     _, tail = series_eval_deriv_tail(geometric, ctx.mpf("0.5"), 0, ctx)
     assert 0 < tail < ctx.mpf(10) ** -12
+
+
+class TestTaylor:
+    def test_exact_quadratic(self):
+        # f = 1 + 2z + 3z^2 at 1/2: f = 11/4, f' = 5, f''/2 = 3
+        f = from_integers([1, 2, 3])
+        assert series_taylor(f, Fraction(1, 2), 2) == (Fraction(11, 4), 5, 3)
+
+    def test_matches_termwise_derivatives(self):
+        ctx = working_context(50)
+        f = PowerSeries(tuple(ctx.mpf(1) / (n + 3) for n in range(80)))
+        x = ctx.mpf("0.45")
+        taylor = series_taylor(f, x, 4)
+        factorial = 1
+        for r in range(5):
+            expected = series_eval_deriv(f, x, r, ctx) / factorial
+            assert agreement_digits(taylor[r], expected, ctx) >= 55
+            factorial *= r + 1
+
+    def test_order_outside_degree_rejected(self):
+        with pytest.raises(ValueError):
+            series_taylor(from_integers([1, 1]), Fraction(1, 3), 2)

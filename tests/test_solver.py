@@ -4,7 +4,7 @@ import pytest
 
 from treeasym.counts import counts_for
 from treeasym.hp import agreement_digits
-from treeasym.solver import NoBracketError, solve_rho
+from treeasym.solver import NoBracketError, StalledError, solve_rho
 from treeasym.varieties import get_variety
 
 from reference_values import RHO_50
@@ -70,3 +70,18 @@ def test_input_validation(pipeline_counts):
         solve_rho(spec, pipeline_counts["polya"], 200, 20)
     with pytest.raises(ValueError, match="counts cover"):
         solve_rho(spec, counts_for("polya", 100), 150, 60)
+
+
+def test_newton_stall_reported(pipeline_counts):
+    # one Newton step from the 10**-3 bisection width cannot reach 10**-65
+    spec = get_variety("polya")
+    with pytest.raises(StalledError, match="not contracting after 1 iterations"):
+        solve_rho(spec, pipeline_counts["polya"], 200, 60, max_newton=1)
+
+
+@pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
+def test_half_order_reaches_reference(pipeline_counts, variety):
+    # the degree-2N exponent is accurate to about rho^N at rho, so N=100
+    # already gives 40 digits (the order-N zeta series needed N=400)
+    result = solve_rho(get_variety(variety), pipeline_counts[variety], 100, 60)
+    assert agreement_digits(result.rho, result.ctx.mpf(RHO_50[variety]), result.ctx) >= 40

@@ -5,15 +5,17 @@ import pytest
 from treeasym.counts import counts_for
 from treeasym.hp import agreement_digits, context, working_context
 from treeasym.series import series_eval_deriv
-from treeasym.solver import NoBracketError, solve_rho
+from treeasym.solver import DEFAULT_BRACKET, NoBracketError, find_root, solve_rho
 from treeasym.varieties import (
     HIERARCHY,
     IDENTITY,
     POLYA,
     VARIETIES,
+    exponent_prefix,
     functional_residual_exact,
     get_variety,
     hierarchy_spec_flipped_shift,
+    numeric_exponent,
     zeta_derivatives,
     zeta_exponent,
     zeta_series,
@@ -63,6 +65,23 @@ class TestZetaSeries:
         counts = counts_for("polya", 80)
         g = zeta_exponent(POLYA, counts, 80)
         assert all(c >= 0 for c in g.coeffs)
+
+    def test_exponent_reaches_degree_2n_from_counts_to_n(self):
+        # g_m needs T_(m/i) with i >= 2 only, so counts to N give degree 2N,
+        # and the exponent for N//2 is the first N+1 coefficients of it
+        counts = counts_for("identity", 40)
+        g = zeta_exponent(IDENTITY, counts, 40)
+        assert g.order == 80
+        assert zeta_exponent(IDENTITY, counts, 20).coeffs == g.coeffs[:41]
+        assert g[80] == Fraction(-counts[40], 2) + Fraction(-counts[20], 4) + sum(
+            Fraction(IDENTITY.eps(i) * counts[80 // i], i) for i in (5, 8, 10, 16, 20, 40, 80)
+        )
+
+    def test_exponent_prefix_is_the_lower_exponent(self):
+        ctx = working_context(30)
+        counts = counts_for("hierarchy", 60)
+        h = numeric_exponent(HIERARCHY, counts, 60, ctx)
+        assert exponent_prefix(h, 30).coeffs == numeric_exponent(HIERARCHY, counts, 30, ctx).coeffs
 
     def test_insufficient_counts_rejected(self):
         counts = counts_for("polya", 10)
@@ -150,3 +169,27 @@ def test_zeta_series_converts_lazily():
     ctx = working_context(30)
     zeta = zeta_series(POLYA, counts, 60, ctx)
     assert zeta.order == 60
+
+
+@pytest.fixture(scope="module")
+def counts400():
+    return {v: counts_for(v, 400) for v in VARIETIES}
+
+
+@pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
+def test_taylor_route_matches_series_oracle(counts400, variety):
+    # zeta^(r) from the degree-400 exponent against the order-400 zeta
+    # series (accurate to about rho^200 at rho), at rho and at rho/2
+    spec = get_variety(variety)
+    ctx = working_context(60)
+    counts = counts400[variety]
+    rho, _ = find_root(spec, numeric_exponent(spec, counts, 200, ctx), ctx, DEFAULT_BRACKET, 60, 80)
+    zeta = zeta_series(spec, counts, 400, ctx)
+    for x in (rho, rho / 2):
+        derivs = zeta_derivatives(spec, counts, x, 3, 200, ctx)
+        for r in range(4):
+            oracle = series_eval_deriv(zeta, x, r, ctx)
+            assert agreement_digits(derivs[r], oracle, ctx) >= 40, (variety, x, r)
+        if x is rho:  # the root step and the Taylor step read the same exponent
+            assert agreement_digits(derivs[0], ctx.exp(-1), ctx) >= 60
+
