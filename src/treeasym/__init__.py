@@ -31,9 +31,7 @@ from .kernels import (
     CayleyCoefficient,
     SymbolicTauPolynomial,
     b_seq,
-    bell_partial,
     cayley_puiseux,
-    gen_binom,
     tau_symbolic,
 )
 from .series import (
@@ -73,13 +71,11 @@ __all__ = [
     "VarietyExpansion",
     "VarietySpec",
     "b_seq",
-    "bell_partial",
     "cayley_puiseux",
     "counts_for",
     "error_table",
     "estimate_count",
     "expand_variety",
-    "gen_binom",
     "get_variety",
     "hierarchy_counts",
     "identity_counts",

@@ -20,7 +20,7 @@ Output is deterministic for a fixed configuration: data lines carry no
 timestamps and metadata goes into ``#``-prefixed header lines (CSV) or
 fixed JSON keys.  Exit codes: 0 success, 1 verification mismatch, 2 invalid
 configuration (including a verification that compares nothing), 3 solver
-failure.
+or exact-arithmetic failure.
 
 Sizes are node counts for polya and identity trees and leaf counts for
 hierarchies.
@@ -317,14 +317,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except ArithmeticError as exc:
+        print(f"exact-arithmetic failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
 

@@ -2,27 +2,21 @@
 
 The pipeline builds the exact exponent ``h = log(zeta / (c z^a))`` to degree
 ``2N`` once and converts it to the working context, then solves for ``rho``
-in log form (:func:`treeasym.solver.find_root`) and reads the derivative
-values ``zeta^(r)(rho)`` off the Horner Taylor shift of ``h`` and a short
-exponential (:func:`treeasym.varieties.zeta_taylor`).  From these, the
+in log form (:func:`treeasym.solver.find_root`) and reads the Taylor
+coefficients ``zeta^(r)(rho)/r!`` off the Horner Taylor shift of ``h`` and a
+short exponential (:func:`treeasym.varieties.zeta_taylor`).  From these, the
 counting series expands in half-integer powers of
 ``u = 1 - z/rho``::
 
     T(z) = 1 + sum_{n>=1} t_n u^(n/2)
 
-with ``t_1 = -sqrt(2 e rho zeta'(rho))`` and, for ``n > 1``,
-
-    t_n = -B(n)/n! (2 e rho zeta')^(n/2)
-          - sum_{1 <= l <= n-1, l == n (mod 2)} (-1)^((n-l)/2) rho^(n/2) B(l)/l!
-            (2 e zeta')^(l/2)
-            sum_{r=1}^{(n-l)/2} binom(l/2, r) zeta'^(-r)
-            sum over i_1..i_r >= 1 with i_1 + ... + i_r = (n-l)/2 of
-                prod_j zeta^(i_j+1)(rho) / (i_j+1)!
-
-The innermost composition sum is the coefficient of ``u^M`` in the ``r``-th
-power of ``sum_i zeta^(i+1) u^i/(i+1)!`` and is evaluated by the convolution
-table :func:`composition_power_table`; tests compare it against explicit
-composition enumeration.
+and ``T = C(zeta)`` with ``C`` the tree function, whose square-root expansion
+at ``1/e`` is ``C = sum_k c_k (2(1 - e z))^(k/2)``, ``c_k = -B(k)/k!``
+(:func:`treeasym.kernels.b_seq`).  With ``z = rho(1-u)`` the argument is
+``2(1 - e zeta) = u P(u)``, ``P`` read off the Taylor coefficients of ``zeta``
+at ``rho``, so ``t_n`` collects ``c_k [u^((n-k)/2)] P^(k/2)`` over
+``k == n (mod 2)``; in particular ``t_1 = -sqrt(2 e rho zeta'(rho))``.  Tests
+compare this against the paper's explicit Faa di Bruno form.
 
 The counting sequence then satisfies
 
@@ -40,12 +34,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from . import hp
 from .counts import CountSequence
-from .kernels import b_seq, gen_binom, tau_symbolic
+from .kernels import b_seq, tau_symbolic
 from .series import PowerSeries, TruncationWarning
 from .solver import DEFAULT_BRACKET, MAX_NEWTON, RhoResult, check_series_inputs, find_root
 from .varieties import (
@@ -92,69 +85,32 @@ class AsymptoticExpansion:
         return len(self.tau) - 1
 
 
-def composition_power_table(values: Sequence, m_max: int, ctx) -> list[list]:
-    """Table ``W[r][M] = sum over i_1..i_r >= 1 summing to M of prod_j values[i_j]``.
-
-    ``values[i]`` must be defined for ``1 <= i <= m_max``.  Computed by the
-    convolution recurrence ``W[r][M] = sum_i values[i] W[r-1][M-i]``.
-    """
-    W = [[ctx.mpf(0)] * (m_max + 1) for _ in range(m_max + 1)]
-    W[0][0] = ctx.mpf(1)
-    for r in range(1, m_max + 1):
-        for M in range(r, m_max + 1):
-            acc = ctx.mpf(0)
-            for i in range(1, M - r + 2):
-                acc += values[i] * W[r - 1][M - i]
-            W[r][M] = acc
-    return W
-
-
 def derivative_orders_needed(K: int) -> int:
     """Highest ``zeta`` derivative order used by ``t_1 .. t_K``."""
     return max(1, (K - 1) // 2 + 1)
 
 
-def _t_values(rho, deriv_values: Sequence, K: int, ctx) -> list:
-    """Pre-transform coefficients ``t_0 .. t_K`` from raw derivative values."""
-    zeta_prime = deriv_values[1]
-    if not zeta_prime > 0:
-        raise ValueError(f"zeta'(rho) must be positive, got {ctx.nstr(zeta_prime, 8)}")
-    e = ctx.e
-    sqrt_big = ctx.sqrt(2 * e * rho * zeta_prime)   # (2 e rho zeta')^(1/2)
-    sqrt_small = ctx.sqrt(2 * e * zeta_prime)       # (2 e zeta')^(1/2)
-    sqrt_rho = ctx.sqrt(rho)
-    m_max = (K - 1) // 2
-    if m_max >= 1:
-        weights = [None] + [
-            deriv_values[i + 1] / math.factorial(i + 1) for i in range(1, m_max + 1)
-        ]
-        table = composition_power_table(weights, m_max, ctx)
-    # binom(l/2, r) and zeta'^r for every (l, r) read below, each built once per call
-    binoms = {
-        (l, r): hp.convert(gen_binom(Fraction(l, 2), r), ctx)
-        for l in range(1, K - 1)
-        for r in range(1, (K - l) // 2 + 1)
-    }
-    zeta_prime_powers = [zeta_prime**r for r in range(m_max + 1)]
-    t = [ctx.mpf(1)]
-    for n in range(1, K + 1):
-        total = -hp.convert(b_seq(n), ctx) / math.factorial(n) * sqrt_big**n
-        start = 1 if n % 2 == 1 else 2
-        for l in range(start, n - 1, 2):
-            M = (n - l) // 2
-            sign = -1 if M % 2 == 1 else 1
-            outer = (
-                -sign
-                * sqrt_rho**n
-                * hp.convert(b_seq(l), ctx)
-                / math.factorial(l)
-                * sqrt_small**l
-            )
-            inner = ctx.mpf(0)
-            for r in range(1, M + 1):
-                inner += binoms[l, r] / zeta_prime_powers[r] * table[r][M]
-            total += outer * inner
-        t.append(total)
+def _t_values(rho, taylor: Sequence, K: int, ctx) -> list:
+    """``t_0 .. t_K`` of ``T = C(zeta)`` from ``taylor[j] = zeta^(j)(rho)/j!``.
+
+    ``2(1 - e zeta(rho(1-u))) = u P(u)`` with ``P_i = -2e taylor[i+1] (-rho)^(i+1)``,
+    so ``t_n = sum_k c_k [u^((n-k)/2)] P^(k/2)`` over ``1 <= k <= n``,
+    ``k == n (mod 2)``, with ``c_k = -B(k)/k!``.  Each power comes from
+    J.C.P. Miller's recurrence ``m P_0 Q_m = sum_{j=1}^{m} ((k/2+1) j - m) P_j Q_(m-j)``.
+    """
+    if not taylor[1] > 0:
+        raise ValueError(f"zeta'(rho) must be positive, got {ctx.nstr(taylor[1], 8)}")
+    P = [-2 * ctx.e * taylor[i + 1] * (-rho) ** (i + 1) for i in range((K + 1) // 2)]
+    root = ctx.sqrt(P[0])
+    t = [ctx.mpf(1)] + [ctx.mpf(0)] * K
+    for k in range(1, K + 1):
+        c = -hp.convert(b_seq(k), ctx) / math.factorial(k)
+        Q = [root**k]
+        for m in range(1, (K - k) // 2 + 1):
+            acc = sum(((k + 2) * j - 2 * m) * P[j] * Q[m - j] for j in range(1, m + 1))
+            Q.append(acc / (2 * m * P[0]))
+        for m, q in enumerate(Q):
+            t[k + 2 * m] += c * q
     return t
 
 
@@ -168,21 +124,21 @@ def _apply_post_transform(t: list, rho, spec: VarietySpec) -> list:
     return out
 
 
-def puiseux_coeffs(spec: VarietySpec, rho, derivs: Sequence, K: int, ctx) -> tuple:
-    """Singular coefficients ``t_0 .. t_K`` from ``rho`` and ``derivs[r] = zeta^(r)(rho)``.
+def puiseux_coeffs(spec: VarietySpec, rho, taylor: Sequence, K: int, ctx) -> tuple:
+    """Singular coefficients ``t_0 .. t_K`` from ``rho`` and ``taylor[r] = zeta^(r)(rho)/r!``.
 
-    ``derivs`` must reach order :func:`derivative_orders_needed` ``(K)``.  The
+    ``taylor`` must reach order :func:`derivative_orders_needed` ``(K)``.  The
     hierarchy affine correction is applied after the generic coefficients.
     """
     if K < 1:
         raise ValueError(f"order K must be >= 1, got {K}")
     needed = derivative_orders_needed(K)
-    if len(derivs) <= needed:
+    if len(taylor) <= needed:
         raise ValueError(
             f"zeta derivatives up to order {needed} required for K={K}, "
-            f"got r_max={len(derivs) - 1}"
+            f"got r_max={len(taylor) - 1}"
         )
-    return tuple(_apply_post_transform(_t_values(rho, derivs, K, ctx), rho, spec))
+    return tuple(_apply_post_transform(_t_values(rho, taylor, K, ctx), rho, spec))
 
 
 def tau_coeffs(t: Sequence, L: int, ctx) -> tuple:
@@ -371,7 +327,6 @@ def _expand_at(spec: VarietySpec, h: PowerSeries, D: int, K: int, L: int, ctx):
     rho, iterations = find_root(spec, h, ctx, DEFAULT_BRACKET, D, MAX_NEWTON)
     r_max = derivative_orders_needed(K)
     taylor = zeta_taylor(spec, h, rho, r_max, ctx)
-    derivs = [math.factorial(r) * z for r, z in enumerate(taylor)]
-    t = puiseux_coeffs(spec, rho, derivs, K, ctx)
+    t = puiseux_coeffs(spec, rho, taylor, K, ctx)
     tail = taylor[0] * exponent_tail(h, rho, r_max) / abs(taylor[r_max])
     return rho, iterations, t, tau_coeffs(t, L, ctx), tail

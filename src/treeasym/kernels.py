@@ -1,11 +1,15 @@
 """Exact rational building blocks for the expansion machinery.
 
 Everything in this module is computed in ``fractions.Fraction`` arithmetic
-and is independent of the tree variety: partial Bell polynomials, the signed
-weight sequence ``B(l)`` driving the square-root singular expansion of the
-tree function ``C(z) = z*exp(C(z))``, its explicit coefficients, generalized
-binomials, and the linear forms ``tau_l`` that convert singular-expansion
-coefficients into asymptotic ones.
+and is independent of the tree variety: the signed weight sequence ``B(l)``
+driving the square-root singular expansion of the tree function
+``C(z) = z*exp(C(z))``, its explicit coefficients, and the linear forms
+``tau_l`` that convert singular-expansion coefficients into asymptotic ones.
+
+``B(l) = l! mu_l`` comes from the branch-point coefficients ``mu_l`` of
+Lambert's ``W`` (``C(z) = -W(-z)``), by the ``O(l^2)`` rational recurrence
+of Corless, Gonnet, Hare, Jeffrey & Knuth, *On the Lambert W function*
+(Adv. Comput. Math. 1996, eq. 4.23).
 
 The ``tau`` weights come from the transfer of each odd singular term,
 ``[z^n](1-z)^(k/2) = Gamma(n-k/2) / (Gamma(-k/2) Gamma(n+1))``, and from the
@@ -28,83 +32,45 @@ from typing import Mapping, Sequence
 from . import hp
 
 
-def bell_partial(n: int, k: int, xs: Sequence[Fraction]) -> Fraction:
-    """Partial exponential Bell polynomial ``B_{n,k}(x_1..x_{n-k+1})``.
-
-    Computed through the recurrence
-    ``B_{n,k} = sum_i binom(n-1, i-1) x_i B_{n-i,k-1}``
-    rather than by enumerating set partitions.
-    """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    if len(xs) < n - k + 1:
-        raise ValueError(f"need {n - k + 1} arguments, got {len(xs)}")
-    xs = tuple(Fraction(x) for x in xs)
-    # table[m][j] = B_{m,j}; only entries with m - j <= n - k are reachable
-    # from B_{n,k} through the recurrence, and only those index into xs
-    table = [[Fraction(0)] * (k + 1) for _ in range(n + 1)]
-    table[0][0] = Fraction(1)
-    for m in range(1, n + 1):
-        for j in range(1, min(m, k) + 1):
-            if m - j > n - k:
-                continue
-            acc = Fraction(0)
-            for i in range(1, m - j + 2):
-                acc += math.comb(m - 1, i - 1) * xs[i - 1] * table[m - i][j - 1]
-            table[m][j] = acc
-    return table[n][k]
-
-
 @lru_cache(maxsize=None)
-def _bell_unit(n: int, k: int) -> Fraction:
-    """``B_{n,k}`` at the fixed argument sequence ``x_i = 1/(i+2)``."""
-    if n == 0 and k == 0:
-        return Fraction(1)
-    if n == 0 or k == 0:
-        return Fraction(0)
-    acc = Fraction(0)
-    for i in range(1, n - k + 2):
-        acc += math.comb(n - 1, i - 1) * Fraction(1, i + 2) * _bell_unit(n - i, k - 1)
-    return acc
+def _lambert_mu(k: int) -> Fraction:
+    """Coefficient ``mu_k`` of ``W(x) = sum_k mu_k p^k``, ``p = sqrt(2(e x + 1))``, at ``x = -1/e``.
+
+    Corless, Gonnet, Hare, Jeffrey & Knuth, *On the Lambert W function*
+    (Adv. Comput. Math. 1996, eq. 4.23): ``mu_0 = -1``, ``mu_1 = 1`` and
+
+        mu_k = (k-1)/(k+1) (mu_(k-2)/2 + alpha_(k-2)/4) - alpha_k/2 - mu_(k-1)/(k+1)
+
+    with ``alpha_0 = 2``, ``alpha_1 = -1``, ``alpha_k = sum_{j=2}^{k-1} mu_j mu_(k+1-j)``.
+    """
+    if k < 2:
+        return Fraction(2 * k - 1)
+    mu = [_lambert_mu(j) for j in range(k)]  # ascending, so the recursion stays shallow
+
+    def alpha(i):
+        if i < 2:
+            return Fraction((2, -1)[i])
+        return sum((mu[j] * mu[i + 1 - j] for j in range(2, i)), Fraction(0))
+
+    return (
+        Fraction(k - 1, k + 1) * (mu[k - 2] / 2 + alpha(k - 2) / 4)
+        - alpha(k) / 2
+        - mu[k - 1] / (k + 1)
+    )
 
 
 @lru_cache(maxsize=None)
 def b_seq(ell: int) -> Fraction:
-    """Signed Bell-polynomial weight ``B(l)`` of the singular expansion.
+    """Signed weight ``B(l)`` of the singular expansion: ``C = -sum_l B(l)/l! (2(1 - e z))^(l/2)``.
 
-    ``B(1) = 1`` and for ``l > 1``
-
-        B(l) = sum_{k=1}^{l-1} (-1)^k B_{l-1,k}(1/3,...,1/(l-k+2))
-                               * prod_{i=0}^{k-1} (l + 2i)
-
-    evaluated in nested (Ruffini-Horner) form: the products over ``i`` share
-    prefixes, so the alternating sum collapses to ``-l * H_1`` with
-    ``H_k = a_k - (l + 2k) H_{k+1}`` and ``a_k = B_{l-1,k}``.
+    The tree function is ``C(z) = -W(-z)``, so ``B(l) = l! mu_l`` with
+    ``mu_l`` the branch-point coefficients of Lambert's ``W`` from the
+    ``O(l^2)`` rational recurrence of Corless et al. (1996, eq. 4.23).
+    ``B(1) = 1``, ``B(2) = -2/3``, ``B(3) = 11/12``.
     """
     if ell < 1:
         raise ValueError(f"index must be positive, got {ell}")
-    if ell == 1:
-        return Fraction(1)
-    m = ell - 1
-    horner = _bell_unit(m, m)
-    for k in range(m - 1, 0, -1):
-        horner = _bell_unit(m, k) - (ell + 2 * k) * horner
-    return -ell * horner
-
-
-def b_seq_direct(ell: int) -> Fraction:
-    """Unfactored evaluation of ``B(l)``; cross-checks :func:`b_seq`."""
-    if ell < 1:
-        raise ValueError(f"index must be positive, got {ell}")
-    if ell == 1:
-        return Fraction(1)
-    acc = Fraction(0)
-    for k in range(1, ell):
-        prod = Fraction(1)
-        for i in range(k):
-            prod *= ell + 2 * i
-        acc += (-1) ** k * _bell_unit(ell - 1, k) * prod
-    return acc
+    return math.factorial(ell) * _lambert_mu(ell)
 
 
 @dataclass(frozen=True)
@@ -142,17 +108,6 @@ def cayley_puiseux(n_max: int) -> list[CayleyCoefficient]:
             rat = -b_seq(n) * Fraction(2 ** (n // 2), math.factorial(n))
             out.append(CayleyCoefficient(n, rat, n % 2))
     return out
-
-
-def gen_binom(a, r: int) -> Fraction:
-    """Generalized binomial ``binom(a, r) = prod_{j<r} (a - j) / r!``."""
-    if r < 0:
-        raise ValueError(f"lower index must be non-negative, got {r}")
-    a = Fraction(a)
-    prod = Fraction(1)
-    for j in range(r):
-        prod *= a - j
-    return prod / math.factorial(r)
 
 
 @dataclass

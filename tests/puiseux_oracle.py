@@ -1,0 +1,144 @@
+"""The paper's explicit form of the singular coefficients, kept as a test oracle.
+
+``t_n`` is the Faa di Bruno expansion of ``T = C(zeta)``: partial Bell
+polynomials give the weights ``B(l)``, generalized binomials
+``binom(l/2, r)`` and a composition-power table give the inner sums.  The
+library computes the same numbers as the composition itself, from the
+Corless et al. recurrence for ``B(l)`` and series powers
+(:func:`treeasym.expansions.puiseux_coeffs`).
+
+With ``zeta' = zeta'(rho)`` and ``t_1 = -sqrt(2 e rho zeta')``, for ``n > 1``::
+
+    t_n = -B(n)/n! (2 e rho zeta')^(n/2)
+          - sum_{1 <= l <= n-1, l == n (mod 2)} (-1)^((n-l)/2) rho^(n/2) B(l)/l!
+            (2 e zeta')^(l/2)
+            sum_{r=1}^{(n-l)/2} binom(l/2, r) zeta'^(-r)
+            sum over i_1..i_r >= 1 with i_1 + ... + i_r = (n-l)/2 of
+                prod_j zeta^(i_j+1)(rho) / (i_j+1)!
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from functools import lru_cache
+from typing import Sequence
+
+from treeasym import hp
+
+
+def bell_partial(n: int, k: int, xs: Sequence[Fraction]) -> Fraction:
+    """Partial exponential Bell polynomial ``B_{n,k}(x_1..x_{n-k+1})``.
+
+    Computed through the recurrence
+    ``B_{n,k} = sum_i binom(n-1, i-1) x_i B_{n-i,k-1}``
+    rather than by enumerating set partitions.
+    """
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
+    if len(xs) < n - k + 1:
+        raise ValueError(f"need {n - k + 1} arguments, got {len(xs)}")
+    xs = tuple(Fraction(x) for x in xs)
+    # table[m][j] = B_{m,j}; only entries with m - j <= n - k are reachable
+    # from B_{n,k} through the recurrence, and only those index into xs
+    table = [[Fraction(0)] * (k + 1) for _ in range(n + 1)]
+    table[0][0] = Fraction(1)
+    for m in range(1, n + 1):
+        for j in range(1, min(m, k) + 1):
+            if m - j > n - k:
+                continue
+            acc = Fraction(0)
+            for i in range(1, m - j + 2):
+                acc += math.comb(m - 1, i - 1) * xs[i - 1] * table[m - i][j - 1]
+            table[m][j] = acc
+    return table[n][k]
+
+
+@lru_cache(maxsize=None)
+def _bell_unit(n: int, k: int) -> Fraction:
+    """``B_{n,k}`` at the fixed argument sequence ``x_i = 1/(i+2)``."""
+    if n == 0 and k == 0:
+        return Fraction(1)
+    if n == 0 or k == 0:
+        return Fraction(0)
+    acc = Fraction(0)
+    for i in range(1, n - k + 2):
+        acc += math.comb(n - 1, i - 1) * Fraction(1, i + 2) * _bell_unit(n - i, k - 1)
+    return acc
+
+
+def b_seq_direct(ell: int) -> Fraction:
+    """``B(l) = sum_{k=1}^{l-1} (-1)^k B_{l-1,k}(1/3,...,1/(l-k+2)) prod_{i<k} (l + 2i)``, ``B(1) = 1``."""
+    if ell < 1:
+        raise ValueError(f"index must be positive, got {ell}")
+    if ell == 1:
+        return Fraction(1)
+    acc = Fraction(0)
+    for k in range(1, ell):
+        prod = Fraction(1)
+        for i in range(k):
+            prod *= ell + 2 * i
+        acc += (-1) ** k * _bell_unit(ell - 1, k) * prod
+    return acc
+
+
+def gen_binom(a, r: int) -> Fraction:
+    """Generalized binomial ``binom(a, r) = prod_{j<r} (a - j) / r!``."""
+    if r < 0:
+        raise ValueError(f"lower index must be non-negative, got {r}")
+    a = Fraction(a)
+    prod = Fraction(1)
+    for j in range(r):
+        prod *= a - j
+    return prod / math.factorial(r)
+
+
+def composition_power_table(values: Sequence, m_max: int, ctx) -> list[list]:
+    """Table ``W[r][M] = sum over i_1..i_r >= 1 summing to M of prod_j values[i_j]``.
+
+    ``values[i]`` must be defined for ``1 <= i <= m_max``.  Computed by the
+    convolution recurrence ``W[r][M] = sum_i values[i] W[r-1][M-i]``.
+    """
+    W = [[ctx.mpf(0)] * (m_max + 1) for _ in range(m_max + 1)]
+    W[0][0] = ctx.mpf(1)
+    for r in range(1, m_max + 1):
+        for M in range(r, m_max + 1):
+            acc = ctx.mpf(0)
+            for i in range(1, M - r + 2):
+                acc += values[i] * W[r - 1][M - i]
+            W[r][M] = acc
+    return W
+
+
+def t_values(rho, deriv_values: Sequence, K: int, ctx) -> list:
+    """``t_0 .. t_K`` before any post-transform, from ``deriv_values[r] = zeta^(r)(rho)``."""
+    zeta_prime = deriv_values[1]
+    e = ctx.e
+    sqrt_big = ctx.sqrt(2 * e * rho * zeta_prime)   # (2 e rho zeta')^(1/2)
+    sqrt_small = ctx.sqrt(2 * e * zeta_prime)       # (2 e zeta')^(1/2)
+    sqrt_rho = ctx.sqrt(rho)
+    m_max = (K - 1) // 2
+    weights = [None] + [
+        deriv_values[i + 1] / math.factorial(i + 1) for i in range(1, m_max + 1)
+    ]
+    table = composition_power_table(weights, m_max, ctx)
+    t = [ctx.mpf(1)]
+    for n in range(1, K + 1):
+        total = -hp.convert(b_seq_direct(n), ctx) / math.factorial(n) * sqrt_big**n
+        for l in range(2 - n % 2, n - 1, 2):
+            M = (n - l) // 2
+            sign = -1 if M % 2 == 1 else 1
+            outer = (
+                -sign
+                * sqrt_rho**n
+                * hp.convert(b_seq_direct(l), ctx)
+                / math.factorial(l)
+                * sqrt_small**l
+            )
+            inner = ctx.mpf(0)
+            for r in range(1, M + 1):
+                binom = hp.convert(gen_binom(Fraction(l, 2), r), ctx)
+                inner += binom / zeta_prime**r * table[r][M]
+            total += outer * inner
+        t.append(total)
+    return t

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import treeasym.counts
 from treeasym.cli import main
 
 from reference_values import RHO_50
@@ -192,6 +193,16 @@ def test_solver_failure_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "expand", "polya", "--order", "1", "--terms", "120")
     assert code == 3
     assert "solver failure" in err
+
+
+def test_exact_arithmetic_failure_exit_code(capsys, monkeypatch):
+    def inexact(n_max):
+        raise ArithmeticError("synthetic: inexact division at n=7")
+
+    monkeypatch.setitem(treeasym.counts._RECURRENCES, "polya", inexact)
+    code, out, err = run(capsys, "counts", "polya")
+    assert code == 3 and out == ""
+    assert err == "exact-arithmetic failure: synthetic: inexact division at n=7\n"
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -1,10 +1,11 @@
+import math
 import warnings
 
 import pytest
 
 from treeasym import series, solver, varieties
 from treeasym.expansions import (
-    composition_power_table,
+    _apply_post_transform,
     derivative_orders_needed,
     error_table,
     estimate_count,
@@ -12,11 +13,18 @@ from treeasym.expansions import (
     puiseux_coeffs,
     tau_coeffs,
 )
-from treeasym.hp import agreement_digits, context
+from treeasym.hp import agreement_digits, context, working_context
 from treeasym.series import TruncationWarning, series_eval_deriv
-from treeasym.solver import solve_rho
-from treeasym.varieties import zeta_derivatives, zeta_series
+from treeasym.solver import DEFAULT_BRACKET, MAX_NEWTON, find_root, solve_rho
+from treeasym.varieties import (
+    get_variety,
+    numeric_exponent,
+    zeta_derivatives,
+    zeta_series,
+    zeta_taylor,
+)
 
+from puiseux_oracle import composition_power_table, t_values
 from qr_oracle import compositions
 from reference_values import RHO_50, T_TABLE, TAU_TABLE
 
@@ -95,9 +103,28 @@ class TestSingularCoefficients:
     def test_insufficient_derivatives_rejected(self, pipeline):
         result = pipeline("polya")
         rho, ctx = result.rho_result.rho, result.puiseux.ctx
-        derivs = zeta_derivatives(result.spec, result.counts, rho, 2, 200, ctx)
+        h = numeric_exponent(result.spec, result.counts, 200, ctx)
+        taylor = zeta_taylor(result.spec, h, rho, 2, ctx)
         with pytest.raises(ValueError, match="derivatives up to order"):
-            puiseux_coeffs(result.spec, rho, derivs, 10, ctx)
+            puiseux_coeffs(result.spec, rho, taylor, 10, ctx)
+
+
+@pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
+@pytest.mark.parametrize("L, N, D", [(18, 300, 80), (40, 200, 60)])
+def test_composition_matches_explicit_oracle(variety, L, N, D):
+    # T = C(zeta) by series powers against the paper's Bell-polynomial,
+    # binomial and composition-table form, on the same rho and derivatives
+    spec, K = get_variety(variety), 2 * L + 1
+    ctx = working_context(D)
+    h = numeric_exponent(spec, spec.count_source(N), N, ctx)
+    rho, _ = find_root(spec, h, ctx, DEFAULT_BRACKET, D, MAX_NEWTON)
+    taylor = zeta_taylor(spec, h, rho, derivative_orders_needed(K), ctx)
+    derivs = [math.factorial(r) * z for r, z in enumerate(taylor)]
+    oracle = _apply_post_transform(t_values(rho, derivs, K, ctx), rho, spec)
+    got = puiseux_coeffs(spec, rho, taylor, K, ctx)
+    assert len(got) == len(oracle) == K + 1
+    for n, (a, b) in enumerate(zip(got, oracle)):
+        assert agreement_digits(a, b, ctx) >= D + 5, (variety, n)
 
 
 class TestAsymptoticCoefficients:

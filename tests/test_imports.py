@@ -1,0 +1,45 @@
+"""Import hygiene of the package, checked with ``ast`` in place of a linter."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import treeasym
+
+PACKAGE = Path(treeasym.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads, skipping lines marked ``# noqa: F401``."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_detector_flags_an_unused_import():
+    source = "import math\nfrom fractions import Fraction\nx = math.pi\n"
+    assert unused_imports(source) == ["Fraction (line 2)"]
+    assert unused_imports("from fractions import Fraction  # noqa: F401\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_public_names_resolve():
+    missing = [name for name in treeasym.__all__ if not hasattr(treeasym, name)]
+    assert missing == []
