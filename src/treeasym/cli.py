@@ -18,9 +18,11 @@ on ``counts``, ``expand`` and ``estimate``; ``--cache-dir`` and
 
 Output is deterministic for a fixed configuration: data lines carry no
 timestamps and metadata goes into ``#``-prefixed header lines (CSV) or
-fixed JSON keys.  Exit codes: 0 success, 1 verification mismatch, 2 invalid
-configuration (including a verification that compares nothing), 3 solver
-or exact-arithmetic failure.
+fixed JSON keys.  Warnings, such as a truncation order too small for the
+requested digits, go to stderr as one ``warning: ...`` line each.  Exit
+codes: 0 success, 1 verification mismatch, 2 invalid configuration
+(including a verification that compares nothing), 3 solver or
+exact-arithmetic failure.
 
 Sizes are node counts for polya and identity trees and leaf counts for
 hierarchies.
@@ -31,11 +33,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from . import hp, oeis
 from .counts import VARIETY_NAMES, counts_for
 from .expansions import VarietyExpansion, error_table, estimate_count, expand_variety
+from .series import TruncationWarning
 from .solver import SolverError
 
 DEFAULT_DIGITS = 60
@@ -315,17 +319,21 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return _COMMANDS[args.command](args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except ArithmeticError as exc:
-        print(f"exact-arithmetic failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", TruncationWarning)
+        try:
+            return _COMMANDS[args.command](args)
+        except ValueError as exc:
+            failure, code = f"error: {exc}", EXIT_CONFIG
+        except SolverError as exc:
+            failure, code = f"solver failure: {exc}", EXIT_SOLVER
+        except ArithmeticError as exc:
+            failure, code = f"exact-arithmetic failure: {exc}", EXIT_SOLVER
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
+    print(failure, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Singular and asymptotic expansions of the counting sequences.
 
 The pipeline builds the exact exponent ``h = log(zeta / (c z^a))`` to degree
-``2N`` once and converts it to the working context, then solves for ``rho``
-in log form (:func:`treeasym.solver.find_root`) and reads the Taylor
+``2N`` once and converts it to fixed-point integers at the working
+precision, then solves for ``rho`` in log form
+(:func:`treeasym.solver.find_root`) and reads the Taylor
 coefficients ``zeta^(r)(rho)/r!`` off the Horner Taylor shift of ``h`` and a
 short exponential (:func:`treeasym.varieties.zeta_taylor`).  From these, the
 counting series expands in half-integer powers of
@@ -39,7 +40,7 @@ from typing import Sequence
 from . import hp
 from .counts import CountSequence
 from .kernels import b_seq, tau_symbolic
-from .series import PowerSeries, TruncationWarning
+from .series import TruncationWarning
 from .solver import DEFAULT_BRACKET, MAX_NEWTON, RhoResult, check_series_inputs, find_root
 from .varieties import (
     VarietySpec,
@@ -317,7 +318,7 @@ def expand_variety(
     )
 
 
-def _expand_at(spec: VarietySpec, h: PowerSeries, D: int, K: int, L: int, ctx):
+def _expand_at(spec: VarietySpec, h: tuple, D: int, K: int, L: int, ctx):
     """``(rho, iterations, t, tau, tail)`` from one numeric exponent ``h``.
 
     ``tail`` estimates the relative truncation error of the highest
@@ -328,5 +329,5 @@ def _expand_at(spec: VarietySpec, h: PowerSeries, D: int, K: int, L: int, ctx):
     r_max = derivative_orders_needed(K)
     taylor = zeta_taylor(spec, h, rho, r_max, ctx)
     t = puiseux_coeffs(spec, rho, taylor, K, ctx)
-    tail = taylor[0] * exponent_tail(h, rho, r_max) / abs(taylor[r_max])
+    tail = taylor[0] * exponent_tail(h, rho, r_max, ctx) / abs(taylor[r_max])
     return rho, iterations, t, tau_coeffs(t, L, ctx), tail

@@ -9,6 +9,12 @@ Working precision policy: computations targeting ``D`` reported digits run
 at ``D + GUARD_DIGITS`` internal digits.  Certification of the reported
 digits is done separately, by recomputing with the series truncation order
 halved and counting agreement digits (see :func:`certified_digits`).
+
+The Horner passes over the exponent of ``zeta`` run on fixed-point
+integers: a real ``y`` is held as ``floor(y 2^w)`` with
+``w = ctx.prec + FIXED_GUARD_BITS`` (:func:`fixed_bits`), and only the
+inputs and outputs of a pass are converted (:func:`to_fixed`,
+:func:`from_fixed`).
 """
 
 from __future__ import annotations
@@ -19,6 +25,15 @@ import mpmath
 
 #: Extra digits carried internally beyond the requested target precision.
 GUARD_DIGITS = 15
+
+#: Bits carried beyond ``ctx.prec`` by the fixed-point Horner passes.  Each
+#: step ``acc = a_k + (X acc >> w)`` floors once, so after ``r + 1`` passes
+#: at ``0 <= x < 1`` coefficient ``j`` is within ``(j + 2) / (1 - x)^(j + 1)``
+#: units of ``2^-w`` of the exact shift of the exact coefficients (the
+#: ``+ 1`` counts their own flooring).  At ``x <= 0.4`` and ``j <= 41`` (an
+#: order-40 expansion) that is below ``2^37``, so the absolute error stays
+#: below ``2^-(ctx.prec + 3)``.
+FIXED_GUARD_BITS = 40
 
 #: Smallest target precision supported by the expansion pipeline.
 MIN_DIGITS = 30
@@ -36,6 +51,21 @@ def context(digits: int):
 def working_context(digits: int):
     """Context used internally for a computation reported at ``digits``."""
     return context(digits + GUARD_DIGITS)
+
+
+def fixed_bits(ctx) -> int:
+    """Fraction bits ``w`` of the fixed-point numbers used at the precision of ``ctx``."""
+    return ctx.prec + FIXED_GUARD_BITS
+
+
+def to_fixed(x, w: int, ctx) -> int:
+    """``floor(x 2^w)`` for a real ``x``, exact for an mpf of ``ctx``."""
+    return mpmath.libmp.to_int(ctx.ldexp(convert(x, ctx), w)._mpf_, "f")
+
+
+def from_fixed(v: int, w: int, ctx):
+    """The fixed-point integer ``v`` read back as ``v 2^-w``, rounded to ``ctx``."""
+    return ctx.ldexp(ctx.mpf(v), -w)
 
 
 def agreement_digits(a, b, ctx) -> int:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import importlib.resources
 import os
 import tempfile
-import urllib.request
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -121,6 +120,9 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def fetch_b_file_text(sequence_id: str, *, timeout: float = 30.0) -> str:
+    # imported here: only --fetch needs urllib.request (and http.client, ssl, email)
+    import urllib.request
+
     url = OEIS_URL_TEMPLATE.format(sid=sequence_id, digits=sequence_id[1:])
     with urllib.request.urlopen(url, timeout=timeout) as response:
         return response.read().decode("utf-8")

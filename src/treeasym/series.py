@@ -147,22 +147,24 @@ def series_eval_deriv_tail(f: PowerSeries, x, r: int, ctx, *, radius_bound=None)
     return acc, tail
 
 
-def series_taylor(f: PowerSeries, x, r: int) -> tuple:
-    """Taylor coefficients ``f^(j)(x) / j!`` for ``j = 0 .. r``.
+def series_taylor(coeffs: Sequence[int], x: int, r: int, w: int) -> tuple:
+    """Fixed-point Taylor coefficients ``f^(j)(x) / j!`` for ``j = 0 .. r``.
 
-    ``r + 1`` synthetic divisions of ``c_0 + ... + c_N z^N`` by ``z - x``
-    (Horner's rule, run as the first ``r + 1`` steps of the Taylor shift
-    ``f(x + y)``): about ``(r + 1) N`` multiply-adds.  The coefficients and
-    ``x`` must already share one number type; nothing is converted.
+    The coefficients ``c_0 .. c_N`` of ``f``, the point ``x`` and the result
+    are integers scaled by ``2^w`` (:func:`treeasym.hp.to_fixed`).  ``r + 1``
+    synthetic divisions of ``f`` by ``z - x`` (Horner's rule, run as the
+    first ``r + 1`` steps of the Taylor shift ``f(x + y)``) take about
+    ``(r + 1) N`` steps ``acc = c_k + (x acc >> w)``; the flooring error is
+    bounded at :data:`treeasym.hp.FIXED_GUARD_BITS`.
     """
-    if not 0 <= r <= f.order:
-        raise ValueError(f"derivative order {r} outside 0..{f.order}")
-    a = list(f.coeffs)
-    top = f.order
+    top = len(coeffs) - 1
+    if not 0 <= r <= top:
+        raise ValueError(f"derivative order {r} outside 0..{top}")
+    a = list(coeffs)
     for j in range(r + 1):
         acc = a[top]
         for k in range(top - 1, j - 1, -1):
-            acc = a[k] + x * acc
+            acc = a[k] + (x * acc >> w)
             a[k] = acc
     return tuple(a[: r + 1])
 

@@ -9,6 +9,10 @@ solved in log form, ``h(x) + a log x + log c + 1 = 0`` with
 ``h = log(zeta / (c x^a))`` the exponent polynomial of degree ``2N``
 (:func:`treeasym.varieties.zeta_exponent`): bisection on the bracket to
 about three digits, then Newton with ``h`` and ``h'`` from Horner passes.
+The passes run on the fixed-point exponent of
+:func:`treeasym.varieties.numeric_exponent`; only ``x`` going in and the
+value and slope coming out are converted
+(:func:`treeasym.varieties.exponent_taylor`).
 
 :func:`find_root` solves on one given exponent.  :func:`solve_rho` is the
 certified form for direct callers: it solves at truncation orders ``N`` and
@@ -24,8 +28,7 @@ from fractions import Fraction
 
 from . import hp
 from .counts import CountSequence
-from .series import PowerSeries, series_taylor
-from .varieties import VarietySpec, exponent_prefix, numeric_exponent
+from .varieties import VarietySpec, exponent_prefix, exponent_taylor, numeric_exponent
 
 # Not called here; the benchmark traces both names in this module (perfbench/layers.py).
 from .series import series_eval_deriv_tail  # noqa: F401
@@ -116,10 +119,10 @@ def check_series_inputs(counts: CountSequence, N: int, D: int) -> None:
         raise ValueError(f"counts cover n <= {counts.n_max}, need {N}")
 
 
-def find_root(spec: VarietySpec, h: PowerSeries, ctx, bracket, D, max_newton):
+def find_root(spec: VarietySpec, h: tuple, ctx, bracket, D, max_newton):
     """Root of ``h(x) + a log x + log c + 1 = 0`` on ``bracket`` and the Newton iteration count.
 
-    ``h`` is the numeric exponent, so the equation is ``zeta(x) = 1/e``.
+    ``h`` is the fixed-point numeric exponent, so the equation is ``zeta(x) = 1/e``.
     Bisection to a width of ``10**-3`` on the exponent's prefix of count
     reach ``BRACKET_REACH``, then Newton on all of ``h`` to a
     ``10**-(D+5)`` step.
@@ -129,7 +132,7 @@ def find_root(spec: VarietySpec, h: PowerSeries, ctx, bracket, D, max_newton):
     coarse = exponent_prefix(h, BRACKET_REACH)
 
     def residual(x):
-        return series_taylor(coarse, x, 0)[0] + a * ctx.log(x) + offset
+        return exponent_taylor(coarse, x, 0, ctx)[0] + a * ctx.log(x) + offset
 
     x_min, x_max = lo, hi = hp.convert(bracket[0], ctx), hp.convert(bracket[1], ctx)
     f_lo = residual(lo)
@@ -157,7 +160,7 @@ def find_root(spec: VarietySpec, h: PowerSeries, ctx, bracket, D, max_newton):
     tolerance = ctx.mpf(10) ** (-(D + 5))
     steps = []
     for iteration in range(1, max_newton + 1):
-        value, slope = series_taylor(h, x, 1)
+        value, slope = exponent_taylor(h, x, 1, ctx)
         value += a * ctx.log(x) + offset
         slope += a / x
         if slope == 0:

@@ -28,15 +28,18 @@ admit a solution of ``zeta(rho) = 1/e`` at all, which
 :func:`hierarchy_spec_flipped_shift` exists to demonstrate.
 
 Numerically ``zeta`` is evaluated through its exponent
-``h = log(zeta / (c z^a)) = sum_m g_m z^m``, whose coefficients are exact
-sums of counts (:func:`zeta_exponent`).  Taken to degree ``2N`` it still
-reads the counts only up to ``N``, and its truncation error at ``rho`` is
-about ``rho^N``; the order-``N`` series of ``zeta`` itself
-(:func:`zeta_series`) is accurate there only to about ``rho^(N/2)``, because
-``zeta`` converges only for ``|z| < sqrt(rho)``.  Horner passes over the
-``2N+1`` coefficients give ``h^(j)(x)/j!`` and the exponential of that short
-series gives the Taylor coefficients of ``zeta`` at ``x``
-(:func:`zeta_taylor`) in ``O(rN)`` multiply-adds.
+``h = log(zeta / (c z^a)) = sum_m g_m z^m``, whose coefficients are exact:
+``g_m = S_m / m`` with ``S_m`` an integer divisor sum of the counts
+(:func:`zeta_exponent`).  Taken to degree ``2N`` it still reads the counts
+only up to ``N``, and its truncation error at ``rho`` is about ``rho^N``;
+the order-``N`` series of ``zeta`` itself (:func:`zeta_series`) is accurate
+there only to about ``rho^(N/2)``, because ``zeta`` converges only for
+``|z| < sqrt(rho)``.  The pipeline holds the ``2N+1`` coefficients as
+fixed-point integers ``floor(g_m 2^w)``, ``w`` the working precision plus
+:data:`treeasym.hp.FIXED_GUARD_BITS` bits (:func:`numeric_exponent`).
+Integer Horner passes over them give ``h^(j)(x)/j!``, and the exponential
+of that short series gives the Taylor coefficients of ``zeta`` at ``x``
+(:func:`zeta_taylor`) in ``O(rN)`` integer multiply-adds.
 """
 
 from __future__ import annotations
@@ -133,34 +136,40 @@ def hierarchy_spec_flipped_shift() -> VarietySpec:
 def zeta_exponent(spec: VarietySpec, counts: CountSequence, N: int) -> PowerSeries:
     """Exact coefficients ``g_0 .. g_(2N)`` of ``h = sigma*(1-z)/2 + sum_{i>=2} eps_i T(z^i)/i``.
 
-    ``g_m`` sums ``eps_i T_(m/i) / i`` over the divisors ``i >= 2`` of ``m``;
-    for ``m <= 2N`` every ``m/i`` is at most ``N``, so the counts are read
-    only up to ``N`` and the first ``2n+1`` coefficients are the exponent of
-    degree ``2n`` for every ``n <= N`` (:func:`exponent_prefix`).
+    ``g_m = S_m / m`` for ``m >= 2``, with the integer divisor sum
+    ``S_m = sum_{d | m, d < m} eps_(m/d) d T_d``; ``sigma`` adds ``sigma/2``
+    to ``g_0`` and ``-sigma/2`` to ``g_1``.  For ``m <= 2N`` every proper
+    divisor ``d`` is at most ``N``, so the counts are read only up to ``N``
+    and the first ``2n+1`` coefficients are the exponent of degree ``2n`` for
+    every ``n <= N`` (:func:`exponent_prefix`).
     """
     if counts.n_max < N:
         raise ValueError(f"counts cover n <= {counts.n_max}, need {N}")
-    g = [Fraction(0)] * (2 * N + 1)
-    if spec.shift_sign:
-        g[0] += Fraction(spec.shift_sign, 2)
-        if N >= 1:
-            g[1] -= Fraction(spec.shift_sign, 2)
-    for i in range(2, 2 * N + 1):
-        e = spec.eps(i)
-        for n in range(1, 2 * N // i + 1):
-            g[i * n] += Fraction(e * counts[n], i)
+    S = [0] * (2 * N + 1)
+    for d in range(1, N + 1):
+        dT = d * counts[d]
+        for i in range(2, 2 * N // d + 1):
+            S[i * d] += spec.eps(i) * dT
+    half = Fraction(spec.shift_sign, 2)
+    g = [half] + [Fraction(S[m], m) for m in range(1, 2 * N + 1)]
+    if N >= 1:
+        g[1] -= half
     return PowerSeries(tuple(g))
 
 
-def numeric_exponent(spec: VarietySpec, counts: CountSequence, N: int, ctx) -> PowerSeries:
-    """:func:`zeta_exponent` converted to ``ctx`` once, for the root step and the Taylor step."""
+def numeric_exponent(spec: VarietySpec, counts: CountSequence, N: int, ctx) -> tuple:
+    """:func:`zeta_exponent` in fixed point: ``floor(g_m 2^w)`` with ``w = hp.fixed_bits(ctx)``.
+
+    Built once, for the root step and the Taylor step.
+    """
+    w = hp.fixed_bits(ctx)
     g = zeta_exponent(spec, counts, N)
-    return PowerSeries(tuple(hp.convert(c, ctx) for c in g.coeffs))
+    return tuple((c.numerator << w) // c.denominator for c in g.coeffs)
 
 
-def exponent_prefix(h: PowerSeries, n: int) -> PowerSeries:
+def exponent_prefix(h: tuple, n: int) -> tuple:
     """The exponent of degree ``2n`` (counts read up to ``n``), cut from a longer one."""
-    return PowerSeries(h.coeffs[: 2 * n + 1])
+    return h[: 2 * n + 1]
 
 
 def zeta_series(spec: VarietySpec, counts: CountSequence, N: int, ctx) -> PowerSeries:
@@ -176,14 +185,26 @@ def zeta_series(spec: VarietySpec, counts: CountSequence, N: int, ctx) -> PowerS
     return series_shift(out, spec.z_exponent)
 
 
-def zeta_taylor(spec: VarietySpec, h: PowerSeries, x, r: int, ctx) -> tuple:
+def exponent_taylor(h: tuple, x, r: int, ctx) -> tuple:
+    """``h^(j)(x) / j!`` for ``j = 0 .. r`` in ``ctx``, from the fixed-point exponent ``h``.
+
+    The Horner passes run on integers (:func:`treeasym.series.series_taylor`);
+    only ``x`` and the ``r + 1`` results are converted.
+    """
+    w = hp.fixed_bits(ctx)
+    shifted = series_taylor(h, hp.to_fixed(x, w, ctx), r, w)
+    return tuple(hp.from_fixed(v, w, ctx) for v in shifted)
+
+
+def zeta_taylor(spec: VarietySpec, h: tuple, x, r: int, ctx) -> tuple:
     """Taylor coefficients ``zeta^(j)(x) / j!`` for ``j = 0 .. r`` from the numeric exponent ``h``.
 
-    ``r + 1`` Horner passes give ``h^(j)(x) / j!``; the exponential of that
-    length-``r+1`` series times ``c (x + y)^a`` is ``zeta(x + y)`` to order ``r``.
+    ``r + 1`` fixed-point Horner passes give ``h^(j)(x) / j!``; the
+    exponential of that length-``r+1`` series times ``c (x + y)^a`` is
+    ``zeta(x + y)`` to order ``r``.
     """
     x = hp.convert(x, ctx)
-    expo = series_exp(PowerSeries(series_taylor(h, x, r)), ctx)
+    expo = series_exp(PowerSeries(exponent_taylor(h, x, r, ctx)), ctx)
     a = spec.z_exponent
     power = [math.comb(a, k) * x ** (a - k) for k in range(min(a, r) + 1)]  # (x + y)^a
     c = hp.convert(spec.prefactor, ctx)
@@ -192,15 +213,16 @@ def zeta_taylor(spec: VarietySpec, h: PowerSeries, x, r: int, ctx) -> tuple:
     )
 
 
-def exponent_tail(h: PowerSeries, x, r: int):
+def exponent_tail(h: tuple, x, r: int, ctx):
     """Tail indicator of ``h^(r)(x) / r!``: the summed size of its last five retained terms.
 
     The terms are ``binom(m, r) g_m x^(m-r)`` for the top five degrees ``m``
-    of ``h``, a stand-in for the first omitted ones.
+    of the numeric exponent ``h``, a stand-in for the first omitted ones.
     """
-    top = h.order
+    w = hp.fixed_bits(ctx)
+    top = len(h) - 1
     degrees = range(max(r, top - 4), top + 1)
-    return sum(abs(h[m]) * math.comb(m, r) * x ** (m - r) for m in degrees)
+    return sum(abs(hp.from_fixed(h[m], w, ctx)) * math.comb(m, r) * x ** (m - r) for m in degrees)
 
 
 def zeta_derivatives(

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import treeasym
 import treeasym.counts
 from treeasym.cli import main
 
@@ -203,6 +208,30 @@ def test_exact_arithmetic_failure_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "counts", "polya")
     assert code == 3 and out == ""
     assert err == "exact-arithmetic failure: synthetic: inexact division at n=7\n"
+
+
+def test_truncation_warning_is_one_plain_line(capsys):
+    code, out, err = run(capsys, "expand", "polya", "--digits", "80", "--terms", "60")
+    assert code == 0
+    assert err.count("\n") == 1
+    assert err.startswith("warning: relative tail of the highest zeta derivative reaches ")
+    assert err.endswith("; truncation order 60 is small for 80 digits\n")
+    quiet_code, quiet_out, quiet_err = run(capsys, "expand", "polya", "--digits", "80",
+                                           "--terms", "200")
+    assert quiet_code == 0 and quiet_err == ""
+    loud, quiet = json.loads(out), json.loads(quiet_out)
+    assert list(loud) == list(quiet)
+    assert [len(loud[k]) for k in ("t", "tau")] == [len(quiet[k]) for k in ("t", "tau")]
+    assert out.count("\n") == quiet_out.count("\n")
+
+
+def test_cli_import_leaves_the_network_stack_unloaded():
+    src = Path(treeasym.__file__).resolve().parents[1]
+    probe = ("import sys, treeasym.cli; "
+             "print([m for m in ('urllib.request', 'http.client') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -1,10 +1,18 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeasym.hp import agreement_digits, context, working_context
+from treeasym.hp import (
+    agreement_digits,
+    context,
+    fixed_bits,
+    from_fixed,
+    to_fixed,
+    working_context,
+)
 from treeasym.series import (
     PowerSeries,
     TruncationWarning,
@@ -178,23 +186,53 @@ def test_tail_indicator_reported():
     assert 0 < tail < ctx.mpf(10) ** -12
 
 
+def exact_taylor(coeffs, x, r):
+    """``f^(j)(x) / j!`` for ``j = 0 .. r`` by an exact Fraction Taylor shift."""
+    a = [Fraction(c) for c in coeffs]
+    for j in range(r + 1):
+        for k in range(len(a) - 2, j - 1, -1):
+            a[k] += x * a[k + 1]
+    return a[: r + 1]
+
+
 class TestTaylor:
     def test_exact_quadratic(self):
-        # f = 1 + 2z + 3z^2 at 1/2: f = 11/4, f' = 5, f''/2 = 3
-        f = from_integers([1, 2, 3])
-        assert series_taylor(f, Fraction(1, 2), 2) == (Fraction(11, 4), 5, 3)
+        # f = 1 + 2z + 3z^2 at 1/2: f = 11/4, f' = 5, f''/2 = 3, all exact in 8-bit fixed point
+        w = 8
+        f = tuple(c << w for c in (1, 2, 3))
+        got = series_taylor(f, 1 << (w - 1), 2, w)
+        assert [Fraction(v, 2**w) for v in got] == [Fraction(11, 4), 5, 3]
 
     def test_matches_termwise_derivatives(self):
         ctx = working_context(50)
+        w = fixed_bits(ctx)
         f = PowerSeries(tuple(ctx.mpf(1) / (n + 3) for n in range(80)))
         x = ctx.mpf("0.45")
-        taylor = series_taylor(f, x, 4)
+        taylor = series_taylor([to_fixed(c, w, ctx) for c in f.coeffs], to_fixed(x, w, ctx), 4, w)
         factorial = 1
         for r in range(5):
             expected = series_eval_deriv(f, x, r, ctx) / factorial
-            assert agreement_digits(taylor[r], expected, ctx) >= 55
+            assert agreement_digits(from_fixed(taylor[r], w, ctx), expected, ctx) >= 55
             factorial *= r + 1
 
     def test_order_outside_degree_rejected(self):
         with pytest.raises(ValueError):
-            series_taylor(from_integers([1, 1]), Fraction(1, 3), 2)
+            series_taylor((1, 1), 1 << 7, 2, 8)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        coeffs=st.lists(st.integers(min_value=-(2**64), max_value=2**64), min_size=1, max_size=401),
+        x=st.fractions(min_value=Fraction(1, 20), max_value=Fraction(3, 5), max_denominator=10**6),
+        r=st.integers(min_value=0, max_value=12),
+        w=st.sampled_from([64, 100, 226]),
+    )
+    def test_within_flooring_bound_of_exact_shift(self, coeffs, x, r, w):
+        # the documented bound: coefficient j is within (j + 2) / (1 - x)^(j + 1)
+        # units of 2^-w of the exact shift at the fixed-point x actually used
+        r = min(r, len(coeffs) - 1)
+        X = math.floor(x * 2**w)
+        got = series_taylor([c << w for c in coeffs], X, r, w)
+        exact = exact_taylor(coeffs, Fraction(X, 2**w), r)
+        for j in range(r + 1):
+            bound = (j + 2) / (1 - x) ** (j + 1)
+            assert abs(Fraction(got[j], 2**w) - exact[j]) * 2**w <= bound

@@ -1,9 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from treeasym.counts import counts_for
-from treeasym.hp import agreement_digits, context, working_context
+from treeasym.hp import agreement_digits, context, fixed_bits, working_context
 from treeasym.series import series_eval_deriv
 from treeasym.solver import DEFAULT_BRACKET, NoBracketError, find_root, solve_rho
 from treeasym.varieties import (
@@ -81,7 +82,31 @@ class TestZetaSeries:
         ctx = working_context(30)
         counts = counts_for("hierarchy", 60)
         h = numeric_exponent(HIERARCHY, counts, 60, ctx)
-        assert exponent_prefix(h, 30).coeffs == numeric_exponent(HIERARCHY, counts, 30, ctx).coeffs
+        assert exponent_prefix(h, 30) == numeric_exponent(HIERARCHY, counts, 30, ctx)
+
+    @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
+    def test_divisor_sums_match_double_loop(self, variety):
+        # oracle: the term-by-term sum g[i n] += eps_i T_n / i over i >= 2
+        spec, N = get_variety(variety), 150
+        counts = counts_for(variety, N)
+        g = [Fraction(0)] * (2 * N + 1)
+        g[0] += Fraction(spec.shift_sign, 2)
+        g[1] -= Fraction(spec.shift_sign, 2)
+        for i in range(2, 2 * N + 1):
+            for n in range(1, 2 * N // i + 1):
+                g[i * n] += Fraction(spec.eps(i) * counts[n], i)
+        assert zeta_exponent(spec, counts, N).coeffs == tuple(g)
+
+    @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
+    def test_numeric_exponent_is_the_floored_fixed_point_exponent(self, variety):
+        spec, N = get_variety(variety), 80
+        ctx = working_context(40)
+        w = fixed_bits(ctx)
+        counts = counts_for(variety, N)
+        g = zeta_exponent(spec, counts, N)
+        h = numeric_exponent(spec, counts, N, ctx)
+        assert len(h) == 2 * N + 1
+        assert all(h[m] == math.floor(g[m] * 2**w) for m in range(2 * N + 1))
 
     def test_insufficient_counts_rejected(self):
         counts = counts_for("polya", 10)
