@@ -31,6 +31,8 @@ degree by degree from
 from __future__ import annotations
 
 import math
+import operator
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -89,8 +91,10 @@ def _divisor_sum_recurrence(n_max: int, signed: bool) -> list[int]:
     if n_max >= 1:
         T[1] = 1
         publish(1)
+    rev = deque()  # T[n-1], ..., T[1]
     for n in range(2, n_max + 1):
-        total = sum(s[j] * T[n - j] for j in range(1, n))
+        rev.appendleft(T[n - 1])
+        total = sum(map(operator.mul, s[1:n], rev))
         T[n] = _divide_exactly(total, n - 1, n)
         publish(n)
     return T
@@ -123,9 +127,11 @@ def hierarchy_counts(n_max: int) -> CountSequence:
     if n_max >= 1:
         T[1] = 1
         publish(1)
+    rev = deque()  # T[n-1], ..., T[1]
     for n in range(2, n_max + 1):
+        rev.appendleft(T[n - 1])
         # s[n] currently holds sum_{m | n, m != n} m T_m since T_n is unset
-        conv = sum(s[j] * T[n - j] for j in range(1, n))
+        conv = sum(map(operator.mul, s[1:n], rev))
         T[n] = _divide_exactly(s[n] + 2 * conv - s[n - 1], n, n)
         publish(n)
     return CountSequence("hierarchy", T)

@@ -16,8 +16,11 @@ at ``1/e`` is ``C = sum_k c_k (2(1 - e z))^(k/2)``, ``c_k = -B(k)/k!``
 (:func:`treeasym.kernels.b_seq`).  With ``z = rho(1-u)`` the argument is
 ``2(1 - e zeta) = u P(u)``, ``P`` read off the Taylor coefficients of ``zeta``
 at ``rho``, so ``t_n`` collects ``c_k [u^((n-k)/2)] P^(k/2)`` over
-``k == n (mod 2)``; in particular ``t_1 = -sqrt(2 e rho zeta'(rho))``.  Tests
-compare this against the paper's explicit Faa di Bruno form.
+``k == n (mod 2)``; in particular ``t_1 = -sqrt(2 e rho zeta'(rho))``.  The
+composition runs on fixed-point integers with ``2K`` guard bits beyond
+:func:`treeasym.hp.fixed_bits`; only ``rho`` and the Taylor coefficients
+are converted in and ``t`` out.  Tests compare this against the paper's
+explicit Faa di Bruno form and against the same recurrence on mpf values.
 
 The counting sequence then satisfies
 
@@ -26,8 +29,12 @@ The counting sequence then satisfies
 with ``tau_l = sum_{j=0}^{l} t_{2j+1} w_j c_{l-j}(j + 1/2)`` instantiated from
 the odd ``t``-coefficients: ``w_j = sqrt(pi) / Gamma(-j-1/2)`` and ``c_m(a)`` is
 the ``n^-m`` coefficient of ``Gamma(n-a) n^(a+1) / Gamma(n+1)``, both exact
-rationals (see :mod:`treeasym.kernels`).  An order-``k`` approximation keeps
-the terms through ``tau_k / n^k`` (``k+1`` summands).
+rationals (see :mod:`treeasym.kernels`), applied to the fixed-point ``t``.
+An order-``k`` approximation keeps the terms through ``tau_k / n^k``
+(``k+1`` summands).
+
+:func:`expand_variety` runs the pipeline at ``N`` and at ``N//2``; the
+second root step starts Newton at the first root instead of bisecting.
 """
 
 from __future__ import annotations
@@ -98,21 +105,37 @@ def _t_values(rho, taylor: Sequence, K: int, ctx) -> list:
     so ``t_n = sum_k c_k [u^((n-k)/2)] P^(k/2)`` over ``1 <= k <= n``,
     ``k == n (mod 2)``, with ``c_k = -B(k)/k!``.  Each power comes from
     J.C.P. Miller's recurrence ``m P_0 Q_m = sum_{j=1}^{m} ((k/2+1) j - m) P_j Q_(m-j)``.
+    Everything runs on integers scaled by ``2^w``; only ``rho`` and ``taylor``
+    are converted in and ``t`` out.
     """
     if not taylor[1] > 0:
         raise ValueError(f"zeta'(rho) must be positive, got {ctx.nstr(taylor[1], 8)}")
-    P = [-2 * ctx.e * taylor[i + 1] * (-rho) ** (i + 1) for i in range((K + 1) // 2)]
-    root = ctx.sqrt(P[0])
-    t = [ctx.mpf(1)] + [ctx.mpf(0)] * K
+    # Every floor below errs by less than one unit of 2^-w, but the Miller
+    # recurrence carries each error on with the weights
+    # ((k+2) j - 2m) P_j / (2m P_0), which grow with the order: over the
+    # three varieties up to K = 161 the flooring error reaches 2^(0.98 K)
+    # units at most.  The 2K extra bits cover that with K bits to spare.
+    w = hp.fixed_bits(ctx) + 2 * K
+    x = hp.to_fixed(rho, w, ctx)
+    two_e = 2 * hp.to_fixed(ctx.e, w, ctx)
+    P, power = [], x  # power = -(-rho)^(i+1)
+    for i in range((K + 1) // 2):
+        P.append(two_e * hp.to_fixed(taylor[i + 1], w, ctx) * power >> 2 * w)
+        power = -(power * x >> w)
+    root = math.isqrt(P[0] << w)
+    t = [1 << w] + [0] * K
+    lead = 1 << w  # root^k
     for k in range(1, K + 1):
-        c = -hp.convert(b_seq(k), ctx) / math.factorial(k)
-        Q = [root**k]
+        b = b_seq(k)
+        c = (-b.numerator << w) // (b.denominator * math.factorial(k))
+        lead = lead * root >> w
+        Q = [lead]
         for m in range(1, (K - k) // 2 + 1):
             acc = sum(((k + 2) * j - 2 * m) * P[j] * Q[m - j] for j in range(1, m + 1))
-            Q.append(acc / (2 * m * P[0]))
+            Q.append(acc // (2 * m * P[0]))
         for m, q in enumerate(Q):
-            t[k + 2 * m] += c * q
-    return t
+            t[k + 2 * m] += c * q >> w
+    return [hp.from_fixed(v, w, ctx) for v in t]
 
 
 def _apply_post_transform(t: list, rho, spec: VarietySpec) -> list:
@@ -275,7 +298,7 @@ def expand_variety(
     h = numeric_exponent(spec, counts, N, ctx)
     rho, iterations, t, tau, tail = _expand_at(spec, h, D, K, L, ctx)
     rho_check, _, t_check, tau_check, _ = _expand_at(
-        spec, exponent_prefix(h, N // 2), D, K, L, ctx
+        spec, exponent_prefix(h, N // 2), D, K, L, ctx, start=rho
     )
     if tail > ctx.mpf(10) ** (-(D - 10)):
         warnings.warn(
@@ -318,14 +341,16 @@ def expand_variety(
     )
 
 
-def _expand_at(spec: VarietySpec, h: tuple, D: int, K: int, L: int, ctx):
+def _expand_at(spec: VarietySpec, h: tuple, D: int, K: int, L: int, ctx, start=None):
     """``(rho, iterations, t, tau, tail)`` from one numeric exponent ``h``.
+
+    ``start`` is passed to :func:`treeasym.solver.find_root` as the Newton start point.
 
     ``tail`` estimates the relative truncation error of the highest
     derivative that ``t_K`` reads, ``zeta(rho) |delta h_r| / |zeta^(r)(rho)/r!|``
     with ``delta h_r`` the tail indicator of the ``r``-th Taylor coefficient of ``h``.
     """
-    rho, iterations = find_root(spec, h, ctx, DEFAULT_BRACKET, D, MAX_NEWTON)
+    rho, iterations = find_root(spec, h, ctx, DEFAULT_BRACKET, D, MAX_NEWTON, start)
     r_max = derivative_orders_needed(K)
     taylor = zeta_taylor(spec, h, rho, r_max, ctx)
     t = puiseux_coeffs(spec, rho, taylor, K, ctx)

@@ -10,11 +10,14 @@ at ``D + GUARD_DIGITS`` internal digits.  Certification of the reported
 digits is done separately, by recomputing with the series truncation order
 halved and counting agreement digits (see :func:`certified_digits`).
 
-The Horner passes over the exponent of ``zeta`` run on fixed-point
-integers: a real ``y`` is held as ``floor(y 2^w)`` with
-``w = ctx.prec + FIXED_GUARD_BITS`` (:func:`fixed_bits`), and only the
-inputs and outputs of a pass are converted (:func:`to_fixed`,
-:func:`from_fixed`).
+Everything between the exponent of ``zeta`` and the reported values runs
+on fixed-point integers: a real ``y`` is held as ``floor(y 2^w)`` with
+``w = ctx.prec + FIXED_GUARD_BITS`` (:func:`fixed_bits`) or a few more
+bits, and only the inputs and outputs of each step are converted
+(:func:`to_fixed`, :func:`from_fixed`).  That covers the Horner passes
+over the exponent, the singular coefficients ``t`` and the linear forms
+that give ``tau``.  The digit counts are exact integer comparisons too
+(:func:`agreement_digits`).
 """
 
 from __future__ import annotations
@@ -71,22 +74,24 @@ def from_fixed(v: int, w: int, ctx):
 def agreement_digits(a, b, ctx) -> int:
     """Number of leading decimal digits on which ``a`` and ``b`` agree.
 
-    Used to certify results recomputed at two different truncation orders:
-    the agreement count is a practical lower bound on the correct digits.
-    Capped at ``ctx.dps`` (beyond that the comparison itself is meaningless).
+    The largest ``k <= ctx.dps`` with ``|a - b| 10^k <= max(|a|, |b|)``, or
+    0 if there is none, counted exactly on the integer mantissas and
+    exponents of the two values converted to ``ctx``; no logarithm decides a
+    boundary case.  Used to certify results recomputed at two different
+    truncation orders: the agreement count is a practical lower bound on the
+    correct digits.  Capped at ``ctx.dps`` (beyond that the comparison itself
+    is meaningless).
     """
-    a = ctx.convert(a)
-    b = ctx.convert(b)
-    if a == b:
+    (sa, ma, ea, _), (sb, mb, eb, _) = ctx.convert(a)._mpf_, ctx.convert(b)._mpf_
+    e = min(ea, eb)
+    x = (-ma if sa else ma) << (ea - e)
+    y = (-mb if sb else mb) << (eb - e)
+    if x == y:
         return ctx.dps
-    scale = max(abs(a), abs(b))
-    if scale == 0:
+    q = max(abs(x), abs(y)) // abs(x - y)  # 10^k <= q exactly when k qualifies
+    if q >= 10**ctx.dps:
         return ctx.dps
-    rel = abs(a - b) / scale
-    if rel == 0:
-        return ctx.dps
-    digits = int(mpmath.floor(-ctx.log10(rel)))
-    return max(0, min(digits, ctx.dps))
+    return len(str(q)) - 1 if q else 0
 
 
 def certified_digits(value, check, D: int, ctx) -> int:

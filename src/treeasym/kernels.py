@@ -18,7 +18,9 @@ Erdelyi, *The asymptotic expansion of a ratio of gamma functions*, Pacific
 J. Math. 1951; Flajolet & Sedgewick, *Analytic Combinatorics*, Thm VI.1):
 ``tau_0 .. tau_L`` cost ``O(L^3)`` rational operations.  Values are cached
 per index and shared across varieties; the caches are write-once-per-key
-and safe under concurrent readers.
+and safe under concurrent readers.  A form is instantiated in fixed point:
+``sum_j floor(c_j floor(t_j 2^w))`` over the exact ``c_j``
+(:meth:`SymbolicTauPolynomial.evaluate`).
 """
 
 from __future__ import annotations
@@ -123,11 +125,17 @@ class SymbolicTauPolynomial:
         self.coeffs = {i: Fraction(c) for i, c in self.coeffs.items() if c != 0}
 
     def evaluate(self, t_values: Sequence, ctx):
-        """Instantiate the form at numeric values, indexed as ``t_values[j]``."""
-        acc = ctx.mpf(0)
-        for idx, c in self.coeffs.items():
-            acc += hp.convert(c, ctx) * hp.convert(t_values[idx], ctx)
-        return acc
+        """Instantiate the form at numeric values, indexed as ``t_values[j]``.
+
+        A fixed-point sum ``sum_j floor(c_j floor(t_j 2^w)) 2^-w`` with
+        ``w = hp.fixed_bits(ctx)``, rounded to ``ctx`` once at the end.
+        """
+        w = hp.fixed_bits(ctx)
+        acc = sum(
+            c.numerator * hp.to_fixed(t_values[idx], w, ctx) // c.denominator
+            for idx, c in self.coeffs.items()
+        )
+        return hp.from_fixed(acc, w, ctx)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, SymbolicTauPolynomial):

@@ -169,13 +169,6 @@ def series_taylor(coeffs: Sequence[int], x: int, r: int, w: int) -> tuple:
     return tuple(a[: r + 1])
 
 
-def series_derivative(f: PowerSeries) -> PowerSeries:
-    """Coefficient-wise derivative, order drops by one.  Test helper."""
-    if f.order == 0:
-        return PowerSeries((0 * f.coeffs[0],))
-    return PowerSeries(tuple(n * f.coeffs[n] for n in range(1, f.order + 1)))
-
-
 def series_scale(f: PowerSeries, c) -> PowerSeries:
     return PowerSeries(tuple(c * x for x in f.coeffs))
 
@@ -191,9 +184,3 @@ def series_shift(f: PowerSeries, a: int) -> PowerSeries:
     for n in range(0, f.order + 1 - a):
         out[n + a] = f.coeffs[n]
     return PowerSeries(tuple(out))
-
-
-def from_integers(values: Sequence[int], n: int | None = None) -> PowerSeries:
-    """Exact series with the given integer coefficients, truncated at ``n``."""
-    vals = list(values if n is None else values[: n + 1])
-    return PowerSeries(tuple(Fraction(v) for v in vals))

@@ -14,9 +14,10 @@ The passes run on the fixed-point exponent of
 value and slope coming out are converted
 (:func:`treeasym.varieties.exponent_taylor`).
 
-:func:`find_root` solves on one given exponent.  :func:`solve_rho` is the
-certified form for direct callers: it solves at truncation orders ``N`` and
-``N//2`` and reports their agreement through
+:func:`find_root` solves on one given exponent, or starts Newton at a
+given point and skips the bisection.  :func:`solve_rho` is the
+certified form for direct callers: it solves at truncation order ``N``,
+then at ``N//2`` from the order-``N`` root, and reports their agreement through
 :func:`treeasym.hp.certified_digits`, the same helper that certifies the
 full expansion in :func:`treeasym.expansions.expand_variety`.
 """
@@ -97,7 +98,9 @@ def solve_rho(
     ctx = hp.working_context(D)
     h = numeric_exponent(spec, counts, N, ctx)
     rho, iterations = find_root(spec, h, ctx, bracket, D, max_newton)
-    rho_check, _ = find_root(spec, exponent_prefix(h, N // 2), ctx, bracket, D, max_newton)
+    rho_check, _ = find_root(
+        spec, exponent_prefix(h, N // 2), ctx, bracket, D, max_newton, start=rho
+    )
     return RhoResult(
         variety=spec.name,
         rho=rho,
@@ -119,44 +122,22 @@ def check_series_inputs(counts: CountSequence, N: int, D: int) -> None:
         raise ValueError(f"counts cover n <= {counts.n_max}, need {N}")
 
 
-def find_root(spec: VarietySpec, h: tuple, ctx, bracket, D, max_newton):
+def find_root(spec: VarietySpec, h: tuple, ctx, bracket, D, max_newton, start=None):
     """Root of ``h(x) + a log x + log c + 1 = 0`` on ``bracket`` and the Newton iteration count.
 
     ``h`` is the fixed-point numeric exponent, so the equation is ``zeta(x) = 1/e``.
     Bisection to a width of ``10**-3`` on the exponent's prefix of count
-    reach ``BRACKET_REACH``, then Newton on all of ``h`` to a
-    ``10**-(D+5)`` step.
+    reach ``BRACKET_REACH`` (:func:`_bisect`), then Newton on all of ``h`` to a
+    ``10**-(D+5)`` step.  A ``start`` point, such as the root of a longer
+    exponent, replaces the bisection: Newton starts there.
     """
     a = spec.z_exponent
     offset = ctx.log(hp.convert(spec.prefactor, ctx)) + 1
-    coarse = exponent_prefix(h, BRACKET_REACH)
-
-    def residual(x):
-        return exponent_taylor(coarse, x, 0, ctx)[0] + a * ctx.log(x) + offset
-
-    x_min, x_max = lo, hi = hp.convert(bracket[0], ctx), hp.convert(bracket[1], ctx)
-    f_lo = residual(lo)
-    f_hi = residual(hi)
-    if f_lo == 0 or f_hi == 0:
-        lo = hi = lo if f_lo == 0 else hi
-    elif (f_lo < 0) == (f_hi < 0):
-        raise NoBracketError(
-            f"{spec.name}: no sign change of log(zeta) + 1 on "
-            f"[{ctx.nstr(lo, 6)}, {ctx.nstr(hi, 6)}]"
-            f" (endpoint residuals {ctx.nstr(f_lo, 6)}, {ctx.nstr(f_hi, 6)})"
-        )
-    # bisect to ~3 digits; Newton converges quadratically from there
-    while hi - lo > ctx.mpf(10) ** -3:
-        mid = (lo + hi) / 2
-        f_mid = residual(mid)
-        if f_mid == 0:
-            lo = hi = mid
-            break
-        if (f_mid < 0) == (f_lo < 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    x = (lo + hi) / 2
+    x_min, x_max = hp.convert(bracket[0], ctx), hp.convert(bracket[1], ctx)
+    if start is None:
+        x = _bisect(spec, exponent_prefix(h, BRACKET_REACH), ctx, x_min, x_max, offset)
+    else:
+        x = hp.convert(start, ctx)
     tolerance = ctx.mpf(10) ** (-(D + 5))
     steps = []
     for iteration in range(1, max_newton + 1):
@@ -177,3 +158,36 @@ def find_root(spec: VarietySpec, h: tuple, ctx, bracket, D, max_newton):
         f"last steps {[ctx.nstr(s, 3) for s in steps[-3:]]} vs tolerance {ctx.nstr(tolerance, 3)}"
         " (truncation order likely too small)"
     )
+
+
+def _bisect(spec: VarietySpec, coarse: tuple, ctx, lo, hi, offset):
+    """Midpoint of a ``10**-3`` bracket of the root on the short exponent ``coarse``.
+
+    Raises :class:`NoBracketError` when the residual has no sign change on ``[lo, hi]``.
+    """
+    a = spec.z_exponent
+
+    def residual(x):
+        return exponent_taylor(coarse, x, 0, ctx)[0] + a * ctx.log(x) + offset
+
+    f_lo = residual(lo)
+    f_hi = residual(hi)
+    if f_lo == 0 or f_hi == 0:
+        return lo if f_lo == 0 else hi
+    if (f_lo < 0) == (f_hi < 0):
+        raise NoBracketError(
+            f"{spec.name}: no sign change of log(zeta) + 1 on "
+            f"[{ctx.nstr(lo, 6)}, {ctx.nstr(hi, 6)}]"
+            f" (endpoint residuals {ctx.nstr(f_lo, 6)}, {ctx.nstr(f_hi, 6)})"
+        )
+    # bisect to ~3 digits; Newton converges quadratically from there
+    while hi - lo > ctx.mpf(10) ** -3:
+        mid = (lo + hi) / 2
+        f_mid = residual(mid)
+        if f_mid == 0:
+            return mid
+        if (f_mid < 0) == (f_lo < 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return (lo + hi) / 2

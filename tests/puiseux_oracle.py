@@ -1,5 +1,7 @@
 """The paper's explicit form of the singular coefficients, kept as a test oracle.
 
+Also the mpf form of the library's composition (:func:`miller_t_values`).
+
 ``t_n`` is the Faa di Bruno expansion of ``T = C(zeta)``: partial Bell
 polynomials give the weights ``B(l)``, generalized binomials
 ``binom(l/2, r)`` and a composition-power table give the inner sums.  The
@@ -25,6 +27,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from treeasym import hp
+from treeasym.kernels import b_seq
 
 
 def bell_partial(n: int, k: int, xs: Sequence[Fraction]) -> Fraction:
@@ -141,4 +144,26 @@ def t_values(rho, deriv_values: Sequence, K: int, ctx) -> list:
                 inner += binom / zeta_prime**r * table[r][M]
             total += outer * inner
         t.append(total)
+    return t
+
+
+def miller_t_values(rho, taylor: Sequence, K: int, ctx) -> list:
+    """``t_0 .. t_K`` of ``T = C(zeta)`` by J.C.P. Miller's power recurrence in ``ctx`` arithmetic.
+
+    The library's fixed-point composition, step for step on mpf values:
+    ``P_i = -2e taylor[i+1] (-rho)^(i+1)``, ``Q = P^(k/2)`` from
+    ``m P_0 Q_m = sum_{j=1}^{m} ((k/2+1) j - m) P_j Q_(m-j)`` and
+    ``t_n = sum_k -B(k)/k! Q_((n-k)/2)``.
+    """
+    P = [-2 * ctx.e * taylor[i + 1] * (-rho) ** (i + 1) for i in range((K + 1) // 2)]
+    root = ctx.sqrt(P[0])
+    t = [ctx.mpf(1)] + [ctx.mpf(0)] * K
+    for k in range(1, K + 1):
+        c = -hp.convert(b_seq(k), ctx) / math.factorial(k)
+        Q = [root**k]
+        for m in range(1, (K - k) // 2 + 1):
+            acc = sum(((k + 2) * j - 2 * m) * P[j] * Q[m - j] for j in range(1, m + 1))
+            Q.append(acc / (2 * m * P[0]))
+        for m, q in enumerate(Q):
+            t[k + 2 * m] += c * q
     return t

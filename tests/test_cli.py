@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import treeasym
 import treeasym.counts
@@ -257,3 +261,73 @@ def test_unknown_variety_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["counts", "bonsai"])
     assert excinfo.value.code == 2
+
+
+def _flag(name, values):
+    """Absent, or ``--name=value`` for a drawn value (so negatives stay values)."""
+    return st.one_of(st.just([]), values.map(lambda v: [f"--{name}={v}"]))
+
+
+def _int_list(lo, hi):
+    """Comma-separated integers, possibly none, or a malformed entry."""
+    ints = st.lists(st.integers(lo, hi), max_size=3).map(lambda xs: ",".join(map(str, xs)))
+    return st.one_of(ints, st.just("a,1"))
+
+
+_PRECISION = [_flag("digits", st.integers(25, 45)), _flag("terms", st.integers(-1, 110))]
+_FORMAT = _flag("format", st.sampled_from(["json", "csv"]))
+_SUBCOMMAND_FLAGS = {
+    "counts": [_FORMAT, _flag("n", st.integers(-2, 60))],
+    "expand": [
+        *_PRECISION,
+        _FORMAT,
+        _flag("order", st.integers(-1, 3)),
+        _flag("puiseux-terms", st.integers(-1, 12)),
+        st.sampled_from([[], ["--table1"], ["--table2"]]),
+    ],
+    "estimate": [
+        *_PRECISION,
+        _FORMAT,
+        st.integers(-1, 120).map(lambda n: [f"--size={n}"]),
+        _flag("order", st.integers(-1, 4)),
+        _flag("max-size", st.integers(0, 150)),
+    ],
+    "error-table": [
+        *_PRECISION,
+        _flag("sizes", _int_list(-1, 60)),
+        _flag("orders", _int_list(-1, 4)),
+        _flag("max-size", st.integers(0, 150)),
+    ],
+    "verify-oeis": [_flag("n", st.integers(-2, 80)), _flag("offset", st.integers(-3, 3))],
+}
+
+
+@st.composite
+def _cli_calls(draw):
+    command = draw(st.sampled_from(sorted(_SUBCOMMAND_FLAGS)))
+    argv = [command, draw(st.sampled_from(["polya", "identity", "hierarchy"]))]
+    for flag in _SUBCOMMAND_FLAGS[command]:
+        argv += draw(flag)
+    return argv
+
+
+@pytest.fixture(scope="module")
+def offline_cache(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("cache"))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_cli_calls())
+def test_every_small_flag_combination_ends_in_a_documented_exit_code(argv, offline_cache):
+    # small flag ranges on every subcommand, in process: an exit code of
+    # 0/1/2/3; an exception escaping main fails the test
+    if argv[0] == "verify-oeis":
+        argv += ["--offline", f"--cache-dir={offline_cache}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejections
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())

@@ -1,5 +1,6 @@
 import math
 import warnings
+from functools import lru_cache
 
 import pytest
 
@@ -24,7 +25,7 @@ from treeasym.varieties import (
     zeta_taylor,
 )
 
-from puiseux_oracle import composition_power_table, t_values
+from puiseux_oracle import composition_power_table, miller_t_values, t_values
 from qr_oracle import compositions
 from reference_values import RHO_50, T_TABLE, TAU_TABLE
 
@@ -109,22 +110,44 @@ class TestSingularCoefficients:
             puiseux_coeffs(result.spec, rho, taylor, 10, ctx)
 
 
+@lru_cache(maxsize=None)
+def _solved(variety, L, N, D):
+    """``(spec, K, ctx, rho, taylor)`` with ``K = 2L+1`` at truncation order ``N``."""
+    spec, K = get_variety(variety), 2 * L + 1
+    ctx = working_context(D)
+    h = numeric_exponent(spec, spec.count_source(N), N, ctx)
+    rho, _ = find_root(spec, h, ctx, DEFAULT_BRACKET, D, MAX_NEWTON)
+    return spec, K, ctx, rho, zeta_taylor(spec, h, rho, derivative_orders_needed(K), ctx)
+
+
 @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
 @pytest.mark.parametrize("L, N, D", [(18, 300, 80), (40, 200, 60)])
 def test_composition_matches_explicit_oracle(variety, L, N, D):
     # T = C(zeta) by series powers against the paper's Bell-polynomial,
     # binomial and composition-table form, on the same rho and derivatives
-    spec, K = get_variety(variety), 2 * L + 1
-    ctx = working_context(D)
-    h = numeric_exponent(spec, spec.count_source(N), N, ctx)
-    rho, _ = find_root(spec, h, ctx, DEFAULT_BRACKET, D, MAX_NEWTON)
-    taylor = zeta_taylor(spec, h, rho, derivative_orders_needed(K), ctx)
+    spec, K, ctx, rho, taylor = _solved(variety, L, N, D)
     derivs = [math.factorial(r) * z for r, z in enumerate(taylor)]
     oracle = _apply_post_transform(t_values(rho, derivs, K, ctx), rho, spec)
     got = puiseux_coeffs(spec, rho, taylor, K, ctx)
     assert len(got) == len(oracle) == K + 1
     for n, (a, b) in enumerate(zip(got, oracle)):
         assert agreement_digits(a, b, ctx) >= D + 5, (variety, n)
+
+
+@pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
+@pytest.mark.parametrize("L, N, D", [(18, 300, 80), (40, 200, 60)])
+def test_fixed_point_composition_matches_mpf_recurrence(variety, L, N, D):
+    # the same Miller recurrence on mpf values, 20 digits above the working
+    # precision and on the same rho and Taylor coefficients
+    spec, K, ctx, rho, taylor = _solved(variety, L, N, D)
+    hi = context(ctx.dps + 20)
+    rho_hi = hi.convert(rho)
+    oracle = miller_t_values(rho_hi, [hi.convert(z) for z in taylor], K, hi)
+    oracle = _apply_post_transform(oracle, rho_hi, spec)
+    got = puiseux_coeffs(spec, rho, taylor, K, ctx)
+    assert len(got) == len(oracle) == K + 1
+    for n, (a, b) in enumerate(zip(got, oracle)):
+        assert agreement_digits(a, b, hi) >= D + 10, (variety, n)
 
 
 class TestAsymptoticCoefficients:
@@ -283,6 +306,22 @@ class TestCertification:
         assert len(orders) == 2
         assert all(order == derivative_orders_needed(5) for order in orders)
         assert 100 not in orders and 50 not in orders
+
+    def test_one_bisection_per_expansion(self, monkeypatch):
+        # the N // 2 check run starts Newton at the order-N root
+        calls = []
+        original = solver._bisect
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(solver, "_bisect", counted)
+        result = expand_variety("hierarchy", L=2, N=100, D=30)
+        assert len(calls) == 1
+        calls.clear()
+        solve_rho(result.spec, result.counts, 100, 30)
+        assert len(calls) == 1
 
     def test_stability_between_orders(self, pipeline):
         # rho and tau stable to >= 15 digits between N=200 and N=300

@@ -49,6 +49,17 @@ class TestAgreementDigits:
         ctx = context(40)
         assert agreement_digits(ctx.mpf(1), ctx.mpf(-1), ctx) == 0
 
+    @pytest.mark.parametrize("sign, expected_shift", [(1, 1), (-1, 0)])
+    def test_exact_decimal_boundaries(self, sign, expected_shift):
+        # |1 - b| = 10^-k (1 + sign 2^-30) with b below 1, so max(|1|, |b|) = 1:
+        # k digits exactly when the gap is at most 10^-k, k - 1 just above that;
+        # b carries more bits than ctx, and the count reads them all
+        ctx = context(40)
+        hi = context(80)
+        for k in range(1, ctx.dps + 1):
+            b = 1 - hi.mpf(10) ** -k * (1 + sign * hi.mpf(2) ** -30)
+            assert agreement_digits(1, b, ctx) == k - expected_shift, k
+
     def test_accepts_fractions_and_strings(self):
         from fractions import Fraction
 

@@ -230,6 +230,23 @@ class TestTauSymbolic:
         # -3(t_1 - 4 t_3)/16 = -3(-2 - 16)/16 = 27/8
         assert abs(value - ctx.mpf("3.375")) < ctx.mpf(10) ** -25
 
+    @settings(max_examples=60, deadline=None)
+    @given(ell=st.integers(0, 12), data=st.data())
+    def test_evaluate_matches_exact_rational_form(self, ell, data):
+        # fixed-point evaluation against the exact Fraction sum at rational t
+        ctx = context(40)
+        form = tau_symbolic(ell)
+        t = [Fraction(0)] * (2 * ell + 2)
+        for j in form.coeffs:
+            t[j] = data.draw(st.fractions(-50, 50, max_denominator=10**6))
+        exact = sum(c * t[j] for j, c in form.coeffs.items())
+        value = form.evaluate(t, ctx)
+        # each t_j is rounded to ctx once, the sum is rounded once more
+        size = sum(abs(c * t[j]) for j, c in form.coeffs.items()) + abs(exact)
+        assert abs(value - ctx.mpf(exact.numerator) / exact.denominator) <= (
+            ctx.mpf(2) ** (2 - ctx.prec) * (ctx.mpf(size.numerator) / size.denominator + 1)
+        )
+
     @pytest.mark.parametrize("ell", range(19))
     def test_matches_composition_oracle(self, ell):
         # the paper's Q/R composition sums give the same Fractions, in the same order

@@ -16,8 +16,6 @@ from treeasym.hp import (
 from treeasym.series import (
     PowerSeries,
     TruncationWarning,
-    from_integers,
-    series_derivative,
     series_eval_deriv,
     series_eval_deriv_tail,
     series_exp,
@@ -25,6 +23,19 @@ from treeasym.series import (
     series_substitute_power,
     series_taylor,
 )
+
+
+def from_integers(values):
+    """Exact series with the given integer coefficients."""
+    return PowerSeries(tuple(Fraction(v) for v in values))
+
+
+def series_derivative(f):
+    """Coefficient-wise derivative, order drops by one."""
+    if f.order == 0:
+        return PowerSeries((0 * f.coeffs[0],))
+    return PowerSeries(tuple(n * f.coeffs[n] for n in range(1, f.order + 1)))
+
 
 fractions_st = st.fractions(min_value=-2, max_value=2, max_denominator=8)
 

@@ -3,9 +3,16 @@ from fractions import Fraction
 import pytest
 
 from treeasym.counts import counts_for
-from treeasym.hp import agreement_digits
-from treeasym.solver import NoBracketError, StalledError, solve_rho
-from treeasym.varieties import get_variety
+from treeasym.hp import agreement_digits, working_context
+from treeasym.solver import (
+    DEFAULT_BRACKET,
+    MAX_NEWTON,
+    NoBracketError,
+    StalledError,
+    find_root,
+    solve_rho,
+)
+from treeasym.varieties import exponent_prefix, get_variety, numeric_exponent
 
 from reference_values import RHO_50
 
@@ -85,3 +92,17 @@ def test_half_order_reaches_reference(pipeline_counts, variety):
     # already gives 40 digits (the order-N zeta series needed N=400)
     result = solve_rho(get_variety(variety), pipeline_counts[variety], 100, 60)
     assert agreement_digits(result.rho, result.ctx.mpf(RHO_50[variety]), result.ctx) >= 40
+
+
+@pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
+def test_warm_start_finds_the_bisected_root(pipeline_counts, variety):
+    # the root at N = 200 lies about rho^100 from the root at N = 100, so
+    # Newton started there needs no bisection and only a few steps
+    spec, ctx = get_variety(variety), working_context(60)
+    h = numeric_exponent(spec, pipeline_counts[variety], 200, ctx)
+    rho, _ = find_root(spec, h, ctx, DEFAULT_BRACKET, 60, MAX_NEWTON)
+    half = exponent_prefix(h, 100)
+    cold, _ = find_root(spec, half, ctx, DEFAULT_BRACKET, 60, MAX_NEWTON)
+    warm, iterations = find_root(spec, half, ctx, DEFAULT_BRACKET, 60, MAX_NEWTON, start=rho)
+    assert agreement_digits(warm, cold, ctx) >= 63
+    assert iterations <= 3
