@@ -1,11 +1,13 @@
 """Singular and asymptotic expansions of the counting sequences.
 
-The pipeline builds the exact exponent ``h = log(zeta / (c z^a))`` to degree
-``2N`` once and converts it to fixed-point integers at the working
-precision, then solves for ``rho`` in log form
-(:func:`treeasym.solver.find_root`) and reads the Taylor
-coefficients ``zeta^(r)(rho)/r!`` off the Horner Taylor shift of ``h`` and a
-short exponential (:func:`treeasym.varieties.zeta_taylor`).  From these, the
+The pipeline builds the exponent ``h = log(zeta / (c z^a))`` to degree
+``2N`` once, as fixed-point integers at the working precision.  One split
+sweep of Horner passes gives the short Taylor models of ``log zeta`` for
+``h`` and for its ``N//2`` prefix; integer Newton on each model gives
+``rho`` and the model's Taylor shift to it
+(:func:`treeasym.solver.solve_models`), and since ``zeta(rho) = 1/e`` the
+coefficients ``zeta^(r)(rho)/r!`` are ``e^-1`` times the short exponential
+of that model (:func:`treeasym.varieties.zeta_taylor`).  From these, the
 counting series expands in half-integer powers of
 ``u = 1 - z/rho``::
 
@@ -33,8 +35,9 @@ rationals (see :mod:`treeasym.kernels`), applied to the fixed-point ``t``.
 An order-``k`` approximation keeps the terms through ``tau_k / n^k``
 (``k+1`` summands).
 
-:func:`expand_variety` runs the pipeline at ``N`` and at ``N//2``; the
-second root step starts Newton at the first root instead of bisecting.
+:func:`expand_variety` runs the pipeline at ``N`` and at ``N//2``; both
+roots and models come from the same sweep, so the second has no bracket
+phase of its own.
 """
 
 from __future__ import annotations
@@ -48,15 +51,8 @@ from . import hp
 from .counts import CountSequence
 from .kernels import b_seq, tau_symbolic
 from .series import TruncationWarning
-from .solver import DEFAULT_BRACKET, MAX_NEWTON, RhoResult, check_series_inputs, find_root
-from .varieties import (
-    VarietySpec,
-    exponent_prefix,
-    exponent_tail,
-    get_variety,
-    numeric_exponent,
-    zeta_taylor,
-)
+from .solver import RhoResult, check_series_inputs, half_cut, solve_models
+from .varieties import VarietySpec, exponent_tail, get_variety, numeric_exponent, zeta_taylor
 
 # Not called here; the benchmark traces both names in this module (perfbench/layers.py).
 from .solver import solve_rho  # noqa: F401
@@ -296,10 +292,13 @@ def expand_variety(
     check_series_inputs(counts, N, D)
     ctx = hp.working_context(D)
     h = numeric_exponent(spec, counts, N, ctx)
-    rho, iterations, t, tau, tail = _expand_at(spec, h, D, K, L, ctx)
-    rho_check, _, t_check, tau_check, _ = _expand_at(
-        spec, exponent_prefix(h, N // 2), D, K, L, ctx, start=rho
+    r_max = derivative_orders_needed(K)
+    models, iterations = solve_models(spec, h, half_cut(N), r_max, ctx, D)
+    (rho, taylor, t, tau), (rho_check, _, t_check, tau_check) = (
+        _expand_at(spec, root, log_taylor, K, L, ctx) for root, log_taylor in models
     )
+    # relative truncation error of the highest derivative that t_K reads
+    tail = taylor[0] * exponent_tail(h, rho, r_max, ctx) / abs(taylor[r_max])
     if tail > ctx.mpf(10) ** (-(D - 10)):
         warnings.warn(
             f"relative tail of the highest zeta derivative reaches {ctx.nstr(tail, 3)}; "
@@ -341,18 +340,14 @@ def expand_variety(
     )
 
 
-def _expand_at(spec: VarietySpec, h: tuple, D: int, K: int, L: int, ctx, start=None):
-    """``(rho, iterations, t, tau, tail)`` from one numeric exponent ``h``.
+def _expand_at(spec: VarietySpec, root: int, log_taylor, K: int, L: int, ctx):
+    """``(rho, taylor, t, tau)`` at one fixed-point root and the Taylor coefficients of ``log zeta`` there.
 
-    ``start`` is passed to :func:`treeasym.solver.find_root` as the Newton start point.
-
-    ``tail`` estimates the relative truncation error of the highest
-    derivative that ``t_K`` reads, ``zeta(rho) |delta h_r| / |zeta^(r)(rho)/r!|``
-    with ``delta h_r`` the tail indicator of the ``r``-th Taylor coefficient of ``h``.
+    ``zeta(rho) = 1/e`` at the root, so ``taylor[j] = zeta^(j)(rho)/j!`` is
+    ``e^-1`` times the short exponential of the model.
     """
-    rho, iterations = find_root(spec, h, ctx, DEFAULT_BRACKET, D, MAX_NEWTON, start)
-    r_max = derivative_orders_needed(K)
-    taylor = zeta_taylor(spec, h, rho, r_max, ctx)
+    w = hp.fixed_bits(ctx)
+    rho = hp.from_fixed(root, w, ctx)
+    taylor = zeta_taylor(log_taylor, w, ctx.exp(-1), ctx)
     t = puiseux_coeffs(spec, rho, taylor, K, ctx)
-    tail = taylor[0] * exponent_tail(h, rho, r_max, ctx) / abs(taylor[r_max])
-    return rho, iterations, t, tau_coeffs(t, L, ctx), tail
+    return rho, taylor, t, tau_coeffs(t, L, ctx)

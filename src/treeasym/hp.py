@@ -14,9 +14,12 @@ Everything between the exponent of ``zeta`` and the reported values runs
 on fixed-point integers: a real ``y`` is held as ``floor(y 2^w)`` with
 ``w = ctx.prec + FIXED_GUARD_BITS`` (:func:`fixed_bits`) or a few more
 bits, and only the inputs and outputs of each step are converted
-(:func:`to_fixed`, :func:`from_fixed`).  That covers the Horner passes
-over the exponent, the singular coefficients ``t`` and the linear forms
-that give ``tau``.  The digit counts are exact integer comparisons too
+(:func:`to_fixed`, :func:`from_fixed`).  That covers the one split sweep
+of Horner passes over the exponent, Newton on the short Taylor models it
+gives, their Taylor shift and short exponential, the singular
+coefficients ``t`` and the linear forms that give ``tau``.  mpf appears at
+the edges only: the logarithms of :func:`fixed_log` and the constant
+``1/e``.  The digit counts are exact integer comparisons too
 (:func:`agreement_digits`).
 """
 
@@ -35,7 +38,12 @@ GUARD_DIGITS = 15
 #: units of ``2^-w`` of the exact shift of the exact coefficients (the
 #: ``+ 1`` counts their own flooring).  At ``x <= 0.4`` and ``j <= 41`` (an
 #: order-40 expansion) that is below ``2^37``, so the absolute error stays
-#: below ``2^-(ctx.prec + 3)``.
+#: below ``2^-(ctx.prec + 3)``.  The sweep runs ``MODEL_EXTRA = 3`` more
+#: passes than the ``r + 1`` it reports (:mod:`treeasym.solver`), but the
+#: extra orders enter the reported ones only times powers of the step
+#: ``|y| <= 2^-b`` to the root; joining the two blocks of the split sweep
+#: adds two units per order, and the Taylor shift by ``y`` and Newton on
+#: the short model a few units more.
 FIXED_GUARD_BITS = 40
 
 #: Smallest target precision supported by the expansion pipeline.
@@ -69,6 +77,12 @@ def to_fixed(x, w: int, ctx) -> int:
 def from_fixed(v: int, w: int, ctx):
     """The fixed-point integer ``v`` read back as ``v 2^-w``, rounded to ``ctx``."""
     return ctx.ldexp(ctx.mpf(v), -w)
+
+
+def fixed_log(v: int, w: int) -> int:
+    """``floor(log(v 2^-w) 2^w)``, within one unit, for a fixed-point ``v > 0``."""
+    y = mpmath.libmp.mpf_log(mpmath.libmp.from_man_exp(v, -w), w + 16)
+    return mpmath.libmp.to_int(mpmath.libmp.mpf_shift(y, w), "f")
 
 
 def agreement_digits(a, b, ctx) -> int:

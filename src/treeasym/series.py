@@ -5,10 +5,15 @@ with truncation order ``N``.  Coefficients are either ``fractions.Fraction``
 (exact mode) or mpf values from an explicit mpmath context (numeric mode);
 the operations below work uniformly on both.  Arithmetic never reads beyond
 the truncation order, and binary operations truncate to the shorter operand.
+
+The numeric pipeline uses the fixed-point kernels at the end instead:
+Taylor shifts (:func:`series_taylor`, :func:`series_taylor_split`) and the
+short exponential (:func:`series_exp_fixed`) on integers scaled by ``2^w``.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -155,7 +160,9 @@ def series_taylor(coeffs: Sequence[int], x: int, r: int, w: int) -> tuple:
     synthetic divisions of ``f`` by ``z - x`` (Horner's rule, run as the
     first ``r + 1`` steps of the Taylor shift ``f(x + y)``) take about
     ``(r + 1) N`` steps ``acc = c_k + (x acc >> w)``; the flooring error is
-    bounded at :data:`treeasym.hp.FIXED_GUARD_BITS`.
+    bounded at :data:`treeasym.hp.FIXED_GUARD_BITS`.  The bound there holds
+    for ``x`` of either sign with ``|x|`` in place of ``x``, so the same
+    passes shift a short model by a small step ``y`` of either sign.
     """
     top = len(coeffs) - 1
     if not 0 <= r <= top:
@@ -167,6 +174,76 @@ def series_taylor(coeffs: Sequence[int], x: int, r: int, w: int) -> tuple:
             acc = a[k] + (x * acc >> w)
             a[k] = acc
     return tuple(a[: r + 1])
+
+
+def series_taylor_split(coeffs: Sequence[int], cut: int, x: int, r: int, w: int) -> tuple:
+    """:func:`series_taylor` to order ``r`` of ``f = coeffs`` and of its prefix ``coeffs[:cut]``.
+
+    With ``f = f_low + z^cut f_high`` the passes run once over each block,
+    and ``(x + y)^cut``, whose Taylor coefficients are
+    ``C(cut, k) x^(cut-k)``, carries ``f_high`` over into ``f``: the two
+    results cost one sweep over ``coeffs`` plus ``O(r^2)`` products.  For
+    ``0 <= x < 1`` the prefix's result is exactly ``series_taylor``'s, and
+    coefficient ``j`` of ``f`` is within ``b_j + sum_{k<=j} (C(cut,k) x^(cut-k)
+    b_(j-k) + 2)`` units of ``2^-w`` of the exact shift, ``b_j = (j + 2) /
+    (1 - x)^(j + 1)`` the bound of one block.  ``x^cut`` can lie far below
+    ``2^-w``, so the powers are held with enough extra bits that their
+    error, times the largest coefficient of ``f_high``, stays below a unit.
+    Orders beyond a block's degree are zero.
+    """
+    if not 0 < cut:
+        raise ValueError(f"cut {cut} must be positive")
+    low = _taylor_to(coeffs[:cut], x, r, w)
+    high = coeffs[cut:]
+    if not high:
+        return low, low
+    high = _taylor_to(high, x, r, w)
+    top = min(r, cut)
+    binom = [math.comb(cut, k) for k in range(top + 1)]
+    wide = max(w, max(abs(v) for v in high).bit_length()) + (2 * cut * max(binom)).bit_length()
+    base = x << (wide - w)
+    power = _fixed_power(base, cut - top, wide)  # x^(cut - k), k = top .. 0
+    weights = [0] * (top + 1)
+    for k in range(top, -1, -1):
+        weights[k] = binom[k] * power
+        power = power * base >> wide
+    whole = tuple(
+        low[j] + sum(weights[k] * high[j - k] >> wide for k in range(min(j, top) + 1))
+        for j in range(r + 1)
+    )
+    return whole, low
+
+
+def _taylor_to(coeffs: Sequence[int], x: int, r: int, w: int) -> tuple:
+    """:func:`series_taylor` padded with zeros beyond the degree of ``coeffs``."""
+    top = min(r, len(coeffs) - 1)
+    return series_taylor(coeffs, x, top, w) + (0,) * (r - top)
+
+
+def _fixed_power(x: int, n: int, w: int) -> int:
+    """``x^n`` for a fixed-point ``0 <= x < 2^w`` by squaring; within ``2n`` units of ``2^-w``."""
+    out = 1 << w
+    while n:
+        if n & 1:
+            out = out * x >> w
+        n >>= 1
+        if n:
+            x = x * x >> w
+    return out
+
+
+def series_exp_fixed(g: Sequence[int], w: int) -> tuple:
+    """Fixed-point ``exp(g(y) - g_0)`` to the order of ``g``, on integers scaled by ``2^w``.
+
+    ``E_0 = 2^w`` and ``E_n = (1/n) sum_{k=1..n} k g_k E_(n-k)``, each
+    ``E_n`` floored once, so it is within ``e_n`` units of ``2^-w`` of the
+    exact exponential of the fixed-point ``g``, where ``e_0 = 0`` and
+    ``e_n = 1 + sum_{k=1..n} (k/n) |g_k 2^-w| e_(n-k)``.
+    """
+    out = [1 << w]
+    for n in range(1, len(g)):
+        out.append(sum(k * g[k] * out[n - k] for k in range(1, n + 1)) // (n << w))
+    return tuple(out)
 
 
 def series_scale(f: PowerSeries, c) -> PowerSeries:

@@ -36,10 +36,13 @@ the order-``N`` series of ``zeta`` itself (:func:`zeta_series`) is accurate
 there only to about ``rho^(N/2)``, because ``zeta`` converges only for
 ``|z| < sqrt(rho)``.  The pipeline holds the ``2N+1`` coefficients as
 fixed-point integers ``floor(g_m 2^w)``, ``w`` the working precision plus
-:data:`treeasym.hp.FIXED_GUARD_BITS` bits (:func:`numeric_exponent`).
-Integer Horner passes over them give ``h^(j)(x)/j!``, and the exponential
-of that short series gives the Taylor coefficients of ``zeta`` at ``x``
-(:func:`zeta_taylor`) in ``O(rN)`` integer multiply-adds.
+:data:`treeasym.hp.FIXED_GUARD_BITS` bits (:func:`numeric_exponent`),
+computed straight from the integer divisor sums.  Integer Horner passes
+over them give ``h^(j)(x)/j!`` (one split sweep serves the exponent and its
+``N//2`` prefix, see :mod:`treeasym.solver`); adding ``a log z + log c``
+gives the Taylor coefficients of ``log zeta`` (:func:`log_zeta_taylor`),
+and their short exponential on integers those of ``zeta``
+(:func:`zeta_taylor`), in ``O(rN)`` integer multiply-adds.
 """
 
 from __future__ import annotations
@@ -47,11 +50,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import hp
 from .counts import CountSequence, hierarchy_counts, identity_counts, polya_counts
-from .series import PowerSeries, series_exp, series_scale, series_shift, series_taylor
+from .series import (
+    PowerSeries,
+    series_exp,
+    series_exp_fixed,
+    series_scale,
+    series_shift,
+    series_taylor,
+)
 
 # Not called here; the benchmark traces this name in this module (perfbench/layers.py).
 from .series import series_eval_deriv_tail  # noqa: F401
@@ -133,6 +143,19 @@ def hierarchy_spec_flipped_shift() -> VarietySpec:
     )
 
 
+def _divisor_sums(spec: VarietySpec, counts: CountSequence, N: int) -> list:
+    """``S_m = sum_{d | m, d < m} eps_(m/d) d T_d`` for ``m = 0 .. 2N``, reading counts to ``N``."""
+    if counts.n_max < N:
+        raise ValueError(f"counts cover n <= {counts.n_max}, need {N}")
+    S = [0] * (2 * N + 1)
+    eps = [spec.eps(i) for i in range(2 * N + 1)]
+    for d in range(1, N + 1):
+        dT = d * counts[d]
+        for i in range(2, 2 * N // d + 1):
+            S[i * d] += eps[i] * dT
+    return S
+
+
 def zeta_exponent(spec: VarietySpec, counts: CountSequence, N: int) -> PowerSeries:
     """Exact coefficients ``g_0 .. g_(2N)`` of ``h = sigma*(1-z)/2 + sum_{i>=2} eps_i T(z^i)/i``.
 
@@ -143,13 +166,7 @@ def zeta_exponent(spec: VarietySpec, counts: CountSequence, N: int) -> PowerSeri
     and the first ``2n+1`` coefficients are the exponent of degree ``2n`` for
     every ``n <= N`` (:func:`exponent_prefix`).
     """
-    if counts.n_max < N:
-        raise ValueError(f"counts cover n <= {counts.n_max}, need {N}")
-    S = [0] * (2 * N + 1)
-    for d in range(1, N + 1):
-        dT = d * counts[d]
-        for i in range(2, 2 * N // d + 1):
-            S[i * d] += spec.eps(i) * dT
+    S = _divisor_sums(spec, counts, N)
     half = Fraction(spec.shift_sign, 2)
     g = [half] + [Fraction(S[m], m) for m in range(1, 2 * N + 1)]
     if N >= 1:
@@ -160,11 +177,17 @@ def zeta_exponent(spec: VarietySpec, counts: CountSequence, N: int) -> PowerSeri
 def numeric_exponent(spec: VarietySpec, counts: CountSequence, N: int, ctx) -> tuple:
     """:func:`zeta_exponent` in fixed point: ``floor(g_m 2^w)`` with ``w = hp.fixed_bits(ctx)``.
 
-    Built once, for the root step and the Taylor step.
+    Computed as ``floor(S_m 2^w / m)`` straight from the integer divisor
+    sums; ``sigma/2`` is ``sigma 2^(w-1)`` exactly.  Built once, for the root
+    and the Taylor models of both truncation orders.
     """
     w = hp.fixed_bits(ctx)
-    g = zeta_exponent(spec, counts, N)
-    return tuple((c.numerator << w) // c.denominator for c in g.coeffs)
+    S = _divisor_sums(spec, counts, N)
+    half = spec.shift_sign << (w - 1)
+    h = [half] + [(S[m] << w) // m for m in range(1, 2 * N + 1)]
+    if N >= 1:
+        h[1] -= half
+    return tuple(h)
 
 
 def exponent_prefix(h: tuple, n: int) -> tuple:
@@ -185,32 +208,36 @@ def zeta_series(spec: VarietySpec, counts: CountSequence, N: int, ctx) -> PowerS
     return series_shift(out, spec.z_exponent)
 
 
-def exponent_taylor(h: tuple, x, r: int, ctx) -> tuple:
-    """``h^(j)(x) / j!`` for ``j = 0 .. r`` in ``ctx``, from the fixed-point exponent ``h``.
+def log_zeta_taylor(spec: VarietySpec, taylor: Sequence[int], x: int, w: int) -> list:
+    """Fixed-point Taylor coefficients of ``log zeta = h + a log z + log c`` at ``x``.
 
-    The Horner passes run on integers (:func:`treeasym.series.series_taylor`);
-    only ``x`` and the ``r + 1`` results are converted.
+    ``taylor`` holds those of ``h``.  ``a log(x + y) = a (log x +
+    log1p(y/x))`` adds ``a log x`` (one logarithm, :func:`treeasym.hp.fixed_log`)
+    and ``a (-1)^(k+1) / (k x^k)`` at order ``k``.
     """
-    w = hp.fixed_bits(ctx)
-    shifted = series_taylor(h, hp.to_fixed(x, w, ctx), r, w)
-    return tuple(hp.from_fixed(v, w, ctx) for v in shifted)
-
-
-def zeta_taylor(spec: VarietySpec, h: tuple, x, r: int, ctx) -> tuple:
-    """Taylor coefficients ``zeta^(j)(x) / j!`` for ``j = 0 .. r`` from the numeric exponent ``h``.
-
-    ``r + 1`` fixed-point Horner passes give ``h^(j)(x) / j!``; the
-    exponential of that length-``r+1`` series times ``c (x + y)^a`` is
-    ``zeta(x + y)`` to order ``r``.
-    """
-    x = hp.convert(x, ctx)
-    expo = series_exp(PowerSeries(exponent_taylor(h, x, r, ctx)), ctx)
+    c = spec.prefactor
+    out = list(taylor)
+    out[0] += hp.fixed_log((c.numerator << w) // c.denominator, w)
     a = spec.z_exponent
-    power = [math.comb(a, k) * x ** (a - k) for k in range(min(a, r) + 1)]  # (x + y)^a
-    c = hp.convert(spec.prefactor, ctx)
-    return tuple(
-        c * sum(power[k] * expo[j - k] for k in range(min(a, j) + 1)) for j in range(r + 1)
-    )
+    if a:
+        out[0] += a * hp.fixed_log(x, w)
+        inverse, power = (1 << 2 * w) // x, 1 << w
+        for k in range(1, len(out)):
+            power = power * inverse >> w  # x^-k
+            out[k] += a * power // k if k % 2 else -(a * power // k)
+    return out
+
+
+def zeta_taylor(log_taylor: Sequence[int], w: int, value, ctx) -> tuple:
+    """``zeta^(j)(x) / j!`` for ``j = 0 .. r`` from the Taylor coefficients of ``log zeta`` at ``x``.
+
+    ``log_taylor`` is fixed-point (:func:`log_zeta_taylor`) and ``value`` is
+    ``zeta(x)``: ``zeta(x + y) = zeta(x) exp(sum_{j>=1} L_j y^j)``, whose
+    short exponential runs on integers
+    (:func:`treeasym.series.series_exp_fixed`).  At the root
+    ``zeta(rho) = 1/e``, so no exponential of ``L_0`` is needed there.
+    """
+    return tuple(value * hp.from_fixed(v, w, ctx) for v in series_exp_fixed(log_taylor, w))
 
 
 def exponent_tail(h: tuple, x, r: int, ctx):
@@ -231,8 +258,11 @@ def zeta_derivatives(
     """``zeta^(0)(x) .. zeta^(r_max)(x)`` from the exponent of degree ``2N``."""
     if r_max < 0:
         raise ValueError("r_max must be non-negative")
+    w = hp.fixed_bits(ctx)
+    X = hp.to_fixed(x, w, ctx)
     h = numeric_exponent(spec, counts, N, ctx)
-    taylor = zeta_taylor(spec, h, x, r_max, ctx)
+    log_taylor = log_zeta_taylor(spec, series_taylor(h, X, r_max, w), X, w)
+    taylor = zeta_taylor(log_taylor, w, ctx.exp(hp.from_fixed(log_taylor[0], w, ctx)), ctx)
     return tuple(math.factorial(j) * z for j, z in enumerate(taylor))
 
 

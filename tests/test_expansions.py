@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import pytest
 
-from treeasym import series, solver, varieties
+from treeasym import hp, series, solver, varieties
 from treeasym.expansions import (
     _apply_post_transform,
     derivative_orders_needed,
@@ -17,17 +17,13 @@ from treeasym.expansions import (
 from treeasym.hp import agreement_digits, context, working_context
 from treeasym.series import TruncationWarning, series_eval_deriv
 from treeasym.solver import DEFAULT_BRACKET, MAX_NEWTON, find_root, solve_rho
-from treeasym.varieties import (
-    get_variety,
-    numeric_exponent,
-    zeta_derivatives,
-    zeta_series,
-    zeta_taylor,
-)
+from treeasym.varieties import get_variety, numeric_exponent, zeta_derivatives, zeta_series
 
 from puiseux_oracle import composition_power_table, miller_t_values, t_values
 from qr_oracle import compositions
 from reference_values import RHO_50, T_TABLE, TAU_TABLE
+from two_run_oracle import expand as two_run_expand
+from two_run_oracle import zeta_taylor
 
 
 class TestCompositionPowerTable:
@@ -226,7 +222,9 @@ class TestPipelineGuards:
             raise AssertionError("zeta computed for a rejected order")
 
         monkeypatch.setattr(varieties, "zeta_exponent", no_series)
+        monkeypatch.setattr(varieties, "_divisor_sums", no_series)
         monkeypatch.setattr(varieties, "series_exp", no_series)
+        monkeypatch.setattr(varieties, "series_exp_fixed", no_series)
         with pytest.raises(ValueError, match="order L must be >= 0, got -1"):
             expand_variety("hierarchy", L=-1)
 
@@ -292,36 +290,41 @@ class TestCertification:
         assert all(c >= 15 for c in tau_cert[:5])
 
     def test_one_series_exponential_per_order(self, monkeypatch):
-        # one short exponential of the Taylor series of h at rho per
-        # truncation order (N and N // 2); none of order N or N // 2
-        orders = []
-        original = varieties.series_exp
+        # one integer exponential of the short log-zeta model at each root
+        # (N and N // 2); no series exponential at all
+        lengths = []
+        original = varieties.series_exp_fixed
 
-        def counted(g, ctx=None):
-            orders.append(g.order)
-            return original(g, ctx)
+        def counted(g, w):
+            lengths.append(len(g))
+            return original(g, w)
 
-        monkeypatch.setattr(varieties, "series_exp", counted)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("series exponential on the pipeline path")
+
+        monkeypatch.setattr(varieties, "series_exp_fixed", counted)
+        monkeypatch.setattr(varieties, "series_exp", forbidden)
         expand_variety("polya", L=2, N=100, D=30)
-        assert len(orders) == 2
-        assert all(order == derivative_orders_needed(5) for order in orders)
-        assert 100 not in orders and 50 not in orders
+        assert lengths == [derivative_orders_needed(5) + 1] * 2
 
     def test_one_bisection_per_expansion(self, monkeypatch):
-        # the N // 2 check run starts Newton at the order-N root
-        calls = []
-        original = solver._bisect
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(solver, "_bisect", counted)
+        # one split sweep over all 2N+1 coefficients gives both orders; the
+        # N // 2 result has no bracket phase of its own, and every other
+        # Horner pass runs on a short prefix or on the short model
+        calls = _count_passes(monkeypatch)
         result = expand_variety("hierarchy", L=2, N=100, D=30)
-        assert len(calls) == 1
-        calls.clear()
+        _assert_one_sweep(calls, N=100, r=derivative_orders_needed(5), D=30, doubling=0)
         solve_rho(result.spec, result.counts, 100, 30)
-        assert len(calls) == 1
+        _assert_one_sweep(calls, N=100, r=0, D=30, doubling=0)
+
+    def test_doubling_start_steps_run_below_full_width(self, monkeypatch):
+        # at 120 digits the float start needs two doubling steps, each on a
+        # prefix below full width, and still one sweep follows
+        calls = _count_passes(monkeypatch)
+        result = expand_variety("polya", L=2, N=300, D=120)
+        _assert_one_sweep(calls, N=300, r=derivative_orders_needed(5), D=120, doubling=2)
+        solve_rho(result.spec, result.counts, 300, 120)
+        _assert_one_sweep(calls, N=300, r=0, D=120, doubling=2)
 
     def test_stability_between_orders(self, pipeline):
         # rho and tau stable to >= 15 digits between N=200 and N=300
@@ -344,24 +347,82 @@ class TestDirectZetaRoute:
         assert agreement_digits(result.rho_result.rho, ctx.mpf(RHO_50[variety]), ctx) >= 49
 
     def test_no_order_n_exponential_and_no_termwise_evaluation(self, monkeypatch):
-        orders = []
-        original = varieties.series_exp
+        lengths = []
+        original = varieties.series_exp_fixed
 
-        def counted(g, ctx=None):
-            orders.append(g.order)
-            return original(g, ctx)
+        def counted(g, w):
+            lengths.append(len(g))
+            return original(g, w)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("term-wise series evaluation on the pipeline path")
+            raise AssertionError("series exponential or term-wise evaluation on the pipeline path")
 
-        monkeypatch.setattr(varieties, "series_exp", counted)
+        monkeypatch.setattr(varieties, "series_exp_fixed", counted)
+        monkeypatch.setattr(varieties, "series_exp", forbidden)
         for owner in (series, varieties, solver):
             monkeypatch.setattr(owner, "series_eval_deriv_tail", forbidden)
+        calls = _count_passes(monkeypatch)
         result = expand_variety("identity", L=4, N=120, D=40)
-        assert orders == [derivative_orders_needed(9)] * 2
-        orders.clear()
+        assert lengths == [derivative_orders_needed(9) + 1] * 2
+        _assert_one_sweep(calls, N=120, r=derivative_orders_needed(9), D=40)
+        lengths.clear()
         solve_rho(result.spec, result.counts, 120, 40)
-        assert orders == []
+        assert lengths == []
+        _assert_one_sweep(calls, N=120, r=0, D=40)
+
+
+def _count_passes(monkeypatch) -> dict:
+    """Record the arguments of the solver's bracket phases, split sweeps and Horner passes."""
+    calls = {"_bracket": [], "series_taylor_split": [], "series_taylor": []}
+    for name, seen in calls.items():
+        original = getattr(solver, name)
+
+        def counted(*args, original=original, seen=seen):
+            seen.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(solver, name, counted)
+    return calls
+
+
+def _assert_one_sweep(calls, N, r, D, doubling=0):
+    """One bracket phase; ``doubling`` start steps below full width; one split
+    sweep over the degree-``2N`` exponent, cut at ``N // 2``, to order
+    ``r + MODEL_EXTRA`` at full width; no other pass at full width over more
+    than the short model."""
+    w = hp.fixed_bits(working_context(D))
+    assert len(calls["_bracket"]) == 1
+    assert sum(width < w for *_, width in calls["series_taylor"]) == doubling
+    [(h, cut, _, order, width)] = calls["series_taylor_split"]
+    assert (len(h), cut, order, width) == (2 * N + 1, 2 * (N // 2) + 1, r + solver.MODEL_EXTRA, w)
+    for coeffs, _, _, width in calls["series_taylor"]:
+        # precision-graded start steps run below full width on a prefix;
+        # the shifts to the roots run on the short model
+        assert len(coeffs) <= cut
+        assert width < w or len(coeffs) == r + 1 + solver.MODEL_EXTRA
+    for seen in calls.values():
+        seen.clear()
+
+
+@pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
+@pytest.mark.parametrize(
+    "L, N, D", [(8, 100, 40), (8, 200, 40), (18, 300, 80), (12, 600, 200), (4, 60, 30), (40, 200, 60)]
+)
+def test_matches_two_run_oracle(variety, L, N, D):
+    # one sweep and Newton on the short models against each order solved and
+    # Taylor-expanded on its own: the same certified counts, the same values
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        got = expand_variety(variety, L=L, N=N, D=D)
+    oracle = two_run_expand(variety, L, N, D)
+    assert got.rho_result.certified_digits == oracle["rho_certified"]
+    assert list(got.puiseux.certified_digits) == oracle["t_certified"]
+    assert list(got.asym.certified_digits) == oracle["tau_certified"]
+    ctx = got.asym.ctx
+    pairs = [(got.rho_result.rho, oracle["rho"])]
+    pairs += list(zip(got.puiseux.t, oracle["t"])) + list(zip(got.asym.tau, oracle["tau"]))
+    for n, (a, b) in enumerate(pairs):
+        assert agreement_digits(a, b, ctx) >= D + 10, (variety, n)
 
 
 class TestTruncationWarning:

@@ -20,8 +20,10 @@ from treeasym.series import (
     series_eval_deriv_tail,
     series_exp,
     series_mul,
+    series_exp_fixed,
     series_substitute_power,
     series_taylor,
+    series_taylor_split,
 )
 
 
@@ -247,3 +249,94 @@ class TestTaylor:
         for j in range(r + 1):
             bound = (j + 2) / (1 - x) ** (j + 1)
             assert abs(Fraction(got[j], 2**w) - exact[j]) * 2**w <= bound
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        coeffs=st.lists(st.integers(min_value=-(2**64), max_value=2**64), min_size=1, max_size=30),
+        y=st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2), max_denominator=10**9),
+        w=st.sampled_from([64, 100, 226]),
+    )
+    def test_shift_by_a_signed_point_within_bound(self, coeffs, y, w):
+        # the shift of a short model to its root: y of either sign, bound at |y|
+        r = len(coeffs) - 1
+        Y = math.floor(y * 2**w)
+        got = series_taylor([c << w for c in coeffs], Y, r, w)
+        exact = exact_taylor(coeffs, Fraction(Y, 2**w), r)
+        for j in range(r + 1):
+            bound = (j + 2) / (1 - abs(y)) ** (j + 1)
+            assert abs(Fraction(got[j], 2**w) - exact[j]) * 2**w <= bound
+
+
+class TestTaylorSplit:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        coeffs=st.lists(st.integers(min_value=-(2**64), max_value=2**64), min_size=1, max_size=160),
+        x=st.fractions(min_value=0, max_value=Fraction(3, 5), max_denominator=10**6),
+        r=st.integers(min_value=0, max_value=12),
+        w=st.sampled_from([64, 100, 226]),
+        data=st.data(),
+    )
+    def test_within_documented_bound(self, coeffs, x, r, w, data):
+        if x == Fraction(3, 5):
+            x = Fraction(0)  # the interval is [0, 0.6)
+        cut = data.draw(st.integers(min_value=1, max_value=len(coeffs)))
+        X = math.floor(x * 2**w)
+        xw = Fraction(X, 2**w)
+        f = [c << w for c in coeffs]
+        whole, low = series_taylor_split(f, cut, X, r, w)
+        assert len(whole) == len(low) == r + 1
+
+        def padded(values, n):
+            top = min(r, n - 1)
+            return series_taylor(values[:n], X, top, w) + (0,) * (r - top)
+
+        def block(j):
+            return (j + 2) / (1 - x) ** (j + 1)
+
+        # the prefix is series_taylor's own result
+        assert low == padded(f, cut)
+        reference = padded(f, len(f))
+        exact = exact_taylor(coeffs, xw, min(r, len(coeffs) - 1)) + [0] * r
+        for j in range(r + 1):
+            bound = block(j) + sum(
+                math.comb(cut, k) * xw ** (cut - k) * block(j - k) + 2 for k in range(min(j, cut) + 1)
+            )
+            error = abs(Fraction(whole[j], 2**w) - exact[j]) * 2**w
+            assert error <= bound, (j, cut)
+            assert abs(whole[j] - reference[j]) <= bound + block(j)
+
+    def test_high_block_below_the_unit(self):
+        # x^cut far below 2^-w: the top block still reaches the whole's
+        # coefficients (here through x^cut times 2^200-sized coefficients)
+        w, cut = 64, 150
+        coeffs = [1 << w] * cut + [1 << (w + 200)] * 5
+        X = 1 << (w - 1)
+        whole, low = series_taylor_split(coeffs, cut, X, 3, w)
+        exact = exact_taylor([c >> w for c in coeffs], Fraction(1, 2), 3)
+        for j in range(4):
+            assert abs(Fraction(whole[j], 2**w) - exact[j]) * 2**w <= 2 * (j + 2) * 2 ** (j + 1) + 8
+        assert whole != low
+
+    def test_cut_must_be_positive(self):
+        with pytest.raises(ValueError):
+            series_taylor_split((1, 1), 0, 0, 1, 8)
+
+
+class TestExpFixed:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        g=st.lists(st.fractions(min_value=-8, max_value=8, max_denominator=1000), min_size=1, max_size=14),
+        w=st.sampled_from([64, 100, 226]),
+    )
+    def test_within_stated_unit_bound(self, g, w):
+        G = [math.floor(c * 2**w) for c in g]
+        got = series_exp_fixed(G, w)
+        exact = series_exp(PowerSeries(tuple([Fraction(0)] + [Fraction(c, 2**w) for c in G[1:]])))
+        bound = [Fraction(0)]
+        for n in range(1, len(G)):
+            bound.append(
+                1 + sum(Fraction(k, n) * abs(Fraction(G[k], 2**w)) * bound[n - k] for k in range(1, n + 1))
+            )
+        assert got[0] == 1 << w
+        for n in range(len(G)):
+            assert abs(Fraction(got[n], 2**w) - exact[n]) * 2**w <= bound[n], n

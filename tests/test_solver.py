@@ -80,7 +80,8 @@ def test_input_validation(pipeline_counts):
 
 
 def test_newton_stall_reported(pipeline_counts):
-    # one Newton step from the 10**-3 bisection width cannot reach 10**-65
+    # one Newton step on the short model, from a start about 2^-96 off the
+    # root (float Newton, then one doubling step), cannot reach 10**-65
     spec = get_variety("polya")
     with pytest.raises(StalledError, match="not contracting after 1 iterations"):
         solve_rho(spec, pipeline_counts["polya"], 200, 60, max_newton=1)
@@ -106,3 +107,16 @@ def test_warm_start_finds_the_bisected_root(pipeline_counts, variety):
     warm, iterations = find_root(spec, half, ctx, DEFAULT_BRACKET, 60, MAX_NEWTON, start=rho)
     assert agreement_digits(warm, cold, ctx) >= 63
     assert iterations <= 3
+
+
+def test_a_distant_start_is_swept_again(pipeline_counts):
+    # a start 10**-3 off the root is outside the range of the short Taylor
+    # model: its first root is swept again until the model holds, and the
+    # result is the root found from the bracket
+    spec, ctx = get_variety("identity"), working_context(60)
+    h = numeric_exponent(spec, pipeline_counts["identity"], 200, ctx)
+    cold, _ = find_root(spec, h, ctx, DEFAULT_BRACKET, 60, MAX_NEWTON)
+    far, iterations = find_root(spec, h, ctx, DEFAULT_BRACKET, 60, MAX_NEWTON,
+                                start=cold + ctx.mpf(10) ** -3)
+    assert agreement_digits(far, cold, ctx) >= 70
+    assert iterations > 3

@@ -1,0 +1,124 @@
+"""The two-run solver path, kept as a test oracle.
+
+Each truncation order is solved on its own: an mpf bisection on a short
+prefix of the exponent, then Newton with two full-width fixed-point Horner
+passes per iteration, then ``r + 1`` passes at the root and an mpf series
+exponential for the Taylor coefficients of ``zeta``.  The ``N//2`` run
+starts Newton at the order-``N`` root.  The library reads both orders off
+one split sweep and integer Newton on short Taylor models
+(:func:`treeasym.solver.solve_models`).
+"""
+
+from __future__ import annotations
+
+import math
+
+from treeasym import hp
+from treeasym.expansions import derivative_orders_needed, puiseux_coeffs, tau_coeffs
+from treeasym.series import PowerSeries, series_exp, series_taylor
+from treeasym.solver import (
+    BRACKET_REACH,
+    DEFAULT_BRACKET,
+    MAX_NEWTON,
+    NoBracketError,
+    StalledError,
+)
+from treeasym.varieties import exponent_prefix, get_variety, numeric_exponent
+
+
+def exponent_taylor(h: tuple, x, r: int, ctx) -> tuple:
+    """``h^(j)(x) / j!`` for ``j = 0 .. r`` in ``ctx``, from the fixed-point exponent ``h``."""
+    w = hp.fixed_bits(ctx)
+    shifted = series_taylor(h, hp.to_fixed(x, w, ctx), r, w)
+    return tuple(hp.from_fixed(v, w, ctx) for v in shifted)
+
+
+def zeta_taylor(spec, h: tuple, x, r: int, ctx) -> tuple:
+    """``zeta^(j)(x) / j!`` for ``j = 0 .. r``: the mpf exponential of ``h``'s Taylor series times ``c (x+y)^a``."""
+    x = hp.convert(x, ctx)
+    expo = series_exp(PowerSeries(exponent_taylor(h, x, r, ctx)), ctx)
+    a = spec.z_exponent
+    power = [math.comb(a, k) * x ** (a - k) for k in range(min(a, r) + 1)]  # (x + y)^a
+    c = hp.convert(spec.prefactor, ctx)
+    return tuple(
+        c * sum(power[k] * expo[j - k] for k in range(min(a, j) + 1)) for j in range(r + 1)
+    )
+
+
+def find_root(spec, h: tuple, ctx, bracket, D, max_newton, start=None):
+    """Root of ``h(x) + a log x + log c + 1`` and the Newton iteration count.
+
+    Bisection to ``10**-3`` on the prefix of count reach ``BRACKET_REACH``
+    (skipped when ``start`` is given), then mpf Newton on all of ``h`` to a
+    ``10**-(D+5)`` step.
+    """
+    a = spec.z_exponent
+    offset = ctx.log(hp.convert(spec.prefactor, ctx)) + 1
+    x_min, x_max = hp.convert(bracket[0], ctx), hp.convert(bracket[1], ctx)
+    if start is None:
+        x = _bisect(spec, exponent_prefix(h, BRACKET_REACH), ctx, x_min, x_max, offset)
+    else:
+        x = hp.convert(start, ctx)
+    tolerance = ctx.mpf(10) ** (-(D + 5))
+    for iteration in range(1, max_newton + 1):
+        value, slope = exponent_taylor(h, x, 1, ctx)
+        step = (value + a * ctx.log(x) + offset) / (slope + a / x)
+        x -= step
+        if abs(step) < tolerance:
+            return x, iteration
+        if not x_min <= x <= x_max:
+            raise StalledError(f"{spec.name}: Newton left the bracket")
+    raise StalledError(f"{spec.name}: Newton not contracting after {max_newton} iterations")
+
+
+def _bisect(spec, coarse: tuple, ctx, lo, hi, offset):
+    """Midpoint of a ``10**-3`` bracket of the root on the short exponent ``coarse``."""
+    a = spec.z_exponent
+
+    def residual(x):
+        return exponent_taylor(coarse, x, 0, ctx)[0] + a * ctx.log(x) + offset
+
+    f_lo = residual(lo)
+    if (f_lo < 0) == (residual(hi) < 0):
+        raise NoBracketError(f"{spec.name}: no sign change of log(zeta) + 1")
+    while hi - lo > ctx.mpf(10) ** -3:
+        mid = (lo + hi) / 2
+        f_mid = residual(mid)
+        if (f_mid < 0) == (f_lo < 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def expand(variety: str, L: int, N: int, D: int) -> dict:
+    """``rho``, ``t``, ``tau``, their ``N//2``-certified digit counts and the Newton count.
+
+    The pipeline of :func:`treeasym.expansions.expand_variety` with
+    ``K = 2L + 1``, each order solved and Taylor-expanded on its own.
+    """
+    spec, K = get_variety(variety), 2 * L + 1
+    ctx = hp.working_context(D)
+    h = numeric_exponent(spec, spec.count_source(N), N, ctx)
+    r_max = derivative_orders_needed(K)
+    runs, start = [], None
+    for exponent in (h, exponent_prefix(h, N // 2)):
+        rho, iterations = find_root(spec, exponent, ctx, DEFAULT_BRACKET, D, MAX_NEWTON, start)
+        t = puiseux_coeffs(spec, rho, zeta_taylor(spec, exponent, rho, r_max, ctx), K, ctx)
+        runs.append((rho, iterations, t, tau_coeffs(t, L, ctx)))
+        start = rho
+    (rho, iterations, t, tau), (rho_check, _, t_check, tau_check) = runs
+
+    def certified(values, checks):
+        return [hp.certified_digits(a, b, D, ctx) for a, b in zip(values, checks)]
+
+    return dict(
+        ctx=ctx,
+        rho=rho,
+        iterations=iterations,
+        t=t,
+        tau=tau,
+        rho_certified=hp.certified_digits(rho, rho_check, D, ctx),
+        t_certified=certified(t, t_check),
+        tau_certified=certified(tau, tau_check),
+    )
