@@ -8,12 +8,12 @@ A000669, sized by leaf count).
 """
 
 from .counts import (
-    CountSequence,
+    VARIETIES,
     VARIETY_NAMES,
+    CountSequence,
+    VarietySpec,
     counts_for,
-    hierarchy_counts,
-    identity_counts,
-    polya_counts,
+    get_variety,
     product_form_oracle,
 )
 from .expansions import (
@@ -43,13 +43,7 @@ from .series import (
     series_substitute_power,
 )
 from .solver import NoBracketError, RhoResult, SolverError, StalledError, solve_rho
-from .varieties import (
-    VARIETIES,
-    VarietySpec,
-    get_variety,
-    zeta_derivatives,
-    zeta_series,
-)
+from .varieties import zeta_derivatives, zeta_series
 
 __version__ = "0.1.0"
 
@@ -77,9 +71,6 @@ __all__ = [
     "estimate_count",
     "expand_variety",
     "get_variety",
-    "hierarchy_counts",
-    "identity_counts",
-    "polya_counts",
     "product_form_oracle",
     "puiseux_coeffs",
     "series_eval_deriv",

@@ -14,7 +14,10 @@ Each subcommand takes the variety and only the flags it reads:
 exponent of ``zeta`` goes to degree 2N) on ``expand``, ``estimate`` and ``error-table``; ``--format {json,csv}``
 on ``counts``, ``expand`` and ``estimate``; ``--cache-dir`` and
 ``--offline`` on ``verify-oeis``.  Cache directory precedence: flag, then
-``TREEASYM_CACHE_DIR``, then ``~/.cache/treeasym``.
+``TREEASYM_CACHE_DIR``, then ``~/.cache/treeasym``.  A count reach above
+``MAX_COUNT_REACH`` (2000), from ``--n``, ``--terms``, a size or the ``N``
+that ``--order`` implies, is an invalid configuration; ``--max-size`` can
+lower the size cap but not raise it past that limit.
 
 Output is deterministic for a fixed configuration: data lines carry no
 timestamps and metadata goes into ``#``-prefixed header lines (CSV) or
@@ -142,6 +145,15 @@ def _check_precision(args: argparse.Namespace) -> None:
         raise ConfigError(f"--digits must be >= {hp.MIN_DIGITS}, got {args.digits}")
     if args.terms < 1:
         raise ConfigError(f"--terms must be positive, got {args.terms}")
+    _check_reach("--terms", args.terms)
+
+
+def _check_reach(flag: str, reach: int) -> None:
+    # one cap on every count reach read from input: far beyond it the counts
+    # alone exhaust memory, which would end in a traceback
+    if reach > MAX_COUNT_REACH:
+        raise ConfigError(f"{flag} reaches counts to n={reach}, "
+                          f"beyond the limit {MAX_COUNT_REACH}")
 
 
 def _print(line: str = "") -> None:
@@ -151,6 +163,7 @@ def _print(line: str = "") -> None:
 def cmd_counts(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise ConfigError(f"--n must be non-negative, got {args.n}")
+    _check_reach("--n", args.n)
     seq = counts_for(args.variety, args.n)
     if args.fmt == "csv":
         _print(f"# counts variety={seq.variety} n_max={seq.n_max}")
@@ -221,6 +234,8 @@ def _expansion_for_orders(args: argparse.Namespace, max_order: int,
                           n_counts: int) -> VarietyExpansion:
     # raise N to 2K for the default K = 2L+1, so high orders run at small --terms
     N = max(args.terms, 2 * (2 * max_order + 1))
+    _check_reach(f"--order {max_order}", N)
+    _check_reach(f"size {n_counts}", n_counts)
     counts = counts_for(args.variety, max(N, n_counts))
     return expand_variety(args.variety, L=max_order, N=N, D=args.digits, counts=counts)
 
@@ -290,6 +305,7 @@ def cmd_error_table(args: argparse.Namespace) -> int:
 def cmd_verify_oeis(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise ConfigError(f"--n must be non-negative, got {args.n}")
+    _check_reach("--n", args.n)
     sequence_id = oeis.SEQUENCE_IDS[args.variety]
     fixture, source = oeis.get_sequence(
         sequence_id,

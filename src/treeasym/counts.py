@@ -1,23 +1,42 @@
-"""Exact counting sequences for the three tree varieties.
+"""Exact counting sequences, from the variety spec alone.
 
-Each variety is counted by a quadratic-time recurrence driven by divisor
-sums ``s(j) = sum_{m | j} m T_m`` that are maintained incrementally (when
-``T_i`` becomes known, ``i*T_i`` is added to every ``s`` entry at a multiple
-of ``i``), which is the interchanged-summation form of the published
-recurrences:
+Every variety is the Cayley equation ``T~ = zeta * exp(T~)`` perturbed by
 
-* rooted unlabelled non-plane ("Polya") trees, A000081:
-  ``(n-1) T_n = sum_j s(j) T_{n-j}``;
+    zeta(z) = c * z^a * exp( sigma*(1-z)/2 + sum_{i>=2} eps_i * T(z^i)/i ),
+
+with ``T~ = T - sigma*(1-z)/2``.  A :class:`VarietySpec` holds ``c``, ``a``,
+``sigma`` and the signs ``eps_i``; it is the only table of variety data.
+Since ``sigma*(1-z)/2 + T~ = T``, the equation reads
+``T~ = c z^a exp(sum_{i>=1} eps_i T(z^i)/i)`` with ``eps_1 = 1``, and
+``z d/dz log`` of it gives one recurrence for every spec,
+
+    (n - a) T~_n = sum_{k=1}^{n} s(k) T~_(n-k),   s(k) = sum_{j | k} eps_(k/j) j T_j,
+
+where the divisor sums ``s`` are maintained incrementally (when ``T_j``
+becomes known, ``eps_m j T_j`` is added to ``s(m j)`` for every ``m``).
+Splitting ``s(n) = S_n + n T_n``, with ``S_n`` the sum over proper
+divisors, and scaling by ``d = 2`` when ``sigma != 0`` keeps it on integers
+(:func:`spec_counts`):
+
+    (d(n-a) - n U_0) T_n = sum_{k=1}^{n-1} s(k) U_(n-k) + S_n U_0,
+    U_0 = -d sigma/2,  U_1 = d (T_1 + sigma/2),  U_k = d T_k  (k >= 2),
+
+seeded with ``T_1 = 1``.  The convolution runs on the counts themselves:
+``sum_k s(k) U_(n-k) = d sum_k s(k) T_(n-k) + (d sigma/2) s(n-1)``.  The
+published recurrences are its instances:
+
+* rooted unlabelled non-plane ("Polya") trees, A000081 (``a = 1``,
+  ``sigma = 0``, ``eps_i = 1``): ``(n-1) T_n = sum_j s(j) T_{n-j}``;
 * rooted identity trees (only the trivial root automorphism), A004111:
-  same with the signed divisor sum ``s(j) = sum_{m | j} (-1)^(j/m+1) m T_m``;
-* hierarchies (no unary nodes, size = number of leaves), A000669:
-  ``n T_n = s(n)|_{m<n} + 2 sum_j s(j) T_{n-j} - s(n-1)``,
-  where the final term collects the paired -1/2 corrections the inner sum
-  picks up whenever ``T_1`` is hit.
+  the same with ``eps_i = (-1)^(i-1)``;
+* hierarchies (no unary nodes, size = number of leaves), A000669
+  (``c = 1/2``, ``a = 0``, ``sigma = -1``):
+  ``n T_n = S_n + 2 sum_j s(j) T_{n-j} - s(n-1)``.
 
 All divisions must be exact; every sequence value is an arbitrary-size
-non-negative integer, and each recurrence raises :class:`ArithmeticError`
-when a division leaves a remainder.
+non-negative integer, and the recurrence raises :class:`ArithmeticError`
+when a division leaves a remainder, as it does for a spec that admits no
+integer counts.
 
 Independent product/fixpoint forms of the same sequences are provided in
 :func:`product_form_oracle` for cross-validation; they extract coefficients
@@ -35,11 +54,10 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 #: Largest index the (cubic-ish) oracle path accepts by default.
 DEFAULT_ORACLE_BOUND = 200
-
-VARIETY_NAMES = ("polya", "identity", "hierarchy")
 
 
 @dataclass(frozen=True)
@@ -63,41 +81,88 @@ class CountSequence:
         return len(self.values)
 
 
-def polya_counts(n_max: int) -> CountSequence:
-    """Rooted unlabelled non-plane trees by node count (0, 1, 1, 2, 4, 9, ...)."""
-    return CountSequence("polya", _divisor_sum_recurrence(n_max, signed=False))
+@dataclass(frozen=True)
+class VarietySpec:
+    """Data defining one variety's perturbation factor ``zeta``, and so its counts."""
+
+    name: str
+    prefactor: Fraction           # c
+    z_exponent: int               # a, 0 or 1
+    shift_sign: int               # sigma in {-1, 0}
+    alternating_signs: bool       # eps_i = (-1)^(i-1) if True else +1
+
+    def eps(self, i: int) -> int:
+        if self.alternating_signs:
+            return 1 if i % 2 == 1 else -1
+        return 1
+
+    def count_source(self, n_max: int) -> CountSequence:
+        """The counts ``T_0 .. T_(n_max)`` of this variety (:func:`spec_counts`)."""
+        return spec_counts(self, n_max)
 
 
-def identity_counts(n_max: int) -> CountSequence:
-    """Rooted identity trees by node count (0, 1, 1, 1, 2, 3, 6, ...)."""
-    return CountSequence("identity", _divisor_sum_recurrence(n_max, signed=True))
+POLYA = VarietySpec(
+    name="polya",
+    prefactor=Fraction(1),
+    z_exponent=1,
+    shift_sign=0,
+    alternating_signs=False,
+)
+
+IDENTITY = VarietySpec(
+    name="identity",
+    prefactor=Fraction(1),
+    z_exponent=1,
+    shift_sign=0,
+    alternating_signs=True,
+)
+
+HIERARCHY = VarietySpec(
+    name="hierarchy",
+    prefactor=Fraction(1, 2),
+    z_exponent=0,
+    shift_sign=-1,
+    alternating_signs=False,
+)
+
+VARIETIES: dict[str, VarietySpec] = {s.name: s for s in (POLYA, IDENTITY, HIERARCHY)}
+
+VARIETY_NAMES = tuple(VARIETIES)
 
 
-def _divisor_sum_recurrence(n_max: int, signed: bool) -> list[int]:
+def get_variety(name: str) -> VarietySpec:
+    try:
+        return VARIETIES[name]
+    except KeyError:
+        raise ValueError(f"unknown variety {name!r}; expected one of {sorted(VARIETIES)}")
+
+
+def add_to_multiples(s: list, eps: Sequence[int], d: int, value: int, first: int = 1) -> None:
+    """``s[m d] += eps[m] * value`` for every ``m >= first`` with ``m d`` an index of ``s``."""
+    for m in range(first, (len(s) - 1) // d + 1):
+        s[m * d] += eps[m] * value
+
+
+def spec_counts(spec: VarietySpec, n_max: int) -> CountSequence:
+    """Counts ``T_0 .. T_(n_max)`` of ``spec`` by the module's integer recurrence."""
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
+    d = 2 if spec.shift_sign else 1
+    half = d * spec.shift_sign // 2  # d sigma / 2 = -U_0, an integer
+    eps = [spec.eps(m) for m in range(n_max + 1)]
     T = [0] * (n_max + 1)
     s = [0] * (n_max + 1)
-
-    def publish(i: int) -> None:
-        v = i * T[i]
-        if signed:
-            for m, j in enumerate(range(i, n_max + 1, i), start=1):
-                s[j] += v if m % 2 == 1 else -v
-        else:
-            for j in range(i, n_max + 1, i):
-                s[j] += v
-
     if n_max >= 1:
         T[1] = 1
-        publish(1)
+        add_to_multiples(s, eps, 1, 1)
     rev = deque()  # T[n-1], ..., T[1]
     for n in range(2, n_max + 1):
         rev.appendleft(T[n - 1])
-        total = sum(map(operator.mul, s[1:n], rev))
-        T[n] = _divide_exactly(total, n - 1, n)
-        publish(n)
-    return T
+        # sum_k s(k) U_(n-k) + S_n U_0, with s[n] = S_n since T_n is unset
+        total = d * sum(map(operator.mul, s[1:n], rev)) + half * (s[n - 1] - s[n])
+        T[n] = _divide_exactly(total, d * (n - spec.z_exponent) + n * half, n)
+        add_to_multiples(s, eps, n, n * T[n])
+    return CountSequence(spec.name, T)
 
 
 def _divide_exactly(total: int, divisor: int, n: int) -> int:
@@ -107,45 +172,11 @@ def _divide_exactly(total: int, divisor: int, n: int) -> int:
     return q
 
 
-def hierarchy_counts(n_max: int) -> CountSequence:
-    """Hierarchies by leaf count (0, 1, 1, 2, 5, 12, 33, ...).
-
-    Size is the number of leaves.  The -1/2 correction attached to each
-    inner-sum term with ``T_1`` pairs up across the doubled sum, so the
-    result is integral; this is checked rather than assumed.
-    """
-    if n_max < 0:
-        raise ValueError(f"n_max must be non-negative, got {n_max}")
-    T = [0] * (n_max + 1)
-    s = [0] * (n_max + 1)
-
-    def publish(i: int) -> None:
-        v = i * T[i]
-        for j in range(i, n_max + 1, i):
-            s[j] += v
-
-    if n_max >= 1:
-        T[1] = 1
-        publish(1)
-    rev = deque()  # T[n-1], ..., T[1]
-    for n in range(2, n_max + 1):
-        rev.appendleft(T[n - 1])
-        # s[n] currently holds sum_{m | n, m != n} m T_m since T_n is unset
-        conv = sum(map(operator.mul, s[1:n], rev))
-        T[n] = _divide_exactly(s[n] + 2 * conv - s[n - 1], n, n)
-        publish(n)
-    return CountSequence("hierarchy", T)
-
-
-_RECURRENCES = {
-    "polya": polya_counts,
-    "identity": identity_counts,
-    "hierarchy": hierarchy_counts,
-}
+_RECURRENCES = {name: spec.count_source for name, spec in VARIETIES.items()}
 
 
 def counts_for(variety: str, n_max: int) -> CountSequence:
-    """Dispatch to the recurrence for ``variety`` (see ``VARIETY_NAMES``)."""
+    """Dispatch to the counts of ``variety`` (see ``VARIETY_NAMES``)."""
     try:
         return _RECURRENCES[variety](n_max)
     except KeyError:
@@ -157,7 +188,7 @@ def product_form_oracle(
 ) -> CountSequence:
     """Recompute a counting sequence from its product/fixpoint definition.
 
-    This path exists for cross-validation of the recurrences and is slower;
+    This path exists for cross-validation of the recurrence and is slower;
     ``n_max`` beyond ``bound`` is rejected.
     """
     if n_max > bound:

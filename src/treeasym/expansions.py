@@ -135,12 +135,11 @@ def _t_values(rho, taylor: Sequence, K: int, ctx) -> list:
 
 
 def _apply_post_transform(t: list, rho, spec: VarietySpec) -> list:
-    if not spec.post_transform:
-        return t
+    """``t`` of ``T = T~ + sigma*(1-z)/2`` from that of ``T~``: ``1 - z = (1-rho) + rho*u``."""
     out = list(t)
-    out[0] = 1 - (1 - rho) / 2
+    out[0] += spec.shift_sign * (1 - rho) / 2
     if len(out) > 2:
-        out[2] = out[2] - rho / 2
+        out[2] += spec.shift_sign * rho / 2
     return out
 
 
@@ -148,7 +147,7 @@ def puiseux_coeffs(spec: VarietySpec, rho, taylor: Sequence, K: int, ctx) -> tup
     """Singular coefficients ``t_0 .. t_K`` from ``rho`` and ``taylor[r] = zeta^(r)(rho)/r!``.
 
     ``taylor`` must reach order :func:`derivative_orders_needed` ``(K)``.  The
-    hierarchy affine correction is applied after the generic coefficients.
+    shift ``sigma*(1-z)/2`` is added back after the generic coefficients.
     """
     if K < 1:
         raise ValueError(f"order K must be >= 1, got {K}")
@@ -165,7 +164,7 @@ def tau_coeffs(t: Sequence, L: int, ctx) -> tuple:
     """Instantiate ``tau_0 .. tau_L`` from the singular coefficients ``t``.
 
     Requires ``t``-indices up to ``2L+1``.  Only odd indices enter, so the
-    hierarchy post-transform (touching ``t_0`` and ``t_2``) is irrelevant
+    shift correction (touching ``t_0`` and ``t_2``) is irrelevant
     here and the same code serves all varieties.
     """
     if L < 0:

@@ -9,23 +9,28 @@ is encoded as
 
 with per-variety constants:
 
-=========== ===== === ====== ============== ===============
-variety      c     a  sigma   eps_i          post-transform
-=========== ===== === ====== ============== ===============
-polya        1     1   0      +1             none
-identity     1     1   0      (-1)^(i-1)     none
-hierarchy    1/2   0  -1      +1             affine (below)
-=========== ===== === ====== ============== ===============
+=========== ===== === ====== ==============
+variety      c     a  sigma   eps_i
+=========== ===== === ====== ==============
+polya        1     1   0      +1
+identity     1     1   0      (-1)^(i-1)
+hierarchy    1/2   0  -1      +1
+=========== ===== === ====== ==============
 
-For hierarchies the functional equation ``2T = z - 1 + exp(sum T(z^i)/i)``
-is brought into the standard shape through ``T~ = T + (1-z)/2``; expanding
+These specs (:class:`VarietySpec`) live in :mod:`treeasym.counts`, which
+derives the counts from them alone, and are re-exported here.
+
+The functional equation holds for the shifted series
+``T~ = T - sigma*(1-z)/2``; for hierarchies ``2T = z - 1 + exp(sum T(z^i)/i)``
+becomes ``T~ = T + (1-z)/2``.  Expanding
 ``1 - z = (1-rho) + rho*(1 - z/rho)`` shows that only the first and third
 singular-expansion coefficients move when translating back:
-``t_0 = 1 - (1-rho)/2`` and ``t_2 -= rho/2``.  Note the sign of the shift
-inside the exponential: substituting ``T~`` into the functional equation
-forces ``sigma = -1`` (exp of ``-(1-z)/2``); the opposite sign does not
-admit a solution of ``zeta(rho) = 1/e`` at all, which
-:func:`hierarchy_spec_flipped_shift` exists to demonstrate.
+``t_0 += sigma*(1-rho)/2`` and ``t_2 += sigma*rho/2``.  Note the sign of the
+shift inside the exponential: substituting ``T~`` into the functional
+equation forces ``sigma = -1`` (exp of ``-(1-z)/2``).  With ``sigma = +1``
+the spec admits no integer counts (the count recurrence stops at an
+inexact division at ``n = 2``), and on the hierarchy counts ``zeta`` never
+reaches ``1/e``, so there is no singularity to solve for.
 
 Numerically ``zeta`` is evaluated through its exponent
 ``h = log(zeta / (c z^a)) = sum_m g_m z^m``, whose coefficients are exact:
@@ -48,12 +53,14 @@ and their short exponential on integers those of ``zeta``
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import hp
-from .counts import CountSequence, hierarchy_counts, identity_counts, polya_counts
+from .counts import CountSequence, VarietySpec, add_to_multiples
+
+# Re-exported: the spec table lives in counts, and callers read it here too.
+from .counts import HIERARCHY, IDENTITY, POLYA, VARIETIES, get_variety  # noqa: F401
 from .series import (
     PowerSeries,
     series_exp,
@@ -67,82 +74,6 @@ from .series import (
 from .series import series_eval_deriv_tail  # noqa: F401
 
 
-@dataclass(frozen=True)
-class VarietySpec:
-    """Data defining one variety's perturbation factor ``zeta``."""
-
-    name: str
-    prefactor: Fraction           # c
-    z_exponent: int               # a, 0 or 1
-    shift_sign: int               # sigma in {-1, 0}
-    alternating_signs: bool       # eps_i = (-1)^(i-1) if True else +1
-    post_transform: bool          # hierarchy-style affine correction of t_0, t_2
-    count_source: Callable[[int], CountSequence]
-
-    def eps(self, i: int) -> int:
-        if self.alternating_signs:
-            return 1 if i % 2 == 1 else -1
-        return 1
-
-
-POLYA = VarietySpec(
-    name="polya",
-    prefactor=Fraction(1),
-    z_exponent=1,
-    shift_sign=0,
-    alternating_signs=False,
-    post_transform=False,
-    count_source=polya_counts,
-)
-
-IDENTITY = VarietySpec(
-    name="identity",
-    prefactor=Fraction(1),
-    z_exponent=1,
-    shift_sign=0,
-    alternating_signs=True,
-    post_transform=False,
-    count_source=identity_counts,
-)
-
-HIERARCHY = VarietySpec(
-    name="hierarchy",
-    prefactor=Fraction(1, 2),
-    z_exponent=0,
-    shift_sign=-1,
-    alternating_signs=False,
-    post_transform=True,
-    count_source=hierarchy_counts,
-)
-
-VARIETIES: dict[str, VarietySpec] = {s.name: s for s in (POLYA, IDENTITY, HIERARCHY)}
-
-
-def get_variety(name: str) -> VarietySpec:
-    try:
-        return VARIETIES[name]
-    except KeyError:
-        raise ValueError(f"unknown variety {name!r}; expected one of {sorted(VARIETIES)}")
-
-
-def hierarchy_spec_flipped_shift() -> VarietySpec:
-    """Debug variant with the shift sign inside the exponential flipped.
-
-    Kept for comparison: with ``sigma = +1`` the factor never crosses
-    ``1/e`` on the bracketing interval, so the singularity solver reports
-    a bracketing failure instead of a root.
-    """
-    return VarietySpec(
-        name="hierarchy-flipped-shift",
-        prefactor=Fraction(1, 2),
-        z_exponent=0,
-        shift_sign=+1,
-        alternating_signs=False,
-        post_transform=True,
-        count_source=hierarchy_counts,
-    )
-
-
 def _divisor_sums(spec: VarietySpec, counts: CountSequence, N: int) -> list:
     """``S_m = sum_{d | m, d < m} eps_(m/d) d T_d`` for ``m = 0 .. 2N``, reading counts to ``N``."""
     if counts.n_max < N:
@@ -150,9 +81,7 @@ def _divisor_sums(spec: VarietySpec, counts: CountSequence, N: int) -> list:
     S = [0] * (2 * N + 1)
     eps = [spec.eps(i) for i in range(2 * N + 1)]
     for d in range(1, N + 1):
-        dT = d * counts[d]
-        for i in range(2, 2 * N // d + 1):
-            S[i * d] += eps[i] * dT
+        add_to_multiples(S, eps, d, d * counts[d], first=2)
     return S
 
 

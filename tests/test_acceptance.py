@@ -216,9 +216,9 @@ def _residual_profile(result, K):
     rho = result.rho_result.rho
     zeta = zeta_series(result.spec, result.counts, result.rho_result.n_used, ctx)
     t = list(result.puiseux.t)
-    if result.spec.post_transform:  # shifted series satisfies the plain equation
+    if result.spec.shift_sign:  # shifted series satisfies the plain equation
         t[0] = ctx.mpf(1)
-        t[2] = t[2] + rho / 2
+        t[2] = t[2] - result.spec.shift_sign * rho / 2
     residuals, ratios = [], []
     for exponent in (2, 3, 4):
         u = ctx.mpf(10) ** -exponent

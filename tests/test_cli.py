@@ -11,8 +11,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import treeasym
+import treeasym.cli
 import treeasym.counts
-from treeasym.cli import main
+from treeasym.cli import MAX_COUNT_REACH, main
 
 from reference_values import RHO_50
 
@@ -212,6 +213,29 @@ def test_exact_arithmetic_failure_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "counts", "polya")
     assert code == 3 and out == ""
     assert err == "exact-arithmetic failure: synthetic: inexact division at n=7\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["counts", "polya", "--n", "1000000000"],
+    ["expand", "polya", "--terms", "100000000000000000000"],
+    ["estimate", "hierarchy", "--size", "10", "--terms", "2001"],
+    ["estimate", "hierarchy", "--size", "10", "--order", "500"],
+    ["estimate", "hierarchy", "--size", "1000000000", "--max-size", "1000000000"],
+    ["error-table", "polya", "--terms", "1000000000"],
+    ["verify-oeis", "identity", "--n", "2001"],
+], ids=["counts", "expand", "estimate", "estimate-order", "estimate-size", "error-table",
+        "verify-oeis"])
+def test_count_reach_beyond_the_limit_exits_2_before_any_work(capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started for a rejected count reach")
+
+    monkeypatch.setattr(treeasym.cli, "counts_for", no_work)
+    monkeypatch.setattr(treeasym.cli, "expand_variety", no_work)
+    monkeypatch.setattr(treeasym.cli.oeis, "get_sequence", no_work)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith(f", beyond the limit {MAX_COUNT_REACH}\n")
 
 
 def test_truncation_warning_is_one_plain_line(capsys):

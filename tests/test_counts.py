@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -5,37 +6,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeasym.counts import (
+    HIERARCHY,
+    POLYA,
+    VARIETIES,
     _divide_exactly,
     counts_for,
-    hierarchy_counts,
-    identity_counts,
-    polya_counts,
     product_form_oracle,
 )
 
 from reference_values import PREFIXES
 
 
-@pytest.mark.parametrize("variety,fn", [
-    ("polya", polya_counts),
-    ("identity", identity_counts),
-    ("hierarchy", hierarchy_counts),
-])
-def test_listed_prefixes(variety, fn):
-    seq = fn(len(PREFIXES[variety]) - 1)
+@pytest.mark.parametrize("variety", VARIETIES, ids="{}_counts".format)
+def test_listed_prefixes(variety):
+    seq = counts_for(variety, len(PREFIXES[variety]) - 1)
     assert list(seq.values) == PREFIXES[variety]
 
 
-@pytest.mark.parametrize("fn", [polya_counts, identity_counts, hierarchy_counts])
-def test_base_cases(fn):
-    assert list(fn(1).values) == [0, 1]
-    assert list(fn(0).values) == [0]
+@pytest.mark.parametrize("variety", VARIETIES, ids="{}_counts".format)
+def test_base_cases(variety):
+    spec = VARIETIES[variety]
+    assert list(spec.count_source(1).values) == [0, 1]
+    assert list(spec.count_source(0).values) == [0]
 
 
 def test_known_single_values():
-    assert polya_counts(12)[12] == 4766
-    assert identity_counts(15)[15] == 6299
-    assert hierarchy_counts(15)[15] == 699534
+    assert counts_for("polya", 12)[12] == 4766
+    assert counts_for("identity", 15)[15] == 6299
+    assert counts_for("hierarchy", 15)[15] == 699534
 
 
 def test_hierarchy_n4_hand_evaluation():
@@ -54,15 +52,15 @@ def test_hierarchy_n4_hand_evaluation():
     assert value == 5
     # and the terms i=1..3 are 3.5, 2, 3 as in the module-level derivation
     assert divisor_part == Fraction(3, 4)
-    assert hierarchy_counts(4)[4] == 5
+    assert counts_for("hierarchy", 4)[4] == 5
 
 
 def test_counts_dispatch():
-    assert counts_for("polya", 5).values == polya_counts(5).values
+    assert counts_for("polya", 5).values == POLYA.count_source(5).values
     with pytest.raises(ValueError, match="unknown variety"):
         counts_for("cayley", 5)
     with pytest.raises(ValueError):
-        polya_counts(-1)
+        counts_for("polya", -1)
 
 
 @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
@@ -101,8 +99,8 @@ def test_polya_dominates_identity(counts500):
 def test_prefix_stability(shorter, longer):
     # recomputing with a larger bound never changes earlier values
     lo, hi = sorted((shorter, longer))
-    for fn in (polya_counts, identity_counts, hierarchy_counts):
-        assert fn(hi).values[: lo + 1] == fn(lo).values
+    for variety in VARIETIES:
+        assert counts_for(variety, hi).values[: lo + 1] == counts_for(variety, lo).values
 
 
 def test_inexact_division_raises():
@@ -110,3 +108,9 @@ def test_inexact_division_raises():
     assert _divide_exactly(12, 4, 5) == 3
     with pytest.raises(ArithmeticError, match="inexact division at n=5"):
         _divide_exactly(13, 4, 5)
+
+
+def test_spec_without_integer_counts_raises():
+    # the shift of the wrong sign: the engine meets the remainder at once
+    with pytest.raises(ArithmeticError, match="inexact division at n=2"):
+        replace(HIERARCHY, shift_sign=+1).count_source(10)

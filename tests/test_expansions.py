@@ -257,9 +257,9 @@ class TestResidualDecay:
         # undo the affine correction: the shifted series is the one that
         # satisfies the plain functional equation
         t = list(result.puiseux.t)
-        if result.spec.post_transform:
+        if result.spec.shift_sign:
             t[0] = ctx.mpf(1)
-            t[2] = t[2] + rho / 2
+            t[2] = t[2] - result.spec.shift_sign * rho / 2
         residuals = []
         for exponent in (2, 3, 4):
             u = ctx.mpf(10) ** -exponent

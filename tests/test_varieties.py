@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,6 @@ from treeasym.varieties import (
     exponent_prefix,
     functional_residual_exact,
     get_variety,
-    hierarchy_spec_flipped_shift,
     numeric_exponent,
     zeta_derivatives,
     zeta_exponent,
@@ -32,18 +32,16 @@ class TestSpecs:
 
     def test_polya_parameters(self):
         assert (POLYA.prefactor, POLYA.z_exponent, POLYA.shift_sign) == (1, 1, 0)
-        assert not POLYA.alternating_signs and not POLYA.post_transform
+        assert not POLYA.alternating_signs
         assert [POLYA.eps(i) for i in (2, 3, 4)] == [1, 1, 1]
 
     def test_identity_parameters(self):
         assert (IDENTITY.prefactor, IDENTITY.z_exponent, IDENTITY.shift_sign) == (1, 1, 0)
         assert [IDENTITY.eps(i) for i in (2, 3, 4, 5)] == [-1, 1, -1, 1]
-        assert not IDENTITY.post_transform
 
     def test_hierarchy_parameters(self):
         assert HIERARCHY.prefactor == Fraction(1, 2)
         assert (HIERARCHY.z_exponent, HIERARCHY.shift_sign) == (0, -1)
-        assert HIERARCHY.post_transform
 
 
 class TestZetaSeries:
@@ -181,7 +179,7 @@ def test_identity_defining_property():
 
 
 def test_flipped_hierarchy_shift_has_no_root():
-    spec = hierarchy_spec_flipped_shift()
+    spec = replace(HIERARCHY, shift_sign=+1)
     counts = counts_for("hierarchy", 100)
     with pytest.raises(NoBracketError):
         solve_rho(spec, counts, 100, 30)
