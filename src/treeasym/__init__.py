@@ -27,13 +27,7 @@ from .expansions import (
     puiseux_coeffs,
     tau_coeffs,
 )
-from .kernels import (
-    CayleyCoefficient,
-    SymbolicTauPolynomial,
-    b_seq,
-    cayley_puiseux,
-    tau_symbolic,
-)
+from .kernels import b_seq, tau_symbolic
 from .series import (
     PowerSeries,
     TruncationWarning,
@@ -49,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticExpansion",
-    "CayleyCoefficient",
     "CountSequence",
     "ErrorTable",
     "NoBracketError",
@@ -58,14 +51,12 @@ __all__ = [
     "RhoResult",
     "SolverError",
     "StalledError",
-    "SymbolicTauPolynomial",
     "TruncationWarning",
     "VARIETIES",
     "VARIETY_NAMES",
     "VarietyExpansion",
     "VarietySpec",
     "b_seq",
-    "cayley_puiseux",
     "counts_for",
     "error_table",
     "estimate_count",

@@ -13,11 +13,10 @@ Each subcommand takes the variety and only the flags it reads:
 ``--digits`` (target precision D) and ``--terms`` (count reach N; the
 exponent of ``zeta`` goes to degree 2N) on ``expand``, ``estimate`` and ``error-table``; ``--format {json,csv}``
 on ``counts``, ``expand`` and ``estimate``; ``--cache-dir`` and
-``--offline`` on ``verify-oeis``.  Cache directory precedence: flag, then
+``--fetch`` on ``verify-oeis``.  Cache directory precedence: flag, then
 ``TREEASYM_CACHE_DIR``, then ``~/.cache/treeasym``.  A count reach above
 ``MAX_COUNT_REACH`` (2000), from ``--n``, ``--terms``, a size or the ``N``
-that ``--order`` implies, is an invalid configuration; ``--max-size`` can
-lower the size cap but not raise it past that limit.
+that ``--order`` implies, is an invalid configuration.
 
 Output is deterministic for a fixed configuration: data lines carry no
 timestamps and metadata goes into ``#``-prefixed header lines (CSV) or
@@ -110,8 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_flag(p_est)
     p_est.add_argument("--size", type=int, required=True, help="object size n")
     p_est.add_argument("--order", type=int, default=4, help="approximation order k")
-    p_est.add_argument("--max-size", type=int, default=MAX_COUNT_REACH,
-                       help=f"largest size allowed (default {MAX_COUNT_REACH})")
 
     p_err = sub.add_parser("error-table", parents=[variety],
                            help="relative-error grid (CSV) and ratio series")
@@ -122,8 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"comma-separated orders (default {DEFAULT_ORDERS})")
     p_err.add_argument("--ratio-out", type=Path, default=None,
                        help="write the estimate/exact ratio series to this CSV file")
-    p_err.add_argument("--max-size", type=int, default=MAX_COUNT_REACH,
-                       help=f"largest size allowed (default {MAX_COUNT_REACH})")
 
     p_ver = sub.add_parser("verify-oeis", parents=[variety],
                            help="exact comparison against an OEIS b-file")
@@ -131,12 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--cache-dir", type=Path, default=None,
                        help="b-file cache directory (default $TREEASYM_CACHE_DIR "
                             "or ~/.cache/treeasym)")
-    p_ver.add_argument("--offline", action="store_true",
-                       help="never touch the network")
     p_ver.add_argument("--fetch", action="store_true",
                        help="fetch the b-file from oeis.org (cached afterwards)")
-    p_ver.add_argument("--offset", type=int, default=None,
-                       help="b-file index offset override (default per-sequence)")
     return parser
 
 
@@ -218,15 +209,16 @@ def cmd_expand(args: argparse.Namespace) -> int:
             _print(f"tau,{i},{v},{c}")
     else:
         _print(json.dumps(payload, indent=2))
+    # plain rows: 19 significant digits at most, and never more than the data lines
     ctx = result.puiseux.ctx
     if args.table1:
         _print()
-        for i, value in enumerate(result.puiseux.t):
-            _print(f"t_{i} {hp.to_decimal(value, 19, ctx)}")
+        for i, (value, c) in enumerate(zip(result.puiseux.t, result.puiseux.certified_digits)):
+            _print(f"t_{i} {hp.to_decimal(value, min(19, c + 2), ctx)}")
     if args.table2:
         _print()
-        for i, value in enumerate(result.asym.tau):
-            _print(f"tau_{i} {hp.to_decimal(value, 19, ctx)}")
+        for i, (value, c) in enumerate(zip(result.asym.tau, result.asym.certified_digits)):
+            _print(f"tau_{i} {hp.to_decimal(value, min(19, c + 2), ctx)}")
     return EXIT_OK
 
 
@@ -244,8 +236,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     _check_precision(args)
     if args.size < 1:
         raise ConfigError(f"--size must be positive, got {args.size}")
-    if args.size > args.max_size:
-        raise ConfigError(f"--size {args.size} beyond --max-size {args.max_size}")
     if args.order < 0:
         raise ConfigError(f"--order must be non-negative, got {args.order}")
     result = _expansion_for_orders(args, args.order, args.size)
@@ -283,8 +273,6 @@ def cmd_error_table(args: argparse.Namespace) -> int:
         raise ConfigError(f"--sizes must be positive, got {min(sizes)}")
     if min(orders) < 0:
         raise ConfigError(f"--orders must be non-negative, got {min(orders)}")
-    if max(sizes) > args.max_size:
-        raise ConfigError(f"size {max(sizes)} beyond --max-size {args.max_size}")
     result = _expansion_for_orders(args, max(orders), max(sizes))
     table = error_table(result.asym, result.counts, sizes, orders)
     ctx = result.asym.ctx
@@ -307,14 +295,9 @@ def cmd_verify_oeis(args: argparse.Namespace) -> int:
         raise ConfigError(f"--n must be non-negative, got {args.n}")
     _check_reach("--n", args.n)
     sequence_id = oeis.SEQUENCE_IDS[args.variety]
-    fixture, source = oeis.get_sequence(
-        sequence_id,
-        cache_dir=args.cache_dir,
-        offline=args.offline,
-        fetch=args.fetch,
-    )
+    fixture, source = oeis.get_sequence(sequence_id, cache_dir=args.cache_dir, fetch=args.fetch)
     seq = counts_for(args.variety, args.n)
-    report = oeis.verify_counts(seq, fixture, index_offset=args.offset, source=source)
+    report = oeis.verify_counts(seq, fixture, source=source)
     if report.empty:
         raise ConfigError(report.summary())
     _print(report.summary())

@@ -5,24 +5,22 @@ The pipeline builds the exponent ``h = log(zeta / (c z^a))`` to degree
 sweep of Horner passes gives the short Taylor models of ``log zeta`` for
 ``h`` and for its ``N//2`` prefix; integer Newton on each model gives
 ``rho`` and the model's Taylor shift to it
-(:func:`treeasym.solver.solve_models`), and since ``zeta(rho) = 1/e`` the
-coefficients ``zeta^(r)(rho)/r!`` are ``e^-1`` times the short exponential
-of that model (:func:`treeasym.varieties.zeta_taylor`).  From these, the
-counting series expands in half-integer powers of
-``u = 1 - z/rho``::
+(:func:`treeasym.solver.solve_models`).  Since ``zeta(rho) = 1/e``, the
+short exponential of that model (:func:`treeasym.series.series_exp_fixed`)
+is ``E[j] = e zeta^(j)(rho)/j!`` with ``E[0] = 1``.  From these, the
+counting series expands in half-integer powers of ``u = 1 - z/rho``::
 
     T(z) = 1 + sum_{n>=1} t_n u^(n/2)
 
 and ``T = C(zeta)`` with ``C`` the tree function, whose square-root expansion
 at ``1/e`` is ``C = sum_k c_k (2(1 - e z))^(k/2)``, ``c_k = -B(k)/k!``
 (:func:`treeasym.kernels.b_seq`).  With ``z = rho(1-u)`` the argument is
-``2(1 - e zeta) = u P(u)``, ``P`` read off the Taylor coefficients of ``zeta``
-at ``rho``, so ``t_n`` collects ``c_k [u^((n-k)/2)] P^(k/2)`` over
-``k == n (mod 2)``; in particular ``t_1 = -sqrt(2 e rho zeta'(rho))``.  The
-composition runs on fixed-point integers with ``2K`` guard bits beyond
-:func:`treeasym.hp.fixed_bits`; only ``rho`` and the Taylor coefficients
-are converted in and ``t`` out.  Tests compare this against the paper's
-explicit Faa di Bruno form and against the same recurrence on mpf values.
+``2(1 - e zeta) = u P(u)``, ``P`` read off ``E``, so ``t_n`` collects
+``c_k [u^((n-k)/2)] P^(k/2)`` over ``k == n (mod 2)``; in particular
+``t_1 = -sqrt(2 e rho zeta'(rho))``.  The composition runs with ``2K``
+guard bits beyond :func:`treeasym.hp.fixed_bits`.  Tests compare this
+against the paper's explicit Faa di Bruno form and against the same
+recurrence on mpf values.
 
 The counting sequence then satisfies
 
@@ -31,13 +29,14 @@ The counting sequence then satisfies
 with ``tau_l = sum_{j=0}^{l} t_{2j+1} w_j c_{l-j}(j + 1/2)`` instantiated from
 the odd ``t``-coefficients: ``w_j = sqrt(pi) / Gamma(-j-1/2)`` and ``c_m(a)`` is
 the ``n^-m`` coefficient of ``Gamma(n-a) n^(a+1) / Gamma(n+1)``, both exact
-rationals (see :mod:`treeasym.kernels`), applied to the fixed-point ``t``.
-An order-``k`` approximation keeps the terms through ``tau_k / n^k``
-(``k+1`` summands).
+rationals (see :mod:`treeasym.kernels`).  An order-``k`` approximation keeps
+the terms through ``tau_k / n^k`` (``k+1`` summands).
 
-:func:`expand_variety` runs the pipeline at ``N`` and at ``N//2``; both
-roots and models come from the same sweep, so the second has no bracket
-phase of its own.
+Everything from the sweep to ``tau`` runs on integers scaled by ``2^w``;
+``rho``, ``t`` and ``tau`` become mpf values only where
+:func:`expand_variety` stores them in its result records.  It runs the
+pipeline at ``N`` and at ``N//2``; both roots and models come from the same
+sweep, so the second has no bracket phase of its own.
 """
 
 from __future__ import annotations
@@ -50,9 +49,9 @@ from typing import Sequence
 from . import hp
 from .counts import CountSequence
 from .kernels import b_seq, tau_symbolic
-from .series import TruncationWarning
+from .series import TruncationWarning, series_exp_fixed
 from .solver import RhoResult, check_series_inputs, half_cut, solve_models
-from .varieties import VarietySpec, exponent_tail, get_variety, numeric_exponent, zeta_taylor
+from .varieties import VarietySpec, exponent_tail, get_variety, numeric_exponent
 
 # Not called here; the benchmark traces both names in this module (perfbench/layers.py).
 from .solver import solve_rho  # noqa: F401
@@ -94,78 +93,76 @@ def derivative_orders_needed(K: int) -> int:
     return max(1, (K - 1) // 2 + 1)
 
 
-def _t_values(rho, taylor: Sequence, K: int, ctx) -> list:
-    """``t_0 .. t_K`` of ``T = C(zeta)`` from ``taylor[j] = zeta^(j)(rho)/j!``.
+def _t_values(x: int, E: Sequence[int], K: int, w: int) -> list:
+    """``t_0 .. t_K`` of ``T = C(zeta)`` from ``x = rho`` and ``E[j] = e zeta^(j)(rho)/j!``.
 
-    ``2(1 - e zeta(rho(1-u))) = u P(u)`` with ``P_i = -2e taylor[i+1] (-rho)^(i+1)``,
+    All fixed-point at ``w``.
+
+    ``2(1 - e zeta(rho(1-u))) = u P(u)`` with ``P_i = -2 E[i+1] (-rho)^(i+1)``,
     so ``t_n = sum_k c_k [u^((n-k)/2)] P^(k/2)`` over ``1 <= k <= n``,
     ``k == n (mod 2)``, with ``c_k = -B(k)/k!``.  Each power comes from
     J.C.P. Miller's recurrence ``m P_0 Q_m = sum_{j=1}^{m} ((k/2+1) j - m) P_j Q_(m-j)``.
-    Everything runs on integers scaled by ``2^w``; only ``rho`` and ``taylor``
-    are converted in and ``t`` out.
     """
-    if not taylor[1] > 0:
-        raise ValueError(f"zeta'(rho) must be positive, got {ctx.nstr(taylor[1], 8)}")
-    # Every floor below errs by less than one unit of 2^-w, but the Miller
+    if not E[1] > 0:
+        raise ValueError(f"zeta'(rho) must be positive, got e zeta'(rho) = {E[1] / (1 << w):.8g}")
+    # Every floor below errs by less than one unit of 2^-W, but the Miller
     # recurrence carries each error on with the weights
     # ((k+2) j - 2m) P_j / (2m P_0), which grow with the order: over the
     # three varieties up to K = 161 the flooring error reaches 2^(0.98 K)
     # units at most.  The 2K extra bits cover that with K bits to spare.
-    w = hp.fixed_bits(ctx) + 2 * K
-    x = hp.to_fixed(rho, w, ctx)
-    two_e = 2 * hp.to_fixed(ctx.e, w, ctx)
-    P, power = [], x  # power = -(-rho)^(i+1)
+    wide = 2 * K
+    W = w + wide
+    P, power = [], x << wide  # power = -(-rho)^(i+1)
     for i in range((K + 1) // 2):
-        P.append(two_e * hp.to_fixed(taylor[i + 1], w, ctx) * power >> 2 * w)
+        P.append(2 * E[i + 1] * power >> w)
         power = -(power * x >> w)
-    root = math.isqrt(P[0] << w)
-    t = [1 << w] + [0] * K
-    lead = 1 << w  # root^k
+    root = math.isqrt(P[0] << W)
+    t = [1 << W] + [0] * K
+    lead = 1 << W  # root^k
     for k in range(1, K + 1):
         b = b_seq(k)
-        c = (-b.numerator << w) // (b.denominator * math.factorial(k))
-        lead = lead * root >> w
+        c = (-b.numerator << W) // (b.denominator * math.factorial(k))
+        lead = lead * root >> W
         Q = [lead]
         for m in range(1, (K - k) // 2 + 1):
             acc = sum(((k + 2) * j - 2 * m) * P[j] * Q[m - j] for j in range(1, m + 1))
             Q.append(acc // (2 * m * P[0]))
         for m, q in enumerate(Q):
-            t[k + 2 * m] += c * q >> w
-    return [hp.from_fixed(v, w, ctx) for v in t]
+            t[k + 2 * m] += c * q >> W
+    return [v >> wide for v in t]
 
 
-def _apply_post_transform(t: list, rho, spec: VarietySpec) -> list:
-    """``t`` of ``T = T~ + sigma*(1-z)/2`` from that of ``T~``: ``1 - z = (1-rho) + rho*u``."""
-    out = list(t)
-    out[0] += spec.shift_sign * (1 - rho) / 2
-    if len(out) > 2:
-        out[2] += spec.shift_sign * rho / 2
-    return out
+def puiseux_coeffs(spec: VarietySpec, x: int, E: Sequence[int], K: int, w: int) -> tuple:
+    """Singular coefficients ``t_0 .. t_K`` from ``x = rho`` and ``E[r] = e zeta^(r)(rho)/r!``.
 
-
-def puiseux_coeffs(spec: VarietySpec, rho, taylor: Sequence, K: int, ctx) -> tuple:
-    """Singular coefficients ``t_0 .. t_K`` from ``rho`` and ``taylor[r] = zeta^(r)(rho)/r!``.
-
-    ``taylor`` must reach order :func:`derivative_orders_needed` ``(K)``.  The
-    shift ``sigma*(1-z)/2`` is added back after the generic coefficients.
+    All fixed-point at ``w``.  ``E`` must reach order
+    :func:`derivative_orders_needed` ``(K)``.  The shift ``sigma*(1-z)/2``,
+    with ``1 - z = (1-rho) + rho*u``, is added back after the generic
+    coefficients: ``t_0 += sigma*(1-rho)/2`` and ``t_2 += sigma*rho/2``.
     """
     if K < 1:
         raise ValueError(f"order K must be >= 1, got {K}")
     needed = derivative_orders_needed(K)
-    if len(taylor) <= needed:
+    if len(E) <= needed:
         raise ValueError(
             f"zeta derivatives up to order {needed} required for K={K}, "
-            f"got r_max={len(taylor) - 1}"
+            f"got r_max={len(E) - 1}"
         )
-    return tuple(_apply_post_transform(_t_values(rho, taylor, K, ctx), rho, spec))
+    t = _t_values(x, E, K, w)
+    t[0] += spec.shift_sign * ((1 << w) - x) >> 1
+    if K >= 2:
+        t[2] += spec.shift_sign * x >> 1
+    return tuple(t)
 
 
-def tau_coeffs(t: Sequence, L: int, ctx) -> tuple:
-    """Instantiate ``tau_0 .. tau_L`` from the singular coefficients ``t``.
+def tau_coeffs(t: Sequence[int], L: int) -> tuple:
+    """``tau_0 .. tau_L`` from the fixed-point singular coefficients ``t``, at the same scale.
 
-    Requires ``t``-indices up to ``2L+1``.  Only odd indices enter, so the
-    shift correction (touching ``t_0`` and ``t_2``) is irrelevant
-    here and the same code serves all varieties.
+    Each ``tau_l`` is the exact linear form :func:`treeasym.kernels.tau_symbolic`
+    applied to ``t``, one floor per term.  Requires ``t``-indices up to
+    ``2L+1``.  Only odd indices enter, so the shift correction (touching
+    ``t_0`` and ``t_2``) is irrelevant here and the same code serves all
+    varieties.
     """
     if L < 0:
         raise ValueError(f"order L must be >= 0, got {L}")
@@ -173,7 +170,10 @@ def tau_coeffs(t: Sequence, L: int, ctx) -> tuple:
         raise ValueError(
             f"tau_{L} needs t-indices up to {2 * L + 1}, expansion has {len(t) - 1}"
         )
-    return tuple(tau_symbolic(ell).evaluate(t, ctx) for ell in range(L + 1))
+    return tuple(
+        sum(c.numerator * t[j] // c.denominator for j, c in tau_symbolic(ell).items())
+        for ell in range(L + 1)
+    )
 
 
 def estimate_count(asym: AsymptoticExpansion, n: int, order: int):
@@ -290,14 +290,24 @@ def expand_variety(
         counts = spec.count_source(N)
     check_series_inputs(counts, N, D)
     ctx = hp.working_context(D)
+    w = hp.fixed_bits(ctx)
     h = numeric_exponent(spec, counts, N, ctx)
     r_max = derivative_orders_needed(K)
     models, iterations = solve_models(spec, h, half_cut(N), r_max, ctx, D)
-    (rho, taylor, t, tau), (rho_check, _, t_check, tau_check) = (
-        _expand_at(spec, root, log_taylor, K, L, ctx) for root, log_taylor in models
+    (x, E, t, tau), (x_check, _, t_check, tau_check) = (
+        _expand_at(spec, root, log_taylor, K, L, w) for root, log_taylor in models
     )
+
+    def real(values):
+        return tuple(hp.from_fixed(v, w, ctx) for v in values)
+
+    def certified(values, checks):
+        pairs = zip(real(values), real(checks))
+        return tuple(hp.certified_digits(a, b, D, ctx) for a, b in pairs)
+
+    rho = hp.from_fixed(x, w, ctx)
     # relative truncation error of the highest derivative that t_K reads
-    tail = taylor[0] * exponent_tail(h, rho, r_max, ctx) / abs(taylor[r_max])
+    tail = exponent_tail(h, rho, r_max, ctx) / abs(hp.from_fixed(E[r_max], w, ctx))
     if tail > ctx.mpf(10) ** (-(D - 10)):
         warnings.warn(
             f"relative tail of the highest zeta derivative reaches {ctx.nstr(tail, 3)}; "
@@ -308,7 +318,7 @@ def expand_variety(
     rho_result = RhoResult(
         variety=spec.name,
         rho=rho,
-        certified_digits=hp.certified_digits(rho, rho_check, D, ctx),
+        certified_digits=hp.certified_digits(rho, hp.from_fixed(x_check, w, ctx), D, ctx),
         n_used=N,
         iterations=iterations,
         digits=D,
@@ -317,8 +327,8 @@ def expand_variety(
     puiseux = PuiseuxExpansion(
         variety=spec.name,
         rho=rho,
-        t=t,
-        certified_digits=tuple(hp.certified_digits(a, b, D, ctx) for a, b in zip(t, t_check)),
+        t=real(t),
+        certified_digits=certified(t, t_check),
         n_series=N,
         digits=D,
         ctx=ctx,
@@ -326,10 +336,8 @@ def expand_variety(
     asym = AsymptoticExpansion(
         variety=spec.name,
         rho=rho,
-        tau=tau,
-        certified_digits=tuple(
-            hp.certified_digits(a, b, D, ctx) for a, b in zip(tau, tau_check)
-        ),
+        tau=real(tau),
+        certified_digits=certified(tau, tau_check),
         n_series=N,
         digits=D,
         ctx=ctx,
@@ -339,14 +347,13 @@ def expand_variety(
     )
 
 
-def _expand_at(spec: VarietySpec, root: int, log_taylor, K: int, L: int, ctx):
-    """``(rho, taylor, t, tau)`` at one fixed-point root and the Taylor coefficients of ``log zeta`` there.
+def _expand_at(spec: VarietySpec, x: int, log_taylor: Sequence[int], K: int, L: int, w: int):
+    """Fixed-point ``(rho, E, t, tau)`` at the root ``x`` from the model ``log_taylor``.
 
-    ``zeta(rho) = 1/e`` at the root, so ``taylor[j] = zeta^(j)(rho)/j!`` is
-    ``e^-1`` times the short exponential of the model.
+    ``log_taylor`` holds the Taylor coefficients of ``log zeta`` at ``x``.
+    ``zeta(rho) = 1/e`` at the root, so ``E[j] = e zeta^(j)(rho)/j!`` is the
+    short exponential of the model, with ``E[0] = 2^w``.
     """
-    w = hp.fixed_bits(ctx)
-    rho = hp.from_fixed(root, w, ctx)
-    taylor = zeta_taylor(log_taylor, w, ctx.exp(-1), ctx)
-    t = puiseux_coeffs(spec, rho, taylor, K, ctx)
-    return rho, taylor, t, tau_coeffs(t, L, ctx)
+    E = series_exp_fixed(log_taylor, w)
+    t = puiseux_coeffs(spec, x, E, K, w)
+    return x, E, t, tau_coeffs(t, L)

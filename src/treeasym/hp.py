@@ -12,15 +12,14 @@ halved and counting agreement digits (see :func:`certified_digits`).
 
 Everything between the exponent of ``zeta`` and the reported values runs
 on fixed-point integers: a real ``y`` is held as ``floor(y 2^w)`` with
-``w = ctx.prec + FIXED_GUARD_BITS`` (:func:`fixed_bits`) or a few more
-bits, and only the inputs and outputs of each step are converted
-(:func:`to_fixed`, :func:`from_fixed`).  That covers the one split sweep
-of Horner passes over the exponent, Newton on the short Taylor models it
-gives, their Taylor shift and short exponential, the singular
-coefficients ``t`` and the linear forms that give ``tau``.  mpf appears at
-the edges only: the logarithms of :func:`fixed_log` and the constant
-``1/e``.  The digit counts are exact integer comparisons too
-(:func:`agreement_digits`).
+``w = ctx.prec + FIXED_GUARD_BITS`` (:func:`fixed_bits`), or a few more
+bits inside one step.  That covers the one split sweep of Horner passes
+over the exponent, Newton on the short Taylor models it gives, their
+Taylor shift and short exponential, the singular coefficients ``t`` and
+the linear forms that give ``tau``.  mpf appears at the edges only: the
+logarithms of :func:`fixed_log`, and :func:`from_fixed` where ``rho``,
+``t`` and ``tau`` are stored in the result records.  The digit counts are
+exact integer comparisons too (:func:`agreement_digits`).
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Everything in this module is computed in ``fractions.Fraction`` arithmetic
 and is independent of the tree variety: the signed weight sequence ``B(l)``
 driving the square-root singular expansion of the tree function
-``C(z) = z*exp(C(z))``, its explicit coefficients, and the linear forms
+``C(z) = z*exp(C(z))`` and the linear forms
 ``tau_l`` that convert singular-expansion coefficients into asymptotic ones.
 
 ``B(l) = l! mu_l`` comes from the branch-point coefficients ``mu_l`` of
@@ -18,20 +18,16 @@ Erdelyi, *The asymptotic expansion of a ratio of gamma functions*, Pacific
 J. Math. 1951; Flajolet & Sedgewick, *Analytic Combinatorics*, Thm VI.1):
 ``tau_0 .. tau_L`` cost ``O(L^3)`` rational operations.  Values are cached
 per index and shared across varieties; the caches are write-once-per-key
-and safe under concurrent readers.  A form is instantiated in fixed point:
-``sum_j floor(c_j floor(t_j 2^w))`` over the exact ``c_j``
-(:meth:`SymbolicTauPolynomial.evaluate`).
+and safe under concurrent readers.  A form is a plain ``{j: c_j}`` dict
+over the odd indices ``j``; :func:`treeasym.expansions.tau_coeffs` applies
+it to fixed-point ``t`` as ``sum_j floor(c_j t_j)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
-
-from . import hp
 
 
 @lru_cache(maxsize=None)
@@ -75,76 +71,6 @@ def b_seq(ell: int) -> Fraction:
     return math.factorial(ell) * _lambert_mu(ell)
 
 
-@dataclass(frozen=True)
-class CayleyCoefficient:
-    """Coefficient of ``(1 - e*z)^(n/2)``, as ``rational_part * sqrt(2)^sqrt2_power``."""
-
-    n: int
-    rational_part: Fraction
-    sqrt2_power: int
-
-    def __post_init__(self):
-        if self.sqrt2_power != self.n % 2:
-            raise ValueError("odd half-integer powers carry exactly one sqrt(2) factor")
-
-    def to_real(self, ctx):
-        value = hp.convert(self.rational_part, ctx)
-        if self.sqrt2_power:
-            value *= ctx.sqrt(2)
-        return value
-
-
-def cayley_puiseux(n_max: int) -> list[CayleyCoefficient]:
-    """Square-root expansion coefficients of the tree function at ``z = 1/e``.
-
-    Index 0 gives 1, index 1 gives ``-sqrt(2)``, and index ``n >= 2`` gives
-    ``-B(n) * 2^(n/2) / n!`` split into a rational part times ``sqrt(2)^(n mod 2)``.
-    """
-    out = []
-    for n in range(n_max + 1):
-        if n == 0:
-            out.append(CayleyCoefficient(0, Fraction(1), 0))
-        elif n == 1:
-            out.append(CayleyCoefficient(1, Fraction(-1), 1))
-        else:
-            rat = -b_seq(n) * Fraction(2 ** (n // 2), math.factorial(n))
-            out.append(CayleyCoefficient(n, rat, n % 2))
-    return out
-
-
-@dataclass
-class SymbolicTauPolynomial:
-    """Linear form ``sum_j c_j t_j`` over the odd-index expansion symbols."""
-
-    coeffs: dict[int, Fraction] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for idx in self.coeffs:
-            if idx % 2 == 0 or idx < 1:
-                raise ValueError(f"only odd positive symbol indices allowed, got t_{idx}")
-        self.coeffs = {i: Fraction(c) for i, c in self.coeffs.items() if c != 0}
-
-    def evaluate(self, t_values: Sequence, ctx):
-        """Instantiate the form at numeric values, indexed as ``t_values[j]``.
-
-        A fixed-point sum ``sum_j floor(c_j floor(t_j 2^w)) 2^-w`` with
-        ``w = hp.fixed_bits(ctx)``, rounded to ``ctx`` once at the end.
-        """
-        w = hp.fixed_bits(ctx)
-        acc = sum(
-            c.numerator * hp.to_fixed(t_values[idx], w, ctx) // c.denominator
-            for idx, c in self.coeffs.items()
-        )
-        return hp.from_fixed(acc, w, ctx)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, SymbolicTauPolynomial):
-            return self.coeffs == other.coeffs
-        if isinstance(other, Mapping):
-            return self.coeffs == {i: Fraction(c) for i, c in other.items() if c != 0}
-        return NotImplemented
-
-
 @lru_cache(maxsize=None)
 def _bernoulli(m: int) -> Fraction:
     """Bernoulli number ``B_m`` (``B_1 = -1/2``), from ``sum_{i<=m} binom(m+1, i) B_i = 0``."""
@@ -179,8 +105,8 @@ def _gamma_ratio(j: int, m: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def tau_symbolic(ell: int) -> SymbolicTauPolynomial:
-    """Asymptotic coefficient ``tau_l`` as a linear form in ``t_1, t_3, ..., t_{2l+1}``.
+def tau_symbolic(ell: int) -> dict[int, Fraction]:
+    """Asymptotic coefficient ``tau_l`` as a linear form ``{j: c_j}`` in ``t_1, t_3, ..., t_{2l+1}``.
 
     ``tau_l = sum_{j=0}^{l} t_{2j+1} w_j c_{l-j}(j + 1/2)``: each odd term
     ``t_k (1 - z/rho)^(k/2)`` contributes ``rho^-n Gamma(n-k/2) / (Gamma(-k/2) Gamma(n+1))``
@@ -189,6 +115,7 @@ def tau_symbolic(ell: int) -> SymbolicTauPolynomial:
     that Gamma ratio has a Bernoulli-polynomial series (Tricomi & Erdelyi,
     Pacific J. Math. 1951; Flajolet & Sedgewick, Analytic Combinatorics,
     Thm VI.1), so every weight is an exact ``Fraction`` in polynomial time.
+    The cached dict is shared by every caller and must not be modified.
     """
     if ell < 0:
         raise ValueError(f"index must be non-negative, got {ell}")
@@ -197,4 +124,4 @@ def tau_symbolic(ell: int) -> SymbolicTauPolynomial:
     for j in range(ell + 1):
         coeffs[2 * j + 1] = weight * _gamma_ratio(j, ell - j)
         weight *= Fraction(-2 * j - 3, 2)  # Gamma(x) = Gamma(x+1) / x
-    return SymbolicTauPolynomial(coeffs)
+    return coeffs

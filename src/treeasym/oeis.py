@@ -6,11 +6,9 @@ Fixtures for the three shipped sequences are bundled so the test suite and
 the default CLI path never touch the network; online fetching is opt-in and
 falls back to the cache and then to the fixture on failure.
 
-Index alignment: for all three shipped sequences the b-file index ``m``
-carries the count of objects of size ``m`` in this package's indexing, so
-the default ``index_offset`` is 0 (computed ``values[n]`` is compared with
-the b-file entry at ``m = n + index_offset``).  The offset stays
-configurable for differently aligned local b-files.
+Index alignment: for all three shipped sequences the b-file index ``n``
+carries the count of objects of size ``n`` in this package's indexing, so
+computed ``values[n]`` is compared with the b-file entry at ``n``.
 """
 
 from __future__ import annotations
@@ -30,9 +28,6 @@ SEQUENCE_IDS = {
     "identity": "A004111",
     "hierarchy": "A000669",
 }
-
-#: Default b-file index offsets per sequence id (see module docstring).
-INDEX_OFFSETS = {"A000081": 0, "A004111": 0, "A000669": 0}
 
 OEIS_URL_TEMPLATE = "https://oeis.org/{sid}/b{digits}.txt"
 
@@ -132,18 +127,17 @@ def get_sequence(
     sequence_id: str,
     *,
     cache_dir: Path | None = None,
-    offline: bool = False,
     fetch: bool = False,
 ) -> tuple[OeisFixture, str]:
     """Return ``(fixture, source)`` with source one of online/cache/fixture.
 
-    Resolution order: with ``fetch`` (and not ``offline``) try the network
-    and cache the result; otherwise, or on failure, use a cached copy; the
-    bundled fixture is the final fallback.
+    Resolution order: with ``fetch`` try the network and cache the result;
+    otherwise, or on failure, use a cached copy; the bundled fixture is the
+    final fallback.  Without ``fetch`` the network is never touched.
     """
     cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     cached = _cache_path(cache_dir, sequence_id)
-    if fetch and not offline:
+    if fetch:
         try:
             text = fetch_b_file_text(sequence_id)
             fixture = parse_b_file(sequence_id, text)  # validate before caching
@@ -197,22 +191,18 @@ def verify_counts(
     counts: CountSequence,
     fixture: OeisFixture,
     *,
-    index_offset: int | None = None,
     source: str = "fixture",
 ) -> VerifyReport:
-    """Exact comparison of ``counts.values[n]`` with b-file entry ``n + offset``."""
-    if index_offset is None:
-        index_offset = INDEX_OFFSETS.get(fixture.sequence_id, 0)
+    """Exact comparison of ``counts.values[n]`` with b-file entry ``n``."""
     reference = fixture.as_dict()
     compared = 0
     mismatches = []
     for n in range(counts.n_max + 1):
-        key = n + index_offset
-        if key not in reference:
+        if n not in reference:
             continue
         compared += 1
-        if counts[n] != reference[key]:
-            mismatches.append((n, counts[n], reference[key]))
+        if counts[n] != reference[n]:
+            mismatches.append((n, counts[n], reference[n]))
     return VerifyReport(
         variety=counts.variety,
         sequence_id=fixture.sequence_id,

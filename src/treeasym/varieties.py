@@ -45,9 +45,11 @@ fixed-point integers ``floor(g_m 2^w)``, ``w`` the working precision plus
 computed straight from the integer divisor sums.  Integer Horner passes
 over them give ``h^(j)(x)/j!`` (one split sweep serves the exponent and its
 ``N//2`` prefix, see :mod:`treeasym.solver`); adding ``a log z + log c``
-gives the Taylor coefficients of ``log zeta`` (:func:`log_zeta_taylor`),
-and their short exponential on integers those of ``zeta``
-(:func:`zeta_taylor`), in ``O(rN)`` integer multiply-adds.
+gives the Taylor coefficients of ``log zeta`` (:func:`log_zeta_taylor`)
+in ``O(rN)`` integer multiply-adds.  Their short exponential on integers
+(:func:`treeasym.series.series_exp_fixed`) gives those of ``zeta`` up to
+the factor ``zeta(x)``, which at the root is ``1/e``, so the pipeline
+never forms it (:mod:`treeasym.expansions`).
 """
 
 from __future__ import annotations
@@ -129,7 +131,8 @@ def zeta_series(spec: VarietySpec, counts: CountSequence, N: int, ctx) -> PowerS
 
     The exponential of the first ``N+1`` exponent coefficients, converted to
     ``ctx`` only at that step, times ``c * z^a``.  Its value at ``rho`` is
-    accurate to about ``rho^(N/2)``; the pipeline uses :func:`zeta_taylor`.
+    accurate to about ``rho^(N/2)``; the pipeline uses the Taylor models of
+    :func:`log_zeta_taylor` instead.
     """
     g = zeta_exponent(spec, counts, N)
     expo = series_exp(PowerSeries(g.coeffs[: N + 1]), ctx)
@@ -157,18 +160,6 @@ def log_zeta_taylor(spec: VarietySpec, taylor: Sequence[int], x: int, w: int) ->
     return out
 
 
-def zeta_taylor(log_taylor: Sequence[int], w: int, value, ctx) -> tuple:
-    """``zeta^(j)(x) / j!`` for ``j = 0 .. r`` from the Taylor coefficients of ``log zeta`` at ``x``.
-
-    ``log_taylor`` is fixed-point (:func:`log_zeta_taylor`) and ``value`` is
-    ``zeta(x)``: ``zeta(x + y) = zeta(x) exp(sum_{j>=1} L_j y^j)``, whose
-    short exponential runs on integers
-    (:func:`treeasym.series.series_exp_fixed`).  At the root
-    ``zeta(rho) = 1/e``, so no exponential of ``L_0`` is needed there.
-    """
-    return tuple(value * hp.from_fixed(v, w, ctx) for v in series_exp_fixed(log_taylor, w))
-
-
 def exponent_tail(h: tuple, x, r: int, ctx):
     """Tail indicator of ``h^(r)(x) / r!``: the summed size of its last five retained terms.
 
@@ -191,8 +182,12 @@ def zeta_derivatives(
     X = hp.to_fixed(x, w, ctx)
     h = numeric_exponent(spec, counts, N, ctx)
     log_taylor = log_zeta_taylor(spec, series_taylor(h, X, r_max, w), X, w)
-    taylor = zeta_taylor(log_taylor, w, ctx.exp(hp.from_fixed(log_taylor[0], w, ctx)), ctx)
-    return tuple(math.factorial(j) * z for j, z in enumerate(taylor))
+    value = ctx.exp(hp.from_fixed(log_taylor[0], w, ctx))  # zeta(x)
+    # zeta(x + y) = zeta(x) exp(sum_{j>=1} L_j y^j)
+    return tuple(
+        math.factorial(j) * value * hp.from_fixed(v, w, ctx)
+        for j, v in enumerate(series_exp_fixed(log_taylor, w))
+    )
 
 
 def functional_residual_exact(spec: VarietySpec, counts: CountSequence, N: int) -> PowerSeries:

@@ -167,3 +167,12 @@ def miller_t_values(rho, taylor: Sequence, K: int, ctx) -> list:
         for m, q in enumerate(Q):
             t[k + 2 * m] += c * q
     return t
+
+
+def apply_shift(t: list, rho, spec) -> list:
+    """``t`` of ``T = T~ + sigma*(1-z)/2`` from that of ``T~`` in mpf: ``1 - z = (1-rho) + rho*u``."""
+    out = list(t)
+    out[0] += spec.shift_sign * (1 - rho) / 2
+    if len(out) > 2:
+        out[2] += spec.shift_sign * rho / 2
+    return out

@@ -14,8 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from treeasym.kernels import SymbolicTauPolynomial
-
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """Yield every ordered tuple of ``parts`` positive integers summing to ``total``.
@@ -97,13 +95,16 @@ def _q_weight(j: int, s: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _q_poly(r: int) -> SymbolicTauPolynomial:
-    return SymbolicTauPolynomial(
-        {2 * j + 1: Fraction((-1) ** (j + 1)) * _q_weight(j, r) for j in range(r)}
-    )
+def _q_poly(r: int) -> dict[int, Fraction]:
+    return _nonzero({2 * j + 1: Fraction((-1) ** (j + 1)) * _q_weight(j, r) for j in range(r)})
 
 
-def q_symbolic(r_max: int) -> list[SymbolicTauPolynomial]:
+def _nonzero(form: dict) -> dict[int, Fraction]:
+    """A linear form ``{j: c_j}`` without its zero terms."""
+    return {j: c for j, c in form.items() if c != 0}
+
+
+def q_symbolic(r_max: int) -> list[dict[int, Fraction]]:
     """The linear forms ``Q_1 .. Q_{r_max}`` in the odd symbols ``t_1, t_3, ...``
 
     ``Q_r = sum_{j=0}^{r-1} (-1)^(j+1) t_{2j+1} *
@@ -114,13 +115,13 @@ def q_symbolic(r_max: int) -> list[SymbolicTauPolynomial]:
     return [_q_poly(r) for r in range(1, r_max + 1)]
 
 
-def tau_qr(ell: int) -> SymbolicTauPolynomial:
+def tau_qr(ell: int) -> dict[int, Fraction]:
     """``tau_l = sum_{r=1}^{l+1} Q_r R_{l+1-r}`` as a linear form."""
     if ell < 0:
         raise ValueError(f"index must be non-negative, got {ell}")
     out = {}
     for r in range(1, ell + 2):
         weight = _r_ell(ell + 1 - r)
-        for idx, c in _q_poly(r).coeffs.items():
+        for idx, c in _q_poly(r).items():
             out[idx] = out.get(idx, Fraction(0)) + c * weight
-    return SymbolicTauPolynomial(out)
+    return _nonzero(out)

@@ -87,6 +87,31 @@ class TestExpand:
         assert "\nt_0 1.0" in out
         assert "\ntau_0 0.77974" in out
 
+    def test_table_rows_print_no_more_digits_than_certified(self, capsys):
+        # each plain row carries min(19, certified + 2) significant digits,
+        # as its data line carries certified + 2
+        code, out, _ = run(capsys, "expand", "identity", "--order", "18", "--digits", "60",
+                           "--terms", "120", "--format", "csv", "--table1", "--table2")
+        assert code == 0
+        data, tables = out.split("\n\n", 1)
+        rows = {}
+        for line in data.splitlines()[1:]:
+            name, index, value, certified = line.split(",")
+            rows[f"{name}_{index}"] = (value, int(certified))
+        plain = dict(line.split(" ") for line in tables.split("\n") if line)
+        assert set(plain) == set(rows) - {"rho_"}
+        assert plain["t_37"] == "58.4640765" and rows["t_37"] == ("58.4640765", 7)
+        short = 0
+        for key, text in plain.items():
+            value, certified = rows[key]
+            if certified + 2 <= 19:
+                assert text == value, key
+                short += 1
+            else:
+                mantissa = text.split("e")[0].lstrip("-").replace(".", "").lstrip("0")
+                assert len(mantissa) <= 19, key
+        assert short > 0
+
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "expand", "polya", "--order", "0", "--digits", "40",
                            "--terms", "120", "--format", "csv")
@@ -120,7 +145,9 @@ class TestEstimate:
 
     def test_size_cap(self, capsys):
         code, _, err = run(capsys, "estimate", "polya", "--size", "5000", "--order", "1")
-        assert code == 2 and "max-size" in err
+        assert code == 2
+        assert err == (f"error: size 5000 reaches counts to n=5000, "
+                       f"beyond the limit {MAX_COUNT_REACH}\n")
 
 
 class TestErrorTable:
@@ -141,7 +168,9 @@ class TestErrorTable:
     def test_reach_guard(self, capsys):
         code, _, err = run(capsys, "error-table", "hierarchy", "--sizes", "9999",
                            "--orders", "1")
-        assert code == 2 and "max-size" in err
+        assert code == 2
+        assert err == (f"error: size 9999 reaches counts to n=9999, "
+                       f"beyond the limit {MAX_COUNT_REACH}\n")
 
     def test_malformed_sizes(self, capsys):
         code, _, err = run(capsys, "error-table", "hierarchy", "--sizes", "a,b",
@@ -167,7 +196,7 @@ class TestVerifyOeis:
     @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
     def test_fixture_verification(self, capsys, tmp_path, variety):
         code, out, _ = run(capsys, "verify-oeis", variety, "--n", "200",
-                           "--offline", "--cache-dir", str(tmp_path))
+                           "--cache-dir", str(tmp_path))
         assert code == 0
         assert "OK" in out
 
@@ -178,10 +207,10 @@ class TestVerifyOeis:
         assert code == 1
         assert "mismatch" in out
 
-    @pytest.mark.parametrize("offset", ["-9", "900"])
-    def test_nothing_compared_exits_2(self, capsys, tmp_path, offset):
-        code, out, err = run(capsys, "verify-oeis", "polya", "--n", "5", "--offset", offset,
-                             "--offline", "--cache-dir", str(tmp_path))
+    def test_nothing_compared_exits_2(self, capsys, tmp_path):
+        # A000669 starts at n=1, so n <= 0 compares nothing
+        code, out, err = run(capsys, "verify-oeis", "hierarchy", "--n", "0",
+                             "--cache-dir", str(tmp_path))
         assert code == 2
         assert "nothing to verify" in err and out == ""
 
@@ -220,7 +249,7 @@ def test_exact_arithmetic_failure_exit_code(capsys, monkeypatch):
     ["expand", "polya", "--terms", "100000000000000000000"],
     ["estimate", "hierarchy", "--size", "10", "--terms", "2001"],
     ["estimate", "hierarchy", "--size", "10", "--order", "500"],
-    ["estimate", "hierarchy", "--size", "1000000000", "--max-size", "1000000000"],
+    ["estimate", "hierarchy", "--size", "1000000000"],
     ["error-table", "polya", "--terms", "1000000000"],
     ["verify-oeis", "identity", "--n", "2001"],
 ], ids=["counts", "expand", "estimate", "estimate-order", "estimate-size", "error-table",
@@ -270,7 +299,7 @@ def test_unknown_subcommand_exits_2(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["error-table", "hierarchy", "--format", "json"],
-    ["expand", "polya", "--offline"],
+    ["expand", "polya", "--fetch"],
     ["expand", "polya", "--cache-dir", "cache"],
     ["counts", "polya", "--digits", "40"],
 ])
@@ -314,15 +343,13 @@ _SUBCOMMAND_FLAGS = {
         _FORMAT,
         st.integers(-1, 120).map(lambda n: [f"--size={n}"]),
         _flag("order", st.integers(-1, 4)),
-        _flag("max-size", st.integers(0, 150)),
     ],
     "error-table": [
         *_PRECISION,
         _flag("sizes", _int_list(-1, 60)),
         _flag("orders", _int_list(-1, 4)),
-        _flag("max-size", st.integers(0, 150)),
     ],
-    "verify-oeis": [_flag("n", st.integers(-2, 80)), _flag("offset", st.integers(-3, 3))],
+    "verify-oeis": [_flag("n", st.integers(-2, 80))],
 }
 
 
@@ -347,7 +374,7 @@ def test_every_small_flag_combination_ends_in_a_documented_exit_code(argv, offli
     # small flag ranges on every subcommand, in process: an exit code of
     # 0/1/2/3; an exception escaping main fails the test
     if argv[0] == "verify-oeis":
-        argv += ["--offline", f"--cache-dir={offline_cache}"]
+        argv += [f"--cache-dir={offline_cache}"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

@@ -4,9 +4,8 @@ from functools import lru_cache
 
 import pytest
 
-from treeasym import hp, series, solver, varieties
+from treeasym import expansions, hp, series, solver, varieties
 from treeasym.expansions import (
-    _apply_post_transform,
     derivative_orders_needed,
     error_table,
     estimate_count,
@@ -19,7 +18,7 @@ from treeasym.series import TruncationWarning, series_eval_deriv
 from treeasym.solver import DEFAULT_BRACKET, MAX_NEWTON, find_root, solve_rho
 from treeasym.varieties import get_variety, numeric_exponent, zeta_derivatives, zeta_series
 
-from puiseux_oracle import composition_power_table, miller_t_values, t_values
+from puiseux_oracle import apply_shift, composition_power_table, miller_t_values, t_values
 from qr_oracle import compositions
 from reference_values import RHO_50, T_TABLE, TAU_TABLE
 from two_run_oracle import expand as two_run_expand
@@ -101,19 +100,35 @@ class TestSingularCoefficients:
         result = pipeline("polya")
         rho, ctx = result.rho_result.rho, result.puiseux.ctx
         h = numeric_exponent(result.spec, result.counts, 200, ctx)
-        taylor = zeta_taylor(result.spec, h, rho, 2, ctx)
+        x, E, w = _fixed(rho, zeta_taylor(result.spec, h, rho, 2, ctx), ctx)
         with pytest.raises(ValueError, match="derivatives up to order"):
-            puiseux_coeffs(result.spec, rho, taylor, 10, ctx)
+            puiseux_coeffs(result.spec, x, E, 10, w)
+
+
+def _fixed(rho, taylor, ctx):
+    """Fixed-point ``rho`` and ``E[j] = e taylor[j]``, and their scale ``w``.
+
+    ``taylor[j] = zeta^(j)(rho)/j!``; the results are the inputs of
+    :func:`treeasym.expansions.puiseux_coeffs`.
+    """
+    w = hp.fixed_bits(ctx)
+    return hp.to_fixed(rho, w, ctx), [hp.to_fixed(ctx.e * z, w, ctx) for z in taylor], w
 
 
 @lru_cache(maxsize=None)
 def _solved(variety, L, N, D):
-    """``(spec, K, ctx, rho, taylor)`` with ``K = 2L+1`` at truncation order ``N``."""
+    """``(spec, K, ctx, x, E, w)``, ``K = 2L+1``, at truncation order ``N``: see :func:`_fixed`."""
     spec, K = get_variety(variety), 2 * L + 1
     ctx = working_context(D)
     h = numeric_exponent(spec, spec.count_source(N), N, ctx)
     rho, _ = find_root(spec, h, ctx, DEFAULT_BRACKET, D, MAX_NEWTON)
-    return spec, K, ctx, rho, zeta_taylor(spec, h, rho, derivative_orders_needed(K), ctx)
+    taylor = zeta_taylor(spec, h, rho, derivative_orders_needed(K), ctx)
+    return (spec, K, ctx, *_fixed(rho, taylor, ctx))
+
+
+def _real(values, w, ctx):
+    """Fixed-point values at scale ``w`` read back in ``ctx``."""
+    return [hp.from_fixed(v, w, ctx) for v in values]
 
 
 @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
@@ -121,10 +136,11 @@ def _solved(variety, L, N, D):
 def test_composition_matches_explicit_oracle(variety, L, N, D):
     # T = C(zeta) by series powers against the paper's Bell-polynomial,
     # binomial and composition-table form, on the same rho and derivatives
-    spec, K, ctx, rho, taylor = _solved(variety, L, N, D)
-    derivs = [math.factorial(r) * z for r, z in enumerate(taylor)]
-    oracle = _apply_post_transform(t_values(rho, derivs, K, ctx), rho, spec)
-    got = puiseux_coeffs(spec, rho, taylor, K, ctx)
+    spec, K, ctx, x, E, w = _solved(variety, L, N, D)
+    rho = hp.from_fixed(x, w, ctx)
+    derivs = [math.factorial(r) * v / ctx.e for r, v in enumerate(_real(E, w, ctx))]
+    oracle = apply_shift(t_values(rho, derivs, K, ctx), rho, spec)
+    got = _real(puiseux_coeffs(spec, x, E, K, w), w, ctx)
     assert len(got) == len(oracle) == K + 1
     for n, (a, b) in enumerate(zip(got, oracle)):
         assert agreement_digits(a, b, ctx) >= D + 5, (variety, n)
@@ -135,12 +151,12 @@ def test_composition_matches_explicit_oracle(variety, L, N, D):
 def test_fixed_point_composition_matches_mpf_recurrence(variety, L, N, D):
     # the same Miller recurrence on mpf values, 20 digits above the working
     # precision and on the same rho and Taylor coefficients
-    spec, K, ctx, rho, taylor = _solved(variety, L, N, D)
+    spec, K, ctx, x, E, w = _solved(variety, L, N, D)
     hi = context(ctx.dps + 20)
-    rho_hi = hi.convert(rho)
-    oracle = miller_t_values(rho_hi, [hi.convert(z) for z in taylor], K, hi)
-    oracle = _apply_post_transform(oracle, rho_hi, spec)
-    got = puiseux_coeffs(spec, rho, taylor, K, ctx)
+    rho_hi = hp.from_fixed(x, w, hi)
+    oracle = miller_t_values(rho_hi, [v / hi.e for v in _real(E, w, hi)], K, hi)
+    oracle = apply_shift(oracle, rho_hi, spec)
+    got = _real(puiseux_coeffs(spec, x, E, K, w), w, hi)
     assert len(got) == len(oracle) == K + 1
     for n, (a, b) in enumerate(zip(got, oracle)):
         assert agreement_digits(a, b, hi) >= D + 10, (variety, n)
@@ -172,8 +188,10 @@ class TestAsymptoticCoefficients:
 
     def test_requires_enough_t_indices(self, pipeline):
         result = pipeline("polya")
+        ctx = result.puiseux.ctx
+        w = hp.fixed_bits(ctx)
         with pytest.raises(ValueError, match="needs t-indices"):
-            tau_coeffs(result.puiseux.t, 10, result.puiseux.ctx)
+            tau_coeffs([hp.to_fixed(v, w, ctx) for v in result.puiseux.t], 10)
 
 
 class TestEstimates:
@@ -224,7 +242,7 @@ class TestPipelineGuards:
         monkeypatch.setattr(varieties, "zeta_exponent", no_series)
         monkeypatch.setattr(varieties, "_divisor_sums", no_series)
         monkeypatch.setattr(varieties, "series_exp", no_series)
-        monkeypatch.setattr(varieties, "series_exp_fixed", no_series)
+        monkeypatch.setattr(expansions, "series_exp_fixed", no_series)
         with pytest.raises(ValueError, match="order L must be >= 0, got -1"):
             expand_variety("hierarchy", L=-1)
 
@@ -293,7 +311,7 @@ class TestCertification:
         # one integer exponential of the short log-zeta model at each root
         # (N and N // 2); no series exponential at all
         lengths = []
-        original = varieties.series_exp_fixed
+        original = expansions.series_exp_fixed
 
         def counted(g, w):
             lengths.append(len(g))
@@ -302,7 +320,7 @@ class TestCertification:
         def forbidden(*args, **kwargs):
             raise AssertionError("series exponential on the pipeline path")
 
-        monkeypatch.setattr(varieties, "series_exp_fixed", counted)
+        monkeypatch.setattr(expansions, "series_exp_fixed", counted)
         monkeypatch.setattr(varieties, "series_exp", forbidden)
         expand_variety("polya", L=2, N=100, D=30)
         assert lengths == [derivative_orders_needed(5) + 1] * 2
@@ -348,7 +366,7 @@ class TestDirectZetaRoute:
 
     def test_no_order_n_exponential_and_no_termwise_evaluation(self, monkeypatch):
         lengths = []
-        original = varieties.series_exp_fixed
+        original = expansions.series_exp_fixed
 
         def counted(g, w):
             lengths.append(len(g))
@@ -357,7 +375,7 @@ class TestDirectZetaRoute:
         def forbidden(*args, **kwargs):
             raise AssertionError("series exponential or term-wise evaluation on the pipeline path")
 
-        monkeypatch.setattr(varieties, "series_exp_fixed", counted)
+        monkeypatch.setattr(expansions, "series_exp_fixed", counted)
         monkeypatch.setattr(varieties, "series_exp", forbidden)
         for owner in (series, varieties, solver):
             monkeypatch.setattr(owner, "series_eval_deriv_tail", forbidden)

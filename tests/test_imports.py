@@ -1,6 +1,7 @@
 """Import hygiene of the package, checked with ``ast`` in place of a linter."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -42,4 +43,18 @@ def test_no_unused_imports(path):
 
 def test_public_names_resolve():
     missing = [name for name in treeasym.__all__ if not hasattr(treeasym, name)]
+    assert missing == []
+
+
+def test_benchmark_patch_points_resolve(monkeypatch):
+    # the benchmark wraps these names by lookup; a deleted or renamed one
+    # fails here, not only in a traced benchmark run
+    monkeypatch.syspath_prepend(str(PACKAGE.parents[1] / "perfbench"))
+    layers = importlib.import_module("layers")
+    program = importlib.import_module("program")
+    missing = []
+    for owner, key, name, _ in layers.patch_points(program.import_treeasym()):
+        found = key in owner if isinstance(owner, dict) else hasattr(owner, key)
+        if not found:
+            missing.append(f"{key} ({name})")
     assert missing == []

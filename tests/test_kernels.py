@@ -7,13 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treeasym import hp
+from treeasym.expansions import tau_coeffs
 from treeasym.hp import context
-from treeasym.kernels import (
-    SymbolicTauPolynomial,
-    b_seq,
-    cayley_puiseux,
-    tau_symbolic,
-)
+from treeasym.kernels import b_seq, tau_symbolic
 
 from puiseux_oracle import b_seq_direct, bell_partial, gen_binom
 from qr_oracle import _q_weight, compositions, q_symbolic, r_inner, r_seq, tau_qr
@@ -98,17 +95,11 @@ class TestCayleyPuiseux:
     ]
 
     def test_displayed_coefficients(self):
-        got = cayley_puiseux(7)
-        assert [(c.rational_part, c.sqrt2_power) for c in got] == self.EXPECTED
-
-    def test_sqrt2_parity(self):
-        for c in cayley_puiseux(20):
-            assert c.sqrt2_power == c.n % 2
-
-    def test_to_real(self):
-        ctx = context(30)
-        value = cayley_puiseux(1)[1].to_real(ctx)
-        assert abs(value + ctx.sqrt(2)) < ctx.mpf(10) ** -28
+        # the coefficient of (1 - e z)^(n/2) is c_n 2^(n/2), c_n = -B(n)/n! (c_0 = 1)
+        got = [(Fraction(1), 0)] + [
+            (-b_seq(n) * Fraction(2 ** (n // 2), math.factorial(n)), n % 2) for n in range(1, 8)
+        ]
+        assert got == self.EXPECTED
 
 
 class TestGenBinom:
@@ -195,7 +186,7 @@ class TestQSymbolic:
 
     def test_odd_index_invariant(self):
         for q in q_symbolic(12):
-            assert all(idx % 2 == 1 for idx in q.coeffs)
+            assert all(idx % 2 == 1 for idx in q)
 
 
 class TestTauSymbolic:
@@ -225,8 +216,9 @@ class TestTauSymbolic:
 
     def test_evaluate(self):
         ctx = context(30)
+        w = hp.fixed_bits(ctx)
         t = [0, ctx.mpf(-2), 0, ctx.mpf(4)]  # t_1 = -2, t_3 = 4
-        value = tau_symbolic(1).evaluate(t, ctx)
+        value = hp.from_fixed(tau_coeffs([hp.to_fixed(v, w, ctx) for v in t], 1)[1], w, ctx)
         # -3(t_1 - 4 t_3)/16 = -3(-2 - 16)/16 = 27/8
         assert abs(value - ctx.mpf("3.375")) < ctx.mpf(10) ** -25
 
@@ -235,14 +227,16 @@ class TestTauSymbolic:
     def test_evaluate_matches_exact_rational_form(self, ell, data):
         # fixed-point evaluation against the exact Fraction sum at rational t
         ctx = context(40)
+        w = hp.fixed_bits(ctx)
         form = tau_symbolic(ell)
         t = [Fraction(0)] * (2 * ell + 2)
-        for j in form.coeffs:
+        for j in form:
             t[j] = data.draw(st.fractions(-50, 50, max_denominator=10**6))
-        exact = sum(c * t[j] for j, c in form.coeffs.items())
-        value = form.evaluate(t, ctx)
+        exact = sum(c * t[j] for j, c in form.items())
+        fixed = tau_coeffs([hp.to_fixed(v, w, ctx) for v in t], ell)
+        value = hp.from_fixed(fixed[ell], w, ctx)
         # each t_j is rounded to ctx once, the sum is rounded once more
-        size = sum(abs(c * t[j]) for j, c in form.coeffs.items()) + abs(exact)
+        size = sum(abs(c * t[j]) for j, c in form.items()) + abs(exact)
         assert abs(value - ctx.mpf(exact.numerator) / exact.denominator) <= (
             ctx.mpf(2) ** (2 - ctx.prec) * (ctx.mpf(size.numerator) / size.denominator + 1)
         )
@@ -252,7 +246,7 @@ class TestTauSymbolic:
         # the paper's Q/R composition sums give the same Fractions, in the same order
         form, oracle = tau_symbolic(ell), tau_qr(ell)
         assert form == oracle
-        assert list(form.coeffs) == list(oracle.coeffs)
+        assert list(form) == list(oracle)
 
     @pytest.mark.parametrize("k", [1, 3, 5, 9, 15])
     def test_truncation_error_decay(self, k):
@@ -262,7 +256,7 @@ class TestTauSymbolic:
         L = 30
         ctx = context(220)
         half_k = ctx.mpf(k) / 2
-        taus = [tau_symbolic(ell).coeffs.get(k, Fraction(0)) for ell in range(L + 1)]
+        taus = [tau_symbolic(ell).get(k, Fraction(0)) for ell in range(L + 1)]
 
         def rel_error(n):
             n = ctx.mpf(n)
@@ -278,7 +272,3 @@ class TestTauSymbolic:
         ratio = rel_error(10**4) / rel_error(10**5)
         expected = ctx.mpf(10) ** (L + 1 - (k - 1) // 2)
         assert abs(ratio / expected - 1) < 0.05, ctx.nstr(ratio / expected, 6)
-
-    def test_symbol_validation(self):
-        with pytest.raises(ValueError):
-            SymbolicTauPolynomial({2: Fraction(1)})

@@ -64,15 +64,6 @@ class TestVerify:
         assert report.empty and report.ok
         assert "nothing to verify" in report.summary()
 
-    def test_offset_shifts_comparison(self):
-        # with offset 1, values[n] is compared against entry n+1
-        fixture = OeisFixture("X", ((1, 0), (2, 1), (3, 1), (4, 2)))
-        seq = counts_for("polya", 3)
-        report = verify_counts(seq, fixture, index_offset=1)
-        assert report.ok and report.compared == 4
-        report0 = verify_counts(seq, fixture, index_offset=0)
-        assert not report0.ok
-
     def test_partial_overlap(self):
         fixture = OeisFixture("A000081", ((4, 4), (5, 9)))
         report = verify_counts(counts_for("polya", 4), fixture)
@@ -81,7 +72,7 @@ class TestVerify:
 
 class TestGetSequence:
     def test_fixture_fallback_by_default(self, tmp_path):
-        fixture, source = get_sequence("A000081", cache_dir=tmp_path, offline=True)
+        fixture, source = get_sequence("A000081", cache_dir=tmp_path)
         assert source == "fixture"
         assert fixture.pairs[1] == (1, 1)
 
@@ -121,11 +112,12 @@ class TestGetSequence:
         assert source2 == "cache"
 
     def test_offline_never_fetches(self, tmp_path, monkeypatch):
+        # offline is the default: only fetch=True touches the network
         def boom(*args, **kwargs):
-            raise AssertionError("network touched in offline mode")
+            raise AssertionError("network touched without fetch")
 
         monkeypatch.setattr(urllib.request, "urlopen", boom)
-        _, source = get_sequence("A000669", cache_dir=tmp_path, offline=True, fetch=True)
+        _, source = get_sequence("A000669", cache_dir=tmp_path)
         assert source == "fixture"
 
 

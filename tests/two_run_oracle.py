@@ -101,11 +101,19 @@ def expand(variety: str, L: int, N: int, D: int) -> dict:
     ctx = hp.working_context(D)
     h = numeric_exponent(spec, spec.count_source(N), N, ctx)
     r_max = derivative_orders_needed(K)
+    w = hp.fixed_bits(ctx)
+
+    def real(values):
+        return [hp.from_fixed(v, w, ctx) for v in values]
+
     runs, start = [], None
     for exponent in (h, exponent_prefix(h, N // 2)):
         rho, iterations = find_root(spec, exponent, ctx, DEFAULT_BRACKET, D, MAX_NEWTON, start)
-        t = puiseux_coeffs(spec, rho, zeta_taylor(spec, exponent, rho, r_max, ctx), K, ctx)
-        runs.append((rho, iterations, t, tau_coeffs(t, L, ctx)))
+        # the library's fixed-point inputs: rho and E[j] = e zeta^(j)(rho)/j!
+        taylor = zeta_taylor(spec, exponent, rho, r_max, ctx)
+        E = [hp.to_fixed(ctx.e * z, w, ctx) for z in taylor]
+        t = puiseux_coeffs(spec, hp.to_fixed(rho, w, ctx), E, K, w)
+        runs.append((rho, iterations, real(t), real(tau_coeffs(t, L))))
         start = rho
     (rho, iterations, t, tau), (rho_check, _, t_check, tau_check) = runs
 
