@@ -207,7 +207,16 @@ class TestVerifyOeis:
         assert code == 1
         assert "mismatch" in out
 
-    def test_nothing_compared_exits_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize("index", ["-9", "900"])
+    def test_nothing_compared_exits_2(self, capsys, tmp_path, index):
+        # a cached b-file whose only index lies outside 0..5 overlaps nothing
+        (tmp_path / "b000081.txt").write_text(f"{index} 1\n")
+        code, out, err = run(capsys, "verify-oeis", "polya", "--n", "5",
+                             "--cache-dir", str(tmp_path))
+        assert code == 2
+        assert "nothing to verify" in err and out == ""
+
+    def test_empty_range_exits_2(self, capsys, tmp_path):
         # A000669 starts at n=1, so n <= 0 compares nothing
         code, out, err = run(capsys, "verify-oeis", "hierarchy", "--n", "0",
                              "--cache-dir", str(tmp_path))
