@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Recompute the headline numbers for all three varieties in one run.
 
-Prints, per variety: the dominant singularity to 50 digits, the singular
-expansion coefficients t_0..t_18, the asymptotic coefficients tau_0..tau_18,
-and (for hierarchies) the relative-error grid of the order-1/4/8
-approximations at sizes 10..500.  Writes the estimate/exact ratio series to
+Prints, per variety: the dominant singularity to 50 digits; the singular
+expansion coefficients t_0..t_18 and the asymptotic coefficients
+tau_0..tau_18, each to its certified digits plus two (at most 19), as
+`treeasym expand --table1/--table2` prints them; and (for hierarchies) the
+relative-error grid of the order-1/4/8 approximations at sizes 10..500.  Writes the estimate/exact ratio series to
 ratio_hierarchy.csv for plotting.
 
 Usage: python scripts/reproduce_tables.py [--terms N] [--digits D]
@@ -45,24 +46,24 @@ def main():
         print(f"{variety:10s} rho = {to_decimal(r.rho, 50, r.ctx)}  [{r.certified_digits}]")
     print()
 
-    print("=== singular-expansion coefficients t_n (19 digits) ===")
+    print("=== singular-expansion coefficients t_n (certified digits + 2, at most 19) ===")
     header = f"{'n':>3s} " + "".join(f"{v:>26s}" for v in VARIETIES)
     print(header)
     for n in range(19):
         row = f"{n:>3d} "
         for variety in VARIETIES:
             p = results[variety].puiseux
-            row += f"{to_decimal(p.t[n], 19, p.ctx):>26s}"
+            row += f"{to_decimal(p.t[n], min(19, p.certified_digits[n] + 2), p.ctx):>26s}"
         print(row)
     print()
 
-    print("=== asymptotic-expansion coefficients tau_l (19 digits) ===")
+    print("=== asymptotic-expansion coefficients tau_l (certified digits + 2, at most 19) ===")
     print(header)
     for ell in range(19):
         row = f"{ell:>3d} "
         for variety in VARIETIES:
             a = results[variety].asym
-            row += f"{to_decimal(a.tau[ell], 19, a.ctx):>26s}"
+            row += f"{to_decimal(a.tau[ell], min(19, a.certified_digits[ell] + 2), a.ctx):>26s}"
         print(row)
     print()
 

@@ -34,7 +34,8 @@ the terms through ``tau_k / n^k`` (``k+1`` summands).
 
 Everything from the sweep to ``tau`` runs on integers scaled by ``2^w``;
 ``rho``, ``t`` and ``tau`` become mpf values only where
-:func:`expand_variety` stores them in its result records.  It runs the
+:func:`expand_variety` stores them in its result records.  Their certified
+digits and the tail indicator are read off the integers too.  It runs the
 pipeline at ``N`` and at ``N//2``; both roots and models come from the same
 sweep, so the second has no bracket phase of its own.
 """
@@ -302,23 +303,23 @@ def expand_variety(
         return tuple(hp.from_fixed(v, w, ctx) for v in values)
 
     def certified(values, checks):
-        pairs = zip(real(values), real(checks))
-        return tuple(hp.certified_digits(a, b, D, ctx) for a, b in pairs)
+        return tuple(hp.certified_fixed(v, c, w, D, ctx) for v, c in zip(values, checks))
 
-    rho = hp.from_fixed(x, w, ctx)
     # relative truncation error of the highest derivative that t_K reads
-    tail = exponent_tail(h, rho, r_max, ctx) / abs(hp.from_fixed(E[r_max], w, ctx))
-    if tail > ctx.mpf(10) ** (-(D - 10)):
+    tail = exponent_tail(h, x, r_max, w)
+    if tail * 10 ** (D - 10) > abs(E[r_max]):
+        ratio = hp.from_fixed(tail, w, ctx) / abs(hp.from_fixed(E[r_max], w, ctx))
         warnings.warn(
-            f"relative tail of the highest zeta derivative reaches {ctx.nstr(tail, 3)}; "
+            f"relative tail of the highest zeta derivative reaches {ctx.nstr(ratio, 3)}; "
             f"truncation order {N} is small for {D} digits",
             TruncationWarning,
             stacklevel=2,
         )
+    rho = hp.from_fixed(x, w, ctx)
     rho_result = RhoResult(
         variety=spec.name,
         rho=rho,
-        certified_digits=hp.certified_digits(rho, hp.from_fixed(x_check, w, ctx), D, ctx),
+        certified_digits=hp.certified_fixed(x, x_check, w, D, ctx),
         n_used=N,
         iterations=iterations,
         digits=D,

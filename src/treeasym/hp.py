@@ -1,14 +1,18 @@
 """Arbitrary-precision arithmetic contexts.
 
 Every numeric routine in this package receives an explicit mpmath context
-instead of relying on the global ``mpmath.mp`` state.  A context created by
-:func:`context` is an independent clone, so computations at different
-precisions never interfere and all operations are thread-safe.
+instead of relying on the global ``mpmath.mp`` state.  :func:`context`
+clones ``mpmath.mp`` once per precision and hands every caller at that
+precision the same clone, so computations at different precisions never
+interfere.  The shared contexts are read-only: nothing may set their
+``dps``, ``prec`` or rounding (``ctx.workdps`` and the like included), and
+nothing in this package does.  Kept to that rule they are safe under
+concurrent readers.
 
 Working precision policy: computations targeting ``D`` reported digits run
 at ``D + GUARD_DIGITS`` internal digits.  Certification of the reported
 digits is done separately, by recomputing with the series truncation order
-halved and counting agreement digits (see :func:`certified_digits`).
+halved and counting agreement digits (see :func:`certified_fixed`).
 
 Everything between the exponent of ``zeta`` and the reported values runs
 on fixed-point integers: a real ``y`` is held as ``floor(y 2^w)`` with
@@ -19,14 +23,18 @@ Taylor shift and short exponential, the singular coefficients ``t`` and
 the linear forms that give ``tau``.  mpf appears at the edges only: the
 logarithms of :func:`fixed_log`, and :func:`from_fixed` where ``rho``,
 ``t`` and ``tau`` are stored in the result records.  The digit counts are
-exact integer comparisons too (:func:`agreement_digits`).
+exact integer comparisons too: :func:`certified_fixed` reads them off the
+rounded mantissas and exponents of two fixed-point values, by the same rule
+as :func:`agreement_digits` on two mpf values, without building an mpf.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
+from mpmath import libmp
 
 #: Extra digits carried internally beyond the requested target precision.
 GUARD_DIGITS = 15
@@ -49,8 +57,16 @@ FIXED_GUARD_BITS = 40
 MIN_DIGITS = 30
 
 
+@lru_cache(maxsize=None)
 def context(digits: int):
-    """Return an independent mpmath context with ``digits`` decimal digits."""
+    """The shared mpmath context with ``digits`` decimal digits; read-only.
+
+    One clone of ``mpmath.mp`` per precision, made on the first call and
+    returned to every later one: a clone costs a fraction of a millisecond,
+    and its first operations more while its mpf classes warm up.  Each
+    cached context holds about 42 KB for the life of the process.  Callers
+    must not change its precision or rounding.
+    """
     if digits < 1:
         raise ValueError(f"precision must be positive, got {digits}")
     ctx = mpmath.mp.clone()
@@ -70,18 +86,18 @@ def fixed_bits(ctx) -> int:
 
 def to_fixed(x, w: int, ctx) -> int:
     """``floor(x 2^w)`` for a real ``x``, exact for an mpf of ``ctx``."""
-    return mpmath.libmp.to_int(ctx.ldexp(convert(x, ctx), w)._mpf_, "f")
+    return libmp.to_int(ctx.ldexp(convert(x, ctx), w)._mpf_, "f")
 
 
 def from_fixed(v: int, w: int, ctx):
-    """The fixed-point integer ``v`` read back as ``v 2^-w``, rounded to ``ctx``."""
-    return ctx.ldexp(ctx.mpf(v), -w)
+    """The fixed-point integer ``v`` read back as ``v 2^-w``, rounded to nearest in ``ctx``."""
+    return ctx.make_mpf(libmp.from_man_exp(v, -w, ctx.prec, "n"))
 
 
 def fixed_log(v: int, w: int) -> int:
     """``floor(log(v 2^-w) 2^w)``, within one unit, for a fixed-point ``v > 0``."""
-    y = mpmath.libmp.mpf_log(mpmath.libmp.from_man_exp(v, -w), w + 16)
-    return mpmath.libmp.to_int(mpmath.libmp.mpf_shift(y, w), "f")
+    y = libmp.mpf_log(libmp.from_man_exp(v, -w), w + 16)
+    return libmp.to_int(libmp.mpf_shift(y, w), "f")
 
 
 def agreement_digits(a, b, ctx) -> int:
@@ -95,25 +111,42 @@ def agreement_digits(a, b, ctx) -> int:
     correct digits.  Capped at ``ctx.dps`` (beyond that the comparison itself
     is meaningless).
     """
-    (sa, ma, ea, _), (sb, mb, eb, _) = ctx.convert(a)._mpf_, ctx.convert(b)._mpf_
+    return _agreement(ctx.convert(a)._mpf_, ctx.convert(b)._mpf_, ctx.dps)
+
+
+def _agreement(a: tuple, b: tuple, dps: int) -> int:
+    """:func:`agreement_digits` of raw mpf tuples ``(sign, man, exp, bc)``, capped at ``dps``."""
+    (sa, ma, ea, _), (sb, mb, eb, _) = a, b
     e = min(ea, eb)
     x = (-ma if sa else ma) << (ea - e)
     y = (-mb if sb else mb) << (eb - e)
     if x == y:
-        return ctx.dps
+        return dps
     q = max(abs(x), abs(y)) // abs(x - y)  # 10^k <= q exactly when k qualifies
-    if q >= 10**ctx.dps:
-        return ctx.dps
+    if q >= 10**dps:
+        return dps
     return len(str(q)) - 1 if q else 0
 
 
 def certified_digits(value, check, D: int, ctx) -> int:
     """Digits of ``value`` certified by ``check``, its recomputation at order ``N//2``.
 
-    The agreement count of the two, capped at the target ``D``; used for
-    ``rho``, every ``t_n`` and every ``tau_l``.
+    The agreement count of the two, capped at the target ``D``.  The
+    pipeline certifies ``rho``, every ``t_n`` and every ``tau_l`` by the
+    same rule on their fixed-point values (:func:`certified_fixed`).
     """
     return min(agreement_digits(value, check, ctx), D)
+
+
+def certified_fixed(value: int, check: int, w: int, D: int, ctx) -> int:
+    """:func:`certified_digits` of the fixed-point ``value`` and ``check``, read back at ``w``.
+
+    Equal to ``certified_digits(from_fixed(value, w, ctx), from_fixed(check,
+    w, ctx), D, ctx)``: the rule runs on the same rounded ``(sign, man, exp)``
+    tuples, but builds no mpf.
+    """
+    a, b = (libmp.from_man_exp(v, -w, ctx.prec, "n") for v in (value, check))
+    return min(_agreement(a, b, ctx.dps), D)
 
 
 def to_decimal(x, digits: int, ctx) -> str:

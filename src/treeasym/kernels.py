@@ -1,7 +1,7 @@
 """Exact rational building blocks for the expansion machinery.
 
-Everything in this module is computed in ``fractions.Fraction`` arithmetic
-and is independent of the tree variety: the signed weight sequence ``B(l)``
+Every value in this module is an exact ``fractions.Fraction`` and does
+not depend on the tree variety: the signed weight sequence ``B(l)``
 driving the square-root singular expansion of the tree function
 ``C(z) = z*exp(C(z))`` and the linear forms
 ``tau_l`` that convert singular-expansion coefficients into asymptotic ones.
@@ -16,7 +16,9 @@ The ``tau`` weights come from the transfer of each odd singular term,
 Bernoulli-polynomial series of ``log(Gamma(n+a)/Gamma(n+b))`` (Tricomi &
 Erdelyi, *The asymptotic expansion of a ratio of gamma functions*, Pacific
 J. Math. 1951; Flajolet & Sedgewick, *Analytic Combinatorics*, Thm VI.1):
-``tau_0 .. tau_L`` cost ``O(L^3)`` rational operations.  Values are cached
+``tau_0 .. tau_L`` cost ``O(L^3)`` integer and ``O(L^2)`` ``Fraction``
+operations, because the inner sums of both recurrences run on integers over
+a common denominator (:func:`_dot`).  Values are cached
 per index and shared across varieties; the caches are write-once-per-key
 and safe under concurrent readers.  A form is a plain ``{j: c_j}`` dict
 over the odd indices ``j``; :func:`treeasym.expansions.tau_coeffs` applies
@@ -28,6 +30,21 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+
+def _dot(xs, ys) -> Fraction:
+    """``sum_i x_i y_i`` of two sequences of ints or ``Fraction``s.
+
+    The sum runs on integers over the common denominator of each sequence,
+    so it builds one ``Fraction`` (one gcd) instead of two per term.
+    """
+    dx = math.lcm(*(x.denominator for x in xs))
+    dy = math.lcm(*(y.denominator for y in ys))
+    total = sum(
+        x.numerator * (dx // x.denominator) * y.numerator * (dy // y.denominator)
+        for x, y in zip(xs, ys)
+    )
+    return Fraction(total, dx * dy)
 
 
 @lru_cache(maxsize=None)
@@ -48,7 +65,7 @@ def _lambert_mu(k: int) -> Fraction:
     def alpha(i):
         if i < 2:
             return Fraction((2, -1)[i])
-        return sum((mu[j] * mu[i + 1 - j] for j in range(2, i)), Fraction(0))
+        return _dot(mu[2:i], mu[i - 1 : 1 : -1])
 
     return (
         Fraction(k - 1, k + 1) * (mu[k - 2] / 2 + alpha(k - 2) / 4)
@@ -77,31 +94,38 @@ def _bernoulli(m: int) -> Fraction:
     if m == 0:
         return Fraction(1)
     # ascending calls find every smaller index cached, so the recursion stays shallow
-    return -sum(math.comb(m + 1, i) * _bernoulli(i) for i in range(m)) / (m + 1)
+    binomials = [math.comb(m + 1, i) for i in range(m)]
+    return -_dot(binomials, [_bernoulli(i) for i in range(m)]) / (m + 1)
 
 
 @lru_cache(maxsize=None)
 def _log_gamma_ratio(j: int, k: int) -> Fraction:
-    """``n^-k`` coefficient of ``log(Gamma(n-a) n^(a+1) / Gamma(n+1))`` at ``a = j + 1/2``.
+    """``k s_k`` at ``a = j + 1/2``, for the series ``log(Gamma(n-a) n^(a+1) / Gamma(n+1))``.
 
-    That is ``(-1)^(k+1) (B_{k+1}(-a) - B_{k+1}(1)) / (k (k+1))`` for ``k >= 1``,
+    Its ``n^-k`` coefficient is
+    ``s_k = (-1)^(k+1) (B_{k+1}(-a) - B_{k+1}(1)) / (k (k+1))`` for ``k >= 1``,
     where ``B_{k+1}(1) = B_{k+1}`` cancels the constant term of ``B_{k+1}(-a)``.
+    No Bernoulli polynomial is evaluated: ``B_n(x - 1) = B_n(x) - n (x - 1)^(n-1)``
+    steps ``a`` by one, so ``k s_k(j) = k s_k(j-1) + a^k``, and at ``a = 1/2``
+    ``B_n(-1/2) = (2^(1-n) - 1) B_n - n (-1/2)^(n-1)`` gives
+    ``k s_k(0) = (-1)^(k+1) (1 - 2^(k+1)) B_{k+1} / ((k+1) 2^k) + 2^-k``.
     """
-    x = Fraction(-2 * j - 1, 2)
-    poly = sum(math.comb(k + 1, i) * _bernoulli(i) * x ** (k + 1 - i) for i in range(k + 1))
-    return (-1) ** (k + 1) * poly / (k * (k + 1))
+    if j:
+        return _log_gamma_ratio(j - 1, k) + Fraction((2 * j + 1) ** k, 1 << k)
+    return ((-1) ** (k + 1) * (1 - (2 << k)) * _bernoulli(k + 1) / (k + 1) + 1) / (1 << k)
 
 
 @lru_cache(maxsize=None)
 def _gamma_ratio(j: int, m: int) -> Fraction:
     """``c_m``: the ``n^-m`` coefficient of ``Gamma(n-a) n^(a+1) / Gamma(n+1)`` at ``a = j + 1/2``.
 
-    The exponential of the :func:`_log_gamma_ratio` series ``s_k``, through
-    ``m c_m = sum_{k=1}^{m} k s_k c_{m-k}``.
+    The exponential of the series ``s_k`` of :func:`_log_gamma_ratio`,
+    through ``m c_m = sum_{k=1}^{m} k s_k c_{m-k}``.
     """
     if m == 0:
         return Fraction(1)
-    return sum((m - i) * _log_gamma_ratio(j, m - i) * _gamma_ratio(j, i) for i in range(m)) / m
+    weighted = [_log_gamma_ratio(j, m - i) for i in range(m)]  # k s_k, k = m - i
+    return _dot(weighted, [_gamma_ratio(j, i) for i in range(m)]) / m
 
 
 @lru_cache(maxsize=None)

@@ -31,7 +31,7 @@ No step runs at the full working precision over all ``2N+1`` coefficients
 except the one sweep.  :func:`find_root` solves one given exponent.
 :func:`solve_rho` is the certified form for direct callers: it solves at
 truncation order ``N`` and at ``N//2`` from the same sweep, and reports
-their agreement through :func:`treeasym.hp.certified_digits`, the same
+their agreement through :func:`treeasym.hp.certified_fixed`, the same
 helper that certifies the full expansion in
 :func:`treeasym.expansions.expand_variety`.
 """
@@ -141,11 +141,11 @@ def solve_rho(
     w = hp.fixed_bits(ctx)
     h = numeric_exponent(spec, counts, N, ctx)
     models, iterations = solve_models(spec, h, half_cut(N), 0, ctx, D, bracket, max_newton)
-    rho, rho_check = (hp.from_fixed(x, w, ctx) for x, _ in models)
+    (x, _), (x_check, _) = models
     return RhoResult(
         variety=spec.name,
-        rho=rho,
-        certified_digits=hp.certified_digits(rho, rho_check, D, ctx),
+        rho=hp.from_fixed(x, w, ctx),
+        certified_digits=hp.certified_fixed(x, x_check, w, D, ctx),
         n_used=N,
         iterations=iterations,
         digits=D,

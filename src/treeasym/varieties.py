@@ -65,6 +65,7 @@ from .counts import CountSequence, VarietySpec, add_to_multiples
 from .counts import HIERARCHY, IDENTITY, POLYA, VARIETIES, get_variety  # noqa: F401
 from .series import (
     PowerSeries,
+    _fixed_power,
     series_exp,
     series_exp_fixed,
     series_scale,
@@ -160,16 +161,25 @@ def log_zeta_taylor(spec: VarietySpec, taylor: Sequence[int], x: int, w: int) ->
     return out
 
 
-def exponent_tail(h: tuple, x, r: int, ctx):
+def exponent_tail(h: tuple, x: int, r: int, w: int) -> int:
     """Tail indicator of ``h^(r)(x) / r!``: the summed size of its last five retained terms.
 
-    The terms are ``binom(m, r) g_m x^(m-r)`` for the top five degrees ``m``
+    The terms are ``binom(m, r) |g_m| x^(m-r)`` for the top five degrees ``m``
     of the numeric exponent ``h``, a stand-in for the first omitted ones.
+    ``h``, ``0 < x < 1`` and the result are fixed-point at ``w``.  The sum
+    runs by Horner's rule from the top degree, then takes the factor
+    ``x^(m-r)`` of the lowest ``m``.  That power can lie far below ``2^-w``
+    while the sum is large, so it is held with ``wide - w`` extra bits,
+    enough that it keeps ``w`` significant bits.
     """
-    w = hp.fixed_bits(ctx)
     top = len(h) - 1
-    degrees = range(max(r, top - 4), top + 1)
-    return sum(abs(hp.from_fixed(h[m], w, ctx)) * math.comb(m, r) * x ** (m - r) for m in degrees)
+    low = max(r, top - 4)
+    acc = 0
+    for m in range(top, low - 1, -1):
+        acc = abs(h[m]) * math.comb(m, r) + (acc * x >> w)
+    k = low - r
+    wide = w + k * (w + 1 - x.bit_length())  # x^k >= 2^(w - wide)
+    return acc * _fixed_power(x << (wide - w), k, wide) >> wide
 
 
 def zeta_derivatives(

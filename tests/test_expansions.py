@@ -454,3 +454,57 @@ class TestTruncationWarning:
         with warnings.catch_warnings():
             warnings.simplefilter("error", TruncationWarning)
             expand_variety(variety, L=8, N=200, D=40)
+
+    @staticmethod
+    def _mpf_indicator(variety, L, N, D):
+        """The relative tail on mpf values, as :func:`expand_variety` computed it before
+        it summed the terms on the fixed-point exponent and root."""
+        spec, r = get_variety(variety), derivative_orders_needed(2 * L + 1)
+        ctx = working_context(D)
+        w = hp.fixed_bits(ctx)
+        h = numeric_exponent(spec, spec.count_source(N), N, ctx)
+        [(x, log_taylor), _], _ = solver.solve_models(spec, h, solver.half_cut(N), r, ctx, D)
+        rho = hp.from_fixed(x, w, ctx)
+        top = len(h) - 1
+        tail = sum(abs(hp.from_fixed(h[m], w, ctx)) * math.comb(m, r) * rho ** (m - r)
+                   for m in range(max(r, top - 4), top + 1))
+        ratio = tail / abs(hp.from_fixed(series.series_exp_fixed(log_taylor, w)[r], w, ctx))
+        return ratio, ratio > ctx.mpf(10) ** (-(D - 10)), ctx
+
+    @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
+    @pytest.mark.parametrize(
+        "L, N, D", [(4, 50, 60), (8, 100, 40), (8, 120, 80), (8, 200, 40), (40, 200, 60)]
+    )
+    def test_fires_where_the_mpf_indicator_did(self, variety, L, N, D):
+        ratio, fires, ctx = self._mpf_indicator(variety, L, N, D)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", TruncationWarning)
+            expand_variety(variety, L=L, N=N, D=D)
+        messages = [str(c.message) for c in caught if c.category is TruncationWarning]
+        if fires:
+            assert messages == [f"relative tail of the highest zeta derivative reaches "
+                                f"{ctx.nstr(ratio, 3)}; truncation order {N} is small for "
+                                f"{D} digits"]
+        else:
+            assert messages == []
+
+    def test_sweep_covers_both_outcomes(self):
+        # the sweep above is only a check if some configurations fire and some do not
+        assert self._mpf_indicator("identity", 8, 100, 40)[1]
+        assert not self._mpf_indicator("polya", 8, 100, 40)[1]
+
+    @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
+    def test_fixed_point_sum_matches_mpf(self, variety):
+        # the fixed-point sum against the mpf one where the power x^(m-r) lies
+        # far below 2^-w but the terms do not
+        spec, N, D, r = get_variety(variety), 100, 30, 9
+        ctx = working_context(D)
+        w = hp.fixed_bits(ctx)
+        h = numeric_exponent(spec, spec.count_source(N), N, ctx)
+        x = hp.to_fixed(ctx.mpf(RHO_50[variety]), w, ctx)
+        rho = hp.from_fixed(x, w, ctx)
+        expected = sum(abs(hp.from_fixed(h[m], w, ctx)) * math.comb(m, r) * rho ** (m - r)
+                       for m in range(2 * N - 4, 2 * N + 1))
+        got = hp.from_fixed(varieties.exponent_tail(h, x, r, w), w, ctx)
+        assert rho ** (2 * N - 4 - r) < ctx.mpf(2) ** -(w + 30) < expected * 10**-20
+        assert agreement_digits(got, expected, ctx) >= 20

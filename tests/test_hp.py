@@ -1,7 +1,14 @@
+import warnings
+
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from treeasym import hp
+from treeasym.expansions import expand_variety
 from treeasym.hp import GUARD_DIGITS, agreement_digits, context, to_decimal, working_context
+from treeasym.series import TruncationWarning
 
 
 def test_contexts_do_not_touch_global_state():
@@ -20,6 +27,35 @@ def test_contexts_are_independent():
     va = a.sqrt(2)
     vb = b.sqrt(2)
     assert agreement_digits(va, vb, b) >= 28
+
+
+def test_one_context_per_precision():
+    assert context(47) is context(47)
+    assert context(47) is not context(48)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        a, b = (expand_variety(v, L=2, N=60, D=40) for v in ("polya", "hierarchy"))
+    assert a.asym.ctx is b.asym.ctx is a.rho_result.ctx is working_context(40)
+
+
+def test_clone_runs_once_per_precision(monkeypatch):
+    clone, clones = mpmath.mp.clone, []
+
+    def counted():
+        clones.append(1)
+        return clone()
+
+    context.cache_clear()
+    monkeypatch.setattr(mpmath.mp, "clone", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        for _ in range(2):
+            expand_variety("identity", L=2, N=60, D=40)
+    assert len(clones) == 1
+    context(30)
+    context(30)
+    working_context(40)
+    assert len(clones) == 2
 
 
 def test_working_context_guard():
@@ -73,3 +109,54 @@ def test_to_decimal_round_trip():
     text = to_decimal(x, 30, ctx)
     assert agreement_digits(ctx.mpf(text), x, ctx) >= 29
     assert to_decimal(ctx.mpf(text), 30, ctx) == text
+
+
+PRECISIONS = st.sampled_from([30, 55, 95, 215])
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=st.integers(-(2**700), 2**700), w=st.integers(0, 800), digits=PRECISIONS)
+def test_from_fixed_is_the_rounded_ldexp(v, w, digits):
+    # bit for bit the value of the mpf route it replaces
+    ctx = context(digits)
+    assert hp.from_fixed(v, w, ctx)._mpf_ == ctx.ldexp(ctx.mpf(v), -w)._mpf_
+
+
+def _check_values(v, prec):
+    """Checks of ``v``: equal, one ulp of ``prec`` bits either way, nearby, opposite sign, zero."""
+    ulp = 1 << max(0, abs(v).bit_length() - prec)
+    return [v, v + ulp, v - ulp, v + 3 * ulp // 2, v + (ulp >> 1), -v, 0, v >> 7]
+
+
+def _assert_certified_fixed_matches_mpf(v, check, w, D, ctx):
+    expected = hp.certified_digits(hp.from_fixed(v, w, ctx), hp.from_fixed(check, w, ctx), D, ctx)
+    assert hp.certified_fixed(v, check, w, D, ctx) == expected, (v, check)
+
+
+class TestCertifiedFixed:
+    @settings(max_examples=200, deadline=None)
+    @given(v=st.integers(-(2**500), 2**500), w=st.integers(150, 400), digits=PRECISIONS,
+           D=st.integers(1, 240))
+    def test_matches_certified_digits_on_mpf(self, v, w, digits, D):
+        ctx = context(digits)
+        for check in _check_values(v, ctx.prec):
+            _assert_certified_fixed_matches_mpf(v, check, w, D, ctx)
+
+    @pytest.mark.parametrize("v", [0, 1, -1, 3 << 300, -(5 << 250) - 1])
+    def test_edge_pairs(self, v):
+        ctx, w = context(55), 226
+        for check in _check_values(v, ctx.prec):
+            _assert_certified_fixed_matches_mpf(v, check, w, 40, ctx)
+        assert hp.certified_fixed(0, 0, w, 40, ctx) == 40
+        assert hp.certified_fixed(v, v, w, 40, ctx) == 40
+        if v:
+            assert hp.certified_fixed(v, -v, w, 40, ctx) == 0
+
+    def test_reads_the_rounded_values(self):
+        # y sits just past a decade boundary from x, 20 bits below the
+        # precision: the unrounded pair agrees on k - 1 digits, and rounding
+        # y to the context can move it to k
+        ctx, w = context(30), 200
+        x = (3 << (ctx.prec - 2)) << 20
+        for k in range(1, 31):
+            _assert_certified_fixed_matches_mpf(x, x - (x // 10**k + 1), w, 30, ctx)
