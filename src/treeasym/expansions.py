@@ -2,9 +2,9 @@
 
 The pipeline builds the exponent ``h = log(zeta / (c z^a))`` to degree
 ``2N`` once, as fixed-point integers at the working precision.  One split
-sweep of Horner passes gives the short Taylor models of ``log zeta`` for
-``h`` and for its ``N//2`` prefix; integer Newton on each model gives
-``rho`` and the model's Taylor shift to it
+sweep of scaled Taylor shifts gives the short Taylor models of ``log
+zeta`` for ``h`` and for its ``N//2`` prefix; integer Newton on each model
+gives ``rho`` and the model's Taylor shift to it
 (:func:`treeasym.solver.solve_models`).  Since ``zeta(rho) = 1/e``, the
 short exponential of that model (:func:`treeasym.series.series_exp_fixed`)
 is ``E[j] = e zeta^(j)(rho)/j!`` with ``E[0] = 1``.  From these, the

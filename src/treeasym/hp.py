@@ -17,8 +17,8 @@ halved and counting agreement digits (see :func:`certified_fixed`).
 Everything between the exponent of ``zeta`` and the reported values runs
 on fixed-point integers: a real ``y`` is held as ``floor(y 2^w)`` with
 ``w = ctx.prec + FIXED_GUARD_BITS`` (:func:`fixed_bits`), or a few more
-bits inside one step.  That covers the one split sweep of Horner passes
-over the exponent, Newton on the short Taylor models it gives, their
+bits inside one step.  That covers the one split sweep of scaled Taylor
+shifts over the exponent, Newton on the short Taylor models it gives, their
 Taylor shift and short exponential, the singular coefficients ``t`` and
 the linear forms that give ``tau``.  mpf appears at the edges only: the
 logarithms of :func:`fixed_log`, and :func:`from_fixed` where ``rho``,
@@ -39,18 +39,16 @@ from mpmath import libmp
 #: Extra digits carried internally beyond the requested target precision.
 GUARD_DIGITS = 15
 
-#: Bits carried beyond ``ctx.prec`` by the fixed-point Horner passes.  Each
-#: step ``acc = a_k + (X acc >> w)`` floors once, so after ``r + 1`` passes
-#: at ``0 <= x < 1`` coefficient ``j`` is within ``(j + 2) / (1 - x)^(j + 1)``
-#: units of ``2^-w`` of the exact shift of the exact coefficients (the
-#: ``+ 1`` counts their own flooring).  At ``x <= 0.4`` and ``j <= 41`` (an
-#: order-40 expansion) that is below ``2^37``, so the absolute error stays
-#: below ``2^-(ctx.prec + 3)``.  The sweep runs ``MODEL_EXTRA = 3`` more
-#: passes than the ``r + 1`` it reports (:mod:`treeasym.solver`), but the
-#: extra orders enter the reported ones only times powers of the step
-#: ``|y| <= 2^-b`` to the root; joining the two blocks of the split sweep
-#: adds two units per order, and the Taylor shift by ``y`` and Newton on
-#: the short model a few units more.
+#: Bits carried beyond ``ctx.prec`` by the fixed-point pipeline.  Flooring
+#: the exponent's coefficients moves coefficient ``j`` of its Taylor shift
+#: to ``0 <= x < 1`` by at most ``1 / (1 - x)^(j + 1)`` units of ``2^-w``,
+#: and the scaled sweep (:func:`treeasym.series.series_taylor_split`) adds
+#: 2 units.  At ``x <= 0.4`` and ``j <= 41`` (an order-40 expansion) that
+#: is below ``2^31``: the absolute error stays below ``2^-(ctx.prec + 9)``.
+#: The ``MODEL_EXTRA = 3`` orders the sweep keeps beyond the ``r + 1`` it
+#: reports (:mod:`treeasym.solver`) enter those only times powers of the
+#: step ``|y| <= 2^-b`` to the root; the Taylor shift by ``y`` and Newton
+#: on the short model add a few units more.
 FIXED_GUARD_BITS = 40
 
 #: Smallest target precision supported by the expansion pipeline.

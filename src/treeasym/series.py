@@ -17,6 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from . import hp
@@ -156,72 +157,73 @@ def series_taylor(coeffs: Sequence[int], x: int, r: int, w: int) -> tuple:
     """Fixed-point Taylor coefficients ``f^(j)(x) / j!`` for ``j = 0 .. r``.
 
     The coefficients ``c_0 .. c_N`` of ``f``, the point ``x`` and the result
-    are integers scaled by ``2^w`` (:func:`treeasym.hp.to_fixed`).  ``r + 1``
-    synthetic divisions of ``f`` by ``z - x`` (Horner's rule, run as the
-    first ``r + 1`` steps of the Taylor shift ``f(x + y)``) take about
-    ``(r + 1) N`` steps ``acc = c_k + (x acc >> w)``; the flooring error is
-    bounded at :data:`treeasym.hp.FIXED_GUARD_BITS`.  The bound there holds
-    for ``x`` of either sign with ``|x|`` in place of ``x``, so the same
-    passes shift a short model by a small step ``y`` of either sign.
+    are integers scaled by ``2^w`` (:func:`treeasym.hp.to_fixed`); for
+    ``|x| < 1`` each result is within 2 units of ``2^-w`` of the exact
+    shift of the given integers (:func:`series_taylor_split`).
     """
-    top = len(coeffs) - 1
-    if not 0 <= r <= top:
-        raise ValueError(f"derivative order {r} outside 0..{top}")
-    a = list(coeffs)
-    for j in range(r + 1):
-        acc = a[top]
-        for k in range(top - 1, j - 1, -1):
-            acc = a[k] + (x * acc >> w)
-            a[k] = acc
-    return tuple(a[: r + 1])
+    if not 0 <= r < len(coeffs):
+        raise ValueError(f"derivative order {r} outside 0..{len(coeffs) - 1}")
+    return series_taylor_split(coeffs, len(coeffs), x, r, w)[1]
 
 
 def series_taylor_split(coeffs: Sequence[int], cut: int, x: int, r: int, w: int) -> tuple:
     """:func:`series_taylor` to order ``r`` of ``f = coeffs`` and of its prefix ``coeffs[:cut]``.
 
-    With ``f = f_low + z^cut f_high`` the passes run once over each block,
-    and ``(x + y)^cut``, whose Taylor coefficients are
-    ``C(cut, k) x^(cut-k)``, carries ``f_high`` over into ``f``: the two
-    results cost one sweep over ``coeffs`` plus ``O(r^2)`` products.  For
-    ``0 <= x < 1`` the prefix's result is exactly ``series_taylor``'s, and
-    coefficient ``j`` of ``f`` is within ``b_j + sum_{k<=j} (C(cut,k) x^(cut-k)
-    b_(j-k) + 2)`` units of ``2^-w`` of the exact shift, ``b_j = (j + 2) /
-    (1 - x)^(j + 1)`` the bound of one block.  ``x^cut`` can lie far below
-    ``2^-w``, so the powers are held with enough extra bits that their
-    error, times the largest coefficient of ``f_high``, stays below a unit.
-    Orders beyond a block's degree are zero.
+    Shaw and Traub's scaled Taylor shift (JACM 21, 1974): the terms
+    ``c_m x^m`` are formed once, their shift by 1 takes only additions, and
+    its coefficient ``j``, ``x^j f^(j)(x) / j!``, is divided by ``x^j``.
+    With ``f = f_low + z^cut f_high``, ``x^cut`` sits in the terms of
+    ``f_high``, so the two blocks' shifts join exactly through the binomials
+    ``C(cut, k)`` (Vandermonde's identity).  The prefix is scaled by itself
+    alone, so its result is ``series_taylor``'s.  Both are within 2 units of
+    ``2^-w`` for ``|x| < 1``; ``x = 0`` returns the coefficients, and orders
+    beyond a block's degree are zero.
     """
     if not 0 < cut:
         raise ValueError(f"cut {cut} must be positive")
-    low = _taylor_to(coeffs[:cut], x, r, w)
-    high = coeffs[cut:]
-    if not high:
-        return low, low
-    high = _taylor_to(high, x, r, w)
-    top = min(r, cut)
-    binom = [math.comb(cut, k) for k in range(top + 1)]
-    wide = max(w, max(abs(v) for v in high).bit_length()) + (2 * cut * max(binom)).bit_length()
-    base = x << (wide - w)
-    power = _fixed_power(base, cut - top, wide)  # x^(cut - k), k = top .. 0
-    weights = [0] * (top + 1)
-    for k in range(top, -1, -1):
-        weights[k] = binom[k] * power
-        power = power * base >> wide
-    whole = tuple(
-        low[j] + sum(weights[k] * high[j - k] >> wide for k in range(min(j, top) + 1))
-        for j in range(r + 1)
-    )
-    return whole, low
+    if x == 0:
+        return tuple(tuple(c[: r + 1]) + (0,) * (r + 1 - len(c)) for c in (coeffs, coeffs[:cut]))
+    low, W = _scaled_shift(coeffs[:cut], x, r, w)
+    if cut >= len(coeffs):
+        return (_unscale(low, W, x, w),) * 2
+    high, V = _scaled_shift(coeffs[cut:], x, r, w, cut)  # V >= W: the guard grows with the degree
+    whole = [(low[j] << V - W) + sum(math.comb(cut, j - l) * high[l] for l in range(j + 1))
+             for j in range(r + 1)]
+    return _unscale(whole, V, x, w), _unscale(low, W, x, w)
 
 
-def _taylor_to(coeffs: Sequence[int], x: int, r: int, w: int) -> tuple:
-    """:func:`series_taylor` padded with zeros beyond the degree of ``coeffs``."""
-    top = min(r, len(coeffs) - 1)
-    return series_taylor(coeffs, x, top, w) + (0,) * (r - top)
+def _scaled_shift(coeffs: Sequence[int], x: int, r: int, w: int, start: int = 0) -> tuple:
+    """``(q, W)``: the shift by 1, to order ``r``, of the terms ``c_m x^(start+m)`` scaled by ``2^W``.
+
+    Each term is floored within 2 units of ``2^-W`` (the powers carry the
+    coefficients' bits above ``2^w`` as extra bits), and coefficient ``j``
+    sums ``C(m, j)`` times term ``m``: within ``2 C(size, j + 1)`` units,
+    times ``|x|^-j`` once unscaled, which the guard ``W - w`` keeps below
+    half a unit of ``2^-w`` for ``j <= r``.  Each synthetic division by
+    ``z - 1`` is one running sum from the top degree, run in C.
+    """
+    size = start + len(coeffs)
+    W = w + math.comb(size, min(r + 1, size // 2)).bit_length() + 2
+    W += min(r, size - 1) * max(0, w + 1 - abs(x).bit_length())
+    wide = W + max(0, max(abs(c).bit_length() for c in coeffs) - w) + (2 * size).bit_length()
+    power, terms = _fixed_power(x << wide - w, start, wide), []
+    for c in coeffs:
+        terms.append(c * power >> wide - W + w)
+        power = power * x >> w
+    q, terms = [], terms[::-1]
+    for _ in range(min(r + 1, len(terms))):
+        terms = list(accumulate(terms))
+        q.append(terms.pop())
+    return q + [0] * (r + 1 - len(q)), W
+
+
+def _unscale(q: Sequence[int], W: int, x: int, w: int) -> tuple:
+    """``floor(q_j x^-j 2^(w - W))`` for each ``j``: the one flooring of a result."""
+    return tuple((v << w * (j + 1)) // (x**j << W) for j, v in enumerate(q))
 
 
 def _fixed_power(x: int, n: int, w: int) -> int:
-    """``x^n`` for a fixed-point ``0 <= x < 2^w`` by squaring; within ``2n`` units of ``2^-w``."""
+    """``x^n`` for a fixed-point ``|x| < 2^w`` by squaring; within ``2n`` units of ``2^-w``."""
     out = 1 << w
     while n:
         if n & 1:

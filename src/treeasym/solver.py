@@ -18,8 +18,8 @@ Every solve takes the same steps (:func:`solve_models`):
    :func:`_start_bits` asks for more, integer Newton steps at doubling
    precision, each on the prefix whose count reach matches its bits.  A
    given start point replaces all of this.
-2. One split sweep: ``r + 1 + MODEL_EXTRA`` fixed-point Horner passes over
-   the exponent (:func:`treeasym.series.series_taylor_split`) give the
+2. One split sweep: the scaled Taylor shift to order ``r + MODEL_EXTRA``
+   over the exponent (:func:`treeasym.series.series_taylor_split`) gives the
    short Taylor models of ``log zeta`` at that point for the whole exponent
    and for its ``N//2`` prefix (:func:`treeasym.varieties.log_zeta_taylor`).
 3. Integer Newton on each short model to a ``10**-(D+5)`` step, then a
@@ -195,8 +195,8 @@ def _start_bits(prec: int, r: int) -> int:
     about ``prec / 4`` bits: at ``D = 40`` (``prec = 186``) 49 bits for
     ``r = 0``, which the float start holds, and 51 for ``r = 9``, one
     doubling step; at ``D = 200`` two doubling steps.  A larger ``e`` adds
-    a pass over all ``2N+1`` coefficients to the sweep and saves only these
-    short steps.
+    a pass of additions over the ``2N+1`` scaled terms to the sweep, and
+    widens its guard, to save only these short steps.
     """
     R = r + MODEL_EXTRA
     return math.ceil(

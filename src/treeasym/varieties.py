@@ -42,14 +42,14 @@ there only to about ``rho^(N/2)``, because ``zeta`` converges only for
 ``|z| < sqrt(rho)``.  The pipeline holds the ``2N+1`` coefficients as
 fixed-point integers ``floor(g_m 2^w)``, ``w`` the working precision plus
 :data:`treeasym.hp.FIXED_GUARD_BITS` bits (:func:`numeric_exponent`),
-computed straight from the integer divisor sums.  Integer Horner passes
-over them give ``h^(j)(x)/j!`` (one split sweep serves the exponent and its
-``N//2`` prefix, see :mod:`treeasym.solver`); adding ``a log z + log c``
-gives the Taylor coefficients of ``log zeta`` (:func:`log_zeta_taylor`)
-in ``O(rN)`` integer multiply-adds.  Their short exponential on integers
-(:func:`treeasym.series.series_exp_fixed`) gives those of ``zeta`` up to
-the factor ``zeta(x)``, which at the root is ``1/e``, so the pipeline
-never forms it (:mod:`treeasym.expansions`).
+computed straight from the integer divisor sums.  The scaled Taylor shift
+over them gives ``h^(j)(x)/j!`` (one split sweep serves the exponent and its
+``N//2`` prefix, see :mod:`treeasym.solver`) in ``O(N)`` integer products
+and ``O(rN)`` integer additions; adding ``a log z + log c`` gives the
+Taylor coefficients of ``log zeta`` (:func:`log_zeta_taylor`).  Their
+short exponential on integers (:func:`treeasym.series.series_exp_fixed`)
+gives those of ``zeta`` up to the factor ``zeta(x)``, which at the root is
+``1/e``, so the pipeline never forms it (:mod:`treeasym.expansions`).
 """
 
 from __future__ import annotations

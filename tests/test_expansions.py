@@ -328,7 +328,7 @@ class TestCertification:
     def test_one_bisection_per_expansion(self, monkeypatch):
         # one split sweep over all 2N+1 coefficients gives both orders; the
         # N // 2 result has no bracket phase of its own, and every other
-        # Horner pass runs on a short prefix or on the short model
+        # Taylor shift runs on a short prefix or on the short model
         calls = _count_passes(monkeypatch)
         result = expand_variety("hierarchy", L=2, N=100, D=30)
         _assert_one_sweep(calls, N=100, r=derivative_orders_needed(5), D=30, doubling=0)
@@ -390,7 +390,7 @@ class TestDirectZetaRoute:
 
 
 def _count_passes(monkeypatch) -> dict:
-    """Record the arguments of the solver's bracket phases, split sweeps and Horner passes."""
+    """Record the arguments of the solver's bracket phases, split sweeps and Taylor shifts."""
     calls = {"_bracket": [], "series_taylor_split": [], "series_taylor": []}
     for name, seen in calls.items():
         original = getattr(solver, name)
@@ -406,7 +406,7 @@ def _count_passes(monkeypatch) -> dict:
 def _assert_one_sweep(calls, N, r, D, doubling=0):
     """One bracket phase; ``doubling`` start steps below full width; one split
     sweep over the degree-``2N`` exponent, cut at ``N // 2``, to order
-    ``r + MODEL_EXTRA`` at full width; no other pass at full width over more
+    ``r + MODEL_EXTRA`` at full width; no other shift at full width over more
     than the short model."""
     w = hp.fixed_bits(working_context(D))
     assert len(calls["_bracket"]) == 1

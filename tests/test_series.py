@@ -1,10 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treeasym import series
 from treeasym.hp import (
     agreement_digits,
     context,
@@ -208,6 +210,31 @@ def exact_taylor(coeffs, x, r):
     return a[: r + 1]
 
 
+def exact_dyadic_taylor(coeffs, s, e, r):
+    """:func:`exact_taylor` at the point ``s / 2^e`` on integers: ``a[k]`` holds
+    its value times ``2^(e (top - k))``; orders beyond the degree are 0."""
+    top = len(coeffs) - 1
+    a = [c << e * (top - k) for k, c in enumerate(coeffs)]
+    for j in range(min(r, top) + 1):
+        for k in range(top - 1, j - 1, -1):
+            a[k] += s * a[k + 1]
+    return [Fraction(a[j], 2 ** (e * (top - j))) if j <= top else 0 for j in range(r + 1)]
+
+
+def units_off(got, coeffs, s, e, r):
+    """Distance of each fixed-point ``got[j]`` from the exact shift of the
+    fixed-point ``coeffs`` to ``s / 2^e``, in units of their scale."""
+    return [abs(v - x) for v, x in zip(got, exact_dyadic_taylor(coeffs, s, e, r), strict=True)]
+
+
+#: Dyadic points ``s / 2^e`` in [-1/2, 3/5]: 0, ``±2^-e`` down to ``2^-60``, and others.
+dyadic_points_st = st.one_of(
+    st.just((0, 1)),
+    st.tuples(st.sampled_from([-1, 1]), st.integers(1, 60)),
+    st.integers(1, 60).flatmap(lambda e: st.tuples(st.integers(-(2 ** (e - 1)), 3 * 2**e // 5), st.just(e))),
+)
+
+
 class TestTaylor:
     def test_exact_quadratic(self):
         # f = 1 + 2z + 3z^2 at 1/2: f = 11/4, f' = 5, f''/2 = 3, all exact in 8-bit fixed point
@@ -249,6 +276,54 @@ class TestTaylor:
         for j in range(r + 1):
             bound = (j + 2) / (1 - x) ** (j + 1)
             assert abs(Fraction(got[j], 2**w) - exact[j]) * 2**w <= bound
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        point=dyadic_points_st,
+        n=st.integers(min_value=1, max_value=601),
+        r=st.integers(min_value=0, max_value=23),
+        w=st.sampled_from([64, 226, 758]),
+        growth=st.sampled_from([0, 1]),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_within_stated_bound_of_exact_shift(self, point, n, r, w, growth, seed):
+        # the stated bound: within 2 units of 2^-w of the exact shift of the
+        # given fixed-point integers, for the whole and for the prefix alike;
+        # coefficient m has w + 64 + growth * m random bits, as the exponent's do
+        s, e = point
+        X = s << (w - e)
+        rng = random.Random(seed)
+        coeffs = [rng.getrandbits(w + 64 + growth * m) * rng.choice((-1, 1)) for m in range(n)]
+        cut = rng.randint(1, n)
+        top = min(r, n - 1)
+        if n <= 40:  # the integer reference is exact_taylor's shift
+            assert exact_dyadic_taylor(coeffs, s, e, top) == exact_taylor(coeffs, Fraction(s, 2**e), top)
+        assert max(units_off(series_taylor(coeffs, X, top, w), coeffs, s, e, top)) <= 2
+        whole, low = series_taylor_split(coeffs, cut, X, r, w)
+        assert max(units_off(whole, coeffs, s, e, r)) <= 2
+        assert max(units_off(low, coeffs[:cut], s, e, r)) <= 2
+
+    def test_zero_point_returns_the_coefficients(self):
+        coeffs = (5, -7, 11, 13)
+        assert series_taylor(coeffs, 0, 2, 8) == (5, -7, 11)
+        assert series_taylor_split(coeffs, 2, 0, 5, 8) == ((5, -7, 11, 13, 0, 0), (5, -7, 0, 0, 0, 0))
+
+    def test_negative_step_runs_the_one_kernel(self, monkeypatch):
+        # the shift of a short model to a root just below the sweep point
+        calls = []
+        original = series._scaled_shift
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(series, "_scaled_shift", counted)
+        w = 226
+        model = [(-1) ** k * (3 << w) // (k + 2) ** 5 for k in range(16)]
+        s, e = -(2**40) - 987654321, 90  # y = s / 2^e, about -2^-50
+        got = series_taylor(model, s << (w - e), 12, w)
+        assert len(calls) == 1
+        assert max(units_off(got, model, s, e, 12)) <= 2
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -316,6 +391,22 @@ class TestTaylorSplit:
         for j in range(4):
             assert abs(Fraction(whole[j], 2**w) - exact[j]) * 2**w <= 2 * (j + 2) * 2 ** (j + 1) + 8
         assert whole != low
+
+    def test_orders_beyond_a_block_read_zero(self):
+        w = 64
+        coeffs = [c << w for c in (1, -2, 3, 4, 5)]
+        whole, low = series_taylor_split(coeffs, 2, 3 << (w - 3), 7, w)
+        assert whole[5:] == (0, 0, 0) and low[2:] == (0,) * 6
+        assert low[:2] == series_taylor(coeffs[:2], 3 << (w - 3), 1, w)
+        assert max(units_off(whole, coeffs, 3, 3, 7)) <= 2
+
+    @pytest.mark.parametrize("extra", [0, 3])
+    def test_cut_at_the_end_returns_the_prefix_twice(self, extra):
+        w = 100
+        X = -(5 << (w - 4))
+        coeffs = [(k * k - 7) << (w - 3) for k in range(9)]
+        whole, low = series_taylor_split(coeffs, len(coeffs) + extra, X, 4, w)
+        assert whole == low == series_taylor(coeffs, X, 4, w)
 
     def test_cut_must_be_positive(self):
         with pytest.raises(ValueError):

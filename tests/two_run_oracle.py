@@ -1,9 +1,9 @@
 """The two-run solver path, kept as a test oracle.
 
 Each truncation order is solved on its own: an mpf bisection on a short
-prefix of the exponent, then Newton with two full-width fixed-point Horner
-passes per iteration, then ``r + 1`` passes at the root and an mpf series
-exponential for the Taylor coefficients of ``zeta``.  The ``N//2`` run
+prefix of the exponent, then Newton with one full-width fixed-point Taylor
+shift to order 1 per iteration, then one to order ``r`` at the root and an
+mpf series exponential for the Taylor coefficients of ``zeta``.  The ``N//2`` run
 starts Newton at the order-``N`` root.  The library reads both orders off
 one split sweep and integer Newton on short Taylor models
 (:func:`treeasym.solver.solve_models`).
