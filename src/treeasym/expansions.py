@@ -5,22 +5,25 @@ The pipeline builds the exponent ``h = log(zeta / (c z^a))`` to degree
 sweep of scaled Taylor shifts gives the short Taylor models of ``log
 zeta`` for ``h`` and for its ``N//2`` prefix; integer Newton on each model
 gives ``rho`` and the model's Taylor shift to it
-(:func:`treeasym.solver.solve_models`).  Since ``zeta(rho) = 1/e``, the
-short exponential of that model (:func:`treeasym.series.series_exp_fixed`)
-is ``E[j] = e zeta^(j)(rho)/j!`` with ``E[0] = 1``.  From these, the
+(:func:`treeasym.solver.solve_models`).  From the model ``l``, the
 counting series expands in half-integer powers of ``u = 1 - z/rho``::
 
     T(z) = 1 + sum_{n>=1} t_n u^(n/2)
 
-and ``T = C(zeta)`` with ``C`` the tree function, whose square-root expansion
-at ``1/e`` is ``C = sum_k c_k (2(1 - e z))^(k/2)``, ``c_k = -B(k)/k!``
-(:func:`treeasym.kernels.b_seq`).  With ``z = rho(1-u)`` the argument is
-``2(1 - e zeta) = u P(u)``, ``P`` read off ``E``, so ``t_n`` collects
-``c_k [u^((n-k)/2)] P^(k/2)`` over ``k == n (mod 2)``; in particular
-``t_1 = -sqrt(2 e rho zeta'(rho))``.  The composition runs with ``2K``
-guard bits beyond :func:`treeasym.hp.fixed_bits`.  Tests compare this
-against the paper's explicit Faa di Bruno form and against the same
-recurrence on mpf values.
+With ``z = rho(1-u)`` and ``g = T~ - 1`` a series in ``s = sqrt(u)``, the
+functional equation ``T~ e^(-T~) = zeta`` reads ``g - log(1+g) = F(s^2)``,
+``F(u) = -(1 + log zeta(rho(1-u)))``, whose coefficients
+``F_i = -l_i (-rho)^i`` come straight from the model (``F_0 = 0`` at the
+root).  Differentiating in ``s`` gives ``g g' = (1+g) dF/ds``: a square root
+for ``t_1 = -sqrt(2 F_1) = -sqrt(2 e rho zeta'(rho))``, then one division per
+coefficient (:func:`puiseux_coeffs`; Knuth, TAOCP vol. 2, 4.7, on power
+series from differential equations; Brent and Kung, JACM 25, 1978;
+Flajolet and Sedgewick, Analytic Combinatorics, VII.4, on the square-root
+singularity).  That is ``O(K^2)`` integer operations with ``K + 8`` guard
+bits beyond :func:`treeasym.hp.fixed_bits`.  Tests compare it against the
+paper's explicit Faa di Bruno form of ``T = C(zeta)``, against that
+composition by Miller's power recurrence and against the recurrence in
+exact rationals.
 
 The counting sequence then satisfies
 
@@ -35,9 +38,11 @@ the terms through ``tau_k / n^k`` (``k+1`` summands).
 Everything from the sweep to ``tau`` runs on integers scaled by ``2^w``;
 ``rho``, ``t`` and ``tau`` become mpf values only where
 :func:`expand_variety` stores them in its result records.  Their certified
-digits and the tail indicator are read off the integers too.  It runs the
-pipeline at ``N`` and at ``N//2``; both roots and models come from the same
-sweep, so the second has no bracket phase of its own.
+digits and the tail indicator are read off the integers too; the
+indicator's scale ``e zeta^(r)(rho)/r!`` is the short exponential of the
+model (:func:`treeasym.series.series_exp_fixed`), since ``zeta(rho) = 1/e``.
+It runs the pipeline at ``N`` and at ``N//2``; both roots and models come
+from the same sweep, so the second has no bracket phase of its own.
 """
 
 from __future__ import annotations
@@ -49,12 +54,13 @@ from typing import Sequence
 
 from . import hp
 from .counts import CountSequence
-from .kernels import b_seq, tau_symbolic
+from .kernels import tau_symbolic
 from .series import TruncationWarning, series_exp_fixed
 from .solver import RhoResult, check_series_inputs, half_cut, solve_models
 from .varieties import VarietySpec, exponent_tail, get_variety, numeric_exponent
 
-# Not called here; the benchmark traces both names in this module (perfbench/layers.py).
+# Not called here; the benchmark traces these names in this module (perfbench/layers.py).
+from .kernels import b_seq  # noqa: F401
 from .solver import solve_rho  # noqa: F401
 from .varieties import zeta_derivatives  # noqa: F401
 
@@ -94,62 +100,58 @@ def derivative_orders_needed(K: int) -> int:
     return max(1, (K - 1) // 2 + 1)
 
 
-def _t_values(x: int, E: Sequence[int], K: int, w: int) -> list:
-    """``t_0 .. t_K`` of ``T = C(zeta)`` from ``x = rho`` and ``E[j] = e zeta^(j)(rho)/j!``.
+def puiseux_coeffs(spec: VarietySpec, x: int, l: Sequence[int], K: int, w: int) -> tuple:
+    """Singular coefficients ``t_0 .. t_K`` from ``x = rho`` and the model ``l`` of ``log zeta``.
 
-    All fixed-point at ``w``.
+    All fixed-point at ``w``; ``l[i]`` is the Taylor coefficient of ``log
+    zeta`` at ``rho`` of order ``i``, to order :func:`derivative_orders_needed`
+    ``(K)``.  With ``g = T~ - 1`` a series in ``s = sqrt(u)``, the
+    functional equation reads ``g - log(1+g) = F(s^2)`` with
+    ``F_i = -l_i (-rho)^i``; its derivative ``g g' = (1+g) dF/ds`` gives
+    ``g_1 = -sqrt(2 F_1)`` and, for ``m >= 3``,
+    ``2 g_1 g_(m-1) = (2/m) [s^(m-1)]((1+g) dF/ds) - sum_{j=2}^{m-2} g_j g_(m-j)``.
+    The shift ``sigma*(1-z)/2``, with ``1 - z = (1-rho) + rho*u``, is added
+    back after: ``t_0 += sigma*(1-rho)/2`` and ``t_2 += sigma*rho/2``.
 
-    ``2(1 - e zeta(rho(1-u))) = u P(u)`` with ``P_i = -2 E[i+1] (-rho)^(i+1)``,
-    so ``t_n = sum_k c_k [u^((n-k)/2)] P^(k/2)`` over ``1 <= k <= n``,
-    ``k == n (mod 2)``, with ``c_k = -B(k)/k!``.  Each power comes from
-    J.C.P. Miller's recurrence ``m P_0 Q_m = sum_{j=1}^{m} ((k/2+1) j - m) P_j Q_(m-j)``.
-    """
-    if not E[1] > 0:
-        raise ValueError(f"zeta'(rho) must be positive, got e zeta'(rho) = {E[1] / (1 << w):.8g}")
-    # Every floor below errs by less than one unit of 2^-W, but the Miller
-    # recurrence carries each error on with the weights
-    # ((k+2) j - 2m) P_j / (2m P_0), which grow with the order: over the
-    # three varieties up to K = 161 the flooring error reaches 2^(0.98 K)
-    # units at most.  The 2K extra bits cover that with K bits to spare.
-    wide = 2 * K
-    W = w + wide
-    P, power = [], x << wide  # power = -(-rho)^(i+1)
-    for i in range((K + 1) // 2):
-        P.append(2 * E[i + 1] * power >> w)
-        power = -(power * x >> w)
-    root = math.isqrt(P[0] << W)
-    t = [1 << W] + [0] * K
-    lead = 1 << W  # root^k
-    for k in range(1, K + 1):
-        b = b_seq(k)
-        c = (-b.numerator << W) // (b.denominator * math.factorial(k))
-        lead = lead * root >> W
-        Q = [lead]
-        for m in range(1, (K - k) // 2 + 1):
-            acc = sum(((k + 2) * j - 2 * m) * P[j] * Q[m - j] for j in range(1, m + 1))
-            Q.append(acc // (2 * m * P[0]))
-        for m, q in enumerate(Q):
-            t[k + 2 * m] += c * q >> W
-    return [v >> wide for v in t]
+    The recurrence runs at ``W = w + K + 8`` bits, each ``F_i`` and ``g_n``
+    floored once.  Against the exact recurrence on the given integers,
+    ``g_n`` errs by at most ``e_n`` units of ``2^-W``: ``e_1 = 1 + 2/|g_1|``
+    and, with ``m = n + 1``, ``G_j = |g_j| + e_j 2^-W`` and
+    ``F'_i = |F_i| + 2^-W``::
 
+        e_n = 1 + (|g_n| e_1 + err_S/m + err_C/2) / (|g_1| - e_1 2^-W)
+        err_S = m [m even] + sum_{1 <= i < m/2} 2i (F'_i e_(m-2i) + G_(m-2i))
+        err_C = 2 sum_{j=2}^{m-2} G_j e_(m-j)
 
-def puiseux_coeffs(spec: VarietySpec, x: int, E: Sequence[int], K: int, w: int) -> tuple:
-    """Singular coefficients ``t_0 .. t_K`` from ``x = rho`` and ``E[r] = e zeta^(r)(rho)/r!``.
-
-    All fixed-point at ``w``.  ``E`` must reach order
-    :func:`derivative_orders_needed` ``(K)``.  The shift ``sigma*(1-z)/2``,
-    with ``1 - z = (1-rho) + rho*u``, is added back after the generic
-    coefficients: ``t_0 += sigma*(1-rho)/2`` and ``t_2 += sigma*rho/2``.
+    So ``t_n`` is within ``1 + e_n 2^-(K+8)`` units of ``2^-w`` before the
+    shift.  Over the three varieties up to ``K = 161``, ``e_n`` stays below
+    ``2^(n/2 + 2)``, which leaves ``t_n`` within 2 units.
     """
     if K < 1:
         raise ValueError(f"order K must be >= 1, got {K}")
     needed = derivative_orders_needed(K)
-    if len(E) <= needed:
+    if len(l) <= needed:
         raise ValueError(
             f"zeta derivatives up to order {needed} required for K={K}, "
-            f"got r_max={len(E) - 1}"
+            f"got r_max={len(l) - 1}"
         )
-    t = _t_values(x, E, K, w)
+    if not l[1] > 0:
+        raise ValueError(f"zeta'(rho) must be positive, got e zeta'(rho) = {l[1] / (1 << w):.8g}")
+    guard = K + 8
+    W = w + guard
+    F, power = [0], -1  # power = -(-x)^i, exact at scale 2^(w i)
+    for i in range(1, needed + 1):
+        power *= -x
+        F.append(l[i] * power << W >> w * (i + 1))
+    g = [0, -math.isqrt(F[1] << W + 1)]
+    for m in range(3, K + 2):
+        S = sum(2 * i * F[i] * g[m - 2 * i] for i in range(1, (m + 1) // 2))
+        C = 2 * sum(g[j] * g[m - j] for j in range(2, (m + 1) // 2))
+        if m % 2 == 0:
+            S += m * F[m // 2] << W
+            C += g[m // 2] ** 2
+        g.append((2 * S - m * C) // (2 * m * g[1]))
+    t = [1 << w] + [v >> guard for v in g[1:]]
     t[0] += spec.shift_sign * ((1 << w) - x) >> 1
     if K >= 2:
         t[2] += spec.shift_sign * x >> 1
@@ -295,9 +297,10 @@ def expand_variety(
     h = numeric_exponent(spec, counts, N, ctx)
     r_max = derivative_orders_needed(K)
     models, iterations = solve_models(spec, h, half_cut(N), r_max, ctx, D)
-    (x, E, t, tau), (x_check, _, t_check, tau_check) = (
-        _expand_at(spec, root, log_taylor, K, L, w) for root, log_taylor in models
-    )
+    (x, model), (x_check, model_check) = models
+    t = puiseux_coeffs(spec, x, model, K, w)
+    t_check = puiseux_coeffs(spec, x_check, model_check, K, w)
+    tau, tau_check = tau_coeffs(t, L), tau_coeffs(t_check, L)
 
     def real(values):
         return tuple(hp.from_fixed(v, w, ctx) for v in values)
@@ -305,10 +308,12 @@ def expand_variety(
     def certified(values, checks):
         return tuple(hp.certified_fixed(v, c, w, D, ctx) for v, c in zip(values, checks))
 
-    # relative truncation error of the highest derivative that t_K reads
+    # relative truncation error of the highest derivative that t_K reads;
+    # zeta(rho) = 1/e, so the model's short exponential is e zeta^(r)(rho)/r!
     tail = exponent_tail(h, x, r_max, w)
-    if tail * 10 ** (D - 10) > abs(E[r_max]):
-        ratio = hp.from_fixed(tail, w, ctx) / abs(hp.from_fixed(E[r_max], w, ctx))
+    top = series_exp_fixed(model, w)[r_max]
+    if tail * 10 ** (D - 10) > abs(top):
+        ratio = hp.from_fixed(tail, w, ctx) / abs(hp.from_fixed(top, w, ctx))
         warnings.warn(
             f"relative tail of the highest zeta derivative reaches {ctx.nstr(ratio, 3)}; "
             f"truncation order {N} is small for {D} digits",
@@ -347,14 +352,3 @@ def expand_variety(
         spec=spec, counts=counts, rho_result=rho_result, puiseux=puiseux, asym=asym
     )
 
-
-def _expand_at(spec: VarietySpec, x: int, log_taylor: Sequence[int], K: int, L: int, w: int):
-    """Fixed-point ``(rho, E, t, tau)`` at the root ``x`` from the model ``log_taylor``.
-
-    ``log_taylor`` holds the Taylor coefficients of ``log zeta`` at ``x``.
-    ``zeta(rho) = 1/e`` at the root, so ``E[j] = e zeta^(j)(rho)/j!`` is the
-    short exponential of the model, with ``E[0] = 2^w``.
-    """
-    E = series_exp_fixed(log_taylor, w)
-    t = puiseux_coeffs(spec, x, E, K, w)
-    return x, E, t, tau_coeffs(t, L)

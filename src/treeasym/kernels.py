@@ -1,9 +1,9 @@
 """Exact rational building blocks for the expansion machinery.
 
 Every value in this module is an exact ``fractions.Fraction`` and does
-not depend on the tree variety: the signed weight sequence ``B(l)``
-driving the square-root singular expansion of the tree function
-``C(z) = z*exp(C(z))`` and the linear forms
+not depend on the tree variety: the paper's signed weights ``B(l)`` of
+the square-root singular expansion of the tree function
+``C(z) = z*exp(C(z))`` (the pipeline does not read them) and the linear forms
 ``tau_l`` that convert singular-expansion coefficients into asymptotic ones.
 
 ``B(l) = l! mu_l`` comes from the branch-point coefficients ``mu_l`` of

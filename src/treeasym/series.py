@@ -219,7 +219,11 @@ def _scaled_shift(coeffs: Sequence[int], x: int, r: int, w: int, start: int = 0)
 
 def _unscale(q: Sequence[int], W: int, x: int, w: int) -> tuple:
     """``floor(q_j x^-j 2^(w - W))`` for each ``j``: the one flooring of a result."""
-    return tuple((v << w * (j + 1)) // (x**j << W) for j, v in enumerate(q))
+    out, scale = [], 1 << W  # scale = x^j 2^W, carried from one order to the next
+    for j, v in enumerate(q):
+        out.append((v << w * (j + 1)) // scale)
+        scale *= x
+    return tuple(out)
 
 
 def _fixed_power(x: int, n: int, w: int) -> int:

@@ -1,8 +1,12 @@
 import math
 import warnings
+from dataclasses import replace
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeasym import expansions, hp, series, solver, varieties
 from treeasym.expansions import (
@@ -18,11 +22,19 @@ from treeasym.series import TruncationWarning, series_eval_deriv
 from treeasym.solver import DEFAULT_BRACKET, MAX_NEWTON, find_root, solve_rho
 from treeasym.varieties import get_variety, numeric_exponent, zeta_derivatives, zeta_series
 
-from puiseux_oracle import apply_shift, composition_power_table, miller_t_values, t_values
+from puiseux_oracle import (
+    apply_shift,
+    composition_power_table,
+    exact_recurrence,
+    miller_t_fixed,
+    miller_t_values,
+    recurrence_error_bound,
+    t_values,
+)
 from qr_oracle import compositions
 from reference_values import RHO_50, T_TABLE, TAU_TABLE
 from two_run_oracle import expand as two_run_expand
-from two_run_oracle import zeta_taylor
+from two_run_oracle import log_model
 
 
 class TestCompositionPowerTable:
@@ -100,30 +112,24 @@ class TestSingularCoefficients:
         result = pipeline("polya")
         rho, ctx = result.rho_result.rho, result.puiseux.ctx
         h = numeric_exponent(result.spec, result.counts, 200, ctx)
-        x, E, w = _fixed(rho, zeta_taylor(result.spec, h, rho, 2, ctx), ctx)
+        x, l = log_model(result.spec, h, rho, 2, ctx)
         with pytest.raises(ValueError, match="derivatives up to order"):
-            puiseux_coeffs(result.spec, x, E, 10, w)
-
-
-def _fixed(rho, taylor, ctx):
-    """Fixed-point ``rho`` and ``E[j] = e taylor[j]``, and their scale ``w``.
-
-    ``taylor[j] = zeta^(j)(rho)/j!``; the results are the inputs of
-    :func:`treeasym.expansions.puiseux_coeffs`.
-    """
-    w = hp.fixed_bits(ctx)
-    return hp.to_fixed(rho, w, ctx), [hp.to_fixed(ctx.e * z, w, ctx) for z in taylor], w
+            puiseux_coeffs(result.spec, x, l, 10, hp.fixed_bits(ctx))
 
 
 @lru_cache(maxsize=None)
 def _solved(variety, L, N, D):
-    """``(spec, K, ctx, x, E, w)``, ``K = 2L+1``, at truncation order ``N``: see :func:`_fixed`."""
+    """``(spec, K, ctx, x, l, w)``, ``K = 2L+1``, at truncation order ``N``.
+
+    ``x`` is the fixed-point root and ``l`` the model of ``log zeta`` there,
+    the inputs of :func:`treeasym.expansions.puiseux_coeffs` at scale ``w``.
+    """
     spec, K = get_variety(variety), 2 * L + 1
     ctx = working_context(D)
     h = numeric_exponent(spec, spec.count_source(N), N, ctx)
     rho, _ = find_root(spec, h, ctx, DEFAULT_BRACKET, D, MAX_NEWTON)
-    taylor = zeta_taylor(spec, h, rho, derivative_orders_needed(K), ctx)
-    return (spec, K, ctx, *_fixed(rho, taylor, ctx))
+    return (spec, K, ctx, *log_model(spec, h, rho, derivative_orders_needed(K), ctx),
+            hp.fixed_bits(ctx))
 
 
 def _real(values, w, ctx):
@@ -134,13 +140,14 @@ def _real(values, w, ctx):
 @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
 @pytest.mark.parametrize("L, N, D", [(18, 300, 80), (40, 200, 60)])
 def test_composition_matches_explicit_oracle(variety, L, N, D):
-    # T = C(zeta) by series powers against the paper's Bell-polynomial,
-    # binomial and composition-table form, on the same rho and derivatives
-    spec, K, ctx, x, E, w = _solved(variety, L, N, D)
+    # the recurrence against the paper's Bell-polynomial, binomial and
+    # composition-table form of T = C(zeta), on the same rho and derivatives
+    spec, K, ctx, x, l, w = _solved(variety, L, N, D)
+    E = series.series_exp_fixed(l, w)
     rho = hp.from_fixed(x, w, ctx)
     derivs = [math.factorial(r) * v / ctx.e for r, v in enumerate(_real(E, w, ctx))]
     oracle = apply_shift(t_values(rho, derivs, K, ctx), rho, spec)
-    got = _real(puiseux_coeffs(spec, x, E, K, w), w, ctx)
+    got = _real(puiseux_coeffs(spec, x, l, K, w), w, ctx)
     assert len(got) == len(oracle) == K + 1
     for n, (a, b) in enumerate(zip(got, oracle)):
         assert agreement_digits(a, b, ctx) >= D + 5, (variety, n)
@@ -149,17 +156,100 @@ def test_composition_matches_explicit_oracle(variety, L, N, D):
 @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
 @pytest.mark.parametrize("L, N, D", [(18, 300, 80), (40, 200, 60)])
 def test_fixed_point_composition_matches_mpf_recurrence(variety, L, N, D):
-    # the same Miller recurrence on mpf values, 20 digits above the working
-    # precision and on the same rho and Taylor coefficients
-    spec, K, ctx, x, E, w = _solved(variety, L, N, D)
+    # the composition T = C(zeta) by Miller's recurrence on mpf values, 20
+    # digits above the working precision and on the same rho and model
+    spec, K, ctx, x, l, w = _solved(variety, L, N, D)
+    E = series.series_exp_fixed(l, w)
     hi = context(ctx.dps + 20)
     rho_hi = hp.from_fixed(x, w, hi)
     oracle = miller_t_values(rho_hi, [v / hi.e for v in _real(E, w, hi)], K, hi)
     oracle = apply_shift(oracle, rho_hi, spec)
-    got = _real(puiseux_coeffs(spec, x, E, K, w), w, hi)
+    got = _real(puiseux_coeffs(spec, x, l, K, w), w, hi)
     assert len(got) == len(oracle) == K + 1
     for n, (a, b) in enumerate(zip(got, oracle)):
         assert agreement_digits(a, b, hi) >= D + 10, (variety, n)
+
+
+def _guard(K):
+    """Guard bits of :func:`treeasym.expansions.puiseux_coeffs` at order ``K``."""
+    return K + 8
+
+
+def _F(x, l, w, r):
+    """``F_0 = 0, F_1 .. F_r``, ``F_i = -l_i (-rho)^i``, exact from the fixed-point ``x`` and ``l``."""
+    return [Fraction(0)] + [Fraction(-l[i] * (-x) ** i, 1 << w * (i + 1)) for i in range(1, r + 1)]
+
+
+class TestRecurrence:
+    @settings(max_examples=60, deadline=None)
+    @given(K=st.integers(1, 14), w=st.integers(40, 160), data=st.data())
+    def test_within_stated_bound_of_exact_recurrence(self, K, w, data):
+        # random short models with x = 2a^2 and l_1 = b^2, so that
+        # 2 F_1 = (2ab 2^-w)^2: g_1 and the whole recurrence are rational
+        a = data.draw(st.integers(1 << (w // 2 - 4), (1 << (w - 1) // 2) - 1), label="a")
+        b = data.draw(st.integers(1 << (w // 2 - 2), 1 << (w // 2 + 2)), label="b")
+        r = derivative_orders_needed(K)
+        rest = data.draw(st.lists(st.integers(-(4 << w), 4 << w), min_size=r - 1, max_size=r - 1))
+        x, l = 2 * a * a, [-(1 << w), b * b] + rest
+        F = _F(x, l, w, r)
+        g = exact_recurrence(F, Fraction(-2 * a * b, 1 << w), K)
+        bound = recurrence_error_bound(F, g, K, w + _guard(K))
+        got = puiseux_coeffs(get_variety("polya"), x, l, K, w)
+        assert len(got) == K + 1 and got[0] == 1 << w
+        for n in range(1, K + 1):
+            limit = 1 + Fraction(bound[n] * (1 + 1e-9)) / 2 ** _guard(K)
+            assert abs(got[n] - g[n] * 2**w) <= limit, n
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        g1=st.fractions(min_value=-4, max_value=Fraction(-1, 8), max_denominator=50),
+        rest=st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=50), max_size=6),
+    )
+    def test_exact_recurrence_solves_the_functional_equation(self, g1, rest):
+        # g - log(1+g) = F(s^2) through s^(K+1), log(1+g) by (1+g) L' = g'
+        F = [Fraction(0), g1 * g1 / 2] + rest
+        K = 2 * len(F) - 3
+        g = exact_recurrence(F, g1, K) + [Fraction(0)]
+        log = [Fraction(0)]
+        for n in range(1, K + 2):
+            log.append(g[n] - sum((k * log[k] * g[n - k] for k in range(1, n)), Fraction(0)) / n)
+        for n in range(1, K + 2):
+            assert g[n] - log[n] == (F[n // 2] if n % 2 == 0 else 0), n
+
+    @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
+    @pytest.mark.parametrize("L, N, D", [(40, 200, 60), (80, 400, 60)])
+    def test_within_stated_bound_of_a_wider_reference(self, variety, L, N, D):
+        # K = 81 and 161 against the recurrence 400 bits wider on the same
+        # integers, which is the exact one to far below a unit of 2^-w
+        spec, K, ctx, x, l, w = _solved(variety, L, N, D)
+        spec = replace(spec, shift_sign=0)
+        got = puiseux_coeffs(spec, x, l, K, w)
+        ref = puiseux_coeffs(spec, x << 400, [c << 400 for c in l], K, w + 400)
+        F = [float(v) for v in _F(x, l, w, derivative_orders_needed(K))]
+        bound = recurrence_error_bound(F, [v / 2 ** (w + 400) for v in ref], K, w + _guard(K))
+        for n in range(1, K + 1):
+            limit = (1 + bound[n] / 2 ** _guard(K)) * (2**400 + 1) * (1 + 1e-9)
+            assert abs((got[n] << 400) - ref[n]) <= limit, n
+            # the measured growth that the docstring states
+            assert bound[n] < 2 ** (n / 2 + 2), n
+
+    @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
+    @pytest.mark.parametrize("L, N, D", [(8, 100, 40), (18, 300, 80)])
+    def test_matches_the_integer_composition(self, variety, L, N, D):
+        # T = C(zeta) by Miller's recurrence on integers, the route before the
+        # recurrence, on the short exponential of the same model.  Its own
+        # flooring errors grow with K: up to 3 units at K = 37 here, and 3.8e5
+        # units for identity at K = 81
+        spec, K, ctx, x, l, w = _solved(variety, L, N, D)
+        spec = replace(spec, shift_sign=0)
+        oracle = miller_t_fixed(x, series.series_exp_fixed(l, w), K, w)
+        got = puiseux_coeffs(spec, x, l, K, w)
+        assert max(abs(a - b) for a, b in zip(got, oracle)) <= 4
+
+    def test_rejects_a_non_positive_slope(self):
+        w = 64
+        with pytest.raises(ValueError, match=r"zeta'\(rho\) must be positive"):
+            puiseux_coeffs(get_variety("polya"), 1 << (w - 2), [-(1 << w), 0, 5], 3, w)
 
 
 class TestAsymptoticCoefficients:
@@ -308,8 +398,8 @@ class TestCertification:
         assert all(c >= 15 for c in tau_cert[:5])
 
     def test_one_series_exponential_per_order(self, monkeypatch):
-        # one integer exponential of the short log-zeta model at each root
-        # (N and N // 2); no series exponential at all
+        # one integer exponential of the short log-zeta model, at the order-N
+        # root for the truncation warning; no series exponential at all
         lengths = []
         original = expansions.series_exp_fixed
 
@@ -323,7 +413,7 @@ class TestCertification:
         monkeypatch.setattr(expansions, "series_exp_fixed", counted)
         monkeypatch.setattr(varieties, "series_exp", forbidden)
         expand_variety("polya", L=2, N=100, D=30)
-        assert lengths == [derivative_orders_needed(5) + 1] * 2
+        assert lengths == [derivative_orders_needed(5) + 1]
 
     def test_one_bisection_per_expansion(self, monkeypatch):
         # one split sweep over all 2N+1 coefficients gives both orders; the
@@ -381,7 +471,7 @@ class TestDirectZetaRoute:
             monkeypatch.setattr(owner, "series_eval_deriv_tail", forbidden)
         calls = _count_passes(monkeypatch)
         result = expand_variety("identity", L=4, N=120, D=40)
-        assert lengths == [derivative_orders_needed(9) + 1] * 2
+        assert lengths == [derivative_orders_needed(9) + 1]
         _assert_one_sweep(calls, N=120, r=derivative_orders_needed(9), D=40)
         lengths.clear()
         solve_rho(result.spec, result.counts, 120, 40)

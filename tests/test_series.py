@@ -413,6 +413,23 @@ class TestTaylorSplit:
             series_taylor_split((1, 1), 0, 0, 1, 8)
 
 
+class TestUnscale:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        q=st.lists(st.integers(-(1 << 400), 1 << 400), min_size=1, max_size=12),
+        w=st.integers(8, 120),
+        extra=st.integers(0, 300),
+        data=st.data(),
+    )
+    def test_matches_the_closed_form(self, q, w, extra, data):
+        # the divisor carried from order to order against floor(q_j x^-j 2^(w - W))
+        x = data.draw(st.integers(1 - (1 << w), (1 << w) - 1).filter(bool), label="x")
+        W = w + extra
+        got = series._unscale(q, W, x, w)
+        y = Fraction(x, 1 << w)
+        assert got == tuple(math.floor(v * y**-j * Fraction(1 << w, 1 << W)) for j, v in enumerate(q))
+
+
 class TestExpFixed:
     @settings(max_examples=40, deadline=None)
     @given(

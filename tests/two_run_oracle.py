@@ -2,8 +2,8 @@
 
 Each truncation order is solved on its own: an mpf bisection on a short
 prefix of the exponent, then Newton with one full-width fixed-point Taylor
-shift to order 1 per iteration, then one to order ``r`` at the root and an
-mpf series exponential for the Taylor coefficients of ``zeta``.  The ``N//2`` run
+shift to order 1 per iteration, then one to order ``r`` at the root for the
+Taylor coefficients of ``log zeta``.  The ``N//2`` run
 starts Newton at the order-``N`` root.  The library reads both orders off
 one split sweep and integer Newton on short Taylor models
 (:func:`treeasym.solver.solve_models`).
@@ -11,11 +11,9 @@ one split sweep and integer Newton on short Taylor models
 
 from __future__ import annotations
 
-import math
-
 from treeasym import hp
 from treeasym.expansions import derivative_orders_needed, puiseux_coeffs, tau_coeffs
-from treeasym.series import PowerSeries, series_exp, series_taylor
+from treeasym.series import series_taylor
 from treeasym.solver import (
     BRACKET_REACH,
     DEFAULT_BRACKET,
@@ -23,7 +21,7 @@ from treeasym.solver import (
     NoBracketError,
     StalledError,
 )
-from treeasym.varieties import exponent_prefix, get_variety, numeric_exponent
+from treeasym.varieties import exponent_prefix, get_variety, log_zeta_taylor, numeric_exponent
 
 
 def exponent_taylor(h: tuple, x, r: int, ctx) -> tuple:
@@ -33,16 +31,11 @@ def exponent_taylor(h: tuple, x, r: int, ctx) -> tuple:
     return tuple(hp.from_fixed(v, w, ctx) for v in shifted)
 
 
-def zeta_taylor(spec, h: tuple, x, r: int, ctx) -> tuple:
-    """``zeta^(j)(x) / j!`` for ``j = 0 .. r``: the mpf exponential of ``h``'s Taylor series times ``c (x+y)^a``."""
-    x = hp.convert(x, ctx)
-    expo = series_exp(PowerSeries(exponent_taylor(h, x, r, ctx)), ctx)
-    a = spec.z_exponent
-    power = [math.comb(a, k) * x ** (a - k) for k in range(min(a, r) + 1)]  # (x + y)^a
-    c = hp.convert(spec.prefactor, ctx)
-    return tuple(
-        c * sum(power[k] * expo[j - k] for k in range(min(a, j) + 1)) for j in range(r + 1)
-    )
+def log_model(spec, h: tuple, x, r: int, ctx) -> tuple:
+    """``(X, l)``: the fixed-point ``x`` and the Taylor coefficients ``l_0 .. l_r`` of ``log zeta`` there."""
+    w = hp.fixed_bits(ctx)
+    X = hp.to_fixed(x, w, ctx)
+    return X, log_zeta_taylor(spec, series_taylor(h, X, r, w), X, w)
 
 
 def find_root(spec, h: tuple, ctx, bracket, D, max_newton, start=None):
@@ -109,10 +102,7 @@ def expand(variety: str, L: int, N: int, D: int) -> dict:
     runs, start = [], None
     for exponent in (h, exponent_prefix(h, N // 2)):
         rho, iterations = find_root(spec, exponent, ctx, DEFAULT_BRACKET, D, MAX_NEWTON, start)
-        # the library's fixed-point inputs: rho and E[j] = e zeta^(j)(rho)/j!
-        taylor = zeta_taylor(spec, exponent, rho, r_max, ctx)
-        E = [hp.to_fixed(ctx.e * z, w, ctx) for z in taylor]
-        t = puiseux_coeffs(spec, hp.to_fixed(rho, w, ctx), E, K, w)
+        t = puiseux_coeffs(spec, *log_model(spec, exponent, rho, r_max, ctx), K, w)
         runs.append((rho, iterations, real(t), real(tau_coeffs(t, L))))
         start = rho
     (rho, iterations, t, tau), (rho_check, _, t_check, tau_check) = runs
