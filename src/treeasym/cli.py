@@ -11,12 +11,13 @@ Subcommands::
 
 Each subcommand takes the variety and only the flags it reads:
 ``--digits`` (target precision D) and ``--terms`` (count reach N; the
-exponent of ``zeta`` goes to degree 2N) on ``expand``, ``estimate`` and ``error-table``; ``--format {json,csv}``
-on ``counts``, ``expand`` and ``estimate``; ``--cache-dir`` and
-``--fetch`` on ``verify-oeis``.  Cache directory precedence: flag, then
-``TREEASYM_CACHE_DIR``, then ``~/.cache/treeasym``.  A count reach above
-``MAX_COUNT_REACH`` (2000), from ``--n``, ``--terms``, a size or the ``N``
-that ``--order`` implies, is an invalid configuration.
+exponent of ``zeta`` goes to degree 2N) on ``expand``, ``estimate`` and
+``error-table``; ``--format {json,csv}`` on ``counts``, ``expand`` and
+``estimate``; ``--cache-dir`` and ``--fetch`` on ``verify-oeis``.  Cache
+directory precedence: flag, then ``TREEASYM_CACHE_DIR``, then
+``~/.cache/treeasym``.  A count reach above ``MAX_COUNT_REACH`` (2000),
+from ``--n``, ``--terms``, a size or the ``N`` that ``--order`` implies, is
+an invalid configuration, and so is an unwritable ``--ratio-out``.
 
 Output is deterministic for a fixed configuration: data lines carry no
 timestamps and metadata goes into ``#``-prefixed header lines (CSV) or
@@ -28,21 +29,28 @@ exact-arithmetic failure.
 
 Sizes are node counts for polya and identity trees and leaf counts for
 hierarchies.
+
+Each subcommand imports the layers it runs when it runs.  Only ``expand``,
+``estimate`` and ``error-table`` load the expansion pipeline
+(``expansions``, ``solver``, ``series``, ``varieties``, ``kernels`` and
+``hp``) and with it mpmath; ``counts`` runs on ``counts`` alone and
+``verify-oeis`` adds ``oeis``.  ``expand_variety``, ``error_table`` and
+``estimate_count`` still resolve on this module, on first access.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import warnings
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import hp, oeis
 from .counts import VARIETY_NAMES, counts_for
-from .expansions import VarietyExpansion, error_table, estimate_count, expand_variety
-from .series import TruncationWarning
-from .solver import SolverError
+from .errors import SolverError, TruncationWarning
+
+if TYPE_CHECKING:
+    from .expansions import VarietyExpansion
 
 DEFAULT_DIGITS = 60
 DEFAULT_TERMS = 200
@@ -132,6 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_precision(args: argparse.Namespace) -> None:
+    from . import hp
+
     if args.digits < hp.MIN_DIGITS:
         raise ConfigError(f"--digits must be >= {hp.MIN_DIGITS}, got {args.digits}")
     if args.terms < 1:
@@ -161,6 +171,8 @@ def cmd_counts(args: argparse.Namespace) -> int:
         for n, value in enumerate(seq.values):
             _print(f"{n},{value}")
     else:
+        import json
+
         payload = {
             "variety": seq.variety,
             "n_max": seq.n_max,
@@ -171,6 +183,8 @@ def cmd_counts(args: argparse.Namespace) -> int:
 
 
 def _decimal(value, certified: int, ctx) -> str:
+    from . import hp
+
     # round-trip decimal at certified digits plus 2
     return hp.to_decimal(value, certified + 2, ctx)
 
@@ -193,6 +207,9 @@ def _expansion_payload(result: VarietyExpansion) -> dict:
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
+    from . import hp
+    from .expansions import expand_variety
+
     _check_precision(args)
     if args.order < 0:
         raise ConfigError(f"--order must be non-negative, got {args.order}")
@@ -208,6 +225,8 @@ def cmd_expand(args: argparse.Namespace) -> int:
         for i, (v, c) in enumerate(zip(payload["tau"], payload["tau_certified_digits"])):
             _print(f"tau,{i},{v},{c}")
     else:
+        import json
+
         _print(json.dumps(payload, indent=2))
     # plain rows: 19 significant digits at most, and never more than the data lines
     ctx = result.puiseux.ctx
@@ -224,6 +243,8 @@ def cmd_expand(args: argparse.Namespace) -> int:
 
 def _expansion_for_orders(args: argparse.Namespace, max_order: int,
                           n_counts: int) -> VarietyExpansion:
+    from .expansions import expand_variety
+
     # raise N to 2K for the default K = 2L+1, so high orders run at small --terms
     N = max(args.terms, 2 * (2 * max_order + 1))
     _check_reach(f"--order {max_order}", N)
@@ -233,6 +254,8 @@ def _expansion_for_orders(args: argparse.Namespace, max_order: int,
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
+    from .expansions import estimate_count
+
     _check_precision(args)
     if args.size < 1:
         raise ConfigError(f"--size must be positive, got {args.size}")
@@ -249,6 +272,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         _print(f"{args.size},{args.order},{ctx.nstr(estimate, 20)},{exact},"
                f"{ctx.nstr(rel, 6) if rel is not None else ''}")
     else:
+        import json
+
         _print(json.dumps({
             "variety": args.variety,
             "size": args.size,
@@ -261,6 +286,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_error_table(args: argparse.Namespace) -> int:
+    from .expansions import error_table
+
     _check_precision(args)
     try:
         sizes = [int(s) for s in str(args.sizes).split(",") if s.strip()]
@@ -276,21 +303,28 @@ def cmd_error_table(args: argparse.Namespace) -> int:
     result = _expansion_for_orders(args, max(orders), max(sizes))
     table = error_table(result.asym, result.counts, sizes, orders)
     ctx = result.asym.ctx
+    if args.ratio_out is not None:
+        # written before any output, so an unwritable path prints nothing
+        lines = ["size,order,ratio"]
+        for n, k, _, ratio in table.rows():
+            lines.append(f"{n},{k},{ctx.nstr(ratio, 20)}")
+        try:
+            args.ratio_out.parent.mkdir(parents=True, exist_ok=True)
+            args.ratio_out.write_text("\n".join(lines) + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write --ratio-out {args.ratio_out}: {exc}") from exc
     _print(f"# error-table variety={args.variety} sizes={args.sizes} orders={args.orders}")
     _print("size,order,relative_error")
     for n, k, rel, _ in table.rows():
         _print(f"{n},{k},{ctx.nstr(rel, 6)}")
     if args.ratio_out is not None:
-        lines = ["size,order,ratio"]
-        for n, k, _, ratio in table.rows():
-            lines.append(f"{n},{k},{ctx.nstr(ratio, 20)}")
-        args.ratio_out.parent.mkdir(parents=True, exist_ok=True)
-        args.ratio_out.write_text("\n".join(lines) + "\n")
         _print(f"# ratio series written to {args.ratio_out}")
     return EXIT_OK
 
 
 def cmd_verify_oeis(args: argparse.Namespace) -> int:
+    from . import oeis
+
     if args.n < 0:
         raise ConfigError(f"--n must be non-negative, got {args.n}")
     _check_reach("--n", args.n)
@@ -304,6 +338,18 @@ def cmd_verify_oeis(args: argparse.Namespace) -> int:
     for n, ours, ref in report.mismatches[:10]:
         _print(f"  n={n}: computed {ours} != reference {ref}")
     return EXIT_OK if report.ok else EXIT_MISMATCH
+
+
+def __getattr__(name: str):
+    # perfbench/layers.py wraps these names on this module as well as in
+    # expansions; the commands above look them up in expansions.  The first
+    # access binds the name here, so restoring a wrapper restores that value.
+    if name not in ("expand_variety", "error_table", "estimate_count"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import expansions
+
+    value = globals()[name] = getattr(expansions, name)
+    return value
 
 
 _COMMANDS = {

@@ -21,10 +21,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from . import hp
-
-
-class TruncationWarning(UserWarning):
-    """Series truncation order is too small for the requested precision."""
+from .errors import TruncationWarning
 
 
 @dataclass(frozen=True)

@@ -44,12 +44,16 @@ from fractions import Fraction
 
 from . import hp
 from .counts import CountSequence
+from .errors import NoBracketError, StalledError
 from .series import series_taylor, series_taylor_split
 from .varieties import VarietySpec, log_zeta_taylor, numeric_exponent
 
 # Not called here; the benchmark traces both names in this module (perfbench/layers.py).
 from .series import series_eval_deriv_tail  # noqa: F401
 from .varieties import zeta_series  # noqa: F401
+
+# Not raised here; re-exported so ``solver.SolverError`` still names their base class.
+from .errors import SolverError  # noqa: F401
 
 #: Default bracketing interval; all three shipped varieties have their
 #: singularity well inside it and their zeta is increasing across it.
@@ -84,18 +88,6 @@ REACH_MARGIN = 8
 #: 0.249 for polya, identity and hierarchy; the log terms ``a / (k x^k)`` grow
 #: slower.
 GROWTH_BITS = 2.11
-
-
-class SolverError(RuntimeError):
-    """Base class for singularity-solver failures."""
-
-
-class NoBracketError(SolverError):
-    """The target value is not crossed on the bracketing interval."""
-
-
-class StalledError(SolverError):
-    """Newton iteration failed to contract to the requested tolerance."""
 
 
 @dataclass(frozen=True)

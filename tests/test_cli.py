@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 import treeasym
 import treeasym.cli
 import treeasym.counts
+import treeasym.expansions
+import treeasym.oeis
 from treeasym.cli import MAX_COUNT_REACH, main
 
 from reference_values import RHO_50
@@ -165,6 +167,15 @@ class TestErrorTable:
         assert ratio_lines[0] == "size,order,ratio"
         assert len(ratio_lines) == 5
 
+    def test_unwritable_ratio_file_exits_2(self, capsys, tmp_path):
+        parent = tmp_path / "not-a-directory"
+        parent.write_text("")
+        code, out, err = run(capsys, "error-table", "polya", "--sizes", "10", "--orders", "1",
+                             "--ratio-out", str(parent / "ratio.csv"))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write --ratio-out {parent / 'ratio.csv'}: ")
+        assert err.count("\n") == 1
+
     def test_reach_guard(self, capsys):
         code, _, err = run(capsys, "error-table", "hierarchy", "--sizes", "9999",
                            "--orders", "1")
@@ -231,13 +242,13 @@ class TestVerifyOeis:
 
 
 def test_solver_failure_exit_code(capsys, monkeypatch):
-    import treeasym.cli as cli_mod
     from treeasym.solver import StalledError
 
     def stalled(*args, **kwargs):
         raise StalledError("synthetic: Newton not contracting")
 
-    monkeypatch.setattr(cli_mod, "expand_variety", stalled)
+    # the CLI looks expand_variety up in expansions when the command runs
+    monkeypatch.setattr(treeasym.expansions, "expand_variety", stalled)
     code, _, err = run(capsys, "expand", "polya", "--order", "1", "--terms", "120")
     assert code == 3
     assert "solver failure" in err
@@ -253,6 +264,17 @@ def test_exact_arithmetic_failure_exit_code(capsys, monkeypatch):
     assert err == "exact-arithmetic failure: synthetic: inexact division at n=7\n"
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make each entry point of real work fail, at the lookup the CLI makes."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started for a rejected count reach")
+
+    monkeypatch.setattr(treeasym.cli, "counts_for", no_work)
+    monkeypatch.setattr(treeasym.expansions, "expand_variety", no_work)
+    monkeypatch.setattr(treeasym.oeis, "get_sequence", no_work)
+
+
 @pytest.mark.parametrize("argv", [
     ["counts", "polya", "--n", "1000000000"],
     ["expand", "polya", "--terms", "100000000000000000000"],
@@ -263,17 +285,24 @@ def test_exact_arithmetic_failure_exit_code(capsys, monkeypatch):
     ["verify-oeis", "identity", "--n", "2001"],
 ], ids=["counts", "expand", "estimate", "estimate-order", "estimate-size", "error-table",
         "verify-oeis"])
-def test_count_reach_beyond_the_limit_exits_2_before_any_work(capsys, monkeypatch, argv):
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started for a rejected count reach")
-
-    monkeypatch.setattr(treeasym.cli, "counts_for", no_work)
-    monkeypatch.setattr(treeasym.cli, "expand_variety", no_work)
-    monkeypatch.setattr(treeasym.cli.oeis, "get_sequence", no_work)
+def test_count_reach_beyond_the_limit_exits_2_before_any_work(capsys, no_work, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert err.endswith(f", beyond the limit {MAX_COUNT_REACH}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["counts", "polya", "--n", "5"],
+    ["expand", "polya", "--order", "1", "--terms", "120"],
+    ["estimate", "hierarchy", "--size", "10"],
+    ["error-table", "polya", "--sizes", "10", "--orders", "1"],
+    ["verify-oeis", "identity", "--n", "5"],
+], ids=["counts", "expand", "estimate", "error-table", "verify-oeis"])
+def test_count_reach_within_the_limit_reaches_the_patched_work(capsys, no_work, argv):
+    # control for the test above: its patches sit on the path of every subcommand
+    with pytest.raises(AssertionError, match="work started"):
+        run(capsys, *argv)
 
 
 def test_truncation_warning_is_one_plain_line(capsys):
@@ -291,13 +320,50 @@ def test_truncation_warning_is_one_plain_line(capsys):
     assert out.count("\n") == quiet_out.count("\n")
 
 
-def test_cli_import_leaves_the_network_stack_unloaded():
+def loaded_after(probe: str) -> list[str]:
+    """Modules that a fresh interpreter holds after running ``probe``."""
     src = Path(treeasym.__file__).resolve().parents[1]
-    probe = ("import sys, treeasym.cli; "
-             "print([m for m in ('urllib.request', 'http.client') if m in sys.modules])")
+    probe += "\nimport sys; print(*sorted(sys.modules))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert proc.stdout == "[]\n"
+    return proc.stdout.splitlines()[-1].split()
+
+
+def cli_run_loads(*argv) -> list[str]:
+    probe = ("import contextlib, io\nfrom treeasym.cli import main\n"
+             f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({list(argv)}) == 0")
+    return loaded_after(probe)
+
+
+PIPELINE = ["mpmath"] + [f"treeasym.{m}" for m in
+                         ("hp", "series", "solver", "varieties", "kernels", "expansions")]
+
+
+def test_cli_import_leaves_the_network_stack_unloaded():
+    loaded = loaded_after("import treeasym.cli")
+    assert [m for m in ("urllib.request", "http.client") if m in loaded] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["counts", "polya", "--n", "30"],
+    ["verify-oeis", "identity", "--n", "30"],
+], ids=["counts", "verify-oeis"])
+def test_count_commands_leave_mpmath_and_the_pipeline_unloaded(argv):
+    loaded = cli_run_loads(*argv)
+    assert "treeasym.counts" in loaded
+    assert [m for m in PIPELINE if m in loaded] == []
+
+
+def test_expand_leaves_oeis_unloaded():
+    loaded = cli_run_loads("expand", "polya", "--order", "1", "--terms", "120",
+                           "--format", "csv")
+    assert "treeasym.expansions" in loaded and "treeasym.oeis" not in loaded
+
+
+def test_bare_package_import_loads_no_submodule():
+    loaded = loaded_after("import treeasym")
+    assert "treeasym" in loaded
+    assert [m for m in loaded if m.startswith("treeasym.")] == []
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,6 +47,35 @@ def test_no_unused_imports(path):
 def test_public_names_resolve():
     missing = [name for name in treeasym.__all__ if not hasattr(treeasym, name)]
     assert missing == []
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from treeasym import *", namespace)
+    assert [name for name in treeasym.__all__ if name not in namespace] == []
+
+
+def test_dir_lists_the_public_names():
+    assert set(treeasym.__all__) <= set(dir(treeasym))
+
+
+def test_error_classes_keep_their_names_and_import_nothing():
+    from treeasym import errors, series, solver
+
+    names = ("SolverError", "NoBracketError", "StalledError")
+    assert [getattr(solver, n) for n in names] == [getattr(errors, n) for n in names]
+    assert series.TruncationWarning is errors.TruncationWarning
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    assert not [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_submodule_resolves_as_a_package_attribute(path):
+    # a fresh interpreter, so the attribute access is what imports the module
+    probe = (f"import sys, treeasym; assert 'treeasym.{path.stem}' not in sys.modules; "
+             f"assert treeasym.{path.stem} is sys.modules['treeasym.{path.stem}']")
+    subprocess.run([sys.executable, "-c", probe], check=True,
+                   env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
 
 
 def test_benchmark_patch_points_resolve(monkeypatch):
