@@ -21,8 +21,7 @@ _EXPORTS = {
     **dict.fromkeys(("NoBracketError", "SolverError", "StalledError", "TruncationWarning"),
                     "errors"),
     **dict.fromkeys(("b_seq", "tau_symbolic"), "kernels"),
-    **dict.fromkeys(("PowerSeries", "series_eval_deriv", "series_exp", "series_mul",
-                     "series_substitute_power"), "series"),
+    **dict.fromkeys(("PowerSeries", "series_exp"), "series"),
     **dict.fromkeys(("RhoResult", "solve_rho"), "solver"),
     **dict.fromkeys(("zeta_derivatives", "zeta_series"), "varieties"),
 }

@@ -15,9 +15,13 @@ exponent of ``zeta`` goes to degree 2N) on ``expand``, ``estimate`` and
 ``error-table``; ``--format {json,csv}`` on ``counts``, ``expand`` and
 ``estimate``; ``--cache-dir`` and ``--fetch`` on ``verify-oeis``.  Cache
 directory precedence: flag, then ``TREEASYM_CACHE_DIR``, then
-``~/.cache/treeasym``.  A count reach above ``MAX_COUNT_REACH`` (2000),
-from ``--n``, ``--terms``, a size or the ``N`` that ``--order`` implies, is
-an invalid configuration, and so is an unwritable ``--ratio-out``.
+``~/.cache/treeasym``.  The three pipeline commands run at
+``N = max(--terms, 2K)``, with ``K`` the larger of ``2L+1`` for the highest
+order ``L`` and ``expand``'s ``--puiseux-terms``.  A count reach above
+``MAX_COUNT_REACH`` (2000), from ``--n``, ``--terms``, a size or the ``N``
+that ``--order`` or ``--puiseux-terms`` implies, is an invalid
+configuration, and so are an unwritable ``--ratio-out`` and an unreadable
+cached b-file.
 
 Output is deterministic for a fixed configuration: data lines carry no
 timestamps and metadata goes into ``#``-prefixed header lines (CSV) or
@@ -208,13 +212,11 @@ def _expansion_payload(result: VarietyExpansion) -> dict:
 
 def cmd_expand(args: argparse.Namespace) -> int:
     from . import hp
-    from .expansions import expand_variety
 
     _check_precision(args)
     if args.order < 0:
         raise ConfigError(f"--order must be non-negative, got {args.order}")
-    result = expand_variety(args.variety, L=args.order, K=args.puiseux_terms,
-                            N=args.terms, D=args.digits)
+    result = _expansion_for_orders(args, args.order, 0, args.puiseux_terms)
     payload = _expansion_payload(result)
     if args.fmt == "csv":
         _print(f"# expand variety={payload['variety']} N={payload['n_series']} "
@@ -241,16 +243,20 @@ def cmd_expand(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _expansion_for_orders(args: argparse.Namespace, max_order: int,
-                          n_counts: int) -> VarietyExpansion:
+def _expansion_for_orders(args: argparse.Namespace, max_order: int, n_counts: int,
+                          K: int | None = None) -> VarietyExpansion:
     from .expansions import expand_variety
 
-    # raise N to 2K for the default K = 2L+1, so high orders run at small --terms
-    N = max(args.terms, 2 * (2 * max_order + 1))
-    _check_reach(f"--order {max_order}", N)
+    # raise N to 2K, K = 2L+1 unless --puiseux-terms is larger, so high orders
+    # run at small --terms; a reach error names the flag that raised N
+    flag, top = f"--order {max_order}", 2 * max_order + 1
+    if K is not None and K > top:
+        flag, top = f"--puiseux-terms {K}", K
+    N = max(args.terms, 2 * top)
+    _check_reach(flag, N)
     _check_reach(f"size {n_counts}", n_counts)
     counts = counts_for(args.variety, max(N, n_counts))
-    return expand_variety(args.variety, L=max_order, N=N, D=args.digits, counts=counts)
+    return expand_variety(args.variety, L=max_order, K=K, N=N, D=args.digits, counts=counts)
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
@@ -329,7 +335,11 @@ def cmd_verify_oeis(args: argparse.Namespace) -> int:
         raise ConfigError(f"--n must be non-negative, got {args.n}")
     _check_reach("--n", args.n)
     sequence_id = oeis.SEQUENCE_IDS[args.variety]
-    fixture, source = oeis.get_sequence(sequence_id, cache_dir=args.cache_dir, fetch=args.fetch)
+    try:
+        fixture, source = oeis.get_sequence(sequence_id, cache_dir=args.cache_dir,
+                                            fetch=args.fetch)
+    except OSError as exc:  # an unreadable cached b-file, such as a directory
+        raise ConfigError(f"cannot read the cached b-file: {exc}") from exc
     seq = counts_for(args.variety, args.n)
     report = oeis.verify_counts(seq, fixture, source=source)
     if report.empty:

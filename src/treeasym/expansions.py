@@ -56,8 +56,8 @@ from . import hp
 from .counts import CountSequence
 from .kernels import tau_symbolic
 from .series import TruncationWarning, series_exp_fixed
-from .solver import RhoResult, check_series_inputs, half_cut, solve_models
-from .varieties import VarietySpec, exponent_tail, get_variety, numeric_exponent
+from .solver import RhoResult, solve_exponent
+from .varieties import VarietySpec, exponent_tail, get_variety
 
 # Not called here; the benchmark traces these names in this module (perfbench/layers.py).
 from .kernels import b_seq  # noqa: F401
@@ -291,13 +291,11 @@ def expand_variety(
         raise ValueError(f"series order N={N} too small for K={K}; need N >= {2 * K}")
     if counts is None:
         counts = spec.count_source(N)
-    check_series_inputs(counts, N, D)
-    ctx = hp.working_context(D)
-    w = hp.fixed_bits(ctx)
-    h = numeric_exponent(spec, counts, N, ctx)
     r_max = derivative_orders_needed(K)
-    models, iterations = solve_models(spec, h, half_cut(N), r_max, ctx, D)
+    rho_result, h, models = solve_exponent(spec, counts, N, D, r_max)
     (x, model), (x_check, model_check) = models
+    rho, ctx = rho_result.rho, rho_result.ctx
+    w = hp.fixed_bits(ctx)
     t = puiseux_coeffs(spec, x, model, K, w)
     t_check = puiseux_coeffs(spec, x_check, model_check, K, w)
     tau, tau_check = tau_coeffs(t, L), tau_coeffs(t_check, L)
@@ -320,16 +318,6 @@ def expand_variety(
             TruncationWarning,
             stacklevel=2,
         )
-    rho = hp.from_fixed(x, w, ctx)
-    rho_result = RhoResult(
-        variety=spec.name,
-        rho=rho,
-        certified_digits=hp.certified_fixed(x, x_check, w, D, ctx),
-        n_used=N,
-        iterations=iterations,
-        digits=D,
-        ctx=ctx,
-    )
     puiseux = PuiseuxExpansion(
         variety=spec.name,
         rho=rho,

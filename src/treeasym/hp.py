@@ -126,22 +126,14 @@ def _agreement(a: tuple, b: tuple, dps: int) -> int:
     return len(str(q)) - 1 if q else 0
 
 
-def certified_digits(value, check, D: int, ctx) -> int:
+def certified_fixed(value: int, check: int, w: int, D: int, ctx) -> int:
     """Digits of ``value`` certified by ``check``, its recomputation at order ``N//2``.
 
-    The agreement count of the two, capped at the target ``D``.  The
-    pipeline certifies ``rho``, every ``t_n`` and every ``tau_l`` by the
-    same rule on their fixed-point values (:func:`certified_fixed`).
-    """
-    return min(agreement_digits(value, check, ctx), D)
-
-
-def certified_fixed(value: int, check: int, w: int, D: int, ctx) -> int:
-    """:func:`certified_digits` of the fixed-point ``value`` and ``check``, read back at ``w``.
-
-    Equal to ``certified_digits(from_fixed(value, w, ctx), from_fixed(check,
-    w, ctx), D, ctx)``: the rule runs on the same rounded ``(sign, man, exp)``
-    tuples, but builds no mpf.
+    Both are fixed-point at ``w``.  The count is ``min(agreement_digits(a,
+    b, ctx), D)`` for ``a``, ``b`` the two read back by :func:`from_fixed`:
+    the rule runs on the same rounded ``(sign, man, exp)`` tuples, but builds
+    no mpf.  The pipeline certifies ``rho``, every ``t_n`` and every
+    ``tau_l`` by this rule.
     """
     a, b = (libmp.from_man_exp(v, -w, ctx.prec, "n") for v in (value, check))
     return min(_agreement(a, b, ctx.dps), D)

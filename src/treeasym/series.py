@@ -14,14 +14,16 @@ short exponential (:func:`series_exp_fixed`) on integers scaled by ``2^w``.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
 from . import hp
-from .errors import TruncationWarning
+
+# Not raised here; re-exported because pyproject's warning filter, perfbench/run.py
+# and scripts/ name it as series.TruncationWarning.
+from .errors import TruncationWarning  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -44,18 +46,6 @@ class PowerSeries:
 
     def __len__(self) -> int:
         return len(self.coeffs)
-
-
-def series_mul(f: PowerSeries, g: PowerSeries) -> PowerSeries:
-    """Cauchy product truncated at ``min(f.order, g.order)``."""
-    order = min(f.order, g.order)
-    out = []
-    for n in range(order + 1):
-        acc = f.coeffs[0] * g.coeffs[n]
-        for k in range(1, n + 1):
-            acc += f.coeffs[k] * g.coeffs[n - k]
-        out.append(acc)
-    return PowerSeries(tuple(out))
 
 
 def series_exp(g: PowerSeries, ctx=None) -> PowerSeries:
@@ -83,47 +73,13 @@ def series_exp(g: PowerSeries, ctx=None) -> PowerSeries:
     return PowerSeries(tuple(out))
 
 
-def series_substitute_power(f: PowerSeries, i: int) -> PowerSeries:
-    """Substitute ``z -> z**i``: the result has ``f_n`` at degree ``i*n``."""
-    if i < 1:
-        raise ValueError(f"substitution power must be >= 1, got {i}")
-    N = f.order
-    zero = 0 * f.coeffs[0]
-    out = [zero] * (N + 1)
-    for n in range(0, N // i + 1):
-        out[i * n] = f.coeffs[n]
-    return PowerSeries(tuple(out))
-
-
-def series_eval_deriv(
-    f: PowerSeries,
-    x,
-    r: int,
-    ctx,
-    *,
-    radius_bound=None,
-    warn_digits: int | None = None,
-):
-    """Evaluate the ``r``-th term-wise derivative of ``f`` at ``x``.
-
-    Returns ``sum_{n=r..N} c_n * n!/(n-r)! * x^(n-r)`` accumulated in ``ctx``.
-    When ``warn_digits`` is given, a :class:`TruncationWarning` is emitted if
-    the crude tail indicator (magnitude of the last five accumulated terms)
-    exceeds ``10**-(warn_digits - 10)``.
-    """
-    value, tail = series_eval_deriv_tail(f, x, r, ctx, radius_bound=radius_bound)
-    if warn_digits is not None and tail > ctx.mpf(10) ** (-(warn_digits - 10)):
-        warnings.warn(
-            f"series tail indicator {ctx.nstr(tail, 3)} too large for "
-            f"{warn_digits} requested digits (order {f.order} insufficient)",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    return value
-
-
 def series_eval_deriv_tail(f: PowerSeries, x, r: int, ctx, *, radius_bound=None):
-    """Like :func:`series_eval_deriv` but returns ``(value, tail_indicator)``."""
+    """The ``r``-th term-wise derivative of ``f`` at ``x`` and a tail indicator.
+
+    Returns ``(value, tail)``: ``value = sum_{n=r..N} c_n * n!/(n-r)! * x^(n-r)``
+    accumulated in ``ctx``, and ``tail`` the summed magnitude of its last
+    five terms.
+    """
     if r < 0:
         raise ValueError("derivative order must be non-negative")
     if r > f.order:

@@ -16,8 +16,7 @@ Every solve takes the same steps (:func:`solve_models`):
    count reach ``BRACKET_REACH`` to a ``10**-3`` bracket, float Newton on a
    short prefix to about ``FLOAT_BITS`` bits, then, when the bound of
    :func:`_start_bits` asks for more, integer Newton steps at doubling
-   precision, each on the prefix whose count reach matches its bits.  A
-   given start point replaces all of this.
+   precision, each on the prefix whose count reach matches its bits.
 2. One split sweep: the scaled Taylor shift to order ``r + MODEL_EXTRA``
    over the exponent (:func:`treeasym.series.series_taylor_split`) gives the
    short Taylor models of ``log zeta`` at that point for the whole exponent
@@ -28,12 +27,12 @@ Every solve takes the same steps (:func:`solve_models`):
    again there.
 
 No step runs at the full working precision over all ``2N+1`` coefficients
-except the one sweep.  :func:`find_root` solves one given exponent.
-:func:`solve_rho` is the certified form for direct callers: it solves at
-truncation order ``N`` and at ``N//2`` from the same sweep, and reports
-their agreement through :func:`treeasym.hp.certified_fixed`, the same
-helper that certifies the full expansion in
-:func:`treeasym.expansions.expand_variety`.
+except the one sweep.  :func:`solve_exponent` is the one front end: it
+builds the exponent, solves at truncation order ``N`` and at ``N//2`` from
+the same sweep, and reports their agreement through
+:func:`treeasym.hp.certified_fixed`.  :func:`solve_rho` returns its
+:class:`RhoResult`; :func:`treeasym.expansions.expand_variety` reads the
+models too.
 """
 
 from __future__ import annotations
@@ -128,13 +127,25 @@ def solve_rho(
     exists on ``bracket`` and :class:`StalledError` when Newton fails to
     reach the ``10**-(D+5)`` step tolerance within ``max_newton`` iterations.
     """
+    return solve_exponent(spec, counts, N, D, 0, bracket, max_newton)[0]
+
+
+def solve_exponent(spec: VarietySpec, counts: CountSequence, N: int, D: int, r: int,
+                   bracket=DEFAULT_BRACKET, max_newton: int = MAX_NEWTON) -> tuple:
+    """``(RhoResult, h, models)``: the certified root, the exponent and its Taylor models.
+
+    Checks the inputs as :func:`solve_rho` states, builds the fixed-point
+    exponent ``h`` of degree ``2N`` at the working precision of ``D`` and
+    runs :func:`solve_models` to order ``r`` at the cut :func:`half_cut`
+    ``(N)``; ``models`` is its ``[(x, L), (x_check, L_check)]``.
+    """
     check_series_inputs(counts, N, D)
     ctx = hp.working_context(D)
     w = hp.fixed_bits(ctx)
     h = numeric_exponent(spec, counts, N, ctx)
-    models, iterations = solve_models(spec, h, half_cut(N), 0, ctx, D, bracket, max_newton)
+    models, iterations = solve_models(spec, h, half_cut(N), r, ctx, D, bracket, max_newton)
     (x, _), (x_check, _) = models
-    return RhoResult(
+    result = RhoResult(
         variety=spec.name,
         rho=hp.from_fixed(x, w, ctx),
         certified_digits=hp.certified_fixed(x, x_check, w, D, ctx),
@@ -143,6 +154,7 @@ def solve_rho(
         digits=D,
         ctx=ctx,
     )
+    return result, h, models
 
 
 def check_series_inputs(counts: CountSequence, N: int, D: int) -> None:
@@ -158,18 +170,6 @@ def check_series_inputs(counts: CountSequence, N: int, D: int) -> None:
 def half_cut(N: int) -> int:
     """Length ``2(N//2) + 1`` of the exponent prefix that certifies order ``N``."""
     return 2 * (N // 2) + 1
-
-
-def find_root(spec: VarietySpec, h: tuple, ctx, bracket, D, max_newton, start=None):
-    """Root of ``h(x) + a log x + log c + 1 = 0`` on ``bracket`` and the Newton iteration count.
-
-    ``h`` is the fixed-point numeric exponent, so the equation is
-    ``zeta(x) = 1/e``.  The steps of :func:`solve_models` with ``r = 0`` and
-    no prefix; a ``start`` point, such as the root of a longer exponent,
-    replaces the bracket phase.
-    """
-    models, iterations = solve_models(spec, h, len(h), 0, ctx, D, bracket, max_newton, start)
-    return hp.from_fixed(models[0][0], hp.fixed_bits(ctx), ctx), iterations
 
 
 def _start_bits(prec: int, r: int) -> int:
@@ -197,30 +197,26 @@ def _start_bits(prec: int, r: int) -> int:
 
 
 def solve_models(spec: VarietySpec, h: tuple, cut: int, r: int, ctx, D, bracket=DEFAULT_BRACKET,
-                 max_newton=MAX_NEWTON, start=None):
+                 max_newton=MAX_NEWTON):
     """Roots and Taylor models of ``log zeta`` for ``h`` and for its prefix ``h[:cut]``.
 
     Returns ``(models, iterations)``.  ``models`` holds ``(x, L)`` for ``h``
-    and, when ``cut < len(h)``, for ``h[:cut]``: the root ``x`` and the
-    Taylor coefficients ``L_0 .. L_r`` of ``log zeta`` there, fixed-point at
+    and for ``h[:cut]``, ``cut < len(h)``: the root ``x`` and the Taylor
+    coefficients ``L_0 .. L_r`` of ``log zeta`` there, fixed-point at
     ``w = hp.fixed_bits(ctx)``.  ``iterations`` counts the model Newton
     iterations of ``h``'s root.  Both come from one split sweep at a common
-    start point (see the module docstring); ``start`` skips the bracket phase.
+    start point (see the module docstring).
     """
     w = hp.fixed_bits(ctx)
     lo, hi = (math.floor(Fraction(end) * 2**w) for end in bracket)
     b = _start_bits(ctx.prec, r)
     R = r + MODEL_EXTRA
     low = h[:cut]
-    if start is None:
-        x = _start_point(spec, low, (lo, hi), w, b)
-    else:
-        x = hp.to_fixed(start, w, ctx)
-    exponents = (h, low) if cut < len(h) else (h,)
+    x = _start_point(spec, low, (lo, hi), w, b)
     sweeps = series_taylor_split(h, cut, x, R, w)
     tolerance = (1 << w) // 10 ** (D + 5)
     models, newton = [], []
-    for exponent, taylor in zip(exponents, sweeps):
+    for exponent, taylor in zip((h, low), sweeps):
         at, iterations = x, 0
         while True:
             L = log_zeta_taylor(spec, taylor, at, w)

@@ -96,7 +96,7 @@ def zeta_exponent(spec: VarietySpec, counts: CountSequence, N: int) -> PowerSeri
     to ``g_0`` and ``-sigma/2`` to ``g_1``.  For ``m <= 2N`` every proper
     divisor ``d`` is at most ``N``, so the counts are read only up to ``N``
     and the first ``2n+1`` coefficients are the exponent of degree ``2n`` for
-    every ``n <= N`` (:func:`exponent_prefix`).
+    every ``n <= N``.
     """
     S = _divisor_sums(spec, counts, N)
     half = Fraction(spec.shift_sign, 2)
@@ -120,11 +120,6 @@ def numeric_exponent(spec: VarietySpec, counts: CountSequence, N: int, ctx) -> t
     if N >= 1:
         h[1] -= half
     return tuple(h)
-
-
-def exponent_prefix(h: tuple, n: int) -> tuple:
-    """The exponent of degree ``2n`` (counts read up to ``n``), cut from a longer one."""
-    return h[: 2 * n + 1]
 
 
 def zeta_series(spec: VarietySpec, counts: CountSequence, N: int, ctx) -> PowerSeries:

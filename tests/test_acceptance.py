@@ -27,7 +27,7 @@ from treeasym.expansions import AsymptoticExpansion, error_table, estimate_count
 from treeasym.hp import agreement_digits, working_context
 from treeasym.kernels import b_seq, tau_symbolic
 from treeasym.oeis import SEQUENCE_IDS, load_fixture, verify_counts
-from treeasym.series import series_eval_deriv
+from treeasym.series import series_eval_deriv_tail
 from treeasym.solver import solve_rho
 from treeasym.varieties import get_variety, zeta_series
 
@@ -228,7 +228,7 @@ def _residual_profile(result, K):
         u = ctx.mpf(10) ** -exponent
         sqrt_u = ctx.sqrt(u)
         truncated = sum(t[n] * sqrt_u**n for n in range(K + 1))
-        value = series_eval_deriv(zeta, rho * (1 - u), 0, ctx)
+        value = series_eval_deriv_tail(zeta, rho * (1 - u), 0, ctx)[0]
         residual = value * ctx.exp(truncated) - truncated
         residuals.append(abs(residual))
         ratios.append(float(residual / (-t[1] * t[K + 1] * sqrt_u ** (K + 2))))

@@ -128,6 +128,23 @@ class TestExpand:
         code, _, err = run(capsys, "expand", "polya", "--order", "8", "--terms", "30")
         assert code == 2
 
+    @pytest.mark.parametrize("flags, N", [(["--order", "13"], 54),
+                                          (["--puiseux-terms", "40"], 80)])
+    def test_series_order_rises_to_twice_the_singular_terms(self, capsys, flags, N):
+        # as in estimate and error-table, N = max(--terms, 2K) with K the
+        # larger of 2L+1 and --puiseux-terms
+        code, out, err = run(capsys, "expand", "polya", *flags, "--terms", "50",
+                             "--digits", "30", "--format", "csv")
+        assert code == 0, err
+        assert out.splitlines()[0] == f"# expand variety=polya N={N} D=30"
+
+    @pytest.mark.parametrize("flags", [["--order", "600"], ["--puiseux-terms", "1200"]])
+    def test_reach_error_names_the_flag_that_raised_n(self, capsys, no_work, flags):
+        code, out, err = run(capsys, "expand", "polya", *flags)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {' '.join(flags)} reaches counts to n=")
+        assert err.count("\n") == 1
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "expand", "identity", "--order", "1", "--digits", "40",
                           "--terms", "120")
@@ -233,6 +250,15 @@ class TestVerifyOeis:
                              "--cache-dir", str(tmp_path))
         assert code == 2
         assert "nothing to verify" in err and out == ""
+
+    def test_unreadable_cache_exits_2(self, capsys, tmp_path):
+        cached = tmp_path / "b004111.txt"
+        cached.mkdir()
+        code, out, err = run(capsys, "verify-oeis", "identity", "--n", "5",
+                             "--cache-dir", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read the cached b-file: ")
+        assert str(cached) in err and err.count("\n") == 1
 
     def test_env_var_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("TREEASYM_CACHE_DIR", str(tmp_path))

@@ -18,8 +18,8 @@ from treeasym.expansions import (
     tau_coeffs,
 )
 from treeasym.hp import agreement_digits, context, working_context
-from treeasym.series import TruncationWarning, series_eval_deriv
-from treeasym.solver import DEFAULT_BRACKET, MAX_NEWTON, find_root, solve_rho
+from treeasym.series import TruncationWarning, series_eval_deriv_tail
+from treeasym.solver import solve_exponent, solve_rho
 from treeasym.varieties import get_variety, numeric_exponent, zeta_derivatives, zeta_series
 
 from puiseux_oracle import (
@@ -125,10 +125,9 @@ def _solved(variety, L, N, D):
     the inputs of :func:`treeasym.expansions.puiseux_coeffs` at scale ``w``.
     """
     spec, K = get_variety(variety), 2 * L + 1
-    ctx = working_context(D)
-    h = numeric_exponent(spec, spec.count_source(N), N, ctx)
-    rho, _ = find_root(spec, h, ctx, DEFAULT_BRACKET, D, MAX_NEWTON)
-    return (spec, K, ctx, *log_model(spec, h, rho, derivative_orders_needed(K), ctx),
+    result, h, _ = solve_exponent(spec, spec.count_source(N), N, D, 0)
+    ctx = result.ctx
+    return (spec, K, ctx, *log_model(spec, h, result.rho, derivative_orders_needed(K), ctx),
             hp.fixed_bits(ctx))
 
 
@@ -373,7 +372,7 @@ class TestResidualDecay:
             u = ctx.mpf(10) ** -exponent
             sqrt_u = ctx.sqrt(u)
             truncated = sum(t[n] * sqrt_u**n for n in range(K + 1))
-            zeta_at = series_eval_deriv(zeta, rho * (1 - u), 0, ctx)
+            zeta_at = series_eval_deriv_tail(zeta, rho * (1 - u), 0, ctx)[0]
             residuals.append(abs(zeta_at * ctx.exp(truncated) - truncated))
         slopes = [
             float(ctx.log10(residuals[i] / residuals[i + 1])) for i in range(2)
@@ -550,11 +549,9 @@ class TestTruncationWarning:
         """The relative tail on mpf values, as :func:`expand_variety` computed it before
         it summed the terms on the fixed-point exponent and root."""
         spec, r = get_variety(variety), derivative_orders_needed(2 * L + 1)
-        ctx = working_context(D)
+        result, h, [(x, log_taylor), _] = solve_exponent(spec, spec.count_source(N), N, D, r)
+        ctx, rho = result.ctx, result.rho
         w = hp.fixed_bits(ctx)
-        h = numeric_exponent(spec, spec.count_source(N), N, ctx)
-        [(x, log_taylor), _], _ = solver.solve_models(spec, h, solver.half_cut(N), r, ctx, D)
-        rho = hp.from_fixed(x, w, ctx)
         top = len(h) - 1
         tail = sum(abs(hp.from_fixed(h[m], w, ctx)) * math.comb(m, r) * rho ** (m - r)
                    for m in range(max(r, top - 4), top + 1))

@@ -129,7 +129,7 @@ def _check_values(v, prec):
 
 
 def _assert_certified_fixed_matches_mpf(v, check, w, D, ctx):
-    expected = hp.certified_digits(hp.from_fixed(v, w, ctx), hp.from_fixed(check, w, ctx), D, ctx)
+    expected = min(agreement_digits(hp.from_fixed(v, w, ctx), hp.from_fixed(check, w, ctx), ctx), D)
     assert hp.certified_fixed(v, check, w, D, ctx) == expected, (v, check)
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -90,3 +91,38 @@ def test_benchmark_patch_points_resolve(monkeypatch):
         if not found:
             missing.append(f"{key} ({name})")
     assert missing == []
+
+
+def benchmark_only_imports(source: str) -> list[str]:
+    """Names imported with ``# noqa: F401`` in a block under a "the benchmark traces" comment."""
+    names, in_block = [], False
+    for line in source.splitlines():
+        if line.startswith("#"):
+            in_block = "the benchmark traces" in line
+        elif not (in_block and line.startswith("from ") and "# noqa: F401" in line):
+            in_block = False
+        else:
+            names += [n.strip() for n in line.split(" import ")[1].split("#")[0].split(",")]
+    return names
+
+
+def test_benchmark_only_import_detector():
+    source = ("# Not called here; the benchmark traces these names (perfbench/layers.py).\n"
+              "from .kernels import b_seq  # noqa: F401\n"
+              "from .solver import solve_rho, x  # noqa: F401\n\n"
+              "# Re-exported for callers.\n"
+              "from .counts import VARIETIES  # noqa: F401\n")
+    assert benchmark_only_imports(source) == ["b_seq", "solve_rho", "x"]
+
+
+def test_benchmark_only_imports_are_patch_points(monkeypatch):
+    # an import kept only for the benchmark's patch points outlives its reason
+    # once the benchmark stops patching that name there
+    monkeypatch.syspath_prepend(str(PACKAGE.parents[1] / "perfbench"))
+    layers = importlib.import_module("layers")
+    program = importlib.import_module("program")
+    points = {(owner.__name__, key) for owner, key, _, _ in
+              layers.patch_points(program.import_treeasym()) if isinstance(owner, ModuleType)}
+    kept = {(f"treeasym.{path.stem}", name) for path in MODULES
+            for name in benchmark_only_imports(path.read_text())}
+    assert kept and kept <= points, sorted(kept - points)

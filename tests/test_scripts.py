@@ -14,6 +14,7 @@ from treeasym.series import TruncationWarning
 from reference_values import RHO_50
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+README = SCRIPTS.parent / "README.md"
 
 
 def _reproduce_tables(tmp_path, *args):
@@ -81,3 +82,25 @@ def test_reproduce_tables_print_certified_digits(tmp_path, terms, digits):
                 assert _significant_digits(text) <= shown, (title, n, text, certified[n])
                 shorter += shown < 19
     assert shorter > 0 if terms == 120 else shorter == 0
+
+
+def test_readme_library_snippet_prints_its_comments(tmp_path):
+    # the first python block under "Library use": each print line carries its
+    # output as a trailing comment, a "..." comment a prefix of it
+    text = README.read_text()
+    start = text.index("```python\n", text.index("## Library use")) + len("```python\n")
+    block = text[start:text.index("```", start)]
+    comments = [line.partition("#")[2].strip() for line in block.splitlines()
+                if line.startswith("print(")]
+    assert comments and all(comments)
+    src = Path(treeasym.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", block], cwd=tmp_path, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    printed = proc.stdout.splitlines()
+    assert len(printed) == len(comments)
+    for line, comment in zip(printed, comments):
+        if comment.endswith("..."):
+            assert line.startswith(comment[:-3]), (line, comment)
+        else:
+            assert line == comment

@@ -17,13 +17,9 @@ from treeasym.hp import (
 )
 from treeasym.series import (
     PowerSeries,
-    TruncationWarning,
-    series_eval_deriv,
     series_eval_deriv_tail,
     series_exp,
-    series_mul,
     series_exp_fixed,
-    series_substitute_power,
     series_taylor,
     series_taylor_split,
 )
@@ -32,6 +28,14 @@ from treeasym.series import (
 def from_integers(values):
     """Exact series with the given integer coefficients."""
     return PowerSeries(tuple(Fraction(v) for v in values))
+
+
+def series_mul(f, g):
+    """Cauchy product truncated at ``min(f.order, g.order)``: the oracle of ``series_exp``."""
+    order = min(f.order, g.order)
+    return PowerSeries(tuple(
+        sum(f.coeffs[k] * g.coeffs[n - k] for k in range(n + 1)) for n in range(order + 1)
+    ))
 
 
 def series_derivative(f):
@@ -109,67 +113,34 @@ class TestExp:
         assert lhs.coeffs[: rhs.order + 1] == rhs.coeffs[: lhs.order + 1]
 
 
-class TestSubstitutePower:
-    def test_cube(self):
-        f = from_integers([0, 1, 0, 0])
-        assert series_substitute_power(f, 3).coeffs == (0, 0, 0, 1)
-
-    def test_power_one_is_identity(self):
-        f = from_integers([2, 7, 1, 8])
-        assert series_substitute_power(f, 1).coeffs == f.coeffs
-
-    def test_truncation_drops_high_terms(self):
-        f = from_integers([0, 1, 1, 0])  # z + z^2, order 3
-        assert series_substitute_power(f, 2).coeffs == (0, 0, 1, 0)
-
-    def test_rejects_zero_power(self):
-        with pytest.raises(ValueError):
-            series_substitute_power(from_integers([1]), 0)
-
-
 class TestEvalDeriv:
     def test_second_derivative_of_square(self):
         ctx = context(30)
         f = from_integers([0, 0, 1])
-        assert series_eval_deriv(f, ctx.mpf("0.7"), 2, ctx) == 2
+        assert series_eval_deriv_tail(f, ctx.mpf("0.7"), 2, ctx)[0] == 2
 
     def test_geometric_value(self):
         ctx = working_context(60)
         geometric = from_integers([1] * 201)
-        value = series_eval_deriv(geometric, ctx.mpf("0.5"), 0, ctx)
+        value = series_eval_deriv_tail(geometric, ctx.mpf("0.5"), 0, ctx)[0]
         assert abs(value - 2) < ctx.mpf(10) ** -55
 
     def test_geometric_derivative(self):
         ctx = working_context(60)
         geometric = from_integers([1] * 201)
-        value = series_eval_deriv(geometric, ctx.mpf("0.5"), 1, ctx)
+        value = series_eval_deriv_tail(geometric, ctx.mpf("0.5"), 1, ctx)[0]
         assert abs(value - 4) < ctx.mpf(10) ** -50
 
     def test_radius_bound_enforced(self):
         ctx = context(30)
         f = from_integers([1, 1, 1])
         with pytest.raises(ValueError, match="radius"):
-            series_eval_deriv(f, ctx.mpf("0.9"), 0, ctx, radius_bound="0.5")
+            series_eval_deriv_tail(f, ctx.mpf("0.9"), 0, ctx, radius_bound="0.5")
 
     def test_order_beyond_truncation_rejected(self):
         ctx = context(30)
         with pytest.raises(ValueError):
-            series_eval_deriv(from_integers([1, 1]), ctx.mpf("0.1"), 2, ctx)
-
-    def test_truncation_warning(self):
-        ctx = context(40)
-        geometric = from_integers([1] * 31)
-        with pytest.warns(TruncationWarning):
-            series_eval_deriv(geometric, ctx.mpf("0.9"), 0, ctx, warn_digits=40)
-
-    def test_no_warning_when_tail_small(self):
-        ctx = context(30)
-        geometric = from_integers([1] * 201)
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error", TruncationWarning)
-            series_eval_deriv(geometric, ctx.mpf("0.25"), 0, ctx, warn_digits=30)
+            series_eval_deriv_tail(from_integers([1, 1]), ctx.mpf("0.1"), 2, ctx)
 
     def test_finite_difference_cross_check(self):
         ctx = working_context(50)
@@ -177,8 +148,9 @@ class TestEvalDeriv:
         f = PowerSeries(tuple(coeffs))
         x = ctx.mpf("0.3")
         h = ctx.mpf(10) ** -12
-        d1 = series_eval_deriv(f, x, 1, ctx)
-        fd = (series_eval_deriv(f, x + h, 0, ctx) - series_eval_deriv(f, x - h, 0, ctx)) / (2 * h)
+        d1 = series_eval_deriv_tail(f, x, 1, ctx)[0]
+        fd = (series_eval_deriv_tail(f, x + h, 0, ctx)[0]
+              - series_eval_deriv_tail(f, x - h, 0, ctx)[0]) / (2 * h)
         assert abs(d1 - fd) < ctx.mpf(10) ** -20  # central difference error ~ h^2
 
 
@@ -189,8 +161,8 @@ class TestPrecisionMonotonicity:
         f = PowerSeries(coeffs)
         lo = context(digits)
         hi = context(digits + 10)
-        a = series_eval_deriv(f, lo.mpf("0.4"), 0, lo)
-        b = series_eval_deriv(f, hi.mpf("0.4"), 0, hi)
+        a = series_eval_deriv_tail(f, lo.mpf("0.4"), 0, lo)[0]
+        b = series_eval_deriv_tail(f, hi.mpf("0.4"), 0, hi)[0]
         assert agreement_digits(a, b, hi) >= digits - 5
 
 
@@ -251,7 +223,7 @@ class TestTaylor:
         taylor = series_taylor([to_fixed(c, w, ctx) for c in f.coeffs], to_fixed(x, w, ctx), 4, w)
         factorial = 1
         for r in range(5):
-            expected = series_eval_deriv(f, x, r, ctx) / factorial
+            expected = series_eval_deriv_tail(f, x, r, ctx)[0] / factorial
             assert agreement_digits(from_fixed(taylor[r], w, ctx), expected, ctx) >= 55
             factorial *= r + 1
 

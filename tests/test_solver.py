@@ -2,17 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from treeasym.counts import counts_for
-from treeasym.hp import agreement_digits, working_context
-from treeasym.solver import (
-    DEFAULT_BRACKET,
-    MAX_NEWTON,
-    NoBracketError,
-    StalledError,
-    find_root,
-    solve_rho,
-)
-from treeasym.varieties import exponent_prefix, get_variety, numeric_exponent
+from treeasym import solver
+from treeasym.counts import IDENTITY, counts_for
+from treeasym.hp import agreement_digits
+from treeasym.solver import NoBracketError, StalledError, solve_rho
+from treeasym.varieties import get_variety
 
 from reference_values import RHO_50
 
@@ -95,28 +89,19 @@ def test_half_order_reaches_reference(pipeline_counts, variety):
     assert agreement_digits(result.rho, result.ctx.mpf(RHO_50[variety]), result.ctx) >= 40
 
 
-@pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
-def test_warm_start_finds_the_bisected_root(pipeline_counts, variety):
-    # the root at N = 200 lies about rho^100 from the root at N = 100, so
-    # Newton started there needs no bisection and only a few steps
-    spec, ctx = get_variety(variety), working_context(60)
-    h = numeric_exponent(spec, pipeline_counts[variety], 200, ctx)
-    rho, _ = find_root(spec, h, ctx, DEFAULT_BRACKET, 60, MAX_NEWTON)
-    half = exponent_prefix(h, 100)
-    cold, _ = find_root(spec, half, ctx, DEFAULT_BRACKET, 60, MAX_NEWTON)
-    warm, iterations = find_root(spec, half, ctx, DEFAULT_BRACKET, 60, MAX_NEWTON, start=rho)
-    assert agreement_digits(warm, cold, ctx) >= 63
-    assert iterations <= 3
+def test_a_model_root_beyond_its_range_is_swept_again(monkeypatch):
+    # at N = 50, D = 40 the identity start lies further from the root of the
+    # order-50 model than the model's range: the 101-coefficient exponent is
+    # swept again at that root, and the result still agrees with the reference
+    swept = []
+    taylor = solver.series_taylor
 
+    def recording(coeffs, x, r, w):
+        swept.append((len(coeffs), r))
+        return taylor(coeffs, x, r, w)
 
-def test_a_distant_start_is_swept_again(pipeline_counts):
-    # a start 10**-3 off the root is outside the range of the short Taylor
-    # model: its first root is swept again until the model holds, and the
-    # result is the root found from the bracket
-    spec, ctx = get_variety("identity"), working_context(60)
-    h = numeric_exponent(spec, pipeline_counts["identity"], 200, ctx)
-    cold, _ = find_root(spec, h, ctx, DEFAULT_BRACKET, 60, MAX_NEWTON)
-    far, iterations = find_root(spec, h, ctx, DEFAULT_BRACKET, 60, MAX_NEWTON,
-                                start=cold + ctx.mpf(10) ** -3)
-    assert agreement_digits(far, cold, ctx) >= 70
-    assert iterations > 3
+    monkeypatch.setattr(solver, "series_taylor", recording)
+    result = solve_rho(IDENTITY, counts_for("identity", 50), 50, 40)
+    assert (101, solver.MODEL_EXTRA) in swept
+    ctx = result.ctx
+    assert agreement_digits(result.rho, ctx.mpf(RHO_50["identity"]), ctx) >= result.certified_digits

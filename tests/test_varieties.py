@@ -6,14 +6,13 @@ import pytest
 
 from treeasym.counts import counts_for
 from treeasym.hp import agreement_digits, context, fixed_bits, working_context
-from treeasym.series import series_eval_deriv
-from treeasym.solver import DEFAULT_BRACKET, NoBracketError, find_root, solve_rho
+from treeasym.series import series_eval_deriv_tail
+from treeasym.solver import NoBracketError, solve_rho
 from treeasym.varieties import (
     HIERARCHY,
     IDENTITY,
     POLYA,
     VARIETIES,
-    exponent_prefix,
     functional_residual_exact,
     get_variety,
     numeric_exponent,
@@ -80,7 +79,7 @@ class TestZetaSeries:
         ctx = working_context(30)
         counts = counts_for("hierarchy", 60)
         h = numeric_exponent(HIERARCHY, counts, 60, ctx)
-        assert exponent_prefix(h, 30) == numeric_exponent(HIERARCHY, counts, 30, ctx)
+        assert h[: 2 * 30 + 1] == numeric_exponent(HIERARCHY, counts, 30, ctx)
 
     @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
     def test_divisor_sums_match_double_loop(self, variety):
@@ -144,7 +143,7 @@ class TestZetaAtSingularity:
         _, result = polya_solution
         ctx = result.ctx
         zeta = zeta_series(POLYA, counts_for("polya", 400), 400, ctx)
-        value = series_eval_deriv(zeta, result.rho, 0, ctx)
+        value = series_eval_deriv_tail(zeta, result.rho, 0, ctx)[0]
         assert abs(ctx.e * value - 1) < ctx.mpf(10) ** (-result.certified_digits + 1)
 
     def test_first_derivative_positive(self, polya_solution):
@@ -162,7 +161,7 @@ class TestZetaAtSingularity:
         previous = None
         for i in range(11):
             x = result.rho * (1 + ctx.mpf(i) / 100)
-            value = series_eval_deriv(zeta, x, 0, ctx)
+            value = series_eval_deriv_tail(zeta, x, 0, ctx)[0]
             assert ctx.isfinite(value) and 0 < value < 1
             if previous is not None:
                 assert abs(value - previous) < ctx.mpf("0.01")
@@ -174,7 +173,7 @@ def test_identity_defining_property():
     result = solve_rho(IDENTITY, counts, 150, 40)
     ctx = result.ctx
     zeta = zeta_series(IDENTITY, counts_for("identity", 300), 300, ctx)
-    value = series_eval_deriv(zeta, result.rho, 0, ctx)
+    value = series_eval_deriv_tail(zeta, result.rho, 0, ctx)[0]
     assert abs(value - ctx.exp(-1)) < ctx.mpf(10) ** (-result.certified_digits + 1)
 
 
@@ -208,12 +207,12 @@ def test_taylor_route_matches_series_oracle(counts400, variety):
     spec = get_variety(variety)
     ctx = working_context(60)
     counts = counts400[variety]
-    rho, _ = find_root(spec, numeric_exponent(spec, counts, 200, ctx), ctx, DEFAULT_BRACKET, 60, 80)
+    rho = solve_rho(spec, counts, 200, 60).rho
     zeta = zeta_series(spec, counts, 400, ctx)
     for x in (rho, rho / 2):
         derivs = zeta_derivatives(spec, counts, x, 3, 200, ctx)
         for r in range(4):
-            oracle = series_eval_deriv(zeta, x, r, ctx)
+            oracle = series_eval_deriv_tail(zeta, x, r, ctx)[0]
             assert agreement_digits(derivs[r], oracle, ctx) >= 40, (variety, x, r)
         if x is rho:  # the root step and the Taylor step read the same exponent
             assert agreement_digits(derivs[0], ctx.exp(-1), ctx) >= 60

@@ -21,7 +21,7 @@ from treeasym.solver import (
     NoBracketError,
     StalledError,
 )
-from treeasym.varieties import exponent_prefix, get_variety, log_zeta_taylor, numeric_exponent
+from treeasym.varieties import get_variety, log_zeta_taylor, numeric_exponent
 
 
 def exponent_taylor(h: tuple, x, r: int, ctx) -> tuple:
@@ -49,7 +49,7 @@ def find_root(spec, h: tuple, ctx, bracket, D, max_newton, start=None):
     offset = ctx.log(hp.convert(spec.prefactor, ctx)) + 1
     x_min, x_max = hp.convert(bracket[0], ctx), hp.convert(bracket[1], ctx)
     if start is None:
-        x = _bisect(spec, exponent_prefix(h, BRACKET_REACH), ctx, x_min, x_max, offset)
+        x = _bisect(spec, h[: 2 * BRACKET_REACH + 1], ctx, x_min, x_max, offset)
     else:
         x = hp.convert(start, ctx)
     tolerance = ctx.mpf(10) ** (-(D + 5))
@@ -100,7 +100,7 @@ def expand(variety: str, L: int, N: int, D: int) -> dict:
         return [hp.from_fixed(v, w, ctx) for v in values]
 
     runs, start = [], None
-    for exponent in (h, exponent_prefix(h, N // 2)):
+    for exponent in (h, h[: 2 * (N // 2) + 1]):
         rho, iterations = find_root(spec, exponent, ctx, DEFAULT_BRACKET, D, MAX_NEWTON, start)
         t = puiseux_coeffs(spec, *log_model(spec, exponent, rho, r_max, ctx), K, w)
         runs.append((rho, iterations, real(t), real(tau_coeffs(t, L))))
@@ -108,7 +108,7 @@ def expand(variety: str, L: int, N: int, D: int) -> dict:
     (rho, iterations, t, tau), (rho_check, _, t_check, tau_check) = runs
 
     def certified(values, checks):
-        return [hp.certified_digits(a, b, D, ctx) for a, b in zip(values, checks)]
+        return [min(hp.agreement_digits(a, b, ctx), D) for a, b in zip(values, checks)]
 
     return dict(
         ctx=ctx,
@@ -116,7 +116,7 @@ def expand(variety: str, L: int, N: int, D: int) -> dict:
         iterations=iterations,
         t=t,
         tau=tau,
-        rho_certified=hp.certified_digits(rho, rho_check, D, ctx),
+        rho_certified=min(hp.agreement_digits(rho, rho_check, ctx), D),
         t_certified=certified(t, t_check),
         tau_certified=certified(tau, tau_check),
     )
