@@ -26,7 +26,7 @@ _EXPORTS = {
     **dict.fromkeys(("zeta_derivatives", "zeta_series"), "varieties"),
 }
 _SUBMODULES = frozenset(("cli", "counts", "errors", "expansions", "hp", "kernels", "oeis",
-                         "series", "solver", "varieties"))
+                         "records", "series", "solver", "varieties"))
 
 __version__ = "0.1.0"
 

@@ -45,6 +45,7 @@ Each subcommand imports the layers it runs when it runs.  Only ``expand``,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -162,7 +163,19 @@ def _check_reach(flag: str, reach: int) -> None:
 
 
 def _print(line: str = "") -> None:
-    sys.stdout.write(line + "\n")
+    _to_stdout(sys.stdout.write, line + "\n")
+
+
+def _to_stdout(call, *args) -> None:
+    try:
+        call(*args)
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): point fd 1 at the null device,
+        # so the later writes and flushes succeed, and the command ends with
+        # its own exit code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def cmd_counts(args: argparse.Namespace) -> int:
@@ -377,7 +390,10 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TruncationWarning)
         try:
-            return _COMMANDS[args.command](args)
+            code = _COMMANDS[args.command](args)
+            # flushed here, not at exit, so a reader gone by now is handled too
+            _to_stdout(sys.stdout.flush)
+            return code
         except ValueError as exc:
             failure, code = f"error: {exc}", EXIT_CONFIG
         except SolverError as exc:

@@ -52,16 +52,16 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+from .records import Record
 
 #: Largest index the (cubic-ish) oracle path accepts by default.
 DEFAULT_ORACLE_BOUND = 200
 
 
-@dataclass(frozen=True)
-class CountSequence:
+class CountSequence(Record):
     """Counts ``values[0..n_max]`` of one variety; values are exact ints."""
 
     variety: str
@@ -81,8 +81,7 @@ class CountSequence:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class VarietySpec:
+class VarietySpec(Record):
     """Data defining one variety's perturbation factor ``zeta``, and so its counts."""
 
     name: str

@@ -49,12 +49,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import hp
 from .counts import CountSequence
 from .kernels import tau_symbolic
+from .records import Record
 from .series import TruncationWarning, series_exp_fixed
 from .solver import RhoResult, solve_exponent
 from .varieties import VarietySpec, exponent_tail, get_variety
@@ -65,8 +65,7 @@ from .solver import solve_rho  # noqa: F401
 from .varieties import zeta_derivatives  # noqa: F401
 
 
-@dataclass(frozen=True)
-class PuiseuxExpansion:
+class PuiseuxExpansion(Record):
     """Singular-expansion data ``rho`` and ``t_0 .. t_K`` for one variety."""
 
     variety: str
@@ -78,8 +77,7 @@ class PuiseuxExpansion:
     ctx: object
 
 
-@dataclass(frozen=True)
-class AsymptoticExpansion:
+class AsymptoticExpansion(Record):
     """Asymptotic-expansion data ``rho`` and ``tau_0 .. tau_L`` for one variety."""
 
     variety: str
@@ -194,8 +192,7 @@ def estimate_count(asym: AsymptoticExpansion, n: int, order: int):
     return prefactor * acc
 
 
-@dataclass(frozen=True)
-class ErrorTable:
+class ErrorTable(Record):
     """Relative errors and estimate/exact ratios over a (size, order) grid."""
 
     variety: str
@@ -251,8 +248,7 @@ def error_table(
     )
 
 
-@dataclass(frozen=True)
-class VarietyExpansion:
+class VarietyExpansion(Record):
     """Bundle of everything the pipeline produces for one variety."""
 
     spec: VarietySpec

@@ -17,10 +17,10 @@ import importlib.resources
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 from .counts import CountSequence
+from .records import Record
 
 #: OEIS ids of the shipped varieties.
 SEQUENCE_IDS = {
@@ -38,8 +38,7 @@ class BFileFormatError(ValueError):
     """Malformed b-file content."""
 
 
-@dataclass(frozen=True)
-class OeisFixture:
+class OeisFixture(Record):
     """Parsed b-file: ``(index, value)`` pairs with strictly increasing index."""
 
     sequence_id: str
@@ -153,8 +152,7 @@ def get_sequence(
     return load_fixture(sequence_id), "fixture"
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(Record):
     """Outcome of comparing a computed sequence against a b-file."""
 
     variety: str

@@ -14,20 +14,19 @@ short exponential (:func:`series_exp_fixed`) on integers scaled by ``2^w``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
 from . import hp
+from .records import Record
 
 # Not raised here; re-exported because pyproject's warning filter, perfbench/run.py
 # and scripts/ name it as series.TruncationWarning.
 from .errors import TruncationWarning  # noqa: F401
 
 
-@dataclass(frozen=True)
-class PowerSeries:
+class PowerSeries(Record):
     """Coefficients ``c_0 .. c_N`` of a series truncated at order ``N``."""
 
     coeffs: tuple

@@ -38,12 +38,12 @@ models too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import hp
 from .counts import CountSequence
 from .errors import NoBracketError, StalledError
+from .records import Record
 from .series import series_taylor, series_taylor_split
 from .varieties import VarietySpec, log_zeta_taylor, numeric_exponent
 
@@ -89,8 +89,7 @@ REACH_MARGIN = 8
 GROWTH_BITS = 2.11
 
 
-@dataclass(frozen=True)
-class RhoResult:
+class RhoResult(Record):
     """Solved singularity with provenance and certification metadata.
 
     ``iterations`` counts the integer Newton iterations on the short Taylor

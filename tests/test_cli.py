@@ -392,6 +392,25 @@ def test_bare_package_import_loads_no_submodule():
     assert [m for m in loaded if m.startswith("treeasym.")] == []
 
 
+@pytest.mark.parametrize("n", ["800", "10"], ids=["in-a-write", "at-the-last-flush"])
+def test_closed_stdout_ends_quietly_with_the_command_exit_code(n):
+    # the reader is gone before the command starts; with stdout buffered, the
+    # 152 KB of rows at n=800 fail in a write, the 11 rows at n=10 only when
+    # the output is flushed after the command
+    src = Path(treeasym.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "treeasym.cli", "counts", "polya",
+                               "--n", n, "--format", "csv"], stdout=write_end,
+                              stderr=subprocess.PIPE, timeout=120,
+                              env={**env, "PYTHONPATH": str(src)})
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as excnfo:
         main(["frobnicate", "polya"])

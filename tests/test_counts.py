@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -113,4 +112,4 @@ def test_inexact_division_raises():
 def test_spec_without_integer_counts_raises():
     # the shift of the wrong sign: the engine meets the remainder at once
     with pytest.raises(ArithmeticError, match="inexact division at n=2"):
-        replace(HIERARCHY, shift_sign=+1).count_source(10)
+        HIERARCHY.replace(shift_sign=+1).count_source(10)

@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -221,7 +220,7 @@ class TestRecurrence:
         # K = 81 and 161 against the recurrence 400 bits wider on the same
         # integers, which is the exact one to far below a unit of 2^-w
         spec, K, ctx, x, l, w = _solved(variety, L, N, D)
-        spec = replace(spec, shift_sign=0)
+        spec = spec.replace(shift_sign=0)
         got = puiseux_coeffs(spec, x, l, K, w)
         ref = puiseux_coeffs(spec, x << 400, [c << 400 for c in l], K, w + 400)
         F = [float(v) for v in _F(x, l, w, derivative_orders_needed(K))]
@@ -240,7 +239,7 @@ class TestRecurrence:
         # flooring errors grow with K: up to 3 units at K = 37 here, and 3.8e5
         # units for identity at K = 81
         spec, K, ctx, x, l, w = _solved(variety, L, N, D)
-        spec = replace(spec, shift_sign=0)
+        spec = spec.replace(shift_sign=0)
         oracle = miller_t_fixed(x, series.series_exp_fixed(l, w), K, w)
         got = puiseux_coeffs(spec, x, l, K, w)
         assert max(abs(a - b) for a, b in zip(got, oracle)) <= 4

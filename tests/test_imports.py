@@ -70,6 +70,47 @@ def test_error_classes_keep_their_names_and_import_nothing():
     assert not [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
 
 
+def imported_modules(source: str) -> set[str]:
+    """Modules that ``source`` imports by absolute name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return names
+
+
+def test_no_module_imports_dataclasses():
+    # it loads inspect, ast, dis and tokenize, and execs the methods of every
+    # class: about 10 ms of every cold command; records subclass Record instead
+    offenders = [path.name for path in PACKAGE.glob("*.py")
+                 if "dataclasses" in imported_modules(path.read_text())]
+    assert offenders == []
+
+
+def test_records_imports_nothing():
+    tree = ast.parse((PACKAGE / "records.py").read_text())
+    assert not [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+
+
+@pytest.mark.parametrize("argv", [
+    ["counts", "polya", "--n", "30"],
+    ["expand", "polya", "--order", "1", "--digits", "30", "--terms", "60"],
+    ["estimate", "polya", "--size", "10", "--order", "1", "--digits", "30", "--terms", "60"],
+    ["error-table", "polya", "--sizes", "10", "--orders", "1", "--digits", "30",
+     "--terms", "60"],
+    ["verify-oeis", "identity", "--n", "30"],
+], ids=lambda argv: argv[0])
+def test_cli_commands_leave_dataclasses_and_inspect_unloaded(argv):
+    probe = ("import contextlib, io, sys\nfrom treeasym.cli import main\n"
+             f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv}) == 0\n"
+             "print(*[m for m in ('dataclasses', 'inspect') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, check=True)
+    assert proc.stdout.strip() == ""
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_submodule_resolves_as_a_package_attribute(path):
     # a fresh interpreter, so the attribute access is what imports the module

@@ -104,3 +104,19 @@ def test_readme_library_snippet_prints_its_comments(tmp_path):
             assert line.startswith(comment[:-3]), (line, comment)
         else:
             assert line == comment
+
+
+def test_readme_variety_spec_snippet_prints_and_raises_as_commented(capsys):
+    # the python block under "A variety is one `VarietySpec`": a print line
+    # carries its output as a comment, the last line the error it raises
+    text = README.read_text()
+    start = text.index("```python\n", text.index("A variety is one `VarietySpec`"))
+    start += len("```python\n")
+    *lines, last = text[start:text.index("```", start)].strip().splitlines()
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    assert capsys.readouterr().out == "(0, 1, 1, 2, 5, 12, 33)\n"
+    assert lines[-1].partition("#")[2].strip() == "(0, 1, 1, 2, 5, 12, 33)"
+    assert last.partition("#")[2].strip() == "ArithmeticError: inexact division at n=2"
+    with pytest.raises(ArithmeticError, match="^inexact division at n=2:"):
+        exec(last, namespace)

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -178,7 +177,7 @@ def test_identity_defining_property():
 
 
 def test_flipped_hierarchy_shift_has_no_root():
-    spec = replace(HIERARCHY, shift_sign=+1)
+    spec = HIERARCHY.replace(shift_sign=+1)
     counts = counts_for("hierarchy", 100)
     with pytest.raises(NoBracketError):
         solve_rho(spec, counts, 100, 30)
