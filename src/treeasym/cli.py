@@ -20,8 +20,8 @@ directory precedence: flag, then ``TREEASYM_CACHE_DIR``, then
 order ``L`` and ``expand``'s ``--puiseux-terms``.  A count reach above
 ``MAX_COUNT_REACH`` (2000), from ``--n``, ``--terms``, a size or the ``N``
 that ``--order`` or ``--puiseux-terms`` implies, is an invalid
-configuration, and so are an unwritable ``--ratio-out`` and an unreadable
-cached b-file.
+configuration, and so are a ``--digits`` above ``MAX_DIGITS`` (1000), an
+unwritable ``--ratio-out`` and an unreadable cached b-file.
 
 Output is deterministic for a fixed configuration: data lines carry no
 timestamps and metadata goes into ``#``-prefixed header lines (CSV) or
@@ -62,15 +62,16 @@ DEFAULT_TERMS = 200
 DEFAULT_SIZES = "10,20,50,100,200,500"
 DEFAULT_ORDERS = "1,4,8"
 MAX_COUNT_REACH = 2000
+#: Cap on ``--digits``.  At count reach ``MAX_COUNT_REACH`` the ``N//2``
+#: check certifies at most about 400 (identity) to 550 (hierarchy) digits,
+#: so a larger target certifies nothing more, while its working precision
+#: can take minutes or exhaust memory, which would end in a traceback.
+MAX_DIGITS = 1000
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
-
-
-class ConfigError(ValueError):
-    """Invalid run configuration."""
 
 
 def _add_precision_flags(parser: argparse.ArgumentParser) -> None:
@@ -148,9 +149,11 @@ def _check_precision(args: argparse.Namespace) -> None:
     from . import hp
 
     if args.digits < hp.MIN_DIGITS:
-        raise ConfigError(f"--digits must be >= {hp.MIN_DIGITS}, got {args.digits}")
+        raise ValueError(f"--digits must be >= {hp.MIN_DIGITS}, got {args.digits}")
+    if args.digits > MAX_DIGITS:
+        raise ValueError(f"--digits {args.digits} is beyond the limit {MAX_DIGITS}")
     if args.terms < 1:
-        raise ConfigError(f"--terms must be positive, got {args.terms}")
+        raise ValueError(f"--terms must be positive, got {args.terms}")
     _check_reach("--terms", args.terms)
 
 
@@ -158,8 +161,8 @@ def _check_reach(flag: str, reach: int) -> None:
     # one cap on every count reach read from input: far beyond it the counts
     # alone exhaust memory, which would end in a traceback
     if reach > MAX_COUNT_REACH:
-        raise ConfigError(f"{flag} reaches counts to n={reach}, "
-                          f"beyond the limit {MAX_COUNT_REACH}")
+        raise ValueError(f"{flag} reaches counts to n={reach}, "
+                         f"beyond the limit {MAX_COUNT_REACH}")
 
 
 def _print(line: str = "") -> None:
@@ -180,7 +183,7 @@ def _to_stdout(call, *args) -> None:
 
 def cmd_counts(args: argparse.Namespace) -> int:
     if args.n < 0:
-        raise ConfigError(f"--n must be non-negative, got {args.n}")
+        raise ValueError(f"--n must be non-negative, got {args.n}")
     _check_reach("--n", args.n)
     seq = counts_for(args.variety, args.n)
     if args.fmt == "csv":
@@ -228,7 +231,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
 
     _check_precision(args)
     if args.order < 0:
-        raise ConfigError(f"--order must be non-negative, got {args.order}")
+        raise ValueError(f"--order must be non-negative, got {args.order}")
     result = _expansion_for_orders(args, args.order, 0, args.puiseux_terms)
     payload = _expansion_payload(result)
     if args.fmt == "csv":
@@ -277,19 +280,18 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
     _check_precision(args)
     if args.size < 1:
-        raise ConfigError(f"--size must be positive, got {args.size}")
+        raise ValueError(f"--size must be positive, got {args.size}")
     if args.order < 0:
-        raise ConfigError(f"--order must be non-negative, got {args.order}")
+        raise ValueError(f"--order must be non-negative, got {args.order}")
     result = _expansion_for_orders(args, args.order, args.size)
     estimate = estimate_count(result.asym, args.size, args.order)
     exact = result.counts[args.size]
     ctx = result.asym.ctx
-    rel = abs(estimate - ctx.convert(exact)) / ctx.convert(exact) if exact else None
+    rel = abs(estimate - ctx.convert(exact)) / ctx.convert(exact)
     if args.fmt == "csv":
         _print("# estimate variety=%s size=%d order=%d" % (args.variety, args.size, args.order))
         _print("size,order,estimate,exact,relative_error")
-        _print(f"{args.size},{args.order},{ctx.nstr(estimate, 20)},{exact},"
-               f"{ctx.nstr(rel, 6) if rel is not None else ''}")
+        _print(f"{args.size},{args.order},{ctx.nstr(estimate, 20)},{exact},{ctx.nstr(rel, 6)}")
     else:
         import json
 
@@ -299,7 +301,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             "order": args.order,
             "estimate": ctx.nstr(estimate, 20),
             "exact": str(exact),
-            "relative_error": ctx.nstr(rel, 6) if rel is not None else None,
+            "relative_error": ctx.nstr(rel, 6),
         }, indent=2))
     return EXIT_OK
 
@@ -312,13 +314,13 @@ def cmd_error_table(args: argparse.Namespace) -> int:
         sizes = [int(s) for s in str(args.sizes).split(",") if s.strip()]
         orders = [int(s) for s in str(args.orders).split(",") if s.strip()]
     except ValueError:
-        raise ConfigError("--sizes and --orders must be comma-separated integers")
+        raise ValueError("--sizes and --orders must be comma-separated integers")
     if not sizes or not orders:
-        raise ConfigError("--sizes and --orders must be non-empty")
+        raise ValueError("--sizes and --orders must be non-empty")
     if min(sizes) < 1:
-        raise ConfigError(f"--sizes must be positive, got {min(sizes)}")
+        raise ValueError(f"--sizes must be positive, got {min(sizes)}")
     if min(orders) < 0:
-        raise ConfigError(f"--orders must be non-negative, got {min(orders)}")
+        raise ValueError(f"--orders must be non-negative, got {min(orders)}")
     result = _expansion_for_orders(args, max(orders), max(sizes))
     table = error_table(result.asym, result.counts, sizes, orders)
     ctx = result.asym.ctx
@@ -331,7 +333,7 @@ def cmd_error_table(args: argparse.Namespace) -> int:
             args.ratio_out.parent.mkdir(parents=True, exist_ok=True)
             args.ratio_out.write_text("\n".join(lines) + "\n")
         except OSError as exc:
-            raise ConfigError(f"cannot write --ratio-out {args.ratio_out}: {exc}") from exc
+            raise ValueError(f"cannot write --ratio-out {args.ratio_out}: {exc}") from exc
     _print(f"# error-table variety={args.variety} sizes={args.sizes} orders={args.orders}")
     _print("size,order,relative_error")
     for n, k, rel, _ in table.rows():
@@ -345,18 +347,18 @@ def cmd_verify_oeis(args: argparse.Namespace) -> int:
     from . import oeis
 
     if args.n < 0:
-        raise ConfigError(f"--n must be non-negative, got {args.n}")
+        raise ValueError(f"--n must be non-negative, got {args.n}")
     _check_reach("--n", args.n)
     sequence_id = oeis.SEQUENCE_IDS[args.variety]
     try:
         fixture, source = oeis.get_sequence(sequence_id, cache_dir=args.cache_dir,
                                             fetch=args.fetch)
     except OSError as exc:  # an unreadable cached b-file, such as a directory
-        raise ConfigError(f"cannot read the cached b-file: {exc}") from exc
+        raise ValueError(f"cannot read the cached b-file: {exc}") from exc
     seq = counts_for(args.variety, args.n)
     report = oeis.verify_counts(seq, fixture, source=source)
     if report.empty:
-        raise ConfigError(report.summary())
+        raise ValueError(report.summary())
     _print(report.summary())
     for n, ours, ref in report.mismatches[:10]:
         _print(f"  n={n}: computed {ours} != reference {ref}")

@@ -72,7 +72,7 @@ def series_exp(g: PowerSeries, ctx=None) -> PowerSeries:
     return PowerSeries(tuple(out))
 
 
-def series_eval_deriv_tail(f: PowerSeries, x, r: int, ctx, *, radius_bound=None):
+def series_eval_deriv_tail(f: PowerSeries, x, r: int, ctx):
     """The ``r``-th term-wise derivative of ``f`` at ``x`` and a tail indicator.
 
     Returns ``(value, tail)``: ``value = sum_{n=r..N} c_n * n!/(n-r)! * x^(n-r)``
@@ -84,8 +84,6 @@ def series_eval_deriv_tail(f: PowerSeries, x, r: int, ctx, *, radius_bound=None)
     if r > f.order:
         raise ValueError(f"derivative order {r} exceeds truncation order {f.order}")
     x = hp.convert(x, ctx)
-    if radius_bound is not None and not abs(x) < hp.convert(radius_bound, ctx):
-        raise ValueError("evaluation point outside the supplied radius bound")
     acc = ctx.mpf(0)
     xpow = ctx.mpf(1)
     # falling factorial n!/(n-r)!, updated multiplicatively along the loop
@@ -203,19 +201,3 @@ def series_exp_fixed(g: Sequence[int], w: int) -> tuple:
         out.append(sum(k * g[k] * out[n - k] for k in range(1, n + 1)) // (n << w))
     return tuple(out)
 
-
-def series_scale(f: PowerSeries, c) -> PowerSeries:
-    return PowerSeries(tuple(c * x for x in f.coeffs))
-
-
-def series_shift(f: PowerSeries, a: int) -> PowerSeries:
-    """Multiply by ``z**a`` keeping the truncation order."""
-    if a < 0:
-        raise ValueError("shift must be non-negative")
-    if a == 0:
-        return f
-    zero = 0 * f.coeffs[0]
-    out = [zero] * (f.order + 1)
-    for n in range(0, f.order + 1 - a):
-        out[n + a] = f.coeffs[n]
-    return PowerSeries(tuple(out))

@@ -54,8 +54,8 @@ from .varieties import zeta_series  # noqa: F401
 # Not raised here; re-exported so ``solver.SolverError`` still names their base class.
 from .errors import SolverError  # noqa: F401
 
-#: Default bracketing interval; all three shipped varieties have their
-#: singularity well inside it and their zeta is increasing across it.
+#: Bracketing interval, read at each solve; all three shipped varieties have
+#: their singularity well inside it and their zeta is increasing across it.
 DEFAULT_BRACKET = (Fraction(1, 20), Fraction(3, 5))
 
 MIN_SERIES_ORDER = 50
@@ -110,39 +110,39 @@ class RhoResult(Record):
             raise ValueError(f"rho out of range: {self.rho}")
 
 
-def solve_rho(
-    spec: VarietySpec,
-    counts: CountSequence,
-    N: int,
-    D: int,
-    *,
-    bracket=DEFAULT_BRACKET,
-    max_newton: int = MAX_NEWTON,
-) -> RhoResult:
+def solve_rho(spec: VarietySpec, counts: CountSequence, N: int, D: int) -> RhoResult:
     """Solve ``zeta(rho) = exp(-1)`` to ``D`` target digits, certified at ``N//2``.
 
-    ``counts`` must cover indices up to ``N`` and ``N`` must be at least
-    ``MIN_SERIES_ORDER``.  Raises :class:`NoBracketError` when no sign change
-    exists on ``bracket`` and :class:`StalledError` when Newton fails to
-    reach the ``10**-(D+5)`` step tolerance within ``max_newton`` iterations.
+    ``counts`` must be ``spec``'s, cover indices up to ``N``, and ``N`` must
+    be at least ``MIN_SERIES_ORDER``.  Raises :class:`NoBracketError` when
+    no sign change exists on ``DEFAULT_BRACKET`` and :class:`StalledError`
+    when Newton fails to reach the ``10**-(D+5)`` step tolerance within
+    ``MAX_NEWTON`` iterations.
     """
-    return solve_exponent(spec, counts, N, D, 0, bracket, max_newton)[0]
+    return solve_exponent(spec, counts, N, D, 0)[0]
 
 
-def solve_exponent(spec: VarietySpec, counts: CountSequence, N: int, D: int, r: int,
-                   bracket=DEFAULT_BRACKET, max_newton: int = MAX_NEWTON) -> tuple:
+def solve_exponent(spec: VarietySpec, counts: CountSequence, N: int, D: int, r: int) -> tuple:
     """``(RhoResult, h, models)``: the certified root, the exponent and its Taylor models.
 
     Checks the inputs as :func:`solve_rho` states, builds the fixed-point
     exponent ``h`` of degree ``2N`` at the working precision of ``D`` and
-    runs :func:`solve_models` to order ``r`` at the cut :func:`half_cut`
-    ``(N)``; ``models`` is its ``[(x, L), (x_check, L_check)]``.
+    runs :func:`solve_models` to order ``r`` with the ``N//2`` prefix
+    ``h[:2(N//2)+1]`` as the check; ``models`` is its
+    ``[(x, L), (x_check, L_check)]``.
     """
-    check_series_inputs(counts, N, D)
+    if counts.variety != spec.name:
+        raise ValueError(f"count/variety mismatch: {counts.variety} vs {spec.name}")
+    if N < MIN_SERIES_ORDER:
+        raise ValueError(f"series order {N} too small, need >= {MIN_SERIES_ORDER}")
+    if D < hp.MIN_DIGITS:
+        raise ValueError(f"target digits {D} too small, need >= {hp.MIN_DIGITS}")
+    if counts.n_max < N:
+        raise ValueError(f"counts cover n <= {counts.n_max}, need {N}")
     ctx = hp.working_context(D)
     w = hp.fixed_bits(ctx)
     h = numeric_exponent(spec, counts, N, ctx)
-    models, iterations = solve_models(spec, h, half_cut(N), r, ctx, D, bracket, max_newton)
+    models, iterations = solve_models(spec, h, 2 * (N // 2) + 1, r, ctx, D)
     (x, _), (x_check, _) = models
     result = RhoResult(
         variety=spec.name,
@@ -154,21 +154,6 @@ def solve_exponent(spec: VarietySpec, counts: CountSequence, N: int, D: int, r: 
         ctx=ctx,
     )
     return result, h, models
-
-
-def check_series_inputs(counts: CountSequence, N: int, D: int) -> None:
-    """Reject a series order, target precision or count reach the solver cannot use."""
-    if N < MIN_SERIES_ORDER:
-        raise ValueError(f"series order {N} too small, need >= {MIN_SERIES_ORDER}")
-    if D < hp.MIN_DIGITS:
-        raise ValueError(f"target digits {D} too small, need >= {hp.MIN_DIGITS}")
-    if counts.n_max < N:
-        raise ValueError(f"counts cover n <= {counts.n_max}, need {N}")
-
-
-def half_cut(N: int) -> int:
-    """Length ``2(N//2) + 1`` of the exponent prefix that certifies order ``N``."""
-    return 2 * (N // 2) + 1
 
 
 def _start_bits(prec: int, r: int) -> int:
@@ -195,8 +180,7 @@ def _start_bits(prec: int, r: int) -> int:
     )
 
 
-def solve_models(spec: VarietySpec, h: tuple, cut: int, r: int, ctx, D, bracket=DEFAULT_BRACKET,
-                 max_newton=MAX_NEWTON):
+def solve_models(spec: VarietySpec, h: tuple, cut: int, r: int, ctx, D):
     """Roots and Taylor models of ``log zeta`` for ``h`` and for its prefix ``h[:cut]``.
 
     Returns ``(models, iterations)``.  ``models`` holds ``(x, L)`` for ``h``
@@ -204,10 +188,10 @@ def solve_models(spec: VarietySpec, h: tuple, cut: int, r: int, ctx, D, bracket=
     coefficients ``L_0 .. L_r`` of ``log zeta`` there, fixed-point at
     ``w = hp.fixed_bits(ctx)``.  ``iterations`` counts the model Newton
     iterations of ``h``'s root.  Both come from one split sweep at a common
-    start point (see the module docstring).
+    start point (see the module docstring), bracketed by ``DEFAULT_BRACKET``.
     """
     w = hp.fixed_bits(ctx)
-    lo, hi = (math.floor(Fraction(end) * 2**w) for end in bracket)
+    lo, hi = (math.floor(Fraction(end) * 2**w) for end in DEFAULT_BRACKET)
     b = _start_bits(ctx.prec, r)
     R = r + MODEL_EXTRA
     low = h[:cut]
@@ -219,7 +203,7 @@ def solve_models(spec: VarietySpec, h: tuple, cut: int, r: int, ctx, D, bracket=
         at, iterations = x, 0
         while True:
             L = log_zeta_taylor(spec, taylor, at, w)
-            y, iterations = _model_root(spec, L, at, w, tolerance, iterations, max_newton, (lo, hi))
+            y, iterations = _model_root(spec, L, at, w, tolerance, iterations, (lo, hi))
             if abs(y) <= 1 << (w - b):
                 break
             at += y  # too far for the model: sweep again at its root
@@ -310,14 +294,14 @@ def _bracket(spec: VarietySpec, h: tuple, w: int, bracket) -> float:
 
 
 def _model_root(spec: VarietySpec, L: list, x: int, w: int, tolerance: int, done: int,
-                max_newton: int, bracket) -> tuple:
+                bracket) -> tuple:
     """Root ``y`` of the short model ``sum L_k y^k + 1`` by integer Newton from ``y = 0``.
 
     Returns ``y`` and the iteration count, which starts at ``done``; Newton
-    stops at a step below ``tolerance``.
+    stops at a step below ``tolerance``, and gives up after ``MAX_NEWTON`` in all.
     """
     y, steps = 0, []
-    for iteration in range(done + 1, max_newton + 1):
+    for iteration in range(done + 1, MAX_NEWTON + 1):
         step = _newton_step(spec, L, x, y, w)
         y -= step
         steps.append(abs(step))
@@ -326,7 +310,7 @@ def _model_root(spec: VarietySpec, L: list, x: int, w: int, tolerance: int, done
         if not bracket[0] <= x + y <= bracket[1]:
             raise StalledError(f"{spec.name}: Newton left the bracket at {_float(x + y, w):.12g}")
     raise StalledError(
-        f"{spec.name}: Newton not contracting after {max_newton} iterations; "
+        f"{spec.name}: Newton not contracting after {MAX_NEWTON} iterations; "
         f"last steps {[f'{_float(s, w):.3g}' for s in steps[-3:]]} vs tolerance "
         f"{_float(tolerance, w):.3g} (truncation order likely too small)"
     )

@@ -63,15 +63,7 @@ from .counts import CountSequence, VarietySpec, add_to_multiples
 
 # Re-exported: the spec table lives in counts, and callers read it here too.
 from .counts import HIERARCHY, IDENTITY, POLYA, VARIETIES, get_variety  # noqa: F401
-from .series import (
-    PowerSeries,
-    _fixed_power,
-    series_exp,
-    series_exp_fixed,
-    series_scale,
-    series_shift,
-    series_taylor,
-)
+from .series import PowerSeries, _fixed_power, series_exp, series_exp_fixed, series_taylor
 
 # Not called here; the benchmark traces this name in this module (perfbench/layers.py).
 from .series import series_eval_deriv_tail  # noqa: F401
@@ -132,8 +124,9 @@ def zeta_series(spec: VarietySpec, counts: CountSequence, N: int, ctx) -> PowerS
     """
     g = zeta_exponent(spec, counts, N)
     expo = series_exp(PowerSeries(g.coeffs[: N + 1]), ctx)
-    out = series_scale(expo, hp.convert(spec.prefactor, ctx))
-    return series_shift(out, spec.z_exponent)
+    shifted = (0,) * spec.z_exponent + expo.coeffs  # times z^a, truncated below
+    c = hp.convert(spec.prefactor, ctx)
+    return PowerSeries(tuple(c * v for v in shifted[: N + 1]))
 
 
 def log_zeta_taylor(spec: VarietySpec, taylor: Sequence[int], x: int, w: int) -> list:
@@ -194,26 +187,3 @@ def zeta_derivatives(
         for j, v in enumerate(series_exp_fixed(log_taylor, w))
     )
 
-
-def functional_residual_exact(spec: VarietySpec, counts: CountSequence, N: int) -> PowerSeries:
-    """Exact residual ``zeta * exp(T~) - T~`` as a rational series.
-
-    ``T~`` is the shifted series ``T - sigma*(1-z)/2`` (equal to ``T`` when
-    ``sigma = 0``).  The exponentials are combined before expanding, which
-    keeps every coefficient rational; by construction the constant term of
-    the combined exponent vanishes.  The residual must be zero through order
-    ``N - 2`` when the counts satisfy the variety's functional equation.
-    """
-    if counts.n_max < N:
-        raise ValueError(f"counts cover n <= {counts.n_max}, need {N}")
-    t_shift = [Fraction(counts[n]) for n in range(N + 1)]
-    if spec.shift_sign:
-        t_shift[0] -= Fraction(spec.shift_sign, 2)
-        if N >= 1:
-            t_shift[1] += Fraction(spec.shift_sign, 2)
-    t_tilde = PowerSeries(tuple(t_shift))
-    g = zeta_exponent(spec, counts, N)
-    combined = PowerSeries(tuple(a + b for a, b in zip(g.coeffs, t_tilde.coeffs)))
-    expo = series_exp(combined)  # exact: the constant terms cancel
-    prod = series_shift(series_scale(expo, spec.prefactor), spec.z_exponent)
-    return PowerSeries(tuple(p - t for p, t in zip(prod.coeffs, t_tilde.coeffs)))

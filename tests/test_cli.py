@@ -15,7 +15,7 @@ import treeasym.cli
 import treeasym.counts
 import treeasym.expansions
 import treeasym.oeis
-from treeasym.cli import MAX_COUNT_REACH, main
+from treeasym.cli import MAX_COUNT_REACH, MAX_DIGITS, main
 
 from reference_values import RHO_50
 
@@ -316,6 +316,15 @@ def test_count_reach_beyond_the_limit_exits_2_before_any_work(capsys, no_work, a
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert err.endswith(f", beyond the limit {MAX_COUNT_REACH}\n")
+
+
+@pytest.mark.parametrize("command", ["expand", "estimate", "error-table"])
+def test_digits_beyond_the_limit_exits_2_before_any_work(capsys, no_work, command):
+    # its working precision would take minutes or exhaust memory
+    extra = ["--size", "10"] if command == "estimate" else []
+    code, out, err = run(capsys, command, "polya", *extra, "--digits", "1000000000")
+    assert code == 2 and out == ""
+    assert err == f"error: --digits 1000000000 is beyond the limit {MAX_DIGITS}\n"
 
 
 @pytest.mark.parametrize("argv", [

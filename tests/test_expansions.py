@@ -334,6 +334,18 @@ class TestPipelineGuards:
         with pytest.raises(ValueError, match="order L must be >= 0, got -1"):
             expand_variety("hierarchy", L=-1)
 
+    @pytest.mark.parametrize("variety, other", [("polya", "identity"), ("hierarchy", "polya")])
+    def test_counts_of_another_variety_rejected_before_any_work(self, monkeypatch, variety,
+                                                                other):
+        # these once returned a wrong rho "certified" to 30 digits
+        def no_work(*args):
+            raise AssertionError("exponent built from mismatched counts")
+
+        monkeypatch.setattr(solver, "numeric_exponent", no_work)
+        counts = get_variety(other).count_source(100)
+        with pytest.raises(ValueError, match=f"count/variety mismatch: {other} vs {variety}"):
+            expand_variety(variety, L=2, N=100, D=30, counts=counts)
+
     def test_n_must_cover_k(self):
         with pytest.raises(ValueError, match="too small for K"):
             expand_variety("polya", L=4, N=10)

@@ -167,3 +167,60 @@ def test_benchmark_only_imports_are_patch_points(monkeypatch):
     kept = {(f"treeasym.{path.stem}", name) for path in MODULES
             for name in benchmark_only_imports(path.read_text())}
     assert kept and kept <= points, sorted(kept - points)
+
+
+def top_level_definitions(source: str) -> list[str]:
+    """Names of the functions and classes a module defines at its top level."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def names_read(source: str) -> set[str]:
+    """Names and attributes that ``source`` reads, bar a definition's reads of its own name."""
+    names = set()
+    for statement in ast.parse(source).body:
+        read = {node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(statement) if isinstance(node, (ast.Name, ast.Attribute))}
+        names |= read - {getattr(statement, "name", None)}
+    return names
+
+
+def unreached_definitions(modules: dict, readers: list, exempt: set) -> list[str]:
+    """``module.name`` of each top-level definition in ``modules`` that no other code reads.
+
+    ``modules`` maps a module name to its source; a definition counts as
+    read when a module, its own included, or one of the ``readers``
+    sources reads its name, or when ``module.name`` is in ``exempt``.
+    """
+    read = set().union(*map(names_read, list(modules.values()) + list(readers)))
+    return [f"{module}.{name}" for module, source in modules.items()
+            for name in top_level_definitions(source)
+            if name not in read and f"{module}.{name}" not in exempt]
+
+
+def test_unreached_definition_detector():
+    modules = {"a": "def used():\n    return helper()\n\ndef helper():\n    return 1\n",
+               "b": "def lonely():\n    return lonely()\n\nclass Kept:\n    pass\n"}
+    assert unreached_definitions(modules, [], set()) == ["a.used", "b.lonely", "b.Kept"]
+    assert unreached_definitions(modules, ["x.used(b.Kept)"], {"b.lonely"}) == []
+
+
+def test_no_definition_is_reached_only_from_tests(monkeypatch):
+    # a helper that only tests call belongs in tests/; outside them, code is
+    # reached as the public API, a CLI command, a name that the benchmark
+    # patches or perfbench/ reads, or a name that src/ or scripts/ use
+    monkeypatch.syspath_prepend(str(PACKAGE.parents[1] / "perfbench"))
+    layers = importlib.import_module("layers")
+    program = importlib.import_module("program")
+    root = PACKAGE.parents[1]
+    readers = [path.read_text() for folder in ("scripts", "perfbench")
+               for path in sorted((root / folder).glob("*.py"))]
+    patched = {key for _, key, _, _ in layers.patch_points(program.import_treeasym())}
+    modules = {path.stem: path.read_text() for path in MODULES}
+    exempt = {f"{module}.{name}" for module, source in modules.items()
+              for name in top_level_definitions(source)
+              if name in treeasym.__all__ or name in patched or name.startswith("__")
+              or module == "cli" and name.startswith("cmd_")}
+    # the README documents it as the mpf form of the certification rule
+    exempt.add("hp.agreement_digits")
+    assert unreached_definitions(modules, readers, exempt) == []

@@ -131,12 +131,6 @@ class TestEvalDeriv:
         value = series_eval_deriv_tail(geometric, ctx.mpf("0.5"), 1, ctx)[0]
         assert abs(value - 4) < ctx.mpf(10) ** -50
 
-    def test_radius_bound_enforced(self):
-        ctx = context(30)
-        f = from_integers([1, 1, 1])
-        with pytest.raises(ValueError, match="radius"):
-            series_eval_deriv_tail(f, ctx.mpf("0.9"), 0, ctx, radius_bound="0.5")
-
     def test_order_beyond_truncation_rejected(self):
         ctx = context(30)
         with pytest.raises(ValueError):

@@ -56,11 +56,11 @@ def test_self_consistency_across_orders(pipeline_counts, rho_results):
     assert agreement_digits(at_150.rho, at_200.rho, at_200.ctx) >= 20
 
 
-def test_no_bracket_error_carries_diagnostics(pipeline_counts):
+def test_no_bracket_error_carries_diagnostics(pipeline_counts, monkeypatch):
     spec = get_variety("polya")
+    monkeypatch.setattr(solver, "DEFAULT_BRACKET", (Fraction(1, 100), Fraction(2, 100)))
     with pytest.raises(NoBracketError, match="no sign change"):
-        solve_rho(spec, pipeline_counts["polya"], 200, 60,
-                  bracket=(Fraction(1, 100), Fraction(2, 100)))
+        solve_rho(spec, pipeline_counts["polya"], 200, 60)
 
 
 def test_input_validation(pipeline_counts):
@@ -73,12 +73,25 @@ def test_input_validation(pipeline_counts):
         solve_rho(spec, counts_for("polya", 100), 150, 60)
 
 
-def test_newton_stall_reported(pipeline_counts):
+@pytest.mark.parametrize("variety", ["identity", "hierarchy"])
+def test_counts_of_another_variety_rejected_before_any_work(pipeline_counts, monkeypatch,
+                                                            variety):
+    # identity counts once gave polya a wrong rho "certified" to 30 digits
+    def no_work(*args):
+        raise AssertionError("numeric_exponent ran on mismatched counts")
+
+    monkeypatch.setattr(solver, "numeric_exponent", no_work)
+    with pytest.raises(ValueError, match="count/variety mismatch: .* vs polya"):
+        solve_rho(get_variety("polya"), pipeline_counts[variety], 200, 60)
+
+
+def test_newton_stall_reported(pipeline_counts, monkeypatch):
     # one Newton step on the short model, from a start about 2^-96 off the
     # root (float Newton, then one doubling step), cannot reach 10**-65
     spec = get_variety("polya")
+    monkeypatch.setattr(solver, "MAX_NEWTON", 1)
     with pytest.raises(StalledError, match="not contracting after 1 iterations"):
-        solve_rho(spec, pipeline_counts["polya"], 200, 60, max_newton=1)
+        solve_rho(spec, pipeline_counts["polya"], 200, 60)
 
 
 @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])

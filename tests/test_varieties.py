@@ -5,14 +5,13 @@ import pytest
 
 from treeasym.counts import counts_for
 from treeasym.hp import agreement_digits, context, fixed_bits, working_context
-from treeasym.series import series_eval_deriv_tail
+from treeasym.series import PowerSeries, series_eval_deriv_tail, series_exp
 from treeasym.solver import NoBracketError, solve_rho
 from treeasym.varieties import (
     HIERARCHY,
     IDENTITY,
     POLYA,
     VARIETIES,
-    functional_residual_exact,
     get_variety,
     numeric_exponent,
     zeta_derivatives,
@@ -108,6 +107,24 @@ class TestZetaSeries:
         counts = counts_for("polya", 10)
         with pytest.raises(ValueError, match="counts cover"):
             zeta_exponent(POLYA, counts, 20)
+
+
+def functional_residual_exact(spec, counts, N: int) -> PowerSeries:
+    """Exact residual ``zeta * exp(T~) - T~`` as a rational series.
+
+    ``T~`` is the shifted series ``T - sigma*(1-z)/2`` (equal to ``T`` when
+    ``sigma = 0``).  The exponentials are combined before expanding, which
+    keeps every coefficient rational; by construction the constant term of
+    the combined exponent vanishes.  The residual must be zero through order
+    ``N - 2`` when the counts satisfy the variety's functional equation.
+    """
+    t_tilde = [Fraction(counts[n]) for n in range(N + 1)]
+    t_tilde[0] -= Fraction(spec.shift_sign, 2)
+    t_tilde[1] += Fraction(spec.shift_sign, 2)
+    g = zeta_exponent(spec, counts, N)
+    expo = series_exp(PowerSeries(tuple(a + b for a, b in zip(g.coeffs, t_tilde))))
+    prod = (0,) * spec.z_exponent + tuple(spec.prefactor * e for e in expo.coeffs)  # c z^a exp
+    return PowerSeries(tuple(p - t for p, t in zip(prod, t_tilde)))
 
 
 @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
