@@ -13,15 +13,13 @@ Each subcommand takes the variety and only the flags it reads:
 ``--digits`` (target precision D) and ``--terms`` (count reach N; the
 exponent of ``zeta`` goes to degree 2N) on ``expand``, ``estimate`` and
 ``error-table``; ``--format {json,csv}`` on ``counts``, ``expand`` and
-``estimate``; ``--cache-dir`` and ``--fetch`` on ``verify-oeis``.  Cache
-directory precedence: flag, then ``TREEASYM_CACHE_DIR``, then
-``~/.cache/treeasym``.  The three pipeline commands run at
-``N = max(--terms, 2K)``, with ``K`` the larger of ``2L+1`` for the highest
-order ``L`` and ``expand``'s ``--puiseux-terms``.  A count reach above
-``MAX_COUNT_REACH`` (2000), from ``--n``, ``--terms``, a size or the ``N``
-that ``--order`` or ``--puiseux-terms`` implies, is an invalid
-configuration, and so are a ``--digits`` above ``MAX_DIGITS`` (1000), an
-unwritable ``--ratio-out`` and an unreadable cached b-file.
+``estimate``; ``--fetch`` on ``verify-oeis``.  The three pipeline
+commands run at ``N = max(--terms, 2K)``, with ``K`` the larger of ``2L+1``
+for the highest order ``L`` and ``expand``'s ``--puiseux-terms``.  A count
+reach above ``MAX_COUNT_REACH`` (2000), from ``--n``, ``--terms``, a size
+or the ``N`` that ``--order`` or ``--puiseux-terms`` implies, is an invalid
+configuration, and so are a ``--digits`` above ``MAX_DIGITS`` (1000) and
+an unwritable ``--ratio-out``.
 
 Output is deterministic for a fixed configuration: data lines carry no
 timestamps and metadata goes into ``#``-prefixed header lines (CSV) or
@@ -137,11 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify-oeis", parents=[variety],
                            help="exact comparison against an OEIS b-file")
     p_ver.add_argument("--n", type=int, default=500, help="largest index (default 500)")
-    p_ver.add_argument("--cache-dir", type=Path, default=None,
-                       help="b-file cache directory (default $TREEASYM_CACHE_DIR "
-                            "or ~/.cache/treeasym)")
     p_ver.add_argument("--fetch", action="store_true",
-                       help="fetch the b-file from oeis.org (cached afterwards)")
+                       help="compare with the b-file from oeis.org, not the bundled one")
     return parser
 
 
@@ -350,11 +345,7 @@ def cmd_verify_oeis(args: argparse.Namespace) -> int:
         raise ValueError(f"--n must be non-negative, got {args.n}")
     _check_reach("--n", args.n)
     sequence_id = oeis.SEQUENCE_IDS[args.variety]
-    try:
-        fixture, source = oeis.get_sequence(sequence_id, cache_dir=args.cache_dir,
-                                            fetch=args.fetch)
-    except OSError as exc:  # an unreadable cached b-file, such as a directory
-        raise ValueError(f"cannot read the cached b-file: {exc}") from exc
+    fixture, source = oeis.get_sequence(sequence_id, fetch=args.fetch)
     seq = counts_for(args.variety, args.n)
     report = oeis.verify_counts(seq, fixture, source=source)
     if report.empty:

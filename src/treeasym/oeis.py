@@ -1,10 +1,10 @@
-"""OEIS b-file client with bundled fixtures and an on-disk cache.
+"""OEIS b-file client with bundled fixtures.
 
 The b-file wire format is plain text: one ``index value`` pair per line,
 ``#`` comment lines and blank lines ignored, indices strictly increasing.
 Fixtures for the three shipped sequences are bundled so the test suite and
-the default CLI path never touch the network; online fetching is opt-in and
-falls back to the cache and then to the fixture on failure.
+the default CLI path never touch the network; online fetching is opt-in,
+writes nothing to disk and falls back to the fixture on failure.
 
 Index alignment: for all three shipped sequences the b-file index ``n``
 carries the count of objects of size ``n`` in this package's indexing, so
@@ -14,10 +14,7 @@ computed ``values[n]`` is compared with the b-file entry at ``n``.
 from __future__ import annotations
 
 import importlib.resources
-import os
-import tempfile
 import warnings
-from pathlib import Path
 
 from .counts import CountSequence
 from .records import Record
@@ -31,7 +28,8 @@ SEQUENCE_IDS = {
 
 OEIS_URL_TEMPLATE = "https://oeis.org/{sid}/b{digits}.txt"
 
-ENV_CACHE_DIR = "TREEASYM_CACHE_DIR"
+#: seconds that ``--fetch`` waits for oeis.org
+FETCH_TIMEOUT = 30.0
 
 
 class BFileFormatError(ValueError):
@@ -76,79 +74,35 @@ def parse_b_file(sequence_id: str, text: str) -> OeisFixture:
     return OeisFixture(sequence_id, tuple(pairs))
 
 
-def fixture_text(sequence_id: str) -> str:
-    resource = importlib.resources.files(__package__) / "fixtures" / _b_name(sequence_id)
-    return resource.read_text()
-
-
 def load_fixture(sequence_id: str) -> OeisFixture:
-    return parse_b_file(sequence_id, fixture_text(sequence_id))
+    resource = importlib.resources.files(__package__) / "fixtures" / f"b{sequence_id[1:]}.txt"
+    return parse_b_file(sequence_id, resource.read_text())
 
 
-def _b_name(sequence_id: str) -> str:
-    return f"b{sequence_id[1:]}.txt"
-
-
-def default_cache_dir() -> Path:
-    env = os.environ.get(ENV_CACHE_DIR)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "treeasym"
-
-
-def _cache_path(cache_dir: Path, sequence_id: str) -> Path:
-    return Path(cache_dir) / _b_name(sequence_id)
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def fetch_b_file_text(sequence_id: str, *, timeout: float = 30.0) -> str:
+def fetch_b_file_text(sequence_id: str) -> str:
     # imported here: only --fetch needs urllib.request (and http.client, ssl, email)
     import urllib.request
 
     url = OEIS_URL_TEMPLATE.format(sid=sequence_id, digits=sequence_id[1:])
-    with urllib.request.urlopen(url, timeout=timeout) as response:
+    with urllib.request.urlopen(url, timeout=FETCH_TIMEOUT) as response:
         return response.read().decode("utf-8")
 
 
-def get_sequence(
-    sequence_id: str,
-    *,
-    cache_dir: Path | None = None,
-    fetch: bool = False,
-) -> tuple[OeisFixture, str]:
-    """Return ``(fixture, source)`` with source one of online/cache/fixture.
+def get_sequence(sequence_id: str, *, fetch: bool = False) -> tuple[OeisFixture, str]:
+    """Return ``(fixture, source)`` with source ``online`` or ``fixture``.
 
-    Resolution order: with ``fetch`` try the network and cache the result;
-    otherwise, or on failure, use a cached copy; the bundled fixture is the
-    final fallback.  Without ``fetch`` the network is never touched.
+    With ``fetch`` the b-file is downloaded and parsed, and nothing is
+    written to disk; on any failure it warns and uses the bundled fixture.
+    Without ``fetch`` only the bundled fixture is read.
     """
-    cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    cached = _cache_path(cache_dir, sequence_id)
     if fetch:
         try:
-            text = fetch_b_file_text(sequence_id)
-            fixture = parse_b_file(sequence_id, text)  # validate before caching
-            _write_atomic(cached, text)
-            return fixture, "online"
+            return parse_b_file(sequence_id, fetch_b_file_text(sequence_id)), "online"
         except Exception as exc:  # network or parse failure: fall back
             warnings.warn(
-                f"fetching {sequence_id} failed ({exc}); falling back to cache/fixture",
+                f"fetching {sequence_id} failed ({exc}); falling back to the bundled fixture",
                 stacklevel=2,
             )
-    if cached.exists():
-        return parse_b_file(sequence_id, cached.read_text()), "cache"
     return load_fixture(sequence_id), "fixture"
 
 

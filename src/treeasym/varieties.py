@@ -71,6 +71,8 @@ from .series import series_eval_deriv_tail  # noqa: F401
 
 def _divisor_sums(spec: VarietySpec, counts: CountSequence, N: int) -> list:
     """``S_m = sum_{d | m, d < m} eps_(m/d) d T_d`` for ``m = 0 .. 2N``, reading counts to ``N``."""
+    if counts.variety != spec.name:
+        raise ValueError(f"count/variety mismatch: {counts.variety} vs {spec.name}")
     if counts.n_max < N:
         raise ValueError(f"counts cover n <= {counts.n_max}, need {N}")
     S = [0] * (2 * N + 1)

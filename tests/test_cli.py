@@ -220,51 +220,78 @@ class TestErrorTable:
         assert "must be" in err
 
 
+def _fetched(monkeypatch, text):
+    """Make ``--fetch`` read ``text``, or raise it if it is an exception."""
+    def fetch(sequence_id):
+        if isinstance(text, Exception):
+            raise text
+        return text
+
+    monkeypatch.setattr(treeasym.oeis, "fetch_b_file_text", fetch)
+
+
 class TestVerifyOeis:
     @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
-    def test_fixture_verification(self, capsys, tmp_path, variety):
-        code, out, _ = run(capsys, "verify-oeis", variety, "--n", "200",
-                           "--cache-dir", str(tmp_path))
+    def test_fixture_verification(self, capsys, variety):
+        code, out, _ = run(capsys, "verify-oeis", variety, "--n", "200")
         assert code == 0
         assert "OK" in out
 
-    def test_mismatch_exit_code(self, capsys, tmp_path):
-        (tmp_path / "b000081.txt").write_text("0 0\n1 1\n2 999\n")
-        code, out, _ = run(capsys, "verify-oeis", "polya", "--n", "10",
-                           "--cache-dir", str(tmp_path))
+    def test_mismatch_exit_code(self, capsys, monkeypatch):
+        _fetched(monkeypatch, "0 0\n1 1\n2 999\n")
+        code, out, _ = run(capsys, "verify-oeis", "polya", "--n", "10", "--fetch")
         assert code == 1
-        assert "mismatch" in out
+        assert "mismatch" in out and out.splitlines()[0].endswith("(online)")
 
     @pytest.mark.parametrize("index", ["-9", "900"])
-    def test_nothing_compared_exits_2(self, capsys, tmp_path, index):
-        # a cached b-file whose only index lies outside 0..5 overlaps nothing
-        (tmp_path / "b000081.txt").write_text(f"{index} 1\n")
-        code, out, err = run(capsys, "verify-oeis", "polya", "--n", "5",
-                             "--cache-dir", str(tmp_path))
+    def test_nothing_compared_exits_2(self, capsys, monkeypatch, index):
+        # a fetched b-file whose only index lies outside 0..5 overlaps nothing
+        _fetched(monkeypatch, f"{index} 1\n")
+        code, out, err = run(capsys, "verify-oeis", "polya", "--n", "5", "--fetch")
         assert code == 2
         assert "nothing to verify" in err and out == ""
 
-    def test_empty_range_exits_2(self, capsys, tmp_path):
+    def test_empty_range_exits_2(self, capsys):
         # A000669 starts at n=1, so n <= 0 compares nothing
-        code, out, err = run(capsys, "verify-oeis", "hierarchy", "--n", "0",
-                             "--cache-dir", str(tmp_path))
+        code, out, err = run(capsys, "verify-oeis", "hierarchy", "--n", "0")
         assert code == 2
         assert "nothing to verify" in err and out == ""
 
-    def test_unreadable_cache_exits_2(self, capsys, tmp_path):
-        cached = tmp_path / "b004111.txt"
-        cached.mkdir()
-        code, out, err = run(capsys, "verify-oeis", "identity", "--n", "5",
-                             "--cache-dir", str(tmp_path))
-        assert code == 2 and out == ""
-        assert err.startswith("error: cannot read the cached b-file: ")
-        assert str(cached) in err and err.count("\n") == 1
+    def test_stale_b_files_on_disk_are_ignored(self, capsys, monkeypatch, tmp_path):
+        # b-files left where an on-disk cache used to live change nothing
+        for cache in (tmp_path / "home" / ".cache" / "treeasym", tmp_path / "env"):
+            cache.mkdir(parents=True)
+            (cache / "b000081.txt").write_text("0 0\n1 1\n2 5\n")
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        monkeypatch.setenv("TREEASYM_CACHE_DIR", str(tmp_path / "env"))
+        code, out, err = run(capsys, "verify-oeis", "polya", "--n", "3")
+        assert (code, err) == (0, "")
+        assert out == "polya vs A000081: OK, 4 terms match exactly (fixture)\n"
 
-    def test_env_var_cache_dir(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("TREEASYM_CACHE_DIR", str(tmp_path))
-        (tmp_path / "b000081.txt").write_text("0 0\n1 1\n")
-        code, out, _ = run(capsys, "verify-oeis", "polya", "--n", "1")
-        assert code == 0 and "cache" in out
+    def test_fetch_compares_with_the_download_and_writes_nothing(self, capsys, monkeypatch,
+                                                                 tmp_path):
+        dirs = [tmp_path / name for name in ("home", "env", "cwd")]
+        for d in dirs:
+            d.mkdir()
+        monkeypatch.setenv("HOME", str(dirs[0]))
+        monkeypatch.setenv("TREEASYM_CACHE_DIR", str(dirs[1]))
+        monkeypatch.chdir(dirs[2])
+        _fetched(monkeypatch, "# A004111\n0 0\n1 1\n2 1\n3 1\n")
+        code, out, err = run(capsys, "verify-oeis", "identity", "--n", "9", "--fetch")
+        assert (code, err) == (0, "")
+        assert out == "identity vs A004111: OK, 4 terms match exactly (online)\n"
+        assert [list(d.iterdir()) for d in dirs] == [[], [], []]
+
+    @pytest.mark.parametrize("fetched", [OSError("network unreachable"), "0 0\n1\n"],
+                             ids=["failed", "malformed"])
+    def test_fetch_falls_back_to_the_fixture_with_one_warning(self, capsys, monkeypatch,
+                                                              fetched):
+        _fetched(monkeypatch, fetched)
+        code, out, err = run(capsys, "verify-oeis", "hierarchy", "--n", "30", "--fetch")
+        assert code == 0
+        assert out == "hierarchy vs A000669: OK, 30 terms match exactly (fixture)\n"
+        assert err.count("\n") == 1 and err.startswith("warning: fetching A000669 failed")
+        assert "cache" not in err
 
 
 def test_solver_failure_exit_code(capsys, monkeypatch):
@@ -431,6 +458,7 @@ def test_unknown_subcommand_exits_2(capsys):
     ["expand", "polya", "--fetch"],
     ["expand", "polya", "--cache-dir", "cache"],
     ["counts", "polya", "--digits", "40"],
+    ["verify-oeis", "polya", "--cache-dir", "x"],
 ])
 def test_flag_outside_its_subcommand_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:
@@ -491,19 +519,12 @@ def _cli_calls(draw):
     return argv
 
 
-@pytest.fixture(scope="module")
-def offline_cache(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("cache"))
-
-
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(argv=_cli_calls())
-def test_every_small_flag_combination_ends_in_a_documented_exit_code(argv, offline_cache):
+def test_every_small_flag_combination_ends_in_a_documented_exit_code(argv):
     # small flag ranges on every subcommand, in process: an exit code of
     # 0/1/2/3; an exception escaping main fails the test
-    if argv[0] == "verify-oeis":
-        argv += [f"--cache-dir={offline_cache}"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

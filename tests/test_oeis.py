@@ -71,28 +71,23 @@ class TestVerify:
 
 
 class TestGetSequence:
-    def test_fixture_fallback_by_default(self, tmp_path):
-        fixture, source = get_sequence("A000081", cache_dir=tmp_path)
+    def test_fixture_fallback_by_default(self):
+        fixture, source = get_sequence("A000081")
         assert source == "fixture"
         assert fixture.pairs[1] == (1, 1)
+        assert fixture == load_fixture("A000081")
 
-    def test_cache_preferred_when_present(self, tmp_path):
-        (tmp_path / "b000081.txt").write_text("0 0\n1 1\n")
-        fixture, source = get_sequence("A000081", cache_dir=tmp_path)
-        assert source == "cache"
-        assert len(fixture) == 2
-
-    def test_fetch_failure_falls_back(self, tmp_path, monkeypatch):
+    def test_fetch_failure_falls_back(self, monkeypatch):
         def boom(*args, **kwargs):
             raise OSError("network unreachable")
 
         monkeypatch.setattr(urllib.request, "urlopen", boom)
-        with pytest.warns(UserWarning, match="falling back"):
-            fixture, source = get_sequence("A004111", cache_dir=tmp_path, fetch=True)
+        with pytest.warns(UserWarning, match="falling back to the bundled fixture"):
+            fixture, source = get_sequence("A004111", fetch=True)
         assert source == "fixture"
         assert fixture.pairs[0] == (1, 1)
 
-    def test_fetch_success_writes_cache(self, tmp_path, monkeypatch):
+    def test_fetch_success_writes_nothing(self, tmp_path, monkeypatch):
         class FakeResponse:
             def __enter__(self):
                 return self
@@ -104,20 +99,22 @@ class TestGetSequence:
                 return b"0 0\n1 1\n2 1\n"
 
         monkeypatch.setattr(urllib.request, "urlopen", lambda *a, **k: FakeResponse())
-        fixture, source = get_sequence("A000081", cache_dir=tmp_path, fetch=True)
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        fixture, source = get_sequence("A000081", fetch=True)
         assert source == "online"
-        assert (tmp_path / "b000081.txt").read_text() == "0 0\n1 1\n2 1\n"
-        # subsequent non-fetch call uses the cache
-        _, source2 = get_sequence("A000081", cache_dir=tmp_path)
-        assert source2 == "cache"
+        assert fixture.pairs == ((0, 0), (1, 1), (2, 1))
+        assert list(tmp_path.iterdir()) == []
+        # a later call without fetch reads the bundled fixture again
+        assert get_sequence("A000081") == (load_fixture("A000081"), "fixture")
 
-    def test_offline_never_fetches(self, tmp_path, monkeypatch):
+    def test_offline_never_fetches(self, monkeypatch):
         # offline is the default: only fetch=True touches the network
         def boom(*args, **kwargs):
             raise AssertionError("network touched without fetch")
 
         monkeypatch.setattr(urllib.request, "urlopen", boom)
-        _, source = get_sequence("A000669", cache_dir=tmp_path)
+        _, source = get_sequence("A000669")
         assert source == "fixture"
 
 

@@ -108,6 +108,18 @@ class TestZetaSeries:
         with pytest.raises(ValueError, match="counts cover"):
             zeta_exponent(POLYA, counts, 20)
 
+    @pytest.mark.parametrize("build", [
+        lambda counts, ctx: zeta_exponent(POLYA, counts, 100),
+        lambda counts, ctx: numeric_exponent(POLYA, counts, 100, ctx),
+        lambda counts, ctx: zeta_series(POLYA, counts, 100, ctx),
+        lambda counts, ctx: zeta_derivatives(POLYA, counts, 0.3383, 1, 100, ctx),
+    ], ids=["zeta_exponent", "numeric_exponent", "zeta_series", "zeta_derivatives"])
+    def test_counts_of_another_variety_rejected(self, build):
+        # identity counts gave polya's zeta(0.3383) as 0.36747 for 0.36785
+        ctx = working_context(30)
+        with pytest.raises(ValueError, match="count/variety mismatch: identity vs polya"):
+            build(counts_for("identity", 100), ctx)
+
 
 def functional_residual_exact(spec, counts, N: int) -> PowerSeries:
     """Exact residual ``zeta * exp(T~) - T~`` as a rational series.
