@@ -10,8 +10,8 @@ Subcommands::
                  by default; --fetch opts into the network)
 
 Each subcommand takes the variety and only the flags it reads:
-``--digits`` (target precision D) and ``--terms`` (count reach N; the
-exponent of ``zeta`` goes to degree 2N) on ``expand``, ``estimate`` and
+``--digits`` (target precision D) and ``--terms`` (count reach N: the
+exponents of ``zeta`` go to degrees 2N and 4N) on ``expand``, ``estimate`` and
 ``error-table``; ``--format {json,csv}`` on ``counts``, ``expand`` and
 ``estimate``; ``--fetch`` on ``verify-oeis``.  The three pipeline
 commands run at ``N = max(--terms, 2K)``, with ``K`` the larger of ``2L+1``
@@ -60,10 +60,10 @@ DEFAULT_TERMS = 200
 DEFAULT_SIZES = "10,20,50,100,200,500"
 DEFAULT_ORDERS = "1,4,8"
 MAX_COUNT_REACH = 2000
-#: Cap on ``--digits``.  At count reach ``MAX_COUNT_REACH`` the ``N//2``
-#: check certifies at most about 400 (identity) to 550 (hierarchy) digits,
-#: so a larger target certifies nothing more, while its working precision
-#: can take minutes or exhaust memory, which would end in a traceback.
+#: Cap on ``--digits``.  Count reach 1500 certifies all 1000 digits of
+#: every polya value, and 2000 those of all three varieties; a far larger
+#: target can take minutes or exhaust memory in its working precision,
+#: which would end in a traceback.
 MAX_DIGITS = 1000
 
 EXIT_OK = 0
@@ -76,7 +76,7 @@ def _add_precision_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--digits", type=int, default=DEFAULT_DIGITS,
                         help=f"target decimal digits D (default {DEFAULT_DIGITS})")
     parser.add_argument("--terms", type=int, default=DEFAULT_TERMS,
-                        help=f"count reach N; zeta's exponent has degree 2N "
+                        help=f"count reach N; zeta's exponents have degrees 2N and 4N "
                              f"(default {DEFAULT_TERMS})")
 
 

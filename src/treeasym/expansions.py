@@ -1,11 +1,14 @@
 """Singular and asymptotic expansions of the counting sequences.
 
-The pipeline builds the exponent ``h = log(zeta / (c z^a))`` to degree
-``2N`` once, as fixed-point integers at the working precision.  One split
-sweep of scaled Taylor shifts gives the short Taylor models of ``log
-zeta`` for ``h`` and for its ``N//2`` prefix; integer Newton on each model
-gives ``rho`` and the model's Taylor shift to it
-(:func:`treeasym.solver.solve_models`).  From the model ``l``, the
+The pipeline builds the exponents of ``zeta`` from counts to ``N`` once,
+as fixed-point integers at the working precision: ``h`` of degree ``2N``
+and its part ``H4`` with ``i >= 4`` of degree ``4N``.  Three split sweeps
+of scaled Taylor shifts, ``H4`` at ``x`` and ``h`` at ``x^2`` and ``x^3``,
+with ``T(z^2)`` and ``T(z^3)`` solved there by the functional equation,
+give the short Taylor models of ``log zeta`` at count reach ``N`` and at
+``N//2``; integer Newton on each model gives ``rho`` and the model's
+Taylor shift to it (:func:`treeasym.solver.solve_models`).  Both are
+accurate to about ``rho^(3N)`` and ``rho^(3N/2)``.  From the model ``l``, the
 counting series expands in half-integer powers of ``u = 1 - z/rho``::
 
     T(z) = 1 + sum_{n>=1} t_n u^(n/2)
@@ -35,14 +38,16 @@ the ``n^-m`` coefficient of ``Gamma(n-a) n^(a+1) / Gamma(n+1)``, both exact
 rationals (see :mod:`treeasym.kernels`).  An order-``k`` approximation keeps
 the terms through ``tau_k / n^k`` (``k+1`` summands).
 
-Everything from the sweep to ``tau`` runs on integers scaled by ``2^w``;
+Everything from the sweeps to ``tau`` runs on integers scaled by ``2^w``;
 ``rho``, ``t`` and ``tau`` become mpf values only where
 :func:`expand_variety` stores them in its result records.  Their certified
-digits and the tail indicator are read off the integers too; the
-indicator's scale ``e zeta^(r)(rho)/r!`` is the short exponential of the
-model (:func:`treeasym.series.series_exp_fixed`), since ``zeta(rho) = 1/e``.
-It runs the pipeline at ``N`` and at ``N//2``; both roots and models come
-from the same sweep, so the second has no bracket phase of its own.
+digits and the tail indicator are read off the integers too: the
+indicator sums the tails of the split model's own exponents
+(:func:`treeasym.varieties.model_tail`), and its scale
+``e zeta^(r)(rho)/r!`` is the short exponential of the model
+(:func:`treeasym.series.series_exp_fixed`), since ``zeta(rho) = 1/e``.  It
+runs the pipeline at ``N`` and at ``N//2``; both roots and models come
+from the same sweeps, so the second has no bracket phase of its own.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from .kernels import tau_symbolic
 from .records import Record
 from .series import TruncationWarning, series_exp_fixed
 from .solver import RhoResult, solve_exponent
-from .varieties import VarietySpec, exponent_tail, get_variety
+from .varieties import VarietySpec, get_variety, model_tail
 
 # Not called here; the benchmark traces these names in this module (perfbench/layers.py).
 from .kernels import b_seq  # noqa: F401
@@ -271,10 +276,10 @@ def expand_variety(
 
     ``K`` defaults to ``2L+1`` so that ``tau_0 .. tau_L`` are
     derivable; pass a larger ``K`` for more singular terms.  ``N`` is the
-    count reach: the exponent of ``zeta`` is taken to degree ``2N``.  The
-    pipeline runs at truncation orders ``N`` and ``N//2``; the agreement of
-    the two runs gives the certified digits of ``rho``, every ``t_n`` and
-    every ``tau_l``.
+    count reach: the exponents of ``zeta`` are taken to degrees ``2N`` and
+    ``4N``.  The pipeline runs at count reach ``N`` and ``N//2``; the
+    agreement of the two runs gives the certified digits of ``rho``, every
+    ``t_n`` and every ``tau_l``.
     """
     spec = get_variety(variety)
     if L < 0:
@@ -288,7 +293,7 @@ def expand_variety(
     if counts is None:
         counts = spec.count_source(N)
     r_max = derivative_orders_needed(K)
-    rho_result, h, models = solve_exponent(spec, counts, N, D, r_max)
+    rho_result, exponents, models = solve_exponent(spec, counts, N, D, r_max)
     (x, model), (x_check, model_check) = models
     rho, ctx = rho_result.rho, rho_result.ctx
     w = hp.fixed_bits(ctx)
@@ -304,7 +309,7 @@ def expand_variety(
 
     # relative truncation error of the highest derivative that t_K reads;
     # zeta(rho) = 1/e, so the model's short exponential is e zeta^(r)(rho)/r!
-    tail = exponent_tail(h, x, r_max, w)
+    tail = model_tail(exponents, x, r_max, w)
     top = series_exp_fixed(model, w)[r_max]
     if tail * 10 ** (D - 10) > abs(top):
         ratio = hp.from_fixed(tail, w, ctx) / abs(hp.from_fixed(top, w, ctx))

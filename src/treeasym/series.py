@@ -14,6 +14,7 @@ short exponential (:func:`series_exp_fixed`) on integers scaled by ``2^w``.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
@@ -134,10 +135,12 @@ def series_taylor_split(coeffs: Sequence[int], cut: int, x: int, r: int, w: int)
     if x == 0:
         return tuple(tuple(c[: r + 1]) + (0,) * (r + 1 - len(c)) for c in (coeffs, coeffs[:cut]))
     low, W = _scaled_shift(coeffs[:cut], x, r, w)
-    if cut >= len(coeffs):
+    high, V = _scaled_shift(coeffs[cut:], x, r, w, cut) if cut < len(coeffs) else ([0], W)
+    if not any(high):  # no block above the cut, or its terms all below 2^-V
         return (_unscale(low, W, x, w),) * 2
-    high, V = _scaled_shift(coeffs[cut:], x, r, w, cut)  # V >= W: the guard grows with the degree
-    whole = [(low[j] << V - W) + sum(math.comb(cut, j - l) * high[l] for l in range(j + 1))
+    # V >= W: the guard grows with the degree
+    binomials = [math.comb(cut, k) for k in range(r + 1)]
+    whole = [(low[j] << V - W) + sum(map(operator.mul, binomials[j::-1], high))
              for j in range(r + 1)]
     return _unscale(whole, V, x, w), _unscale(low, W, x, w)
 
@@ -150,16 +153,21 @@ def _scaled_shift(coeffs: Sequence[int], x: int, r: int, w: int, start: int = 0)
     sums ``C(m, j)`` times term ``m``: within ``2 C(size, j + 1)`` units,
     times ``|x|^-j`` once unscaled, which the guard ``W - w`` keeps below
     half a unit of ``2^-w`` for ``j <= r``.  Each synthetic division by
-    ``z - 1`` is one running sum from the top degree, run in C.
+    ``z - 1`` is one running sum from the top degree, run in C, over the
+    terms up to the last nonzero one.
     """
     size = start + len(coeffs)
     W = w + math.comb(size, min(r + 1, size // 2)).bit_length() + 2
     W += min(r, size - 1) * max(0, w + 1 - abs(x).bit_length())
-    wide = W + max(0, max(abs(c).bit_length() for c in coeffs) - w) + (2 * size).bit_length()
+    wide = W + max(0, max(map(abs, coeffs)).bit_length() - w) + (2 * size).bit_length()
     power, terms = _fixed_power(x << wide - w, start, wide), []
     for c in coeffs:
+        if not power:
+            break  # x^m is below 2^-wide: this term and all later ones are zero
         terms.append(c * power >> wide - W + w)
         power = power * x >> w
+    while terms and not terms[-1]:
+        terms.pop()  # zero terms at the top add nothing to any running sum
     q, terms = [], terms[::-1]
     for _ in range(min(r + 1, len(terms))):
         terms = list(accumulate(terms))

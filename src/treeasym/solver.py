@@ -4,32 +4,48 @@ At the dominant singularity ``rho`` of a variety in this framework the tree
 function reaches the value 1 and the perturbation factor satisfies
 ``zeta(rho) = 1/e`` (the characteristic point of ``C = z*exp(C)`` transported
 through the functional equation).  That collapses the two-equation
-characteristic system to a single root-finding problem in ``rho``.  It is
-solved in log form, ``log zeta(x) + 1 = h(x) + a log x + log c + 1 = 0``
-with ``h = log(zeta / (c x^a))`` the exponent polynomial of degree ``2N``
-(:func:`treeasym.varieties.zeta_exponent`), held as fixed-point integers
-(:func:`treeasym.varieties.numeric_exponent`).
+characteristic system to a single root-finding problem in ``rho``, solved
+in log form, ``log zeta(x) + 1 = 0``, on a split model of
+
+    log zeta = log c + a log z + [sigma (1-z)/2 + sum_{i>=4} eps_i T(z^i)/i]
+               + eps_2 T(z^2)/2 + eps_3 T(z^3)/3.
+
+The bracket is ``H4``, a polynomial of degree ``4N`` exact from counts to
+``N``; its truncation error at ``rho`` is about ``rho^(3N)``.  The two
+leading terms are not summed from the counts, where they would converge
+only like ``rho^N``.  At ``y0 = x^2`` and ``x^3``, deep inside the disc of
+``T``, ``T~ = T - sigma (1-y)/2`` is the root ``u < 1`` of
+``log u - u = log zeta(y0)``, where the Cayley map is a contraction, and
+``log zeta(y0)`` comes from the exponent ``h`` of degree ``2N`` (all
+``i >= 2``), accurate there to about ``rho^(3N)`` (Otter 1948; Flajolet and
+Sedgewick, Analytic Combinatorics, VII.5).  Both exponents are fixed-point
+integers (:func:`treeasym.varieties.numeric_exponent`).
 
 Every solve takes the same steps (:func:`solve_models`):
 
-1. A start point.  Bisection on Python floats over the exponent's prefix of
+1. A start point.  Bisection on Python floats over the prefix of ``h`` of
    count reach ``BRACKET_REACH`` to a ``10**-3`` bracket, float Newton on a
    short prefix to about ``FLOAT_BITS`` bits, then, when the bound of
    :func:`_start_bits` asks for more, integer Newton steps at doubling
    precision, each on the prefix whose count reach matches its bits.
-2. One split sweep: the scaled Taylor shift to order ``r + MODEL_EXTRA``
-   over the exponent (:func:`treeasym.series.series_taylor_split`) gives the
-   short Taylor models of ``log zeta`` at that point for the whole exponent
-   and for its ``N//2`` prefix (:func:`treeasym.varieties.log_zeta_taylor`).
-3. Integer Newton on each short model to a ``10**-(D+5)`` step, then a
+2. Three split sweeps, the scaled Taylor shift to order
+   ``R = r + MODEL_EXTRA`` (:func:`treeasym.series.series_taylor_split`):
+   ``H4`` at that point ``x``, and ``h`` at ``x^2`` and at ``x^3``, each for
+   the whole exponent and for its prefix of count reach ``N//2``.
+3. From each triple the short Taylor model of ``log zeta`` at ``x``
+   (:func:`_log_zeta_part`): integer Newton for ``T~(x^i)``, the ``O(R^2)``
+   recurrence on the functional equation for the Taylor coefficients of
+   ``T`` at ``x^i``, and their composition with ``(x+d)^i``.  A part whose
+   sweep the check shares with the whole is built once.
+4. Integer Newton on each short model to a ``10**-(D+5)`` step, then a
    Taylor shift of the model to its root in ``O(r^2)`` operations.  A model
    whose root lies further than ``2^-b`` from the sweep point is swept
    again there.
 
-No step runs at the full working precision over all ``2N+1`` coefficients
-except the one sweep.  :func:`solve_exponent` is the one front end: it
-builds the exponent, solves at truncation order ``N`` and at ``N//2`` from
-the same sweep, and reports their agreement through
+No step runs at the full working precision over more than ``R+1``
+coefficients except the three sweeps.  :func:`solve_exponent` is the one
+front end: it builds the exponents, solves at count reach ``N`` and at
+``N//2`` from the same sweeps, and reports their agreement through
 :func:`treeasym.hp.certified_fixed`.  :func:`solve_rho` returns its
 :class:`RhoResult`; :func:`treeasym.expansions.expand_variety` reads the
 models too.
@@ -38,7 +54,10 @@ models too.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from functools import lru_cache
+from itertools import repeat
 
 from . import hp
 from .counts import CountSequence
@@ -61,6 +80,11 @@ DEFAULT_BRACKET = (Fraction(1, 20), Fraction(3, 5))
 MIN_SERIES_ORDER = 50
 
 MAX_NEWTON = 80
+
+#: Float Newton steps towards the root of :func:`_cayley_root`; from
+#: ``exp(c0)``, which is off by ``1 - exp(-T~)`` relative, six reach float
+#: precision for ``T~ <= 0.6`` (hierarchy at ``rho^2``: 0.55).
+CAYLEY_FLOAT_STEPS = 6
 
 #: Count reach of the exponent prefix that the bracket phase bisects on; its
 #: truncation error at ``rho`` (about ``rho^25``, below ``1e-9``) moves the
@@ -93,8 +117,9 @@ class RhoResult(Record):
     """Solved singularity with provenance and certification metadata.
 
     ``iterations`` counts the integer Newton iterations on the short Taylor
-    model of the order-``N`` exponent, summed over its sweeps; the float
-    and precision-graded steps that place the start point are not counted.
+    model of count reach ``N``, summed over its sweeps; the float and
+    precision-graded steps that place the start point, and the Newton steps
+    for ``T~(x^2)`` and ``T~(x^3)``, are not counted.
     """
 
     variety: str
@@ -123,12 +148,12 @@ def solve_rho(spec: VarietySpec, counts: CountSequence, N: int, D: int) -> RhoRe
 
 
 def solve_exponent(spec: VarietySpec, counts: CountSequence, N: int, D: int, r: int) -> tuple:
-    """``(RhoResult, h, models)``: the certified root, the exponent and its Taylor models.
+    """``(RhoResult, exponents, models)``: the certified root, the exponents and the Taylor models.
 
     Checks the inputs as :func:`solve_rho` states, builds the fixed-point
-    exponent ``h`` of degree ``2N`` at the working precision of ``D`` and
-    runs :func:`solve_models` to order ``r`` with the ``N//2`` prefix
-    ``h[:2(N//2)+1]`` as the check; ``models`` is its
+    exponents ``(h, H4)`` of :func:`treeasym.varieties.numeric_exponent`
+    at the working precision of ``D`` and runs :func:`solve_models` to
+    order ``r``, with count reach ``N//2`` as the check; ``models`` is its
     ``[(x, L), (x_check, L_check)]``.
     """
     if counts.variety != spec.name:
@@ -141,8 +166,8 @@ def solve_exponent(spec: VarietySpec, counts: CountSequence, N: int, D: int, r: 
         raise ValueError(f"counts cover n <= {counts.n_max}, need {N}")
     ctx = hp.working_context(D)
     w = hp.fixed_bits(ctx)
-    h = numeric_exponent(spec, counts, N, ctx)
-    models, iterations = solve_models(spec, h, 2 * (N // 2) + 1, r, ctx, D)
+    exponents = numeric_exponent(spec, counts, N, ctx)
+    models, iterations = solve_models(spec, exponents, N // 2, r, ctx, D)
     (x, _), (x_check, _) = models
     result = RhoResult(
         variety=spec.name,
@@ -153,7 +178,7 @@ def solve_exponent(spec: VarietySpec, counts: CountSequence, N: int, D: int, r: 
         digits=D,
         ctx=ctx,
     )
-    return result, h, models
+    return result, exponents, models
 
 
 def _start_bits(prec: int, r: int) -> int:
@@ -171,8 +196,8 @@ def _start_bits(prec: int, r: int) -> int:
     about ``prec / 4`` bits: at ``D = 40`` (``prec = 186``) 49 bits for
     ``r = 0``, which the float start holds, and 51 for ``r = 9``, one
     doubling step; at ``D = 200`` two doubling steps.  A larger ``e`` adds
-    a pass of additions over the ``2N+1`` scaled terms to the sweep, and
-    widens its guard, to save only these short steps.
+    a pass of additions over the scaled terms to each sweep, and widens its
+    guard, to save only these short steps.
     """
     R = r + MODEL_EXTRA
     return math.ceil(
@@ -180,37 +205,140 @@ def _start_bits(prec: int, r: int) -> int:
     )
 
 
-def solve_models(spec: VarietySpec, h: tuple, cut: int, r: int, ctx, D):
-    """Roots and Taylor models of ``log zeta`` for ``h`` and for its prefix ``h[:cut]``.
+def solve_models(spec: VarietySpec, exponents: tuple, half: int, r: int, ctx, D):
+    """Roots and Taylor models of ``log zeta`` at count reach ``N`` and at ``half = N//2``.
 
-    Returns ``(models, iterations)``.  ``models`` holds ``(x, L)`` for ``h``
-    and for ``h[:cut]``, ``cut < len(h)``: the root ``x`` and the Taylor
-    coefficients ``L_0 .. L_r`` of ``log zeta`` there, fixed-point at
-    ``w = hp.fixed_bits(ctx)``.  ``iterations`` counts the model Newton
-    iterations of ``h``'s root.  Both come from one split sweep at a common
-    start point (see the module docstring), bracketed by ``DEFAULT_BRACKET``.
+    ``exponents`` is ``(h, H4)`` of count reach ``N``
+    (:func:`treeasym.varieties.numeric_exponent`).  Returns ``(models,
+    iterations)``.  ``models`` holds ``(x, L)`` for reach ``N`` and for
+    ``half``: the root ``x`` and the Taylor coefficients ``L_0 .. L_r`` of
+    ``log zeta`` there, fixed-point at ``w = hp.fixed_bits(ctx)``.
+    ``iterations`` counts the model Newton iterations of the first root.
+    Both come from three split sweeps at a common start point (see the
+    module docstring), bracketed by ``DEFAULT_BRACKET``; the check cuts
+    ``H4`` at degree ``4 half`` and ``h`` at ``2 half``.
     """
+    h, H4 = exponents
     w = hp.fixed_bits(ctx)
     lo, hi = (math.floor(Fraction(end) * 2**w) for end in DEFAULT_BRACKET)
     b = _start_bits(ctx.prec, r)
     R = r + MODEL_EXTRA
-    low = h[:cut]
-    x = _start_point(spec, low, (lo, hi), w, b)
-    sweeps = series_taylor_split(h, cut, x, R, w)
+    parts = ((H4, 4 * half + 1), (h, 2 * half + 1), (h, 2 * half + 1))
+    x = _start_point(spec, h[: 2 * half + 1], (lo, hi), w, b)
+    sweeps = [series_taylor_split(c, cut, x**i >> (i - 1) * w, R, w)
+              for i, (c, cut) in enumerate(parts, 1)]
     tolerance = (1 << w) // 10 ** (D + 5)
+    # a sweep that the check shares with the whole gives its part of the model once
+    part = lru_cache(maxsize=None)(lambda i, taylor, at: _log_zeta_part(spec, i, taylor, at, w))
     models, newton = [], []
-    for exponent, taylor in zip((h, low), sweeps):
+    for taylors, exponents in zip(zip(*sweeps), ([c for c, _ in parts], [c[:cut] for c, cut in parts])):
         at, iterations = x, 0
         while True:
-            L = log_zeta_taylor(spec, taylor, at, w)
+            L = list(map(sum, zip(*(part(i, t, at) for i, t in enumerate(taylors, 1)))))
             y, iterations = _model_root(spec, L, at, w, tolerance, iterations, (lo, hi))
             if abs(y) <= 1 << (w - b):
                 break
             at += y  # too far for the model: sweep again at its root
-            taylor = series_taylor(exponent, at, R, w)
+            taylors = [series_taylor(c, at**i >> (i - 1) * w, R, w)
+                       for i, c in enumerate(exponents, 1)]
         models.append((at + y, series_taylor(L, y, r, w)))
         newton.append(iterations)
     return models, newton[0]
+
+
+def _log_zeta_part(spec: VarietySpec, i: int, taylor: tuple, x: int, w: int) -> list:
+    """Taylor coefficients at ``x`` of part ``i`` of ``log zeta``, from the sweep ``taylor`` at ``x^i``.
+
+    ``log zeta = [log c + a log z + H4] + eps_2 T(z^2)/2 + eps_3 T(z^3)/3``.
+    Part 1, in brackets, is :func:`treeasym.varieties.log_zeta_taylor` on
+    the sweep of ``H4`` at ``x``.  Parts 2 and 3 take the Taylor
+    coefficients of ``T`` at ``y0 = x^i`` from the sweep of ``h`` there
+    (:func:`_tree_taylor`), then those of ``T((x+d)^i)`` in ``d``
+    (:func:`_compose_power`).  All fixed-point at ``w``, to the order of
+    ``taylor``.
+    """
+    if i == 1:
+        return log_zeta_taylor(spec, taylor, x, w)
+    T = _tree_taylor(spec, taylor, x**i >> (i - 1) * w, w)
+    eps = spec.eps(i)
+    return [eps * c // i for c in _compose_power(T, x, i, w)]
+
+
+def _tree_taylor(spec: VarietySpec, taylor: tuple, y0: int, w: int) -> list:
+    """The Taylor coefficients of ``T`` at ``0 < y0 < rho`` from those of ``h``.
+
+    ``T~ = y^a v`` and ``log T~ - T~ = log zeta = log c + a log y + h``
+    give ``log v - y^a v = log c + h``; :func:`_cayley_root` solves it at
+    ``y0`` for the root with ``T~ < 1``.  The derivative
+    ``v' (1 - T~) = v (h' + a v)`` holds no
+    ``1/y``, whose Taylor coefficients at a small ``y0`` grow like
+    ``y0^-k``; it gives ``v_(k+1)`` from ``v_0 .. v_k`` by one division,
+    ``O(R^2)`` products in all.  ``T = T~ + sigma (1 - y)/2``.  All
+    fixed-point at ``w``, to the order of ``taylor``.
+    """
+    one, a, c = 1 << w, spec.z_exponent, spec.prefactor
+    v = [_cayley_root(taylor[0] + hp.fixed_log((c.numerator << w) // c.denominator, w),
+                      y0 if a else one, w)]
+    u = [y0 * v[0] >> w if a else v[0]]  # T~ = y^a v
+    dh = [k * g for k, g in enumerate(taylor) if k]  # h'
+    dv = []  # v'
+    for k in range(len(taylor) - 1):
+        total = (sum(map(operator.mul, dv, reversed(u[1:])))
+                 + sum(map(operator.mul, v, reversed(dh[: k + 1]))))
+        if a:
+            total += sum(map(operator.mul, v, reversed(v)))
+        dv.append(total // (one - u[0]))
+        v.append(dv[-1] // (k + 1))
+        u.append((y0 * v[-1] >> w) + v[-2] if a else v[-1])
+    u[0] += spec.shift_sign * (one - y0) >> 1
+    if len(u) > 1:
+        u[1] -= spec.shift_sign << (w - 1)
+    return u
+
+
+def _cayley_root(c0: int, s: int, w: int) -> int:
+    """The root of ``log v - s v = c0`` with ``s v < 1``, by Newton from below.
+
+    Fixed-point at ``w``.  The function is increasing and concave there, so
+    Newton from below the root climbs to it without overshooting: float
+    Newton from ``exp(c0)``, which lies below, then integer Newton from
+    ``2^-40`` (relative) below the float root, each step doubling the bits.
+    A step ``d`` leaves an error of at most ``d^2 / (2 v (1 - s v))``; the
+    steps stop once that is below a quarter unit.
+    """
+    one = 1 << w
+    value, slope = c0 / one, s / one
+    v = math.exp(value)
+    for _ in range(CAYLEY_FLOAT_STEPS):
+        v -= (math.log(v) - slope * v - value) * v / (1 - slope * v)
+    v = math.floor(math.ldexp(v, 64)) << (w - 64)
+    v -= v >> 40
+    for _ in range(w.bit_length()):
+        u = s * v >> w
+        step = (c0 + u - hp.fixed_log(v, w)) * v // (one - u)
+        v += step
+        if step * step << (w + 1) < v * (one - u):
+            return v
+    raise StalledError(f"Newton for T~ at {_float(s, w):.12g} not contracting after "
+                       f"{w.bit_length()} iterations")
+
+
+def _compose_power(T: list, x: int, i: int, w: int) -> list:
+    """Taylor coefficients in ``d`` of ``T((x+d)^i)`` from those of ``T`` at ``x^i``.
+
+    Horner's rule in ``p(d) = (x+d)^i - x^i``, of degree ``i`` with no
+    constant term and top coefficient 1: each step multiplies by ``p`` and
+    keeps the orders that still reach the result, ``O(i R)`` products run
+    in C.  Fixed-point at ``w``.
+    """
+    *p, _ = (math.comb(i, k) * (x ** (i - k) << w) >> (i - k) * w for k in range(1, i + 1))
+    acc = [T[-1]]
+    for c in reversed(T[:-1]):
+        total = map(operator.mul, acc, repeat(p[0]))
+        for k in range(1, i - 1):
+            total = map(operator.add, total, map(operator.mul, [0] * k + acc, repeat(p[k])))
+        acc = [c, *map(operator.add, map(operator.rshift, total, repeat(w)), [0] * (i - 1) + acc)]
+    return acc
 
 
 def _start_point(spec: VarietySpec, h: tuple, bracket, w: int, b: int) -> int:

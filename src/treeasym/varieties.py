@@ -39,17 +39,23 @@ Numerically ``zeta`` is evaluated through its exponent
 only up to ``N``, and its truncation error at ``rho`` is about ``rho^N``;
 the order-``N`` series of ``zeta`` itself (:func:`zeta_series`) is accurate
 there only to about ``rho^(N/2)``, because ``zeta`` converges only for
-``|z| < sqrt(rho)``.  The pipeline holds the ``2N+1`` coefficients as
-fixed-point integers ``floor(g_m 2^w)``, ``w`` the working precision plus
-:data:`treeasym.hp.FIXED_GUARD_BITS` bits (:func:`numeric_exponent`),
-computed straight from the integer divisor sums.  The scaled Taylor shift
-over them gives ``h^(j)(x)/j!`` (one split sweep serves the exponent and its
-``N//2`` prefix, see :mod:`treeasym.solver`) in ``O(N)`` integer products
-and ``O(rN)`` integer additions; adding ``a log z + log c`` gives the
-Taylor coefficients of ``log zeta`` (:func:`log_zeta_taylor`).  Their
-short exponential on integers (:func:`treeasym.series.series_exp_fixed`)
-gives those of ``zeta`` up to the factor ``zeta(x)``, which at the root is
-``1/e``, so the pipeline never forms it (:mod:`treeasym.expansions`).
+``|z| < sqrt(rho)``.  The slow terms are ``i = 2, 3``.  Their part
+``H4 = sigma*(1-z)/2 + sum_{i>=4} eps_i T(z^i)/i`` is exact to degree
+``4N`` from the same counts, with truncation error about ``rho^(3N)`` at
+``rho``, and so is ``h`` at ``rho^2`` and ``rho^3``: the solver
+(:mod:`treeasym.solver`) evaluates ``h`` only there, and ``T(z^2)`` and
+``T(z^3)`` by the functional equation.  The pipeline holds both exponents
+as fixed-point integers ``floor(g_m 2^w)``, ``w`` the working precision
+plus :data:`treeasym.hp.FIXED_GUARD_BITS` bits (:func:`numeric_exponent`),
+computed straight from the integer divisor sums of one pass.  The scaled
+Taylor shift over them gives their Taylor coefficients at a point (one
+split sweep serves an exponent and its ``N//2`` prefix) in ``O(N)``
+integer products and ``O(rN)`` integer additions; adding
+``a log z + log c`` gives the Taylor coefficients of ``log zeta``
+(:func:`log_zeta_taylor`).  Their short exponential on integers
+(:func:`treeasym.series.series_exp_fixed`) gives those of ``zeta`` up to
+the factor ``zeta(x)``, which at the root is ``1/e``, so the pipeline never
+forms it (:mod:`treeasym.expansions`).
 """
 
 from __future__ import annotations
@@ -69,17 +75,27 @@ from .series import PowerSeries, _fixed_power, series_exp, series_exp_fixed, ser
 from .series import series_eval_deriv_tail  # noqa: F401
 
 
-def _divisor_sums(spec: VarietySpec, counts: CountSequence, N: int) -> list:
-    """``S_m = sum_{d | m, d < m} eps_(m/d) d T_d`` for ``m = 0 .. 2N``, reading counts to ``N``."""
+def _divisor_sums(spec: VarietySpec, counts: CountSequence, N: int) -> tuple:
+    """``(S, S4)``: the divisor sums of the exponents ``h`` and ``H4``, reading counts to ``N``.
+
+    ``S4_m = sum_{d | m, m/d >= 4} eps_(m/d) d T_d`` for ``m = 0 .. 4N`` is
+    one pass over the multiples of each ``d <= N``;
+    ``S_m = S4_m + eps_2 (m/2) T_(m/2) + eps_3 (m/3) T_(m/3)``, the terms
+    that divide ``m``, for ``m = 0 .. 2N``.
+    """
     if counts.variety != spec.name:
         raise ValueError(f"count/variety mismatch: {counts.variety} vs {spec.name}")
     if counts.n_max < N:
         raise ValueError(f"counts cover n <= {counts.n_max}, need {N}")
-    S = [0] * (2 * N + 1)
-    eps = [spec.eps(i) for i in range(2 * N + 1)]
+    eps = [spec.eps(0), spec.eps(1)] * (2 * N + 1)  # eps_i depends on the parity of i alone
+    dT = [d * counts[d] for d in range(N + 1)]
+    S4 = [0] * (4 * N + 1)
     for d in range(1, N + 1):
-        add_to_multiples(S, eps, d, d * counts[d], first=2)
-    return S
+        add_to_multiples(S4, eps, d, dT[d], first=4)
+    S = S4[: 2 * N + 1]
+    for i in (2, 3):
+        S[i::i] = [s + eps[i] * t for s, t in zip(S[i::i], dT[1:])]
+    return S, S4
 
 
 def zeta_exponent(spec: VarietySpec, counts: CountSequence, N: int) -> PowerSeries:
@@ -92,7 +108,7 @@ def zeta_exponent(spec: VarietySpec, counts: CountSequence, N: int) -> PowerSeri
     and the first ``2n+1`` coefficients are the exponent of degree ``2n`` for
     every ``n <= N``.
     """
-    S = _divisor_sums(spec, counts, N)
+    S = _divisor_sums(spec, counts, N)[0]
     half = Fraction(spec.shift_sign, 2)
     g = [half] + [Fraction(S[m], m) for m in range(1, 2 * N + 1)]
     if N >= 1:
@@ -101,19 +117,24 @@ def zeta_exponent(spec: VarietySpec, counts: CountSequence, N: int) -> PowerSeri
 
 
 def numeric_exponent(spec: VarietySpec, counts: CountSequence, N: int, ctx) -> tuple:
-    """:func:`zeta_exponent` in fixed point: ``floor(g_m 2^w)`` with ``w = hp.fixed_bits(ctx)``.
+    """``(h, H4)`` in fixed point: :func:`zeta_exponent` and its part with ``i >= 4``.
 
-    Computed as ``floor(S_m 2^w / m)`` straight from the integer divisor
-    sums; ``sigma/2`` is ``sigma 2^(w-1)`` exactly.  Built once, for the root
-    and the Taylor models of both truncation orders.
+    ``h[m] = floor(g_m 2^w)`` for ``m <= 2N``, ``w = hp.fixed_bits(ctx)``, and
+    ``H4`` the same for ``sigma*(1-z)/2 + sum_{i>=4} eps_i T(z^i)/i`` to
+    degree ``4N``, the degree to which counts to ``N`` give it exactly.
+    Each is ``floor(S_m 2^w / m)`` straight from the integer divisor sums
+    of one pass; ``sigma/2`` is ``sigma 2^(w-1)`` exactly.  Built once, for
+    the root and the Taylor models of both truncation orders.
     """
     w = hp.fixed_bits(ctx)
-    S = _divisor_sums(spec, counts, N)
     half = spec.shift_sign << (w - 1)
-    h = [half] + [(S[m] << w) // m for m in range(1, 2 * N + 1)]
-    if N >= 1:
-        h[1] -= half
-    return tuple(h)
+    out = []
+    for S in _divisor_sums(spec, counts, N):
+        g = [half] + [(S[m] << w) // m for m in range(1, len(S))]
+        if N >= 1:
+            g[1] -= half
+        out.append(tuple(g))
+    return tuple(out)
 
 
 def zeta_series(spec: VarietySpec, counts: CountSequence, N: int, ctx) -> PowerSeries:
@@ -132,11 +153,13 @@ def zeta_series(spec: VarietySpec, counts: CountSequence, N: int, ctx) -> PowerS
 
 
 def log_zeta_taylor(spec: VarietySpec, taylor: Sequence[int], x: int, w: int) -> list:
-    """Fixed-point Taylor coefficients of ``log zeta = h + a log z + log c`` at ``x``.
+    """Fixed-point Taylor coefficients of ``g + a log z + log c`` at ``x``.
 
-    ``taylor`` holds those of ``h``.  ``a log(x + y) = a (log x +
-    log1p(y/x))`` adds ``a log x`` (one logarithm, :func:`treeasym.hp.fixed_log`)
-    and ``a (-1)^(k+1) / (k x^k)`` at order ``k``.
+    ``taylor`` holds those of an exponent ``g``: for ``g = h`` the sum is
+    ``log zeta``, for ``g = H4`` the first part of the solver's split model.
+    ``a log(x + y) = a (log x + log1p(y/x))`` adds ``a log x`` (one
+    logarithm, :func:`treeasym.hp.fixed_log`) and ``a (-1)^(k+1) / (k x^k)``
+    at order ``k``.
     """
     c = spec.prefactor
     out = list(taylor)
@@ -172,6 +195,24 @@ def exponent_tail(h: tuple, x: int, r: int, w: int) -> int:
     return acc * _fixed_power(x << (wide - w), k, wide) >> wide
 
 
+def model_tail(exponents: tuple, x: int, r: int, w: int) -> int:
+    """Tail indicator of the order-``r`` Taylor coefficient of the split model of ``log zeta`` at ``x``.
+
+    ``exponents`` is ``(h, H4)`` (:func:`numeric_exponent`).  The sum of
+    :func:`exponent_tail` of ``H4`` at ``x`` and of ``h`` at ``x^2`` and
+    ``x^3``, the last two times ``(i x^(i-1))^r``, the leading factor by
+    which order ``r`` in ``y = x^i`` reaches order ``r`` in ``x``; the
+    factors ``1/i`` and ``dT~/d log zeta = T~/(1 - T~) < 1`` are left out.
+    All fixed-point at ``w``.
+    """
+    h, H4 = exponents
+    tail = exponent_tail(H4, x, r, w)
+    for i in (2, 3):
+        slope = i * x ** (i - 1) >> (i - 2) * w
+        tail += exponent_tail(h, x**i >> (i - 1) * w, r, w) * _fixed_power(slope, r, w) >> w
+    return tail
+
+
 def zeta_derivatives(
     spec: VarietySpec, counts: CountSequence, x, r_max: int, N: int, ctx
 ) -> tuple:
@@ -180,7 +221,7 @@ def zeta_derivatives(
         raise ValueError("r_max must be non-negative")
     w = hp.fixed_bits(ctx)
     X = hp.to_fixed(x, w, ctx)
-    h = numeric_exponent(spec, counts, N, ctx)
+    h = numeric_exponent(spec, counts, N, ctx)[0]
     log_taylor = log_zeta_taylor(spec, series_taylor(h, X, r_max, w), X, w)
     value = ctx.exp(hp.from_fixed(log_taylor[0], w, ctx))  # zeta(x)
     # zeta(x + y) = zeta(x) exp(sum_{j>=1} L_j y^j)

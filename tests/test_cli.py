@@ -89,30 +89,48 @@ class TestExpand:
         assert "\nt_0 1.0" in out
         assert "\ntau_0 0.77974" in out
 
-    def test_table_rows_print_no_more_digits_than_certified(self, capsys):
+    def test_table_rows_print_no_more_digits_than_certified(self, capsys, monkeypatch):
         # each plain row carries min(19, certified + 2) significant digits,
-        # as its data line carries certified + 2
-        code, out, _ = run(capsys, "expand", "identity", "--order", "18", "--digits", "60",
-                           "--terms", "120", "--format", "csv", "--table1", "--table2")
-        assert code == 0
-        data, tables = out.split("\n\n", 1)
-        rows = {}
-        for line in data.splitlines()[1:]:
-            name, index, value, certified = line.split(",")
-            rows[f"{name}_{index}"] = (value, int(certified))
-        plain = dict(line.split(" ") for line in tables.split("\n") if line)
-        assert set(plain) == set(rows) - {"rho_"}
-        assert plain["t_37"] == "58.4640765" and rows["t_37"] == ("58.4640765", 7)
-        short = 0
-        for key, text in plain.items():
-            value, certified = rows[key]
-            if certified + 2 <= 19:
-                assert text == value, key
-                short += 1
-            else:
-                mantissa = text.split("e")[0].lstrip("-").replace(".", "").lstrip("0")
-                assert len(mantissa) <= 19, key
-        assert short > 0
+        # as its data line carries certified + 2.  Every value certifies 27
+        # digits or more here, so a second run caps every other count at 12
+        # to print short rows as well
+        argv = ("expand", "identity", "--order", "18", "--digits", "60", "--terms", "120",
+                "--format", "csv", "--table1", "--table2")
+
+        def rows_and_plain():
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            data, tables = out.split("\n\n", 1)
+            rows = {}
+            for line in data.splitlines()[1:]:
+                name, index, value, certified = line.split(",")
+                rows[f"{name}_{index}"] = (value, int(certified))
+            plain = dict(line.split(" ") for line in tables.split("\n") if line)
+            assert set(plain) == set(rows) - {"rho_"}
+            short = 0
+            for key, text in plain.items():
+                value, certified = rows[key]
+                if certified + 2 <= 19:
+                    assert text == value, key
+                    short += 1
+                else:
+                    # zeros at either end are not significant: 2.2e19 prints 20 digits
+                    mantissa = text.split("e")[0].lstrip("-").replace(".", "").strip("0")
+                    assert len(mantissa) <= 19, key
+            return rows, plain, short
+
+        rows, plain, short = rows_and_plain()
+        assert plain["t_37"] == "58.46407648339459791" and rows["t_37"][1] == 51
+        assert short == 0
+        calls, certified_fixed = [0], treeasym.hp.certified_fixed
+
+        def every_other_capped(*args):
+            calls[0] += 1
+            return min(certified_fixed(*args), 12 if calls[0] % 2 else 60)
+
+        monkeypatch.setattr(treeasym.hp, "certified_fixed", every_other_capped)
+        rows, plain, short = rows_and_plain()
+        assert 0 < short < len(plain)
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "expand", "polya", "--order", "0", "--digits", "40",
@@ -192,6 +210,13 @@ class TestErrorTable:
         assert code == 2 and out == ""
         assert err.startswith(f"error: cannot write --ratio-out {parent / 'ratio.csv'}: ")
         assert err.count("\n") == 1
+
+    def test_order_40_at_the_default_count_reach_warns_nothing(self, capsys):
+        # N = max(200, 2K) = 200 for K = 81 holds the order-40 expansion to
+        # the default 60 digits
+        code, out, err = run(capsys, "error-table", "polya", "--sizes", "10", "--orders", "40")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1].startswith("10,40,")
 
     def test_reach_guard(self, capsys):
         code, _, err = run(capsys, "error-table", "hierarchy", "--sizes", "9999",
@@ -368,12 +393,12 @@ def test_count_reach_within_the_limit_reaches_the_patched_work(capsys, no_work, 
 
 
 def test_truncation_warning_is_one_plain_line(capsys):
-    code, out, err = run(capsys, "expand", "polya", "--digits", "80", "--terms", "60")
+    code, out, err = run(capsys, "expand", "polya", "--digits", "100", "--terms", "60")
     assert code == 0
     assert err.count("\n") == 1
     assert err.startswith("warning: relative tail of the highest zeta derivative reaches ")
-    assert err.endswith("; truncation order 60 is small for 80 digits\n")
-    quiet_code, quiet_out, quiet_err = run(capsys, "expand", "polya", "--digits", "80",
+    assert err.endswith("; truncation order 60 is small for 100 digits\n")
+    quiet_code, quiet_out, quiet_err = run(capsys, "expand", "polya", "--digits", "100",
                                            "--terms", "200")
     assert quiet_code == 0 and quiet_err == ""
     loud, quiet = json.loads(out), json.loads(quiet_out)

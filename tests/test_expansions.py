@@ -110,7 +110,7 @@ class TestSingularCoefficients:
     def test_insufficient_derivatives_rejected(self, pipeline):
         result = pipeline("polya")
         rho, ctx = result.rho_result.rho, result.puiseux.ctx
-        h = numeric_exponent(result.spec, result.counts, 200, ctx)
+        h = numeric_exponent(result.spec, result.counts, 200, ctx)[0]
         x, l = log_model(result.spec, h, rho, 2, ctx)
         with pytest.raises(ValueError, match="derivatives up to order"):
             puiseux_coeffs(result.spec, x, l, 10, hp.fixed_bits(ctx))
@@ -124,10 +124,9 @@ def _solved(variety, L, N, D):
     the inputs of :func:`treeasym.expansions.puiseux_coeffs` at scale ``w``.
     """
     spec, K = get_variety(variety), 2 * L + 1
-    result, h, _ = solve_exponent(spec, spec.count_source(N), N, D, 0)
-    ctx = result.ctx
-    return (spec, K, ctx, *log_model(spec, h, result.rho, derivative_orders_needed(K), ctx),
-            hp.fixed_bits(ctx))
+    result, _, [(x, l), _] = solve_exponent(spec, spec.count_source(N), N, D,
+                                            derivative_orders_needed(K))
+    return spec, K, result.ctx, x, l, hp.fixed_bits(result.ctx)
 
 
 def _real(values, w, ctx):
@@ -426,23 +425,23 @@ class TestCertification:
         assert lengths == [derivative_orders_needed(5) + 1]
 
     def test_one_bisection_per_expansion(self, monkeypatch):
-        # one split sweep over all 2N+1 coefficients gives both orders; the
-        # N // 2 result has no bracket phase of its own, and every other
-        # Taylor shift runs on a short prefix or on the short model
+        # three split sweeps, each over all its coefficients, give both
+        # orders; the N // 2 result has no bracket phase of its own, and
+        # every other Taylor shift runs on a short prefix or on the short model
         calls = _count_passes(monkeypatch)
         result = expand_variety("hierarchy", L=2, N=100, D=30)
-        _assert_one_sweep(calls, N=100, r=derivative_orders_needed(5), D=30, doubling=0)
+        _assert_split_sweeps(calls, N=100, r=derivative_orders_needed(5), D=30, doubling=0)
         solve_rho(result.spec, result.counts, 100, 30)
-        _assert_one_sweep(calls, N=100, r=0, D=30, doubling=0)
+        _assert_split_sweeps(calls, N=100, r=0, D=30, doubling=0)
 
     def test_doubling_start_steps_run_below_full_width(self, monkeypatch):
         # at 120 digits the float start needs two doubling steps, each on a
-        # prefix below full width, and still one sweep follows
+        # prefix below full width, and still the three split sweeps follow
         calls = _count_passes(monkeypatch)
         result = expand_variety("polya", L=2, N=300, D=120)
-        _assert_one_sweep(calls, N=300, r=derivative_orders_needed(5), D=120, doubling=2)
+        _assert_split_sweeps(calls, N=300, r=derivative_orders_needed(5), D=120, doubling=2)
         solve_rho(result.spec, result.counts, 300, 120)
-        _assert_one_sweep(calls, N=300, r=0, D=120, doubling=2)
+        _assert_split_sweeps(calls, N=300, r=0, D=120, doubling=2)
 
     def test_stability_between_orders(self, pipeline):
         # rho and tau stable to >= 15 digits between N=200 and N=300
@@ -482,11 +481,11 @@ class TestDirectZetaRoute:
         calls = _count_passes(monkeypatch)
         result = expand_variety("identity", L=4, N=120, D=40)
         assert lengths == [derivative_orders_needed(9) + 1]
-        _assert_one_sweep(calls, N=120, r=derivative_orders_needed(9), D=40)
+        _assert_split_sweeps(calls, N=120, r=derivative_orders_needed(9), D=40)
         lengths.clear()
         solve_rho(result.spec, result.counts, 120, 40)
         assert lengths == []
-        _assert_one_sweep(calls, N=120, r=0, D=40)
+        _assert_split_sweeps(calls, N=120, r=0, D=40)
 
 
 def _count_passes(monkeypatch) -> dict:
@@ -503,51 +502,160 @@ def _count_passes(monkeypatch) -> dict:
     return calls
 
 
-def _assert_one_sweep(calls, N, r, D, doubling=0):
-    """One bracket phase; ``doubling`` start steps below full width; one split
-    sweep over the degree-``2N`` exponent, cut at ``N // 2``, to order
-    ``r + MODEL_EXTRA`` at full width; no other shift at full width over more
-    than the short model."""
+def _assert_split_sweeps(calls, N, r, D, doubling=0):
+    """One bracket phase; ``doubling`` start steps below full width; three split
+    sweeps to order ``r + MODEL_EXTRA`` at full width, cut at count reach
+    ``N // 2``: the degree-``4N`` exponent ``H4`` at the start point ``x``
+    and the degree-``2N`` exponent ``h`` at ``x^2`` and at ``x^3``; no other
+    shift at full width over more than the short model."""
     w = hp.fixed_bits(working_context(D))
+    R = r + solver.MODEL_EXTRA
     assert len(calls["_bracket"]) == 1
     assert sum(width < w for *_, width in calls["series_taylor"]) == doubling
-    [(h, cut, _, order, width)] = calls["series_taylor_split"]
-    assert (len(h), cut, order, width) == (2 * N + 1, 2 * (N // 2) + 1, r + solver.MODEL_EXTRA, w)
+    (H4, cut4, x, *tail4), (h, cut, x2, *tail2), (h3, cut3, x3, *tail3) = calls["series_taylor_split"]
+    assert (len(H4), cut4) == (4 * N + 1, 4 * (N // 2) + 1)
+    assert (len(h), cut) == (len(h3), cut3) == (2 * N + 1, 2 * (N // 2) + 1)
+    assert h is h3 and tail4 == tail2 == tail3 == [R, w]
+    assert (x2, x3) == (x**2 >> w, x**3 >> 2 * w)
     for coeffs, _, _, width in calls["series_taylor"]:
-        # precision-graded start steps run below full width on a prefix;
-        # the shifts to the roots run on the short model
+        # precision-graded start steps run below full width on a prefix of
+        # h; the shifts to the roots run on the short model
         assert len(coeffs) <= cut
-        assert width < w or len(coeffs) == r + 1 + solver.MODEL_EXTRA
+        assert width < w or len(coeffs) == R + 1
     for seen in calls.values():
         seen.clear()
+
+
+#: Count reach of the true-digit references: twice the largest ``N`` checked
+#: against them, so that their truncation (about ``rho^2400``) lies far below
+#: their working precision.
+REFERENCE_REACH = 800
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """``reference(variety, L, D)``: an expansion at ``REFERENCE_REACH`` with ``t``
+    and ``tau`` to order ``L`` or beyond and at least 20 more digits than ``D``.
+
+    Runs at ``D <= 80`` share one reference per variety, ``(L=80, D=100)``.
+    """
+    counts, runs = {}, {}
+
+    def get(variety, L, D):
+        key = (variety, 80, 100) if L <= 80 and D <= 80 else (variety, L, D + 40)
+        if key not in runs:
+            if variety not in counts:
+                counts[variety] = get_variety(variety).count_source(REFERENCE_REACH)
+            runs[key] = expand_variety(variety, L=key[1], N=REFERENCE_REACH, D=key[2],
+                                       counts=counts[variety])
+        return runs[key]
+
+    return get
+
+
+def _sections(result):
+    """``[[(rho, c)], [(t_n, c_n)], [(tau_l, c_l)]]``: each value with its certified digits."""
+    return [[(result.rho_result.rho, result.rho_result.certified_digits)],
+            list(zip(result.puiseux.t, result.puiseux.certified_digits)),
+            list(zip(result.asym.tau, result.asym.certified_digits))]
 
 
 @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
 @pytest.mark.parametrize(
     "L, N, D", [(8, 100, 40), (8, 200, 40), (18, 300, 80), (12, 600, 200), (4, 60, 30), (40, 200, 60)]
 )
-def test_matches_two_run_oracle(variety, L, N, D):
-    # one sweep and Newton on the short models against each order solved and
-    # Taylor-expanded on its own: the same certified counts, the same values
+def test_matches_two_run_oracle(variety, L, N, D, reference):
+    # the split model against the degree-2N exponent with each order solved
+    # and Taylor-expanded on its own: the values agree to the oracle's
+    # certified digits, and each certifies at least the oracle's digits and
+    # at most the digits it shares with a reference at count reach 800
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         got = expand_variety(variety, L=L, N=N, D=D)
     oracle = two_run_expand(variety, L, N, D)
-    assert got.rho_result.certified_digits == oracle["rho_certified"]
-    assert list(got.puiseux.certified_digits) == oracle["t_certified"]
-    assert list(got.asym.certified_digits) == oracle["tau_certified"]
+    ref = reference(variety, L, D)
     ctx = got.asym.ctx
-    pairs = [(got.rho_result.rho, oracle["rho"])]
-    pairs += list(zip(got.puiseux.t, oracle["t"])) + list(zip(got.asym.tau, oracle["tau"]))
-    for n, (a, b) in enumerate(pairs):
-        assert agreement_digits(a, b, ctx) >= D + 10, (variety, n)
+    oracle_sections = [[(oracle["rho"], oracle["rho_certified"])],
+                       list(zip(oracle["t"], oracle["t_certified"])),
+                       list(zip(oracle["tau"], oracle["tau_certified"]))]
+    for section, oracles, truths in zip(_sections(got), oracle_sections, _sections(ref)):
+        assert len(section) == len(oracles) <= len(truths)
+        for n, ((value, certified), (old, old_certified), (truth, _)) in enumerate(
+                zip(section, oracles, truths)):
+            assert agreement_digits(value, old, ctx) >= old_certified, (variety, n)
+            true = agreement_digits(value, truth, ref.asym.ctx)
+            assert old_certified <= certified <= true, (variety, n, old_certified, true)
+
+
+class TestSplitModel:
+    """``T(z^2)`` and ``T(z^3)`` solved at ``rho^2`` and ``rho^3`` by the functional equation."""
+
+    @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
+    @pytest.mark.parametrize("i", [2, 3])
+    def test_tree_function_at_an_interior_point(self, monkeypatch, variety, i):
+        # at y0 = rho^i the root T~ = T - sigma (1 - y)/2 lies in (0, 1), and
+        # Newton climbs to it from below in a few steps; the Taylor
+        # coefficients of T there and of T((rho + d)^i) match the count
+        # series summed term by term, whose terms at n = 300 are below rho^300
+        spec, N, D, R = get_variety(variety), 300, 40, 12
+        ctx = working_context(D)
+        w = hp.fixed_bits(ctx)
+        counts = spec.count_source(N)
+        h = numeric_exponent(spec, counts, N, ctx)[0]
+        x = hp.to_fixed(ctx.mpf(RHO_50[variety]), w, ctx)
+        y0 = x**i >> (i - 1) * w
+        taylor = series.series_taylor(h, y0, R, w)
+        c, s = spec.prefactor, y0 if spec.z_exponent else 1 << w
+        start = taylor[0] + hp.fixed_log((c.numerator << w) // c.denominator, w)
+        iterates, fixed_log = [], hp.fixed_log
+        monkeypatch.setattr(hp, "fixed_log", lambda v, w: iterates.append(v) or fixed_log(v, w))
+        v = solver._cayley_root(start, s, w)
+        monkeypatch.undo()
+        assert 1 <= len(iterates) <= 4
+        assert all(a < b for a, b in zip(iterates, iterates[1:] + [v])), iterates
+        T = solver._tree_taylor(spec, taylor, y0, w)
+        tilde = T[0] - (spec.shift_sign * ((1 << w) - y0) >> 1)
+        assert tilde == s * v >> w and 0 < tilde < 1 << w
+        composed = solver._compose_power(T, x, i, w)
+        y, rho = hp.from_fixed(y0, w, ctx), hp.from_fixed(x, w, ctx)
+        for k in range(R + 1):
+            at_y0 = sum(math.comb(n, k) * counts[n] * y ** (n - k) for n in range(k, N + 1))
+            at_rho = sum(math.comb(i * n, k) * counts[n] * rho ** (i * n - k)
+                         for n in range(1, N + 1) if i * n >= k)
+            assert agreement_digits(hp.from_fixed(T[k], w, ctx), at_y0, ctx) >= D + 5, k
+            assert agreement_digits(hp.from_fixed(composed[k], w, ctx), at_rho, ctx) >= D + 5, k
+
+    @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
+    def test_forty_digits_at_n_100(self, variety, assert_digits):
+        # every value certifies 40 digits at N=100, where the degree-2N
+        # exponent certified 23 to 30 digits of rho
+        result = expand_variety(variety, L=8, N=100, D=40)
+        ctx = result.asym.ctx
+        assert result.rho_result.certified_digits == 40
+        assert set(result.puiseux.certified_digits) == set(result.asym.certified_digits) == {40}
+        assert_digits(result.rho_result.rho, RHO_50[variety], 49, ctx, label=f"{variety} rho")
+        for n, value in enumerate(result.puiseux.t):
+            assert_digits(value, T_TABLE[variety][n], 12, ctx, label=f"{variety} t_{n}")
+        for n, value in enumerate(result.asym.tau):
+            assert_digits(value, TAU_TABLE[variety][n], 10, ctx, label=f"{variety} tau_{n}")
+
+    @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
+    @pytest.mark.parametrize("L, N, D", [(8, 100, 40), (40, 200, 60), (80, 400, 60)])
+    def test_certified_digits_are_true(self, variety, L, N, D, reference):
+        # each value certifies all D digits and at most the digits it shares
+        # with a reference at count reach 800
+        got = expand_variety(variety, L=L, N=N, D=D)
+        ref = reference(variety, L, D)
+        for section, truths in zip(_sections(got), _sections(ref)):
+            for n, ((value, certified), (truth, _)) in enumerate(zip(section, truths)):
+                assert certified == D <= agreement_digits(value, truth, ref.asym.ctx), n
 
 
 class TestTruncationWarning:
     def test_fires_when_the_exponent_is_short(self):
-        # polya at N=50: the exponent's truncation error is about rho^50 ~ 1e-24
-        with pytest.warns(TruncationWarning, match="truncation order 50 is small for 60 digits"):
-            expand_variety("polya", L=4, N=50, D=60)
+        # polya at N=50: the split model's truncation error is about rho^150 ~ 1e-70
+        with pytest.warns(TruncationWarning, match="truncation order 50 is small for 100 digits"):
+            expand_variety("polya", L=4, N=50, D=100)
 
     @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
     def test_silent_at_n_200_for_40_digits(self, variety):
@@ -557,21 +665,29 @@ class TestTruncationWarning:
 
     @staticmethod
     def _mpf_indicator(variety, L, N, D):
-        """The relative tail on mpf values, as :func:`expand_variety` computed it before
-        it summed the terms on the fixed-point exponent and root."""
+        """The relative tail on mpf values, from the split model's own exponents:
+        the last five terms of ``H4`` (degree ``4N``) at ``rho``, and of ``h``
+        (degree ``2N``) at ``rho^2`` and ``rho^3`` times ``(i rho^(i-1))^r``."""
         spec, r = get_variety(variety), derivative_orders_needed(2 * L + 1)
-        result, h, [(x, log_taylor), _] = solve_exponent(spec, spec.count_source(N), N, D, r)
+        result, (h, H4), [(x, log_taylor), _] = solve_exponent(spec, spec.count_source(N), N,
+                                                               D, r)
         ctx, rho = result.ctx, result.rho
         w = hp.fixed_bits(ctx)
-        top = len(h) - 1
-        tail = sum(abs(hp.from_fixed(h[m], w, ctx)) * math.comb(m, r) * rho ** (m - r)
-                   for m in range(max(r, top - 4), top + 1))
+
+        def last_five(g, y):
+            top = len(g) - 1
+            return sum(abs(hp.from_fixed(g[m], w, ctx)) * math.comb(m, r) * y ** (m - r)
+                       for m in range(max(r, top - 4), top + 1))
+
+        tail = last_five(H4, rho) + sum(last_five(h, rho**i) * (i * rho ** (i - 1)) ** r
+                                        for i in (2, 3))
         ratio = tail / abs(hp.from_fixed(series.series_exp_fixed(log_taylor, w)[r], w, ctx))
         return ratio, ratio > ctx.mpf(10) ** (-(D - 10)), ctx
 
     @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
     @pytest.mark.parametrize(
-        "L, N, D", [(4, 50, 60), (8, 100, 40), (8, 120, 80), (8, 200, 40), (40, 200, 60)]
+        "L, N, D", [(4, 50, 60), (4, 50, 100), (4, 60, 80), (8, 100, 40), (8, 100, 120),
+                    (40, 200, 60)]
     )
     def test_fires_where_the_mpf_indicator_did(self, variety, L, N, D):
         ratio, fires, ctx = self._mpf_indicator(variety, L, N, D)
@@ -588,8 +704,8 @@ class TestTruncationWarning:
 
     def test_sweep_covers_both_outcomes(self):
         # the sweep above is only a check if some configurations fire and some do not
-        assert self._mpf_indicator("identity", 8, 100, 40)[1]
-        assert not self._mpf_indicator("polya", 8, 100, 40)[1]
+        assert self._mpf_indicator("identity", 4, 60, 80)[1]
+        assert not self._mpf_indicator("polya", 4, 60, 80)[1]
 
     @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
     def test_fixed_point_sum_matches_mpf(self, variety):
@@ -598,7 +714,7 @@ class TestTruncationWarning:
         spec, N, D, r = get_variety(variety), 100, 30, 9
         ctx = working_context(D)
         w = hp.fixed_bits(ctx)
-        h = numeric_exponent(spec, spec.count_source(N), N, ctx)
+        h = numeric_exponent(spec, spec.count_source(N), N, ctx)[0]
         x = hp.to_fixed(ctx.mpf(RHO_50[variety]), w, ctx)
         rho = hp.from_fixed(x, w, ctx)
         expected = sum(abs(hp.from_fixed(h[m], w, ctx)) * math.comb(m, r) * rho ** (m - r)

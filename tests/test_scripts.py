@@ -1,4 +1,5 @@
 import os
+import runpy
 import subprocess
 import sys
 import warnings
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import treeasym
+from treeasym import hp
 from treeasym.expansions import expand_variety
 from treeasym.hp import agreement_digits, context, to_decimal
 from treeasym.series import TruncationWarning
@@ -57,10 +59,19 @@ def _significant_digits(text: str) -> int:
     return len(mantissa.replace(".", "").lstrip("0")) or 1
 
 
-# N=120, D=60 certifies identity's t_18 to 14 digits only (VARIETIES order)
+# From N = 74 on, the least N that L = 18 allows, every value certifies 27
+# digits or more, so rows print short only where the certified counts are
+# capped, as the second case caps them at 15; the script runs in-process so
+# that the cap reaches it
 @pytest.mark.parametrize("terms, digits", [(300, 80), (120, 60)])
-def test_reproduce_tables_print_certified_digits(tmp_path, terms, digits):
-    proc = _reproduce_tables(tmp_path, "--terms", str(terms), "--digits", str(digits))
+def test_reproduce_tables_print_certified_digits(tmp_path, monkeypatch, capsys, terms, digits):
+    certified_fixed, cap = hp.certified_fixed, 15 if terms == 120 else digits
+    monkeypatch.setattr(hp, "certified_fixed", lambda *args: min(certified_fixed(*args), cap))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["reproduce_tables.py", "--terms", str(terms),
+                                      "--digits", str(digits)])
+    runpy.run_path(str(SCRIPTS / "reproduce_tables.py"), run_name="__main__")
+    stdout = capsys.readouterr().out
     varieties = ("polya", "identity", "hierarchy")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
@@ -73,7 +84,7 @@ def test_reproduce_tables_print_certified_digits(tmp_path, terms, digits):
     ]
     ctx, shorter = results[0].asym.ctx, 0
     for title, columns in tables:
-        rows = _table(proc.stdout, title)
+        rows = _table(stdout, title)
         assert len(rows) == 19, title
         for n, row in enumerate(rows):
             for text, (values, certified) in zip(row, columns):

@@ -96,16 +96,19 @@ def test_newton_stall_reported(pipeline_counts, monkeypatch):
 
 @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
 def test_half_order_reaches_reference(pipeline_counts, variety):
-    # the degree-2N exponent is accurate to about rho^N at rho, so N=100
-    # already gives 40 digits (the order-N zeta series needed N=400)
+    # the split model is accurate to about rho^(3N) at rho, so N=100 holds
+    # all 50 digits of the reference (the degree-2N exponent held 40, the
+    # order-N zeta series needed N=400 for those)
     result = solve_rho(get_variety(variety), pipeline_counts[variety], 100, 60)
-    assert agreement_digits(result.rho, result.ctx.mpf(RHO_50[variety]), result.ctx) >= 40
+    assert agreement_digits(result.rho, result.ctx.mpf(RHO_50[variety]), result.ctx) >= 49
 
 
 def test_a_model_root_beyond_its_range_is_swept_again(monkeypatch):
-    # at N = 50, D = 40 the identity start lies further from the root of the
-    # order-50 model than the model's range: the 101-coefficient exponent is
-    # swept again at that root, and the result still agrees with the reference
+    # at N = 50, D = 40 the identity start, on the prefix of count reach 25,
+    # lies further from the roots of both split models than their range: each
+    # model's three exponents (H4 of degree 4n and h, twice, of degree 2n, for
+    # n = 50 and its check 25) are swept again at its root, and the result
+    # still agrees with the reference
     swept = []
     taylor = solver.series_taylor
 
@@ -115,6 +118,8 @@ def test_a_model_root_beyond_its_range_is_swept_again(monkeypatch):
 
     monkeypatch.setattr(solver, "series_taylor", recording)
     result = solve_rho(IDENTITY, counts_for("identity", 50), 50, 40)
-    assert (101, solver.MODEL_EXTRA) in swept
+    R = solver.MODEL_EXTRA
+    assert [s for s in swept if s[1] == R] == [(201, R), (101, R), (101, R),
+                                                (101, R), (51, R), (51, R)]
     ctx = result.ctx
     assert agreement_digits(result.rho, ctx.mpf(RHO_50["identity"]), ctx) >= result.certified_digits

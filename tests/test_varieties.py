@@ -74,10 +74,13 @@ class TestZetaSeries:
         )
 
     def test_exponent_prefix_is_the_lower_exponent(self):
+        # h reaches degree 2N and H4 degree 4N from counts to N
         ctx = working_context(30)
         counts = counts_for("hierarchy", 60)
-        h = numeric_exponent(HIERARCHY, counts, 60, ctx)
-        assert h[: 2 * 30 + 1] == numeric_exponent(HIERARCHY, counts, 30, ctx)
+        h, H4 = numeric_exponent(HIERARCHY, counts, 60, ctx)
+        low, low4 = numeric_exponent(HIERARCHY, counts, 30, ctx)
+        assert (len(h), len(H4)) == (2 * 60 + 1, 4 * 60 + 1)
+        assert h[: 2 * 30 + 1] == low and H4[: 4 * 30 + 1] == low4
 
     @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
     def test_divisor_sums_match_double_loop(self, variety):
@@ -94,14 +97,22 @@ class TestZetaSeries:
 
     @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
     def test_numeric_exponent_is_the_floored_fixed_point_exponent(self, variety):
+        # H4 against the term-by-term sum g4[i n] += eps_i T_n / i over i >= 4
         spec, N = get_variety(variety), 80
         ctx = working_context(40)
         w = fixed_bits(ctx)
         counts = counts_for(variety, N)
         g = zeta_exponent(spec, counts, N)
-        h = numeric_exponent(spec, counts, N, ctx)
+        g4 = [Fraction(0)] * (4 * N + 1)
+        g4[0] += Fraction(spec.shift_sign, 2)
+        g4[1] -= Fraction(spec.shift_sign, 2)
+        for i in range(4, 4 * N + 1):
+            for n in range(1, min(N, 4 * N // i) + 1):
+                g4[i * n] += Fraction(spec.eps(i) * counts[n], i)
+        h, H4 = numeric_exponent(spec, counts, N, ctx)
         assert len(h) == 2 * N + 1
         assert all(h[m] == math.floor(g[m] * 2**w) for m in range(2 * N + 1))
+        assert [math.floor(v * 2**w) for v in g4] == list(H4)
 
     def test_insufficient_counts_rejected(self):
         counts = counts_for("polya", 10)

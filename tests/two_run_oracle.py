@@ -1,12 +1,14 @@
-"""The two-run solver path, kept as a test oracle.
+"""The degree-``2N`` exponent solved in two runs, kept as a test oracle.
 
 Each truncation order is solved on its own: an mpf bisection on a short
-prefix of the exponent, then Newton with one full-width fixed-point Taylor
-shift to order 1 per iteration, then one to order ``r`` at the root for the
-Taylor coefficients of ``log zeta``.  The ``N//2`` run
-starts Newton at the order-``N`` root.  The library reads both orders off
-one split sweep and integer Newton on short Taylor models
-(:func:`treeasym.solver.solve_models`).
+prefix of the exponent ``h`` of degree ``2N``, then Newton with one
+full-width fixed-point Taylor shift to order 1 per iteration, then one to
+order ``r`` at the root for the Taylor coefficients of ``log zeta``.  The
+``N//2`` run starts Newton at the order-``N`` root.  That exponent is
+accurate to about ``rho^N`` at ``rho``.  The library splits off ``T(z^2)``
+and ``T(z^3)``, solves them at ``rho^2`` and ``rho^3`` by the functional
+equation, and reads both orders off three split sweeps
+(:func:`treeasym.solver.solve_models`), accurate to about ``rho^(3N)``.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ def expand(variety: str, L: int, N: int, D: int) -> dict:
     """
     spec, K = get_variety(variety), 2 * L + 1
     ctx = hp.working_context(D)
-    h = numeric_exponent(spec, spec.count_source(N), N, ctx)
+    h = numeric_exponent(spec, spec.count_source(N), N, ctx)[0]
     r_max = derivative_orders_needed(K)
     w = hp.fixed_bits(ctx)
 
