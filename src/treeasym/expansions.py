@@ -47,7 +47,8 @@ indicator sums the tails of the split model's own exponents
 ``e zeta^(r)(rho)/r!`` is the short exponential of the model
 (:func:`treeasym.series.series_exp_fixed`), since ``zeta(rho) = 1/e``.  It
 runs the pipeline at ``N`` and at ``N//2``; both roots and models come
-from the same sweeps, so the second has no bracket phase of its own.
+from the same sweeps, so the second has no bracket phase of its own, and
+where the two models are equal so are their ``t`` and ``tau``.
 """
 
 from __future__ import annotations
@@ -298,8 +299,12 @@ def expand_variety(
     rho, ctx = rho_result.rho, rho_result.ctx
     w = hp.fixed_bits(ctx)
     t = puiseux_coeffs(spec, x, model, K, w)
-    t_check = puiseux_coeffs(spec, x_check, model_check, K, w)
-    tau, tau_check = tau_coeffs(t, L), tau_coeffs(t_check, L)
+    tau = tau_coeffs(t, L)
+    if models[1] == models[0]:  # the N//2 sweeps gave the same integers: so do t and tau
+        t_check, tau_check = t, tau
+    else:
+        t_check = puiseux_coeffs(spec, x_check, model_check, K, w)
+        tau_check = tau_coeffs(t_check, L)
 
     def real(values):
         return tuple(hp.from_fixed(v, w, ctx) for v in values)
