@@ -687,7 +687,7 @@ class TestTruncationWarning:
     @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
     @pytest.mark.parametrize(
         "L, N, D", [(4, 50, 60), (4, 50, 100), (4, 60, 80), (8, 100, 40), (8, 100, 120),
-                    (40, 200, 60)]
+                    (8, 120, 80), (8, 200, 40), (40, 200, 60)]
     )
     def test_fires_where_the_mpf_indicator_did(self, variety, L, N, D):
         ratio, fires, ctx = self._mpf_indicator(variety, L, N, D)
