@@ -231,7 +231,8 @@ def solve_models(spec: VarietySpec, exponents: tuple, half: int, r: int, ctx, D)
     # a sweep that the check shares with the whole gives its part of the model once
     part = lru_cache(maxsize=None)(lambda i, taylor, at: _log_zeta_part(spec, i, taylor, at, w))
     models, newton = [], []
-    for taylors, exponents in zip(zip(*sweeps), ([c for c, _ in parts], [c[:cut] for c, cut in parts])):
+    blocks = ([c for c, _ in parts], [c[:cut] for c, cut in parts])  # whole, check
+    for taylors, block in zip(zip(*sweeps), blocks):
         at, iterations = x, 0
         while True:
             L = list(map(sum, zip(*(part(i, t, at) for i, t in enumerate(taylors, 1)))))
@@ -240,14 +241,14 @@ def solve_models(spec: VarietySpec, exponents: tuple, half: int, r: int, ctx, D)
                 break
             at += y  # too far for the model: sweep again at its root
             taylors = [series_taylor(c, at**i >> (i - 1) * w, R, w)
-                       for i, c in enumerate(exponents, 1)]
+                       for i, c in enumerate(block, 1)]
         models.append((at + y, series_taylor(L, y, r, w)))
         newton.append(iterations)
     return models, newton[0]
 
 
 def _log_zeta_part(spec: VarietySpec, i: int, taylor: tuple, x: int, w: int) -> list:
-    """Taylor coefficients at ``x`` of part ``i`` of ``log zeta``, from the sweep ``taylor`` at ``x^i``.
+    """Taylor coefficients at ``x`` of part ``i`` of ``log zeta``, from a sweep at ``x^i``.
 
     ``log zeta = [log c + a log z + H4] + eps_2 T(z^2)/2 + eps_3 T(z^3)/3``.
     Part 1, in brackets, is :func:`treeasym.varieties.log_zeta_taylor` on

@@ -196,7 +196,7 @@ def exponent_tail(h: tuple, x: int, r: int, w: int) -> int:
 
 
 def model_tail(exponents: tuple, x: int, r: int, w: int) -> int:
-    """Tail indicator of the order-``r`` Taylor coefficient of the split model of ``log zeta`` at ``x``.
+    """Tail indicator of the order-``r`` Taylor coefficient of the split model at ``x``.
 
     ``exponents`` is ``(h, H4)`` (:func:`numeric_exponent`).  The sum of
     :func:`exponent_tail` of ``H4`` at ``x`` and of ``h`` at ``x^2`` and
