@@ -12,13 +12,14 @@ of Corless, Gonnet, Hare, Jeffrey & Knuth, *On the Lambert W function*
 (Adv. Comput. Math. 1996, eq. 4.23).
 
 The ``tau`` weights come from the transfer of each odd singular term,
-``[z^n](1-z)^(k/2) = Gamma(n-k/2) / (Gamma(-k/2) Gamma(n+1))``, and from the
-Bernoulli-polynomial series of ``log(Gamma(n+a)/Gamma(n+b))`` (Tricomi &
-Erdelyi, *The asymptotic expansion of a ratio of gamma functions*, Pacific
-J. Math. 1951; Flajolet & Sedgewick, *Analytic Combinatorics*, Thm VI.1):
-``tau_0 .. tau_L`` cost ``O(L^3)`` integer and ``O(L^2)`` ``Fraction``
-operations, because the inner sums of both recurrences run on integers over
-a common denominator (:func:`_dot`).  Values are cached
+``[z^n](1-z)^(k/2) = Gamma(n-k/2) / (Gamma(-k/2) Gamma(n+1))`` (Flajolet &
+Sedgewick, *Analytic Combinatorics*, Thm VI.1): each form ``tau_l`` is a
+two-term step from ``tau_(l-1)`` plus one weight from the Bernoulli-number
+series of ``log(Gamma(n-1/2)/Gamma(n+1))`` (Tricomi & Erdelyi, *The
+asymptotic expansion of a ratio of gamma functions*, Pacific J. Math. 1951).
+``tau_0 .. tau_L`` cost ``O(L^2)`` ``Fraction`` operations and ``O(L^2)``
+integer ones, because the inner sums run on integers over a common
+denominator (:func:`_dot`).  Values are cached
 per index and shared across varieties; the caches are write-once-per-key
 and safe under concurrent readers.  A form is a plain ``{j: c_j}`` dict
 over the odd indices ``j``; :func:`treeasym.expansions.tau_coeffs` applies
@@ -99,53 +100,44 @@ def _bernoulli(m: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _log_gamma_ratio(j: int, k: int) -> Fraction:
-    """``k s_k`` at ``a = j + 1/2``, for the series ``log(Gamma(n-a) n^(a+1) / Gamma(n+1))``.
+def _log_gamma_ratio(k: int) -> Fraction:
+    """``k s_k`` at ``a = 1/2``, for the series ``log(Gamma(n-a) n^(a+1) / Gamma(n+1))``.
 
     Its ``n^-k`` coefficient is
     ``s_k = (-1)^(k+1) (B_{k+1}(-a) - B_{k+1}(1)) / (k (k+1))`` for ``k >= 1``,
     where ``B_{k+1}(1) = B_{k+1}`` cancels the constant term of ``B_{k+1}(-a)``.
-    No Bernoulli polynomial is evaluated: ``B_n(x - 1) = B_n(x) - n (x - 1)^(n-1)``
-    steps ``a`` by one, so ``k s_k(j) = k s_k(j-1) + a^k``, and at ``a = 1/2``
+    No Bernoulli polynomial is evaluated:
     ``B_n(-1/2) = (2^(1-n) - 1) B_n - n (-1/2)^(n-1)`` gives
-    ``k s_k(0) = (-1)^(k+1) (1 - 2^(k+1)) B_{k+1} / ((k+1) 2^k) + 2^-k``.
+    ``k s_k = (-1)^(k+1) (1 - 2^(k+1)) B_{k+1} / ((k+1) 2^k) + 2^-k``.
     """
-    if j:
-        return _log_gamma_ratio(j - 1, k) + Fraction((2 * j + 1) ** k, 1 << k)
     return ((-1) ** (k + 1) * (1 - (2 << k)) * _bernoulli(k + 1) / (k + 1) + 1) / (1 << k)
-
-
-@lru_cache(maxsize=None)
-def _gamma_ratio(j: int, m: int) -> Fraction:
-    """``c_m``: the ``n^-m`` coefficient of ``Gamma(n-a) n^(a+1) / Gamma(n+1)`` at ``a = j + 1/2``.
-
-    The exponential of the series ``s_k`` of :func:`_log_gamma_ratio`,
-    through ``m c_m = sum_{k=1}^{m} k s_k c_{m-k}``.
-    """
-    if m == 0:
-        return Fraction(1)
-    weighted = [_log_gamma_ratio(j, m - i) for i in range(m)]  # k s_k, k = m - i
-    return _dot(weighted, [_gamma_ratio(j, i) for i in range(m)]) / m
 
 
 @lru_cache(maxsize=None)
 def tau_symbolic(ell: int) -> dict[int, Fraction]:
     """Asymptotic coefficient ``tau_l`` as a linear form ``{j: c_j}`` in ``t_1, t_3, ..., t_{2l+1}``.
 
-    ``tau_l = sum_{j=0}^{l} t_{2j+1} w_j c_{l-j}(j + 1/2)``: each odd term
-    ``t_k (1 - z/rho)^(k/2)`` contributes ``rho^-n Gamma(n-k/2) / (Gamma(-k/2) Gamma(n+1))``
-    to ``T_n``, so ``w_j = sqrt(pi) / Gamma(-j-1/2)`` and ``c_m(a)`` is the
-    ``n^-m`` coefficient of ``Gamma(n-a) n^(a+1) / Gamma(n+1)``.  The log of
-    that Gamma ratio has a Bernoulli-polynomial series (Tricomi & Erdelyi,
-    Pacific J. Math. 1951; Flajolet & Sedgewick, Analytic Combinatorics,
-    Thm VI.1), so every weight is an exact ``Fraction`` in polynomial time.
+    ``tau_l = sum_{j=0}^{l} t_{2j+1} W(j, l-j)`` with ``W(j, m) = w_j c_m(j + 1/2)``:
+    each odd term ``t_k (1 - z/rho)^(k/2)`` contributes
+    ``rho^-n Gamma(n-k/2) / (Gamma(-k/2) Gamma(n+1))`` to ``T_n``, so
+    ``w_j = sqrt(pi) / Gamma(-j-1/2)`` and ``c_m(a)`` is the ``n^-m``
+    coefficient of ``Gamma(n-a) n^(a+1) / Gamma(n+1)`` (Flajolet &
+    Sedgewick, Analytic Combinatorics, Thm VI.1).  ``Gamma(x+1) = x Gamma(x)``
+    gives ``W(j, m) = (j + 1/2) (W(j, m-1) - W(j-1, m))`` with ``W(j, -1) = 0``,
+    so each form follows from the one before it; the first weight
+    ``W(0, m) = -c_m(1/2)/2`` is the exponential of the Bernoulli-number
+    series of :func:`_log_gamma_ratio`, ``m W(0, m) = sum_{k=1}^{m} k s_k W(0, m-k)``
+    (Tricomi & Erdelyi, Pacific J. Math. 1951).
     The cached dict is shared by every caller and must not be modified.
     """
     if ell < 0:
         raise ValueError(f"index must be non-negative, got {ell}")
-    coeffs = {}
-    weight = Fraction(-1, 2)  # w_0 = sqrt(pi) / Gamma(-1/2)
-    for j in range(ell + 1):
-        coeffs[2 * j + 1] = weight * _gamma_ratio(j, ell - j)
-        weight *= Fraction(-2 * j - 3, 2)  # Gamma(x) = Gamma(x+1) / x
+    if ell == 0:
+        return {1: Fraction(-1, 2)}  # w_0 = sqrt(pi) / Gamma(-1/2)
+    forms = [tau_symbolic(i) for i in range(ell)]  # ascending, so the recursion stays shallow
+    weighted = [_log_gamma_ratio(ell - i) for i in range(ell)]  # k s_k, k = ell - i
+    coeffs = {1: _dot(weighted, [form[1] for form in forms]) / ell}
+    prev = forms[-1]
+    for j in range(1, ell + 1):
+        coeffs[2 * j + 1] = Fraction(2 * j + 1, 2) * (prev.get(2 * j + 1, 0) - prev[2 * j - 1])
     return coeffs

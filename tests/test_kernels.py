@@ -1,19 +1,27 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treeasym
 from treeasym import hp
 from treeasym.expansions import tau_coeffs
 from treeasym.hp import context
 from treeasym.kernels import b_seq, tau_symbolic
 
+from gamma_ratio_oracle import tau_gamma
 from puiseux_oracle import b_seq_direct, bell_partial, gen_binom
 from qr_oracle import _q_weight, compositions, q_symbolic, r_inner, r_seq, tau_qr
+
+SRC = Path(treeasym.__file__).parent.parent
 
 fractions_st = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
@@ -248,13 +256,42 @@ class TestTauSymbolic:
         assert form == oracle
         assert list(form) == list(oracle)
 
+    @pytest.mark.parametrize("ell", range(61))
+    def test_matches_gamma_ratio_reference(self, ell):
+        # the per-(j, m) Gamma-ratio table gives the same Fractions, in the same order
+        form, reference = tau_symbolic(ell), tau_gamma(ell)
+        assert form == reference
+        assert list(form) == list(reference)
+
+    def test_cold_high_order_form_needs_no_deep_recursion(self):
+        # a cold tau_symbolic(200) fills the forms below it in ascending order, so
+        # a recursion limit far below 200 frames is enough; the form must equal
+        # the one that ascending calls build from fresh caches
+        probe = (
+            "import sys\n"
+            "from treeasym import kernels\n"
+            "sys.setrecursionlimit(150)\n"
+            "cold = kernels.tau_symbolic(200)\n"
+            "for f in (kernels.tau_symbolic, kernels._log_gamma_ratio, kernels._bernoulli):\n"
+            "    f.cache_clear()\n"
+            "ascending = [kernels.tau_symbolic(ell) for ell in range(201)][-1]\n"
+            "assert cold == ascending and list(cold) == list(ascending)\n"
+            "print(len(cold))"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "201"
+
     @pytest.mark.parametrize("k", [1, 3, 5, 9, 15])
     def test_truncation_error_decay(self, k):
         # with t = e_k the order-L sum approximates sqrt(pi n^3) [z^n](1-z)^(k/2);
         # its relative error is ~ n^-(L+1-(k-1)/2), so one decade in n gains
-        # L+1-(k-1)/2 decades, and a wrong coefficient of order <= L breaks that
-        L = 30
-        ctx = context(220)
+        # L+1-(k-1)/2 decades, and a wrong coefficient of order <= L breaks that;
+        # at L = 80 the error at n = 10^5 is about 1e-351 (k = 1), so 400 digits
+        # still resolve it
+        L = 80
+        ctx = context(400)
         half_k = ctx.mpf(k) / 2
         taus = [tau_symbolic(ell).get(k, Fraction(0)) for ell in range(L + 1)]
 
