@@ -257,6 +257,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
 def _expansion_for_orders(args: argparse.Namespace, max_order: int, n_counts: int,
                           K: int | None = None) -> VarietyExpansion:
     from .expansions import expand_variety
+    from .solver import MIN_SERIES_ORDER
 
     # raise N to 2K, K = 2L+1 unless --puiseux-terms is larger, so high orders
     # run at small --terms; a reach error names the flag that raised N
@@ -265,6 +266,11 @@ def _expansion_for_orders(args: argparse.Namespace, max_order: int, n_counts: in
         flag, top = f"--puiseux-terms {K}", K
     N = max(args.terms, 2 * top)
     _check_reach(flag, N)
+    if N < MIN_SERIES_ORDER:
+        if N == args.terms:
+            flag = f"--terms {N}"
+        raise ValueError(f"{flag} sets count reach N={N}, below the minimum "
+                         f"{MIN_SERIES_ORDER}; pass --terms {MIN_SERIES_ORDER} or more")
     _check_reach(f"size {n_counts}", n_counts)
     counts = counts_for(args.variety, max(N, n_counts))
     return expand_variety(args.variety, L=max_order, K=K, N=N, D=args.digits, counts=counts)
@@ -346,11 +352,14 @@ def cmd_verify_oeis(args: argparse.Namespace) -> int:
     _check_reach("--n", args.n)
     sequence_id = oeis.SEQUENCE_IDS[args.variety]
     fixture, source = oeis.get_sequence(sequence_id, fetch=args.fetch)
-    seq = counts_for(args.variety, args.n)
+    # counts past the reference's last index would be computed and compared with nothing
+    last = fixture.pairs[-1][0] if fixture.pairs else 0
+    seq = counts_for(args.variety, max(0, min(args.n, last)))
     report = oeis.verify_counts(seq, fixture, source=source)
+    note = f"; the reference ends at n={last}, before --n {args.n}" if args.n > last else ""
     if report.empty:
-        raise ValueError(report.summary())
-    _print(report.summary())
+        raise ValueError(report.summary(note))
+    _print(report.summary(note))
     for n, ours, ref in report.mismatches[:10]:
         _print(f"  n={n}: computed {ours} != reference {ref}")
     return EXIT_OK if report.ok else EXIT_MISMATCH

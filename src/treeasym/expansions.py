@@ -290,7 +290,7 @@ def expand_variety(
     if K < 2 * L + 1:
         raise ValueError(f"K={K} too small for L={L}; need K >= {2 * L + 1}")
     if N < 2 * K:
-        raise ValueError(f"series order N={N} too small for K={K}; need N >= {2 * K}")
+        raise ValueError(f"count reach N={N} too small for K={K}; need N >= {2 * K}")
     if counts is None:
         counts = spec.count_source(N)
     r_max = derivative_orders_needed(K)

@@ -123,19 +123,20 @@ class VerifyReport(Record):
     def empty(self) -> bool:
         return self.compared == 0
 
-    def summary(self) -> str:
+    def summary(self, note: str = "") -> str:
+        """One line; ``note`` goes before the closing ``(source)``."""
         if self.empty:
-            return f"{self.variety} vs {self.sequence_id}: nothing to verify ({self.source})"
+            return f"{self.variety} vs {self.sequence_id}: nothing to verify{note} ({self.source})"
         if self.ok:
             return (
                 f"{self.variety} vs {self.sequence_id}: OK, "
-                f"{self.compared} terms match exactly ({self.source})"
+                f"{self.compared} terms match exactly{note} ({self.source})"
             )
         n, ours, ref = self.mismatches[0]
         return (
             f"{self.variety} vs {self.sequence_id}: {len(self.mismatches)} mismatches "
-            f"out of {self.compared}; first at n={n}: computed {ours}, reference {ref} "
-            f"({self.source})"
+            f"out of {self.compared}; first at n={n}: computed {ours}, reference {ref}"
+            f"{note} ({self.source})"
         )
 
 

@@ -159,7 +159,7 @@ def solve_exponent(spec: VarietySpec, counts: CountSequence, N: int, D: int, r: 
     if counts.variety != spec.name:
         raise ValueError(f"count/variety mismatch: {counts.variety} vs {spec.name}")
     if N < MIN_SERIES_ORDER:
-        raise ValueError(f"series order {N} too small, need >= {MIN_SERIES_ORDER}")
+        raise ValueError(f"count reach N={N} too small, need N >= {MIN_SERIES_ORDER}")
     if D < hp.MIN_DIGITS:
         raise ValueError(f"target digits {D} too small, need >= {hp.MIN_DIGITS}")
     if counts.n_max < N:

@@ -163,6 +163,18 @@ class TestExpand:
         assert err.startswith(f"error: {' '.join(flags)} reaches counts to n=")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("flags, setter, N", [
+        (["--terms", "10"], "--order 4", 18),
+        (["--terms", "30", "--order", "1"], "--terms 30", 30),
+        (["--terms", "10", "--puiseux-terms", "20"], "--puiseux-terms 20", 40),
+    ], ids=["default-order", "terms", "puiseux-terms"])
+    def test_small_count_reach_names_the_flag_that_set_n(self, capsys, no_work, flags,
+                                                         setter, N):
+        code, out, err = run(capsys, "expand", "polya", *flags)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {setter} sets count reach N={N}, below the minimum 50; "
+                       f"pass --terms 50 or more\n")
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "expand", "identity", "--order", "1", "--digits", "40",
                           "--terms", "120")
@@ -262,6 +274,19 @@ class TestVerifyOeis:
         assert code == 0
         assert "OK" in out
 
+    def test_counts_stop_where_the_reference_ends(self, capsys, monkeypatch):
+        reaches, counts_for = [], treeasym.cli.counts_for
+
+        def recorded(variety, n_max):
+            reaches.append(n_max)
+            return counts_for(variety, n_max)
+
+        monkeypatch.setattr(treeasym.cli, "counts_for", recorded)
+        code, out, err = run(capsys, "verify-oeis", "polya", "--n", "1200")
+        assert (code, err, reaches) == (0, "", [500])
+        assert out == ("polya vs A000081: OK, 501 terms match exactly; "
+                       "the reference ends at n=500, before --n 1200 (fixture)\n")
+
     def test_mismatch_exit_code(self, capsys, monkeypatch):
         _fetched(monkeypatch, "0 0\n1 1\n2 999\n")
         code, out, _ = run(capsys, "verify-oeis", "polya", "--n", "10", "--fetch")
@@ -304,7 +329,8 @@ class TestVerifyOeis:
         _fetched(monkeypatch, "# A004111\n0 0\n1 1\n2 1\n3 1\n")
         code, out, err = run(capsys, "verify-oeis", "identity", "--n", "9", "--fetch")
         assert (code, err) == (0, "")
-        assert out == "identity vs A004111: OK, 4 terms match exactly (online)\n"
+        assert out == ("identity vs A004111: OK, 4 terms match exactly; "
+                       "the reference ends at n=3, before --n 9 (online)\n")
         assert [list(d.iterdir()) for d in dirs] == [[], [], []]
 
     @pytest.mark.parametrize("fetched", [OSError("network unreachable"), "0 0\n1\n"],

@@ -1,9 +1,13 @@
+import hashlib
+import os
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treeasym.counts
 from treeasym.counts import (
     HIERARCHY,
     POLYA,
@@ -13,7 +17,7 @@ from treeasym.counts import (
     product_form_oracle,
 )
 
-from reference_values import PREFIXES
+from reference_values import COUNTS_2000_SHA256, PREFIXES
 
 
 @pytest.mark.parametrize("variety", VARIETIES, ids="{}_counts".format)
@@ -113,3 +117,89 @@ def test_spec_without_integer_counts_raises():
     # the shift of the wrong sign: the engine meets the remainder at once
     with pytest.raises(ArithmeticError, match="inexact division at n=2"):
         HIERARCHY.replace(shift_sign=+1).count_source(10)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The ``os.fork`` calls of one test; afterwards no child may be left."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    yield calls
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _forks_expected():
+    # the split needs two usable CPUs; elsewhere these tests run the fallback
+    return 1 if treeasym.counts._worker_cpus() else 0
+
+
+@pytest.mark.parametrize("handoff", [2, 41, 150])
+@pytest.mark.parametrize("variety", VARIETIES)
+def test_split_counts_equal_the_sequential_ones(monkeypatch, forks, variety, handoff):
+    sequential = counts_for(variety, 300).values  # 300 < SPLIT_FROM: no worker
+    monkeypatch.setattr(treeasym.counts, "SPLIT_FROM", handoff)
+    assert counts_for(variety, 300).values == sequential
+    assert len(forks) == _forks_expected()
+
+
+def test_split_keeps_the_exactness_check_in_the_parent(monkeypatch, forks):
+    monkeypatch.setattr(treeasym.counts, "SPLIT_FROM", 2)
+    with pytest.raises(ArithmeticError, match="inexact division at n=2"):
+        HIERARCHY.replace(shift_sign=+1).count_source(10)
+    assert len(forks) == _forks_expected()
+
+
+@pytest.mark.parametrize("where", ["add_to_multiples", "_receive"])
+def test_split_survives_a_worker_that_dies(monkeypatch, forks, where):
+    # the worker exits at step 100, after reading T_100 (add_to_multiples)
+    # or after sending its half and before reading T_100 (_receive)
+    sequential = counts_for("polya", 300).values
+    parent, real = os.getpid(), getattr(treeasym.counts, where)
+    calls = []
+
+    def dying(*args):
+        if os.getpid() != parent:
+            calls.append(None)  # one call a step, from step 41 on
+            if len(calls) == 100 - 40:
+                os._exit(3)
+        return real(*args)
+
+    monkeypatch.setattr(treeasym.counts, "SPLIT_FROM", 41)
+    monkeypatch.setattr(treeasym.counts, where, dying)
+    assert counts_for("polya", 300).values == sequential
+    assert len(forks) == _forks_expected()
+
+
+@pytest.mark.parametrize("case", ["one usable CPU", "a second thread"])
+def test_no_worker_without_a_free_cpu_or_with_threads(monkeypatch, forks, case):
+    sequential = counts_for("identity", 300).values
+    monkeypatch.setattr(treeasym.counts, "SPLIT_FROM", 2)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if case == "one usable CPU":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    else:
+        thread.start()
+    try:
+        assert counts_for("identity", 300).values == sequential
+    finally:
+        stop.set()
+        if thread.is_alive():
+            thread.join(timeout=10)
+    assert forks == [] and not thread.is_alive()
+
+
+def test_hierarchy_counts_to_2000_match_the_pinned_digest(forks):
+    # nothing else checks T_501 .. T_2000 but exact divisibility; this runs
+    # the default path, split from SPLIT_FROM on where two CPUs are usable
+    values = counts_for("hierarchy", 2000).values
+    digest = hashlib.sha256("\n".join(map(str, values)).encode()).hexdigest()
+    assert digest == COUNTS_2000_SHA256["hierarchy"]
+    assert len(forks) == _forks_expected()
