@@ -7,20 +7,21 @@ of scaled Taylor shifts, ``H4`` at ``x`` and ``h`` at ``x^2`` and ``x^3``,
 with ``T(z^2)`` and ``T(z^3)`` solved there by the functional equation,
 give the short Taylor models of ``log zeta`` at count reach ``N`` and at
 ``N//2``; integer Newton on each model gives ``rho`` and the model's
-Taylor shift to it (:func:`treeasym.solver.solve_models`).  Both are
-accurate to about ``rho^(3N)`` and ``rho^(3N/2)``.  From the model ``l``, the
-counting series expands in half-integer powers of ``u = 1 - z/rho``::
+Taylor shift to it, in the variable ``d/rho``
+(:func:`treeasym.solver.solve_models`).  Both are accurate to about
+``rho^(3N)`` and ``rho^(3N/2)``.  From the model ``l``, the counting series
+expands in half-integer powers of ``u = 1 - z/rho``::
 
     T(z) = 1 + sum_{n>=1} t_n u^(n/2)
 
 With ``z = rho(1-u)`` and ``g = T~ - 1`` a series in ``s = sqrt(u)``, the
 functional equation ``T~ e^(-T~) = zeta`` reads ``g - log(1+g) = F(s^2)``,
 ``F(u) = -(1 + log zeta(rho(1-u)))``, whose coefficients
-``F_i = -l_i (-rho)^i`` come straight from the model (``F_0 = 0`` at the
-root).  Differentiating in ``s`` gives ``g g' = (1+g) dF/ds``: a square root
-for ``t_1 = -sqrt(2 F_1) = -sqrt(2 e rho zeta'(rho))``, then one division per
-coefficient (:func:`puiseux_coeffs`; Knuth, TAOCP vol. 2, 4.7, on power
-series from differential equations; Brent and Kung, JACM 25, 1978;
+``F_i = -(-1)^i l_i`` are the model's own (``F_0 = 0`` at the root), since
+``d/rho = -u``.  Differentiating in ``s`` gives ``g g' = (1+g) dF/ds``: a
+square root for ``t_1 = -sqrt(2 F_1) = -sqrt(2 e rho zeta'(rho))``, then one
+division per coefficient (:func:`puiseux_coeffs`; Knuth, TAOCP vol. 2, 4.7,
+on power series from differential equations; Brent and Kung, JACM 25, 1978;
 Flajolet and Sedgewick, Analytic Combinatorics, VII.4, on the square-root
 singularity).  That is ``O(K^2)`` integer operations with ``K + 8`` guard
 bits beyond :func:`treeasym.hp.fixed_bits`.  Tests compare it against the
@@ -44,7 +45,7 @@ Everything from the sweeps to ``tau`` runs on integers scaled by ``2^w``;
 digits and the tail indicator are read off the integers too: the
 indicator sums the tails of the split model's own exponents
 (:func:`treeasym.varieties.model_tail`), and its scale
-``e zeta^(r)(rho)/r!`` is the short exponential of the model
+``e rho^r zeta^(r)(rho)/r!`` is the short exponential of the model
 (:func:`treeasym.series.series_exp_fixed`), since ``zeta(rho) = 1/e``.  It
 runs the pipeline at ``N`` and at ``N//2``; both roots and models come
 from the same sweeps, so the second has no bracket phase of its own, and
@@ -107,18 +108,19 @@ def derivative_orders_needed(K: int) -> int:
 def puiseux_coeffs(spec: VarietySpec, x: int, l: Sequence[int], K: int, w: int) -> tuple:
     """Singular coefficients ``t_0 .. t_K`` from ``x = rho`` and the model ``l`` of ``log zeta``.
 
-    All fixed-point at ``w``; ``l[i]`` is the Taylor coefficient of ``log
-    zeta`` at ``rho`` of order ``i``, to order :func:`derivative_orders_needed`
-    ``(K)``.  With ``g = T~ - 1`` a series in ``s = sqrt(u)``, the
-    functional equation reads ``g - log(1+g) = F(s^2)`` with
-    ``F_i = -l_i (-rho)^i``; its derivative ``g g' = (1+g) dF/ds`` gives
+    All fixed-point at ``w``; ``l[i]`` is ``rho^i`` times the Taylor
+    coefficient of ``log zeta`` at ``rho`` of order ``i``, that of
+    ``(d/rho)^i``, to order :func:`derivative_orders_needed` ``(K)``.  With
+    ``g = T~ - 1`` a series in ``s = sqrt(u)``, the functional equation
+    reads ``g - log(1+g) = F(s^2)`` with ``F_i = -(-1)^i l_i``, exact; its
+    derivative ``g g' = (1+g) dF/ds`` gives
     ``g_1 = -sqrt(2 F_1)`` and, for ``m >= 3``,
     ``2 g_1 g_(m-1) = (2/m) [s^(m-1)]((1+g) dF/ds) - sum_{j=2}^{m-2} g_j g_(m-j)``.
     The shift ``sigma*(1-z)/2``, with ``1 - z = (1-rho) + rho*u``, is added
     back after: ``t_0 += sigma*(1-rho)/2`` and ``t_2 += sigma*rho/2``.
 
-    The recurrence runs at ``W = w + K + 8`` bits, each ``F_i`` and ``g_n``
-    floored once.  Against the exact recurrence on the given integers,
+    The recurrence runs at ``W = w + K + 8`` bits, each ``g_n`` floored
+    once.  Against the exact recurrence on the given integers,
     ``g_n`` errs by at most ``e_n`` units of ``2^-W``: ``e_1 = 1 + 2/|g_1|``
     and, with ``m = n + 1``, ``G_j = |g_j| + e_j 2^-W`` and
     ``F'_i = |F_i| + 2^-W``::
@@ -140,13 +142,11 @@ def puiseux_coeffs(spec: VarietySpec, x: int, l: Sequence[int], K: int, w: int) 
             f"got r_max={len(l) - 1}"
         )
     if not l[1] > 0:
-        raise ValueError(f"zeta'(rho) must be positive, got e zeta'(rho) = {l[1] / (1 << w):.8g}")
+        raise ValueError(
+            f"zeta'(rho) must be positive, got e rho zeta'(rho) = {l[1] / (1 << w):.8g}")
     guard = K + 8
     W = w + guard
-    F, power = [0], -1  # power = -(-x)^i, exact at scale 2^(w i)
-    for i in range(1, needed + 1):
-        power *= -x
-        F.append(l[i] * power << W >> w * (i + 1))
+    F = [0] + [(-l[i] if i % 2 == 0 else l[i]) << guard for i in range(1, needed + 1)]
     g = [0, -math.isqrt(F[1] << W + 1)]
     for m in range(3, K + 2):
         S = sum(2 * i * F[i] * g[m - 2 * i] for i in range(1, (m + 1) // 2))
@@ -313,7 +313,8 @@ def expand_variety(
         return tuple(hp.certified_fixed(v, c, w, D, ctx) for v, c in zip(values, checks))
 
     # relative truncation error of the highest derivative that t_K reads;
-    # zeta(rho) = 1/e, so the model's short exponential is e zeta^(r)(rho)/r!
+    # zeta(rho) = 1/e, so the model's short exponential is e rho^r zeta^(r)(rho)/r!,
+    # and the tail carries the same rho^r
     tail = model_tail(exponents, x, r_max, w)
     top = series_exp_fixed(model, w)[r_max]
     if tail * 10 ** (D - 10) > abs(top):

@@ -16,14 +16,15 @@ halved and counting agreement digits (see :func:`certified_fixed`).
 
 Everything between the exponents of ``zeta`` and the reported values runs
 on fixed-point integers: a real ``y`` is held as ``floor(y 2^w)`` with
-``w = ctx.prec + FIXED_GUARD_BITS`` (:func:`fixed_bits`), or a few more
-bits inside one step.  That covers the three split sweeps of scaled Taylor
+``w = ctx.prec + FIXED_GUARD_BITS`` (:func:`fixed_bits`), or more bits
+inside one step.  That covers the three split sweeps of scaled Taylor
 shifts over the exponents, the solution of the functional equation at
-``x^2`` and ``x^3``, Newton on the short Taylor models they give, their
-Taylor shift and short exponential, the singular coefficients ``t`` and
-the linear forms that give ``tau``.  mpf appears at the edges only: the
-logarithms of :func:`fixed_log`, and :func:`from_fixed` where ``rho``,
-``t`` and ``tau`` are stored in the result records.  The digit counts are
+``x^2`` and ``x^3``, Newton on the short Taylor models they give in the
+scaled variable ``d/x``, their Taylor shift and short exponential, the
+singular coefficients ``t`` and the linear forms that give ``tau``.  mpf
+appears at the edges only: the logarithms of :func:`fixed_log`, and
+:func:`from_fixed` where ``rho``, ``t`` and ``tau`` are stored in the result
+records.  The digit counts are
 exact integer comparisons too: :func:`certified_fixed` reads them off the
 rounded mantissas and exponents of two fixed-point values, by the same rule
 as :func:`agreement_digits` on two mpf values, without building an mpf.
@@ -40,24 +41,23 @@ from mpmath import libmp
 #: Extra digits carried internally beyond the requested target precision.
 GUARD_DIGITS = 15
 
-#: Bits carried beyond ``ctx.prec`` by the fixed-point pipeline.  Flooring
-#: an exponent's coefficients moves coefficient ``j`` of its Taylor shift
-#: to ``0 <= y < 1`` by at most ``1 / (1 - y)^(j + 1)`` units of ``2^-w``,
-#: and the scaled sweep (:func:`treeasym.series.series_taylor_split`) adds
-#: 2 units.  For ``H4`` at ``x <= 0.4`` and ``j <= 41`` (an order-40
-#: expansion) that is below ``2^31``, so the first part of the solver's
-#: model of ``log zeta`` stays within ``2^-(ctx.prec + 9)``; for ``h`` at
-#: ``x^2 <= 0.16`` it is below ``2^11``.  The parts ``T(z^2)/2`` and
-#: ``T(z^3)/3`` carry a relative error instead: the Newton root for ``T~``
-#: is within a quarter unit, and the recurrence for its Taylor coefficients
-#: and their composition with ``(x+d)^i`` floor once per sum of products.
-#: Against the same integers at 200 more bits they hold every coefficient
-#: to 271 units of ``2^-w`` relative or better, over the three varieties up
-#: to order 84 (``L = 80``): within ``2^-(ctx.prec + 31)`` relative.  The
-#: ``MODEL_EXTRA = 3`` orders the sweeps keep beyond the ``r + 1`` they
-#: report (:mod:`treeasym.solver`) enter those only times powers of the
-#: step ``|y| <= 2^-b`` to the root; the Taylor shift by ``y`` and Newton
-#: on the short model add a few units more.
+#: Bits carried beyond ``ctx.prec`` by the fixed-point pipeline.  The models
+#: of ``log zeta`` are kept in the scaled variable ``u = d/x``.  Flooring an
+#: exponent's coefficients moves coefficient ``j`` of its scaled Taylor shift
+#: to ``0 <= y < 1``, ``y^j f^(j)(y) / j!``, by at most
+#: ``y^j / (1 - y)^(j + 1)`` units of ``2^-w``, and the scaled sweep
+#: (:func:`treeasym.series.series_taylor_split`) adds 2 units.  For ``H4`` at
+#: ``x <= 0.4`` that is below ``1 / (1 - x) <= 1.7`` units at every order,
+#: since ``x / (1 - x) <= 2/3``, so the first part of the solver's model stays
+#: within 4 units; for ``h`` at ``x^2 <= 0.16`` the flooring adds below 1.2
+#: units.  The parts ``T(z^2)/2`` and ``T(z^3)/3`` run ``COMPOSE_BITS (R+1)``
+#: bits wider (:mod:`treeasym.solver`) and are floored to ``w`` once.  Against
+#: the same integers at 200 more bits every coefficient of each part is
+#: within 2 units of ``2^-w``, over the three varieties up to order 104
+#: (``L = 100``).  The ``MODEL_EXTRA = 3`` orders the sweeps keep beyond the
+#: ``r + 1`` they report enter those only times powers of the step
+#: ``|u| <= 2^-b`` to the root; the Taylor shift by ``u``, its rescaling to
+#: ``d/rho`` and Newton on the short model add a few units more.
 FIXED_GUARD_BITS = 40
 
 #: Smallest target precision supported by the expansion pipeline.

@@ -105,12 +105,14 @@ def series_eval_deriv_tail(f: PowerSeries, x, r: int, ctx):
 
 
 def series_taylor(coeffs: Sequence[int], x: int, r: int, w: int) -> tuple:
-    """Fixed-point Taylor coefficients ``f^(j)(x) / j!`` for ``j = 0 .. r``.
+    """Fixed-point scaled Taylor coefficients ``x^j f^(j)(x) / j!`` for ``j = 0 .. r``.
 
-    The coefficients ``c_0 .. c_N`` of ``f``, the point ``x`` and the result
+    These are the coefficients of ``f(x (1 + u))`` in ``u = d/x``.  The
+    coefficients ``c_0 .. c_N`` of ``f``, the point ``x`` and the result
     are integers scaled by ``2^w`` (:func:`treeasym.hp.to_fixed`); for
     ``|x| < 1`` each result is within 2 units of ``2^-w`` of the exact
-    shift of the given integers (:func:`series_taylor_split`).
+    ``sum_m C(m, j) c_m x^m`` of the given integers
+    (:func:`series_taylor_split`).
     """
     if not 0 <= r < len(coeffs):
         raise ValueError(f"derivative order {r} outside 0..{len(coeffs) - 1}")
@@ -121,28 +123,26 @@ def series_taylor_split(coeffs: Sequence[int], cut: int, x: int, r: int, w: int)
     """:func:`series_taylor` to order ``r`` of ``f = coeffs`` and of its prefix ``coeffs[:cut]``.
 
     Shaw and Traub's scaled Taylor shift (JACM 21, 1974): the terms
-    ``c_m x^m`` are formed once, their shift by 1 takes only additions, and
-    its coefficient ``j``, ``x^j f^(j)(x) / j!``, is divided by ``x^j``.
+    ``c_m x^m`` are formed once, and their shift by 1, which takes only
+    additions, is the result, ``x^j f^(j)(x) / j! = sum_m C(m, j) c_m x^m``.
     With ``f = f_low + z^cut f_high``, ``x^cut`` sits in the terms of
     ``f_high``, so the two blocks' shifts join exactly through the binomials
     ``C(cut, k)`` (Vandermonde's identity).  The prefix is scaled by itself
     alone, so its result is ``series_taylor``'s.  Both are within 2 units of
-    ``2^-w`` for ``|x| < 1``; ``x = 0`` returns the coefficients, and orders
+    ``2^-w`` for ``|x| < 1``; ``x = 0`` gives ``c_0`` and zeros, and orders
     beyond a block's degree are zero.
     """
     if not 0 < cut:
         raise ValueError(f"cut {cut} must be positive")
-    if x == 0:
-        return tuple(tuple(c[: r + 1]) + (0,) * (r + 1 - len(c)) for c in (coeffs, coeffs[:cut]))
     low, W = _scaled_shift(coeffs[:cut], x, r, w)
     high, V = _scaled_shift(coeffs[cut:], x, r, w, cut) if cut < len(coeffs) else ([0], W)
+    prefix = tuple(v >> W - w for v in low)
     if not any(high):  # no block above the cut, or its terms all below 2^-V
-        return (_unscale(low, W, x, w),) * 2
+        return prefix, prefix
     # V >= W: the guard grows with the degree
     binomials = [math.comb(cut, k) for k in range(r + 1)]
-    whole = [(low[j] << V - W) + sum(map(operator.mul, binomials[j::-1], high))
-             for j in range(r + 1)]
-    return _unscale(whole, V, x, w), _unscale(low, W, x, w)
+    return tuple((low[j] << V - W) + sum(map(operator.mul, binomials[j::-1], high)) >> V - w
+                 for j in range(r + 1)), prefix
 
 
 def _scaled_shift(coeffs: Sequence[int], x: int, r: int, w: int, start: int = 0) -> tuple:
@@ -151,14 +151,13 @@ def _scaled_shift(coeffs: Sequence[int], x: int, r: int, w: int, start: int = 0)
     Each term is floored within 2 units of ``2^-W`` (the powers carry the
     coefficients' bits above ``2^w`` as extra bits), and coefficient ``j``
     sums ``C(m, j)`` times term ``m``: within ``2 C(size, j + 1)`` units,
-    times ``|x|^-j`` once unscaled, which the guard ``W - w`` keeps below
-    half a unit of ``2^-w`` for ``j <= r``.  Each synthetic division by
-    ``z - 1`` is one running sum from the top degree, run in C, over the
-    terms up to the last nonzero one.
+    which the guard ``W - w`` keeps below half a unit of ``2^-w`` for
+    ``j <= r``.  Each synthetic division by ``z - 1`` is one running sum
+    from the top degree, run in C, over the terms up to the last nonzero
+    one.
     """
     size = start + len(coeffs)
     W = w + math.comb(size, min(r + 1, size // 2)).bit_length() + 2
-    W += min(r, size - 1) * max(0, w + 1 - abs(x).bit_length())
     wide = W + max(0, max(map(abs, coeffs)).bit_length() - w) + (2 * size).bit_length()
     power, terms = _fixed_power(x << wide - w, start, wide), []
     for c in coeffs:
@@ -173,15 +172,6 @@ def _scaled_shift(coeffs: Sequence[int], x: int, r: int, w: int, start: int = 0)
         terms = list(accumulate(terms))
         q.append(terms.pop())
     return q + [0] * (r + 1 - len(q)), W
-
-
-def _unscale(q: Sequence[int], W: int, x: int, w: int) -> tuple:
-    """``floor(q_j x^-j 2^(w - W))`` for each ``j``: the one flooring of a result."""
-    out, scale = [], 1 << W  # scale = x^j 2^W, carried from one order to the next
-    for j, v in enumerate(q):
-        out.append((v << w * (j + 1)) // scale)
-        scale *= x
-    return tuple(out)
 
 
 def _fixed_power(x: int, n: int, w: int) -> int:

@@ -31,16 +31,19 @@ Every solve takes the same steps (:func:`solve_models`):
 2. Three split sweeps, the scaled Taylor shift to order
    ``R = r + MODEL_EXTRA`` (:func:`treeasym.series.series_taylor_split`):
    ``H4`` at that point ``x``, and ``h`` at ``x^2`` and at ``x^3``, each for
-   the whole exponent and for its prefix of count reach ``N//2``.
-3. From each triple the short Taylor model of ``log zeta`` at ``x``
-   (:func:`_log_zeta_part`): integer Newton for ``T~(x^i)``, the ``O(R^2)``
-   recurrence on the functional equation for the Taylor coefficients of
-   ``T`` at ``x^i``, and their composition with ``(x+d)^i``.  A part whose
-   sweep the check shares with the whole is built once.
-4. Integer Newton on each short model to a ``10**-(D+5)`` step, then a
-   Taylor shift of the model to its root in ``O(r^2)`` operations.  A model
-   whose root lies further than ``2^-b`` from the sweep point is swept
-   again there.
+   the whole exponent and for its prefix of count reach ``N//2``.  Each
+   gives its coefficients in its own scaled variable: ``u = d/x`` at ``x``
+   and ``s = y/x^i - 1 = (1 + u)^i - 1`` at ``x^i``.
+3. From each triple the short Taylor model of ``log zeta`` at ``x`` in
+   ``u`` (:func:`_log_zeta_part`): integer Newton for ``T~(x^i)``, the
+   ``O(R^2)`` recurrence on the functional equation for the Taylor
+   coefficients of ``T`` in ``s``, and their exact composition with the
+   integer polynomial ``(1 + u)^i - 1``.  A part whose sweep the check
+   shares with the whole is built once.
+4. Integer Newton in ``u`` on each short model to a ``10**-(D+5)`` step in
+   ``z``, then the model's Taylor shift to its root in ``O(R r)``
+   operations, rescaled to ``d/rho``.  A model whose root lies further than
+   ``2^-b`` from the sweep point is swept again there.
 
 No step runs at the full working precision over more than ``R+1``
 coefficients except the three sweeps.  :func:`solve_exponent` is the one
@@ -105,11 +108,22 @@ MODEL_EXTRA = 3
 #: ``b`` bits of the root need count reach ``b / log2(1/rho)``, plus this.
 REACH_MARGIN = 8
 
+#: Guard bits per model order of the parts ``T(z^2)`` and ``T(z^3)``.  Their
+#: Taylor coefficients in ``s`` shrink like ``(y0 / (rho - y0))^k``, and the
+#: composition with ``(1 + u)^i - 1`` multiplies an error of one unit in
+#: each by up to ``[u^k] 1/(2 - (1 + u)^i)``, which grows like
+#: ``(2^(1/i) - 1)^-k``: 1.27 and 1.95 bits per order for ``i = 2, 3``.  So
+#: the sweeps of ``h`` at ``x^2`` and ``x^3``, the point ``x^i`` and
+#: :func:`_tree_taylor` run ``COMPOSE_BITS (R + 1)`` bits wider than ``w``.
+COMPOSE_BITS = 2
+
 #: Bits per order by which the Taylor coefficients of ``log zeta`` at
 #: ``rho`` grow: ``h`` converges for ``|z| < sqrt(rho)``, so its coefficients
 #: grow like ``(sqrt(rho) - rho)^-j``, and that distance is 0.243, 0.233 and
 #: 0.249 for polya, identity and hierarchy; the log terms ``a / (k x^k)`` grow
-#: slower.
+#: slower.  In the solver's variable ``u = d/x`` they grow by ``log2(rho)``
+#: bits per order less, but :func:`_start_bits` compares two errors that
+#: both carry that factor.
 GROWTH_BITS = 2.11
 
 
@@ -192,7 +206,10 @@ def _start_bits(prec: int, r: int) -> int:
     Rounding the root to the working precision ``prec`` already moves
     coefficient ``j`` by about ``2^(g (j+1) - prec)``.  The truncation stays
     below that for every ``j <= r`` when
-    ``(e + 1) b >= prec + g e + log2 C(R+1, r)``.  With ``e = 3`` that is
+    ``(e + 1) b >= prec + g e + log2 C(R+1, r)``.  In the solver's
+    variable ``u = d/x`` both errors of coefficient ``j`` carry the factor
+    ``x^j``, and the rescaling to ``d/rho`` a common ``(1 + u)^j``, so the
+    condition is the same.  With ``e = 3`` that is
     about ``prec / 4`` bits: at ``D = 40`` (``prec = 186``) 49 bits for
     ``r = 0``, which the float start holds, and 51 for ``r = 9``, one
     doubling step; at ``D = 200`` two doubling steps.  A larger ``e`` adds
@@ -212,7 +229,8 @@ def solve_models(spec: VarietySpec, exponents: tuple, half: int, r: int, ctx, D)
     (:func:`treeasym.varieties.numeric_exponent`).  Returns ``(models,
     iterations)``.  ``models`` holds ``(x, L)`` for reach ``N`` and for
     ``half``: the root ``x`` and the Taylor coefficients ``L_0 .. L_r`` of
-    ``log zeta`` there, fixed-point at ``w = hp.fixed_bits(ctx)``.
+    ``log zeta`` there in ``d/x`` (``L_j`` is ``x^j`` times the order-``j``
+    coefficient), fixed-point at ``w = hp.fixed_bits(ctx)``.
     ``iterations`` counts the model Newton iterations of the first root.
     Both come from three split sweeps at a common start point (see the
     module docstring), bracketed by ``DEFAULT_BRACKET``; the check cuts
@@ -223,77 +241,99 @@ def solve_models(spec: VarietySpec, exponents: tuple, half: int, r: int, ctx, D)
     lo, hi = (math.floor(Fraction(end) * 2**w) for end in DEFAULT_BRACKET)
     b = _start_bits(ctx.prec, r)
     R = r + MODEL_EXTRA
-    parts = ((H4, 4 * half + 1), (h, 2 * half + 1), (h, 2 * half + 1))
+    G = COMPOSE_BITS * (R + 1)
+    wide = [c << G for c in h]
+    guards = (0, G, G)  # H4 at w, h at w + G for the parts T(z^2) and T(z^3)
+    parts = ((H4, 4 * half + 1), (wide, 2 * half + 1), (wide, 2 * half + 1))
     x = _start_point(spec, h[: 2 * half + 1], (lo, hi), w, b)
-    sweeps = [series_taylor_split(c, cut, x**i >> (i - 1) * w, R, w)
-              for i, (c, cut) in enumerate(parts, 1)]
+    # x^i floored at w + g
+    sweeps = [series_taylor_split(c, cut, x**i >> (i - 1) * w - g, R, w + g)
+              for i, ((c, cut), g) in enumerate(zip(parts, guards), 1)]
     tolerance = (1 << w) // 10 ** (D + 5)
     # a sweep that the check shares with the whole gives its part of the model once
-    part = lru_cache(maxsize=None)(lambda i, taylor, at: _log_zeta_part(spec, i, taylor, at, w))
+    part = lru_cache(maxsize=None)(lambda i, taylor, at: _log_zeta_part(spec, i, taylor, at, w, G))
     models, newton = [], []
     blocks = ([c for c, _ in parts], [c[:cut] for c, cut in parts])  # whole, check
     for taylors, block in zip(zip(*sweeps), blocks):
         at, iterations = x, 0
         while True:
             L = list(map(sum, zip(*(part(i, t, at) for i, t in enumerate(taylors, 1)))))
-            y, iterations = _model_root(spec, L, at, w, tolerance, iterations, (lo, hi))
-            if abs(y) <= 1 << (w - b):
+            u, iterations = _model_root(spec, L, at, w, tolerance, iterations, (lo, hi))
+            if abs(at * u) <= 1 << (2 * w - b):
                 break
-            at += y  # too far for the model: sweep again at its root
-            taylors = [series_taylor(c, at**i >> (i - 1) * w, R, w)
-                       for i, c in enumerate(block, 1)]
-        models.append((at + y, series_taylor(L, y, r, w)))
+            at += at * u >> w  # too far for the model: sweep again at its root
+            taylors = [series_taylor(c, at**i >> (i - 1) * w - g, R, w + g)
+                       for i, (c, g) in enumerate(zip(block, guards), 1)]
+        models.append((at + (at * u >> w), _model_at_root(L, u, r, w)))
         newton.append(iterations)
     return models, newton[0]
 
 
-def _log_zeta_part(spec: VarietySpec, i: int, taylor: tuple, x: int, w: int) -> list:
-    """Taylor coefficients at ``x`` of part ``i`` of ``log zeta``, from a sweep at ``x^i``.
+def _model_at_root(L: list, u: int, r: int, w: int) -> list:
+    """Coefficients ``0 .. r`` of the model ``sum L_k u^k`` at its root ``u``, in ``d/rho``.
+
+    The Taylor shift by ``|u| <= 2^-b``, coefficient ``j`` the direct sum
+    ``sum_m C(m, j) L_m u^(m-j)`` by Horner's rule, ``O(R r)`` products;
+    then coefficient ``j`` times ``(1 + u)^j``, since ``d/x = (1 + u) d/rho``
+    for ``rho = x (1 + u)``.  Fixed-point at ``w``.
+    """
+    out, scale = [], 1 << w  # scale = (1 + u)^j
+    for j in range(r + 1):
+        acc = 0
+        for m in range(len(L) - 1, j - 1, -1):
+            acc = math.comb(m, j) * L[m] + (acc * u >> w)
+        out.append(acc * scale >> w)
+        scale += scale * u >> w
+    return out
+
+
+def _log_zeta_part(spec: VarietySpec, i: int, taylor: tuple, x: int, w: int, G: int) -> list:
+    """Scaled Taylor coefficients at ``x`` of part ``i`` of ``log zeta``, from a sweep at ``x^i``.
 
     ``log zeta = [log c + a log z + H4] + eps_2 T(z^2)/2 + eps_3 T(z^3)/3``.
     Part 1, in brackets, is :func:`treeasym.varieties.log_zeta_taylor` on
     the sweep of ``H4`` at ``x``.  Parts 2 and 3 take the Taylor
-    coefficients of ``T`` at ``y0 = x^i`` from the sweep of ``h`` there
-    (:func:`_tree_taylor`), then those of ``T((x+d)^i)`` in ``d``
-    (:func:`_compose_power`).  All fixed-point at ``w``, to the order of
-    ``taylor``.
+    coefficients of ``T`` in ``s = y/y0 - 1`` at ``y0 = x^i`` from the sweep
+    of ``h`` there (:func:`_tree_taylor`), then those of ``T(x^i (1+u)^i)``
+    in ``u = d/x`` (:func:`_compose_power`).  Parts 2 and 3 run at
+    ``w + G`` (:data:`COMPOSE_BITS`): ``taylor`` is at that scale, and the
+    composed coefficients are floored to ``w`` once.  The result is
+    fixed-point at ``w``, to the order of ``taylor``.
     """
     if i == 1:
         return log_zeta_taylor(spec, taylor, x, w)
-    T = _tree_taylor(spec, taylor, x**i >> (i - 1) * w, w)
+    T = _tree_taylor(spec, taylor, x**i >> (i - 1) * w - G, w + G)
     eps = spec.eps(i)
-    return [eps * c // i for c in _compose_power(T, x, i, w)]
+    return [eps * c // (i << G) for c in _compose_power(T, i)]
 
 
 def _tree_taylor(spec: VarietySpec, taylor: tuple, y0: int, w: int) -> list:
-    """The Taylor coefficients of ``T`` at ``0 < y0 < rho`` from those of ``h``.
+    """Taylor coefficients of ``T`` in ``s = y/y0 - 1`` at ``0 < y0 < rho``, from those of ``h``.
 
+    ``taylor`` is the sweep of ``h`` at ``y0``, its coefficients in ``s``.
     ``T~ = y^a v`` and ``log T~ - T~ = log zeta = log c + a log y + h``
     give ``log v - y^a v = log c + h``; :func:`_cayley_root` solves it at
-    ``y0`` for the root with ``T~ < 1``.  The derivative
-    ``v' (1 - T~) = v (h' + a v)`` holds no
-    ``1/y``, whose Taylor coefficients at a small ``y0`` grow like
-    ``y0^-k``; it gives ``v_(k+1)`` from ``v_0 .. v_k`` by one division,
-    ``O(R^2)`` products in all.  ``T = T~ + sigma (1 - y)/2``.  All
-    fixed-point at ``w``, to the order of ``taylor``.
+    ``y0`` for the root with ``T~ < 1``.  With ``y = y0 (1 + s)`` the
+    derivative in ``s`` is ``T~_s (1 - T~) = T~ (h_s + a/(1 + s))``, whose
+    ``a/(1 + s)`` has the coefficients ``a (-1)^k``; it gives ``T~_(k+1)``
+    from ``T~_0 .. T~_k`` by one division, ``O(R^2)`` products in all.
+    ``T = T~ + sigma (1 - y)/2``.  All fixed-point at ``w``, to the order of
+    ``taylor``.
     """
     one, a, c = 1 << w, spec.z_exponent, spec.prefactor
-    v = [_cayley_root(taylor[0] + hp.fixed_log((c.numerator << w) // c.denominator, w),
-                      y0 if a else one, w)]
-    u = [y0 * v[0] >> w if a else v[0]]  # T~ = y^a v
-    dh = [k * g for k, g in enumerate(taylor) if k]  # h'
-    dv = []  # v'
+    v = _cayley_root(taylor[0] + hp.fixed_log((c.numerator << w) // c.denominator, w),
+                     y0 if a else one, w)
+    u = [y0 * v >> w if a else v]  # T~ = y^a v
+    dp = [k * g + (-1) ** (k - 1) * (a << w) for k, g in enumerate(taylor) if k]  # h_s + a/(1+s)
+    du = []  # T~_s
     for k in range(len(taylor) - 1):
-        total = (sum(map(operator.mul, dv, reversed(u[1:])))
-                 + sum(map(operator.mul, v, reversed(dh[: k + 1]))))
-        if a:
-            total += sum(map(operator.mul, v, reversed(v)))
-        dv.append(total // (one - u[0]))
-        v.append(dv[-1] // (k + 1))
-        u.append((y0 * v[-1] >> w) + v[-2] if a else v[-1])
+        total = (sum(map(operator.mul, du, reversed(u[1:])))
+                 + sum(map(operator.mul, u, reversed(dp[: k + 1]))))
+        du.append(total // (one - u[0]))
+        u.append(du[-1] // (k + 1))
     u[0] += spec.shift_sign * (one - y0) >> 1
     if len(u) > 1:
-        u[1] -= spec.shift_sign << (w - 1)
+        u[1] -= spec.shift_sign * y0 >> 1
     return u
 
 
@@ -324,21 +364,21 @@ def _cayley_root(c0: int, s: int, w: int) -> int:
                        f"{w.bit_length()} iterations")
 
 
-def _compose_power(T: list, x: int, i: int, w: int) -> list:
-    """Taylor coefficients in ``d`` of ``T((x+d)^i)`` from those of ``T`` at ``x^i``.
+def _compose_power(T: list, i: int) -> list:
+    """Coefficients in ``u`` of ``T(s)`` at ``s = (1+u)^i - 1``, from those of ``T`` in ``s``.
 
-    Horner's rule in ``p(d) = (x+d)^i - x^i``, of degree ``i`` with no
-    constant term and top coefficient 1: each step multiplies by ``p`` and
-    keeps the orders that still reach the result, ``O(i R)`` products run
-    in C.  Fixed-point at ``w``.
+    Horner's rule in ``p(u) = (1+u)^i - 1 = sum_k C(i, k) u^k``, integer
+    coefficients with no constant term and top coefficient 1: each step
+    multiplies by ``p`` and keeps the orders that still reach the result,
+    ``O(i R)`` products run in C, exact on the integers of ``T``.
     """
-    *p, _ = (math.comb(i, k) * (x ** (i - k) << w) >> (i - k) * w for k in range(1, i + 1))
     acc = [T[-1]]
     for c in reversed(T[:-1]):
-        total = map(operator.mul, acc, repeat(p[0]))
-        for k in range(1, i - 1):
-            total = map(operator.add, total, map(operator.mul, [0] * k + acc, repeat(p[k])))
-        acc = [c, *map(operator.add, map(operator.rshift, total, repeat(w)), [0] * (i - 1) + acc)]
+        total = map(operator.mul, acc, repeat(i))
+        for k in range(2, i):
+            total = map(operator.add, total, map(operator.mul, [0] * (k - 1) + acc,
+                                                 repeat(math.comb(i, k))))
+        acc = [c, *map(operator.add, total, [0] * (i - 1) + acc)]
     return acc
 
 
@@ -366,7 +406,7 @@ def _start_point(spec: VarietySpec, h: tuple, bracket, w: int, b: int) -> int:
         prefix = [c >> shift for c in h[: 2 * _reach(bits, x, h) + 1]]
         part, width = X >> shift, w - shift
         model = log_zeta_taylor(spec, series_taylor(prefix, part, 1, width), part, width)
-        X = (part - _newton_step(spec, model, part, 0, width)) << shift
+        X = (part - (part * _newton_step(spec, model, part, 0, width) >> width)) << shift
     return X
 
 
@@ -424,20 +464,22 @@ def _bracket(spec: VarietySpec, h: tuple, w: int, bracket) -> float:
 
 def _model_root(spec: VarietySpec, L: list, x: int, w: int, tolerance: int, done: int,
                 bracket) -> tuple:
-    """Root ``y`` of the short model ``sum L_k y^k + 1`` by integer Newton from ``y = 0``.
+    """Root ``u`` of the short model ``sum L_k u^k + 1`` in ``u = d/x`` by integer Newton from 0.
 
-    Returns ``y`` and the iteration count, which starts at ``done``; Newton
-    stops at a step below ``tolerance``, and gives up after ``MAX_NEWTON`` in all.
+    Returns ``u`` and the iteration count, which starts at ``done``; Newton
+    stops at a step ``x du`` below ``tolerance``, and gives up after
+    ``MAX_NEWTON`` in all.
     """
-    y, steps = 0, []
+    u, steps = 0, []
     for iteration in range(done + 1, MAX_NEWTON + 1):
-        step = _newton_step(spec, L, x, y, w)
-        y -= step
-        steps.append(abs(step))
-        if abs(step) < tolerance:
-            return y, iteration
-        if not bracket[0] <= x + y <= bracket[1]:
-            raise StalledError(f"{spec.name}: Newton left the bracket at {_float(x + y, w):.12g}")
+        step = _newton_step(spec, L, x, u, w)
+        u -= step
+        steps.append(abs(x * step >> w))
+        if steps[-1] < tolerance:
+            return u, iteration
+        z = x + (x * u >> w)
+        if not bracket[0] <= z <= bracket[1]:
+            raise StalledError(f"{spec.name}: Newton left the bracket at {_float(z, w):.12g}")
     raise StalledError(
         f"{spec.name}: Newton not contracting after {MAX_NEWTON} iterations; "
         f"last steps {[f'{_float(s, w):.3g}' for s in steps[-3:]]} vs tolerance "
@@ -445,12 +487,12 @@ def _model_root(spec: VarietySpec, L: list, x: int, w: int, tolerance: int, done
     )
 
 
-def _newton_step(spec: VarietySpec, L: list, x: int, y: int, w: int) -> int:
-    """Newton step of ``sum L_k y^k + 1`` at ``y``; value and slope from one Horner pass."""
+def _newton_step(spec: VarietySpec, L: list, x: int, u: int, w: int) -> int:
+    """Newton step of ``sum L_k u^k + 1`` at ``u``; value and slope from one Horner pass."""
     value, slope = L[-1], 0
     for c in reversed(L[:-1]):
-        slope = value + (slope * y >> w)
-        value = c + (value * y >> w)
+        slope = value + (slope * u >> w)
+        value = c + (value * u >> w)
     if slope == 0:
-        raise StalledError(f"{spec.name}: zero derivative at {_float(x + y, w):.12g}")
+        raise StalledError(f"{spec.name}: zero derivative at {_float(x + (x * u >> w), w):.12g}")
     return ((value + (1 << w)) << w) // slope

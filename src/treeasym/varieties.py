@@ -48,10 +48,10 @@ there only to about ``rho^(N/2)``, because ``zeta`` converges only for
 as fixed-point integers ``floor(g_m 2^w)``, ``w`` the working precision
 plus :data:`treeasym.hp.FIXED_GUARD_BITS` bits (:func:`numeric_exponent`),
 computed straight from the integer divisor sums of one pass.  The scaled
-Taylor shift over them gives their Taylor coefficients at a point (one
-split sweep serves an exponent and its ``N//2`` prefix) in ``O(N)``
-integer products and ``O(rN)`` integer additions; adding
-``a log z + log c`` gives the Taylor coefficients of ``log zeta``
+Taylor shift over them gives their Taylor coefficients at a point ``x`` in
+the scaled variable ``u = d/x`` (one split sweep serves an exponent and its
+``N//2`` prefix) in ``O(N)`` integer products and ``O(rN)`` integer
+additions; adding ``a log z + log c`` gives those of ``log zeta``
 (:func:`log_zeta_taylor`).  Their short exponential on integers
 (:func:`treeasym.series.series_exp_fixed`) gives those of ``zeta`` up to
 the factor ``zeta(x)``, which at the root is ``1/e``, so the pipeline never
@@ -153,13 +153,14 @@ def zeta_series(spec: VarietySpec, counts: CountSequence, N: int, ctx) -> PowerS
 
 
 def log_zeta_taylor(spec: VarietySpec, taylor: Sequence[int], x: int, w: int) -> list:
-    """Fixed-point Taylor coefficients of ``g + a log z + log c`` at ``x``.
+    """Fixed-point scaled Taylor coefficients of ``g + a log z + log c`` at ``x``.
 
-    ``taylor`` holds those of an exponent ``g``: for ``g = h`` the sum is
-    ``log zeta``, for ``g = H4`` the first part of the solver's split model.
-    ``a log(x + y) = a (log x + log1p(y/x))`` adds ``a log x`` (one
-    logarithm, :func:`treeasym.hp.fixed_log`) and ``a (-1)^(k+1) / (k x^k)``
-    at order ``k``.
+    ``taylor`` holds those of an exponent ``g`` in ``u = d/x``
+    (:func:`treeasym.series.series_taylor`), and so does the result: for
+    ``g = h`` the sum is ``log zeta``, for ``g = H4`` the first part of the
+    solver's split model.  ``a log(x (1 + u)) = a (log x + log1p(u))`` adds
+    ``a log x`` (one logarithm, :func:`treeasym.hp.fixed_log`) and
+    ``a (-1)^(k+1) / k`` at order ``k``.
     """
     c = spec.prefactor
     out = list(taylor)
@@ -167,21 +168,19 @@ def log_zeta_taylor(spec: VarietySpec, taylor: Sequence[int], x: int, w: int) ->
     a = spec.z_exponent
     if a:
         out[0] += a * hp.fixed_log(x, w)
-        inverse, power = (1 << 2 * w) // x, 1 << w
         for k in range(1, len(out)):
-            power = power * inverse >> w  # x^-k
-            out[k] += a * power // k if k % 2 else -(a * power // k)
+            out[k] += (a << w) // k if k % 2 else -((a << w) // k)
     return out
 
 
 def exponent_tail(h: tuple, x: int, r: int, w: int) -> int:
-    """Tail indicator of ``h^(r)(x) / r!``: the summed size of its last five retained terms.
+    """Tail indicator of ``x^r h^(r)(x) / r!``: the summed size of its last five retained terms.
 
-    The terms are ``binom(m, r) |g_m| x^(m-r)`` for the top five degrees ``m``
+    The terms are ``binom(m, r) |g_m| x^m`` for the top five degrees ``m``
     of the numeric exponent ``h``, a stand-in for the first omitted ones.
     ``h``, ``0 < x < 1`` and the result are fixed-point at ``w``.  The sum
     runs by Horner's rule from the top degree, then takes the factor
-    ``x^(m-r)`` of the lowest ``m``.  That power can lie far below ``2^-w``
+    ``x^m`` of the lowest ``m``.  That power can lie far below ``2^-w``
     while the sum is large, so it is held with ``wide - w`` extra bits,
     enough that it keeps ``w`` significant bits.
     """
@@ -190,26 +189,25 @@ def exponent_tail(h: tuple, x: int, r: int, w: int) -> int:
     acc = 0
     for m in range(top, low - 1, -1):
         acc = abs(h[m]) * math.comb(m, r) + (acc * x >> w)
-    k = low - r
-    wide = w + k * (w + 1 - x.bit_length())  # x^k >= 2^(w - wide)
-    return acc * _fixed_power(x << (wide - w), k, wide) >> wide
+    wide = w + low * (w + 1 - x.bit_length())  # x^low >= 2^(w - wide)
+    return acc * _fixed_power(x << (wide - w), low, wide) >> wide
 
 
 def model_tail(exponents: tuple, x: int, r: int, w: int) -> int:
-    """Tail indicator of the order-``r`` Taylor coefficient of the split model at ``x``.
+    """Tail indicator of the order-``r`` scaled Taylor coefficient of the split model at ``x``.
 
     ``exponents`` is ``(h, H4)`` (:func:`numeric_exponent`).  The sum of
     :func:`exponent_tail` of ``H4`` at ``x`` and of ``h`` at ``x^2`` and
-    ``x^3``, the last two times ``(i x^(i-1))^r``, the leading factor by
-    which order ``r`` in ``y = x^i`` reaches order ``r`` in ``x``; the
-    factors ``1/i`` and ``dT~/d log zeta = T~/(1 - T~) < 1`` are left out.
-    All fixed-point at ``w``.
+    ``x^3``, the last two times ``i^r``: order ``r`` in ``s = y/x^i - 1``
+    reaches order ``r`` in ``u = d/x`` through ``(1 + u)^i - 1 = i u + ...``;
+    the factors ``1/i`` and ``dT~/d log zeta = T~/(1 - T~) < 1`` are left
+    out.  All fixed-point at ``w``; the tail is ``x^r`` times that of the
+    unscaled coefficient.
     """
     h, H4 = exponents
     tail = exponent_tail(H4, x, r, w)
     for i in (2, 3):
-        slope = i * x ** (i - 1) >> (i - 2) * w
-        tail += exponent_tail(h, x**i >> (i - 1) * w, r, w) * _fixed_power(slope, r, w) >> w
+        tail += exponent_tail(h, x**i >> (i - 1) * w, r, w) * i**r
     return tail
 
 
@@ -224,9 +222,10 @@ def zeta_derivatives(
     h = numeric_exponent(spec, counts, N, ctx)[0]
     log_taylor = log_zeta_taylor(spec, series_taylor(h, X, r_max, w), X, w)
     value = ctx.exp(hp.from_fixed(log_taylor[0], w, ctx))  # zeta(x)
-    # zeta(x + y) = zeta(x) exp(sum_{j>=1} L_j y^j)
+    # zeta(x (1 + u)) = zeta(x) exp(sum_{j>=1} L_j u^j), and u = y/x
+    x = hp.from_fixed(X, w, ctx)
     return tuple(
-        math.factorial(j) * value * hp.from_fixed(v, w, ctx)
+        math.factorial(j) * value * hp.from_fixed(v, w, ctx) / x**j
         for j, v in enumerate(series_exp_fixed(log_taylor, w))
     )
 

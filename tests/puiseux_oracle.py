@@ -34,6 +34,7 @@ from typing import Sequence
 
 from treeasym import hp
 from treeasym.kernels import b_seq
+from treeasym.series import series_exp_fixed
 
 
 def bell_partial(n: int, k: int, xs: Sequence[Fraction]) -> Fraction:
@@ -76,6 +77,7 @@ def _bell_unit(n: int, k: int) -> Fraction:
     return acc
 
 
+@lru_cache(maxsize=None)
 def b_seq_direct(ell: int) -> Fraction:
     """``B(l) = sum_{k=1}^{l-1} (-1)^k B_{l-1,k}(1/3,...,1/(l-k+2)) prod_{i<k} (l + 2i)``, ``B(1) = 1``."""
     if ell < 1:
@@ -175,21 +177,20 @@ def miller_t_values(rho, taylor: Sequence, K: int, ctx) -> list:
     return t
 
 
-def miller_t_fixed(x: int, E: Sequence[int], K: int, w: int) -> list:
+def miller_t_fixed(l: Sequence[int], K: int, w: int) -> list:
     """:func:`miller_t_values` on integers scaled by ``2^w``, with ``2K`` guard bits.
 
-    ``x = rho`` and ``E[j] = e zeta^(j)(rho)/j!``.  Its flooring errors grow
-    through the recurrence by up to ``2^(0.98 K)`` units of ``2^-(w+2K)``
-    over the three varieties: for identity the result misses the exact one
-    by about ``2.9e5`` units of ``2^-w`` at ``K = 81`` and ``2.3e14`` at
-    ``K = 161``.
+    ``l`` is the model of ``log zeta`` at ``rho`` in ``d/rho``; its short
+    exponential at the wider scale gives ``E[j] = e rho^j zeta^(j)(rho)/j!``,
+    and ``P_i = 2 (-1)^i E[i+1]``, with no powers of ``rho``.  Against the
+    recurrence of :func:`treeasym.expansions.puiseux_coeffs` 400 bits wider
+    on the same integers it is within one unit of ``2^-w`` over the three
+    varieties at ``K = 37``, 81 and 161.
     """
     wide = 2 * K
     W = w + wide
-    P, power = [], x << wide  # power = -(-rho)^(i+1)
-    for i in range((K + 1) // 2):
-        P.append(2 * E[i + 1] * power >> w)
-        power = -(power * x >> w)
+    E = series_exp_fixed([c << wide for c in l], W)
+    P = [(-1) ** i * 2 * E[i + 1] for i in range((K + 1) // 2)]
     root = math.isqrt(P[0] << W)
     t = [1 << W] + [0] * K
     lead = 1 << W  # root^k

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -17,7 +18,12 @@ import treeasym.expansions
 import treeasym.oeis
 from treeasym.cli import MAX_COUNT_REACH, MAX_DIGITS, main
 
-from reference_values import RHO_50
+from reference_values import (
+    CLI_STDOUT_SHA256,
+    ORDER_100_CSV_SHA256,
+    RHO_50,
+    TRUNCATION_WARNING_LINE,
+)
 
 
 def run(capsys, *argv):
@@ -583,3 +589,28 @@ def test_every_small_flag_combination_ends_in_a_documented_exit_code(argv):
         except SystemExit as exc:  # argparse rejections
             code = exc.code
     assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGoldenOutput:
+    """Byte-identical stdout against digests pinned before a numeric refactor."""
+
+    @pytest.mark.parametrize("command", sorted(CLI_STDOUT_SHA256))
+    def test_stdout_matches_the_pinned_digest(self, capsys, command):
+        code, out, err = run(capsys, *command.split())
+        assert (code, err) == (0, "")
+        assert _sha256(out) == CLI_STDOUT_SHA256[command]
+
+    def test_order_100_csv_matches_the_pinned_digest(self, capsys):
+        code, out, err = run(capsys, "expand", "polya", "--order", "100", "--digits", "60",
+                             "--format", "csv")
+        assert (code, err) == (0, "")
+        assert _sha256(out) == ORDER_100_CSV_SHA256
+
+    def test_truncation_warning_line_is_unchanged(self, capsys):
+        code, _, err = run(capsys, "expand", "polya", "--digits", "100", "--terms", "60")
+        assert code == 0
+        assert err == TRUNCATION_WARNING_LINE + "\n"

@@ -168,23 +168,23 @@ def test_tail_indicator_reported():
 
 
 def exact_taylor(coeffs, x, r):
-    """``f^(j)(x) / j!`` for ``j = 0 .. r`` by an exact Fraction Taylor shift."""
+    """``x^j f^(j)(x) / j!`` for ``j = 0 .. r`` by an exact Fraction Taylor shift."""
     a = [Fraction(c) for c in coeffs]
     for j in range(r + 1):
         for k in range(len(a) - 2, j - 1, -1):
             a[k] += x * a[k + 1]
-    return a[: r + 1]
+    return [v * x**j for j, v in enumerate(a[: r + 1])]
 
 
 def exact_dyadic_taylor(coeffs, s, e, r):
     """:func:`exact_taylor` at the point ``s / 2^e`` on integers: ``a[k]`` holds
-    its value times ``2^(e (top - k))``; orders beyond the degree are 0."""
+    its unscaled value times ``2^(e (top - k))``; orders beyond the degree are 0."""
     top = len(coeffs) - 1
     a = [c << e * (top - k) for k, c in enumerate(coeffs)]
     for j in range(min(r, top) + 1):
         for k in range(top - 1, j - 1, -1):
             a[k] += s * a[k + 1]
-    return [Fraction(a[j], 2 ** (e * (top - j))) if j <= top else 0 for j in range(r + 1)]
+    return [Fraction(a[j] * s**j, 2 ** (e * top)) if j <= top else 0 for j in range(r + 1)]
 
 
 def units_off(got, coeffs, s, e, r):
@@ -203,11 +203,12 @@ dyadic_points_st = st.one_of(
 
 class TestTaylor:
     def test_exact_quadratic(self):
-        # f = 1 + 2z + 3z^2 at 1/2: f = 11/4, f' = 5, f''/2 = 3, all exact in 8-bit fixed point
+        # f = 1 + 2z + 3z^2 at x = 1/2: f = 11/4, x f' = 5/2, x^2 f''/2 = 3/4,
+        # all exact in 8-bit fixed point
         w = 8
         f = tuple(c << w for c in (1, 2, 3))
         got = series_taylor(f, 1 << (w - 1), 2, w)
-        assert [Fraction(v, 2**w) for v in got] == [Fraction(11, 4), 5, 3]
+        assert [Fraction(v, 2**w) for v in got] == [Fraction(11, 4), Fraction(5, 2), Fraction(3, 4)]
 
     def test_matches_termwise_derivatives(self):
         ctx = working_context(50)
@@ -217,7 +218,7 @@ class TestTaylor:
         taylor = series_taylor([to_fixed(c, w, ctx) for c in f.coeffs], to_fixed(x, w, ctx), 4, w)
         factorial = 1
         for r in range(5):
-            expected = series_eval_deriv_tail(f, x, r, ctx)[0] / factorial
+            expected = series_eval_deriv_tail(f, x, r, ctx)[0] / factorial * x**r
             assert agreement_digits(from_fixed(taylor[r], w, ctx), expected, ctx) >= 55
             factorial *= r + 1
 
@@ -269,13 +270,14 @@ class TestTaylor:
         assert max(units_off(whole, coeffs, s, e, r)) <= 2
         assert max(units_off(low, coeffs[:cut], s, e, r)) <= 2
 
-    def test_zero_point_returns_the_coefficients(self):
+    def test_zero_point_returns_the_constant_term(self):
+        # x^j f^(j)(x) / j! at x = 0 is c_0 for j = 0 and 0 beyond
         coeffs = (5, -7, 11, 13)
-        assert series_taylor(coeffs, 0, 2, 8) == (5, -7, 11)
-        assert series_taylor_split(coeffs, 2, 0, 5, 8) == ((5, -7, 11, 13, 0, 0), (5, -7, 0, 0, 0, 0))
+        assert series_taylor(coeffs, 0, 2, 8) == (5, 0, 0)
+        assert series_taylor_split(coeffs, 2, 0, 5, 8) == ((5, 0, 0, 0, 0, 0),) * 2
 
     def test_negative_step_runs_the_one_kernel(self, monkeypatch):
-        # the shift of a short model to a root just below the sweep point
+        # a point just below zero, as a short model's root just below its sweep point
         calls = []
         original = series._scaled_shift
 
@@ -346,6 +348,38 @@ class TestTaylorSplit:
             assert error <= bound, (j, cut)
             assert abs(whole[j] - reference[j]) <= bound + block(j)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        coeffs=st.lists(st.integers(min_value=-(2**90), max_value=2**90), min_size=1, max_size=90),
+        point=st.one_of(
+            st.integers(1, 2**24),                                  # near 0
+            st.integers(1, 2**24).map(lambda k: -k),
+            st.integers(1, 2**40).map(lambda k: (1 << 64) - k),     # near 1, read at w = 64
+            st.fractions(min_value=Fraction(-3, 5), max_value=Fraction(3, 5), max_denominator=10**6),
+        ),
+        r=st.integers(min_value=0, max_value=15),
+        w=st.sampled_from([64, 100, 226]),
+        data=st.data(),
+    )
+    def test_within_two_units_of_the_exact_scaled_sum(self, coeffs, point, r, w, data):
+        # whole and prefix within 2 units of 2^-w of sum_m C(m, j) c_m x^m in
+        # Fractions, for either sign of coefficient and point and a cut that
+        # may lie past the end
+        if isinstance(point, Fraction):
+            X = math.floor(point * 2**w)
+        else:
+            X = point << (w - 64) if abs(point) >= 1 << 40 else point
+        cut = data.draw(st.integers(min_value=1, max_value=len(coeffs) + 3), label="cut")
+        whole, low = series_taylor_split(coeffs, cut, X, r, w)
+        x = Fraction(X, 2**w)
+
+        def exact(block, j):
+            return sum(math.comb(m, j) * Fraction(c, 2**w) * x**m for m, c in enumerate(block))
+
+        for j in range(r + 1):
+            assert abs(whole[j] - exact(coeffs, j) * 2**w) <= 2, j
+            assert abs(low[j] - exact(coeffs[:cut], j) * 2**w) <= 2, j
+
     def test_high_block_below_the_unit(self):
         # x^cut far below 2^-w: the top block still reaches the whole's
         # coefficients (here through x^cut times 2^200-sized coefficients)
@@ -377,23 +411,6 @@ class TestTaylorSplit:
     def test_cut_must_be_positive(self):
         with pytest.raises(ValueError):
             series_taylor_split((1, 1), 0, 0, 1, 8)
-
-
-class TestUnscale:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        q=st.lists(st.integers(-(1 << 400), 1 << 400), min_size=1, max_size=12),
-        w=st.integers(8, 120),
-        extra=st.integers(0, 300),
-        data=st.data(),
-    )
-    def test_matches_the_closed_form(self, q, w, extra, data):
-        # the divisor carried from order to order against floor(q_j x^-j 2^(w - W))
-        x = data.draw(st.integers(1 - (1 << w), (1 << w) - 1).filter(bool), label="x")
-        W = w + extra
-        got = series._unscale(q, W, x, w)
-        y = Fraction(x, 1 << w)
-        assert got == tuple(math.floor(v * y**-j * Fraction(1 << w, 1 << W)) for j, v in enumerate(q))
 
 
 class TestExpFixed:

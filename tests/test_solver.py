@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeasym import solver
 from treeasym.counts import IDENTITY, counts_for
@@ -123,3 +126,19 @@ def test_a_model_root_beyond_its_range_is_swept_again(monkeypatch):
                                                 (101, R), (51, R), (51, R)]
     ctx = result.ctx
     assert agreement_digits(result.rho, ctx.mpf(RHO_50["identity"]), ctx) >= result.certified_digits
+
+
+@settings(max_examples=60, deadline=None)
+@given(T=st.lists(st.integers(-(2**200), 2**200), min_size=1, max_size=30),
+       i=st.sampled_from([2, 3]))
+def test_compose_power_is_the_exact_composition(T, i):
+    # T(s) at s = (1+u)^i - 1, truncated at the order of T, against the
+    # composition in Fractions term by term: exact, no flooring
+    R = len(T) - 1
+    s = [Fraction(math.comb(i, k)) for k in range(i + 1)]
+    s[0] = Fraction(0)
+    power, exact = [Fraction(1)] + [Fraction(0)] * R, [Fraction(0)] * (R + 1)
+    for c in T:
+        exact = [e + c * p for e, p in zip(exact, power)]
+        power = [sum(power[j] * s[k - j] for j in range(max(0, k - i), k + 1)) for k in range(R + 1)]
+    assert solver._compose_power(T, i) == exact

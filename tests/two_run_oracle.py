@@ -27,14 +27,21 @@ from treeasym.varieties import get_variety, log_zeta_taylor, numeric_exponent
 
 
 def exponent_taylor(h: tuple, x, r: int, ctx) -> tuple:
-    """``h^(j)(x) / j!`` for ``j = 0 .. r`` in ``ctx``, from the fixed-point exponent ``h``."""
+    """``h^(j)(x) / j!`` for ``j = 0 .. r`` in ``ctx``, from the fixed-point exponent ``h``.
+
+    The scaled shift gives ``x^j h^(j)(x) / j!``; the division by ``x^j``
+    runs in ``ctx``.
+    """
     w = hp.fixed_bits(ctx)
-    shifted = series_taylor(h, hp.to_fixed(x, w, ctx), r, w)
-    return tuple(hp.from_fixed(v, w, ctx) for v in shifted)
+    X = hp.to_fixed(x, w, ctx)
+    shifted = series_taylor(h, X, r, w)
+    x = hp.from_fixed(X, w, ctx)
+    return tuple(hp.from_fixed(v, w, ctx) / x**j for j, v in enumerate(shifted))
 
 
 def log_model(spec, h: tuple, x, r: int, ctx) -> tuple:
-    """``(X, l)``: the fixed-point ``x`` and the Taylor coefficients ``l_0 .. l_r`` of ``log zeta`` there."""
+    """``(X, l)``: the fixed-point ``x`` and the Taylor coefficients ``l_0 .. l_r`` of ``log zeta``
+    there in ``d/x``, the model that :func:`treeasym.expansions.puiseux_coeffs` reads."""
     w = hp.fixed_bits(ctx)
     X = hp.to_fixed(x, w, ctx)
     return X, log_zeta_taylor(spec, series_taylor(h, X, r, w), X, w)
