@@ -52,9 +52,9 @@ GUARD_DIGITS = 15
 #: within 4 units; for ``h`` at ``x^2 <= 0.16`` the flooring adds below 1.2
 #: units.  The parts ``T(z^2)/2`` and ``T(z^3)/3`` run ``COMPOSE_BITS (R+1)``
 #: bits wider (:mod:`treeasym.solver`) and are floored to ``w`` once.  Against
-#: the same integers at 200 more bits every coefficient of each part is
-#: within 2 units of ``2^-w``, over the three varieties up to order 104
-#: (``L = 100``).  The ``MODEL_EXTRA = 3`` orders the sweeps keep beyond the
+#: the same integers at 400 more bits every coefficient of each part is
+#: within 2 units of ``2^-w``, over the three varieties up to order 503
+#: (``L = 499``).  The ``MODEL_EXTRA = 3`` orders the sweeps keep beyond the
 #: ``r + 1`` they report enter those only times powers of the step
 #: ``|u| <= 2^-b`` to the root; the Taylor shift by ``u``, its rescaling to
 #: ``d/rho`` and Newton on the short model add a few units more.

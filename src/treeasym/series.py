@@ -104,22 +104,23 @@ def series_eval_deriv_tail(f: PowerSeries, x, r: int, ctx):
     return acc, tail
 
 
-def series_taylor(coeffs: Sequence[int], x: int, r: int, w: int) -> tuple:
+def series_taylor(coeffs: Sequence[int], x: int, r: int, w: int, g: int = 0) -> tuple:
     """Fixed-point scaled Taylor coefficients ``x^j f^(j)(x) / j!`` for ``j = 0 .. r``.
 
     These are the coefficients of ``f(x (1 + u))`` in ``u = d/x``.  The
-    coefficients ``c_0 .. c_N`` of ``f``, the point ``x`` and the result
-    are integers scaled by ``2^w`` (:func:`treeasym.hp.to_fixed`); for
-    ``|x| < 1`` each result is within 2 units of ``2^-w`` of the exact
-    ``sum_m C(m, j) c_m x^m`` of the given integers
-    (:func:`series_taylor_split`).
+    coefficients ``c_0 .. c_N`` of ``f`` are integers scaled by ``2^w``
+    (:func:`treeasym.hp.to_fixed`), the point ``x`` and the result by
+    ``2^(w+g)``; for ``|x| < 1`` each result is within 2 units of
+    ``2^-(w+g)`` of the exact ``sum_m C(m, j) c_m x^m`` of the given
+    integers (:func:`series_taylor_split`).
     """
     if not 0 <= r < len(coeffs):
         raise ValueError(f"derivative order {r} outside 0..{len(coeffs) - 1}")
-    return series_taylor_split(coeffs, len(coeffs), x, r, w)[1]
+    return series_taylor_split(coeffs, len(coeffs), x, r, w, g)[1]
 
 
-def series_taylor_split(coeffs: Sequence[int], cut: int, x: int, r: int, w: int) -> tuple:
+def series_taylor_split(coeffs: Sequence[int], cut: int, x: int, r: int, w: int,
+                        g: int = 0) -> tuple:
     """:func:`series_taylor` to order ``r`` of ``f = coeffs`` and of its prefix ``coeffs[:cut]``.
 
     Shaw and Traub's scaled Taylor shift (JACM 21, 1974): the terms
@@ -129,13 +130,14 @@ def series_taylor_split(coeffs: Sequence[int], cut: int, x: int, r: int, w: int)
     ``f_high``, so the two blocks' shifts join exactly through the binomials
     ``C(cut, k)`` (Vandermonde's identity).  The prefix is scaled by itself
     alone, so its result is ``series_taylor``'s.  Both are within 2 units of
-    ``2^-w`` for ``|x| < 1``; ``x = 0`` gives ``c_0`` and zeros, and orders
+    ``2^-(w+g)`` for ``|x| < 1``; ``x = 0`` gives ``c_0`` and zeros, and orders
     beyond a block's degree are zero.
     """
     if not 0 < cut:
         raise ValueError(f"cut {cut} must be positive")
-    low, W = _scaled_shift(coeffs[:cut], x, r, w)
-    high, V = _scaled_shift(coeffs[cut:], x, r, w, cut) if cut < len(coeffs) else ([0], W)
+    low, W = _scaled_shift(coeffs[:cut], x, r, w, g)
+    high, V = _scaled_shift(coeffs[cut:], x, r, w, g, cut) if cut < len(coeffs) else ([0], W)
+    w += g  # the scale of x and of the result
     prefix = tuple(v >> W - w for v in low)
     if not any(high):  # no block above the cut, or its terms all below 2^-V
         return prefix, prefix
@@ -145,26 +147,28 @@ def series_taylor_split(coeffs: Sequence[int], cut: int, x: int, r: int, w: int)
                  for j in range(r + 1)), prefix
 
 
-def _scaled_shift(coeffs: Sequence[int], x: int, r: int, w: int, start: int = 0) -> tuple:
+def _scaled_shift(coeffs: Sequence[int], x: int, r: int, w: int, g: int,
+                  start: int = 0) -> tuple:
     """``(q, W)``: the shift by 1, to order ``r``, of the terms ``c_m x^(start+m)`` scaled by ``2^W``.
 
-    Each term is floored within 2 units of ``2^-W`` (the powers carry the
+    ``c_m`` is scaled by ``2^w`` and ``x`` by ``2^v``, ``v = w + g``.  Each
+    term is floored within 2 units of ``2^-W`` (the powers carry the
     coefficients' bits above ``2^w`` as extra bits), and coefficient ``j``
     sums ``C(m, j)`` times term ``m``: within ``2 C(size, j + 1)`` units,
-    which the guard ``W - w`` keeps below half a unit of ``2^-w`` for
+    which the guard ``W - v`` keeps below half a unit of ``2^-v`` for
     ``j <= r``.  Each synthetic division by ``z - 1`` is one running sum
     from the top degree, run in C, over the terms up to the last nonzero
     one.
     """
-    size = start + len(coeffs)
-    W = w + math.comb(size, min(r + 1, size // 2)).bit_length() + 2
+    size, v = start + len(coeffs), w + g
+    W = v + math.comb(size, min(r + 1, size // 2)).bit_length() + 2
     wide = W + max(0, max(map(abs, coeffs)).bit_length() - w) + (2 * size).bit_length()
-    power, terms = _fixed_power(x << wide - w, start, wide), []
+    power, terms = _fixed_power(x << wide - v, start, wide), []
     for c in coeffs:
         if not power:
             break  # x^m is below 2^-wide: this term and all later ones are zero
         terms.append(c * power >> wide - W + w)
-        power = power * x >> w
+        power = power * x >> v
     while terms and not terms[-1]:
         terms.pop()  # zero terms at the top add nothing to any running sum
     q, terms = [], terms[::-1]

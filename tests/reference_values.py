@@ -171,3 +171,40 @@ ERROR_GRID = {
     4: ["1.039e-3", "3.448e-5", "2.383e-7", "6.872e-9", "2.071e-10", "2.078e-12"],
     8: ["7.722e-4", "3.369e-6", "3.822e-10", "6.195e-13", "1.123e-15", "2.611e-18"],
 }
+
+# sha256 of the stdout of each CLI command (arguments after ``treeasym``),
+# taken before the Taylor models moved to the scaled variable d/x: the six
+# cold-CLI benchmark commands (with ``--size 100``), the JSON expansion that
+# prints ``solver_iterations`` and the order-40 error table; and an order-92
+# expansion at 30 digits, where the composition guard of T(z^2) and T(z^3)
+# is wider than the working precision
+CLI_STDOUT_SHA256 = {
+    "expand polya --format csv":
+        "47db4c8e5ed7176eb89e6d8605cffbc9740f170991e1698a8ee6bdc904d60fd4",
+    "expand hierarchy --order 18 --digits 80 --terms 300 --format csv":
+        "f5eac0f4f47f370bd23d73aa330139ae1eca56a202d873870f1ff1b0c59fa23d",
+    "error-table hierarchy":
+        "68fef752ba0ea6423aee90c9f51b8416fb4a49e45b4db38a865a93929117bd76",
+    "estimate hierarchy --size 100":
+        "fbe4c120bc3bfa3582a5a477c68ffa8986cc2f4aff1c1d716def7c842ed31c7a",
+    "counts polya --n 500 --format csv":
+        "c9e16cf12779deea2ca4db3b97d6acbb270a836dc58ad777f5ada70b7ea1204c",
+    "verify-oeis identity --n 500":
+        "712f98e5bd66e5f7e6c4c9543bdd60684672f917b29423efe5407326b0aa8f68",
+    "expand polya":
+        "412ad2b8c2568ac24a4d6bf2fe72bfd9024f02b93355e7438a24007ecd201baf",
+    "error-table polya --sizes 10 --orders 40":
+        "91e0d082dded4b8cd4f1cf442a3d3ca3d4d321e7f91c24bc7c1927e61f234030",
+    "expand polya --order 92 --digits 30 --format csv":
+        "0974892a5c9cf63603035e78c336c22266e98dd0f60b0d4b2b6106feed93ff62",
+}
+
+# sha256 of the whole CSV that ``expand polya --order 100 --digits 60 --format csv``
+# prints, taken at the same time; the CI's cold order-100 step checks it too
+ORDER_100_CSV_SHA256 = "e3980e7f736043a64da3f930e1bb11d59e8c318f28c374d5d276f294f0e56ad3"
+
+# the one stderr line of ``expand polya --digits 100 --terms 60``
+TRUNCATION_WARNING_LINE = (
+    "warning: relative tail of the highest zeta derivative reaches 8.98e-76; "
+    "truncation order 60 is small for 100 digits"
+)

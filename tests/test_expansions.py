@@ -507,20 +507,20 @@ def _assert_split_sweeps(calls, N, r, D, doubling=0):
     """One bracket phase; ``doubling`` start steps below full width; three split
     sweeps to order ``R = r + MODEL_EXTRA``, cut at count reach ``N // 2``:
     the degree-``4N`` exponent ``H4`` at the start point ``x`` at full
-    width, and the degree-``2N`` exponent ``h`` at ``x^2`` and at ``x^3``,
-    both ``G = COMPOSE_BITS (R + 1)`` bits wider; no other shift at full
-    width."""
+    width, and the degree-``2N`` exponent ``h`` itself, not a copy, at
+    ``x^2`` and at ``x^3``, both with points and results
+    ``G = COMPOSE_BITS (R + 1)`` bits wider; no other shift at full width."""
     w = hp.fixed_bits(working_context(D))
     R = r + solver.MODEL_EXTRA
     G = solver.COMPOSE_BITS * (R + 1)
     assert len(calls["_bracket"]) == 1
-    assert sum(width < w for *_, width in calls["series_taylor"]) == doubling
+    assert sum(width < w for _, _, _, width, *_ in calls["series_taylor"]) == doubling
     (H4, cut4, x, *tail4), (h, cut, x2, *tail2), (h3, cut3, x3, *tail3) = calls["series_taylor_split"]
     assert (len(H4), cut4) == (4 * N + 1, 4 * (N // 2) + 1)
     assert (len(h), cut) == (len(h3), cut3) == (2 * N + 1, 2 * (N // 2) + 1)
-    assert h is h3 and tail4 == [R, w] and tail2 == tail3 == [R, w + G]
-    assert (x2, x3) == (x**2 >> w - G, x**3 >> 2 * w - G)
-    for coeffs, _, _, width in calls["series_taylor"]:
+    assert h is h3 and tail4 == [R, w, 0] and tail2 == tail3 == [R, w, G]
+    assert (x2, x3) == ((x**2 << G) >> w, (x**3 << G) >> 2 * w)
+    for coeffs, _, _, width, *_ in calls["series_taylor"]:
         # precision-graded start steps run below full width on a prefix of h
         assert len(coeffs) <= cut and width < w
     for seen in calls.values():
@@ -607,8 +607,8 @@ class TestSplitModel:
         counts = spec.count_source(N)
         h = numeric_exponent(spec, counts, N, ctx)[0]
         x = hp.to_fixed(ctx.mpf(RHO_50[variety]), w, ctx)
-        y0 = x**i >> (i - 1) * w - G
-        taylor = series.series_taylor([c << G for c in h], y0, R, W)
+        y0 = (x**i << G) >> (i - 1) * w
+        taylor = series.series_taylor(h, y0, R, w, G)
         c, s = spec.prefactor, y0 if spec.z_exponent else 1 << W
         start = taylor[0] + hp.fixed_log((c.numerator << W) // c.denominator, W)
         iterates, fixed_log = [], hp.fixed_log
@@ -726,5 +726,8 @@ class TestTruncationWarning:
         got = hp.from_fixed(varieties.exponent_tail(h, x, r, w), w, ctx)
         assert rho ** (2 * N - 4) < ctx.mpf(2) ** -(w + 30) < expected * 10**-20
         # within two units of 2^-w: the scaled sum is rho^r times the unscaled
-        # one, so its fixed-point floor holds fewer relative digits
+        # one, so its fixed-point floor holds fewer relative digits; each
+        # variety still keeps the digits it reaches (measured 23.9, 30.7 and
+        # 15.6 for polya, identity and hierarchy)
         assert abs(got - expected) <= 2 * ctx.mpf(2) ** -w
+        assert agreement_digits(got, expected, ctx) >= {"hierarchy": 15}.get(variety, 20)

@@ -362,23 +362,25 @@ class TestTaylorSplit:
         data=st.data(),
     )
     def test_within_two_units_of_the_exact_scaled_sum(self, coeffs, point, r, w, data):
-        # whole and prefix within 2 units of 2^-w of sum_m C(m, j) c_m x^m in
-        # Fractions, for either sign of coefficient and point and a cut that
-        # may lie past the end
+        # whole and prefix within 2 units of 2^-(w+g) of sum_m C(m, j) c_m x^m
+        # in Fractions, for either sign of coefficient and point, a cut that
+        # may lie past the end and a result scale g bits finer than the
+        # coefficients', up to wider than w
         if isinstance(point, Fraction):
             X = math.floor(point * 2**w)
         else:
             X = point << (w - 64) if abs(point) >= 1 << 40 else point
         cut = data.draw(st.integers(min_value=1, max_value=len(coeffs) + 3), label="cut")
-        whole, low = series_taylor_split(coeffs, cut, X, r, w)
+        g = data.draw(st.sampled_from([0, 0, 40, 300]), label="g")
+        whole, low = series_taylor_split(coeffs, cut, X << g, r, w, g)
         x = Fraction(X, 2**w)
 
         def exact(block, j):
             return sum(math.comb(m, j) * Fraction(c, 2**w) * x**m for m, c in enumerate(block))
 
         for j in range(r + 1):
-            assert abs(whole[j] - exact(coeffs, j) * 2**w) <= 2, j
-            assert abs(low[j] - exact(coeffs[:cut], j) * 2**w) <= 2, j
+            assert abs(whole[j] - exact(coeffs, j) * 2 ** (w + g)) <= 2, j
+            assert abs(low[j] - exact(coeffs[:cut], j) * 2 ** (w + g)) <= 2, j
 
     def test_high_block_below_the_unit(self):
         # x^cut far below 2^-w: the top block still reaches the whole's

@@ -115,9 +115,9 @@ def test_a_model_root_beyond_its_range_is_swept_again(monkeypatch):
     swept = []
     taylor = solver.series_taylor
 
-    def recording(coeffs, x, r, w):
+    def recording(coeffs, x, r, w, g=0):
         swept.append((len(coeffs), r))
-        return taylor(coeffs, x, r, w)
+        return taylor(coeffs, x, r, w, g)
 
     monkeypatch.setattr(solver, "series_taylor", recording)
     result = solve_rho(IDENTITY, counts_for("identity", 50), 50, 40)
