@@ -10,10 +10,11 @@ Subcommands::
                  by default; --fetch opts into the network)
 
 Each subcommand takes the variety and only the flags it reads:
-``--digits`` (target precision D) and ``--terms`` (count reach N: the
-exponents of ``zeta`` go to degrees 2N and 4N) on ``expand``, ``estimate`` and
-``error-table``; ``--format {json,csv}`` on ``counts``, ``expand`` and
-``estimate``; ``--fetch`` on ``verify-oeis``.  The three pipeline
+``--digits`` (target precision D) and ``--terms`` (count reach N, at most:
+the exponents of ``zeta`` go to degrees 2n and 4n, ``n <= N`` the counts
+visible at D) on ``expand``, ``estimate`` and ``error-table``;
+``--format {json,csv}`` on ``counts``, ``expand`` and ``estimate``;
+``--fetch`` on ``verify-oeis``.  The three pipeline
 commands run at ``N = max(--terms, 2K)``, with ``K`` the larger of ``2L+1``
 for the highest order ``L`` and ``expand``'s ``--puiseux-terms``.  A count
 reach above ``MAX_COUNT_REACH`` (2000), from ``--n``, ``--terms``, a size
@@ -76,8 +77,8 @@ def _add_precision_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--digits", type=int, default=DEFAULT_DIGITS,
                         help=f"target decimal digits D (default {DEFAULT_DIGITS})")
     parser.add_argument("--terms", type=int, default=DEFAULT_TERMS,
-                        help=f"count reach N; zeta's exponents have degrees 2N and 4N "
-                             f"(default {DEFAULT_TERMS})")
+                        help=f"count reach N, at most; zeta's exponents read the counts "
+                             f"visible at --digits, to N (default {DEFAULT_TERMS})")
 
 
 def _add_format_flag(parser: argparse.ArgumentParser) -> None:
@@ -272,7 +273,8 @@ def _expansion_for_orders(args: argparse.Namespace, max_order: int, n_counts: in
         raise ValueError(f"{flag} sets count reach N={N}, below the minimum "
                          f"{MIN_SERIES_ORDER}; pass --terms {MIN_SERIES_ORDER} or more")
     _check_reach(f"size {n_counts}", n_counts)
-    counts = counts_for(args.variety, max(N, n_counts))
+    # counts for the sizes compared; the expansion continues them to its reach
+    counts = counts_for(args.variety, n_counts) if n_counts else None
     return expand_variety(args.variety, L=max_order, K=K, N=N, D=args.digits, counts=counts)
 
 

@@ -21,7 +21,8 @@ divisors, and scaling by ``d = 2`` when ``sigma != 0`` keeps it on integers
     (d(n-a) - n U_0) T_n = sum_{k=1}^{n-1} s(k) U_(n-k) + S_n U_0,
     U_0 = -d sigma/2,  U_1 = d (T_1 + sigma/2),  U_k = d T_k  (k >= 2),
 
-seeded with ``T_1 = 1``.  The convolution runs on the counts themselves:
+seeded with ``T_1 = 1``, or continued from a known prefix, whose divisor
+sums are rebuilt first.  The convolution runs on the counts themselves:
 ``sum_k s(k) U_(n-k) = d sum_k s(k) T_(n-k) + (d sigma/2) s(n-1)``.  The
 published recurrences are its instances:
 
@@ -110,9 +111,22 @@ class VarietySpec(Record):
             return 1 if i % 2 == 1 else -1
         return 1
 
-    def count_source(self, n_max: int) -> CountSequence:
-        """The counts ``T_0 .. T_(n_max)`` of this variety (:func:`spec_counts`)."""
-        return spec_counts(self, n_max)
+    def count_source(self, n_max: int, prefix: CountSequence | None = None) -> CountSequence:
+        """The counts ``T_0 .. T_(n_max)`` of this variety, continued from ``prefix`` if given.
+
+        See :func:`spec_counts`.
+        """
+        return spec_counts(self, n_max, prefix)
+
+    def growth(self) -> float:
+        """A crude bound ``g`` with ``T_n <= g^n`` for every ``n``.
+
+        A variety counted by nodes (``a = 1``) has at most as many trees as
+        there are plane trees, the Catalan numbers, below ``4^n``; one counted
+        by leaves (``a = 0``) at most as many as the plane trees without
+        unary nodes, the little Schroeder numbers, below ``(3 + 2 sqrt 2)^n``.
+        """
+        return 4.0 if self.z_exponent else 3 + 2 * math.sqrt(2)
 
 
 POLYA = VarietySpec(
@@ -165,26 +179,35 @@ def add_to_multiples(s: list, eps: Sequence[int], d: int, value: int, first: int
 SPLIT_FROM = 600
 
 
-def spec_counts(spec: VarietySpec, n_max: int) -> CountSequence:
+def spec_counts(spec: VarietySpec, n_max: int,
+                prefix: CountSequence | None = None) -> CountSequence:
     """Counts ``T_0 .. T_(n_max)`` of ``spec`` by the module's integer recurrence.
 
-    From step ``SPLIT_FROM`` on, a forked worker may sum the upper half of
-    each step's convolution (module docstring); the integers are the same.
+    Given ``prefix``, the counts of ``spec`` to some ``n``, the recurrence
+    continues after it: the divisor sums are rebuilt from the prefix, one
+    pass over the multiples of each known index, and the integers are those
+    of a fresh run.  From step ``SPLIT_FROM`` on, or from the first step of
+    the continuation if that lies past it, a forked worker may sum the upper
+    half of each step's convolution (module docstring); the integers are the
+    same.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
+    if prefix is not None and prefix.variety != spec.name:
+        raise ValueError(f"count/variety mismatch: {prefix.variety} vs {spec.name}")
     d = 2 if spec.shift_sign else 1
     half = d * spec.shift_sign // 2  # d sigma / 2 = -U_0, an integer
     eps = [spec.eps(m) for m in range(n_max + 1)]
-    T = [0] * (n_max + 1)
+    # T_1 = 1 seeds the recurrence
+    known = (prefix.values if prefix is not None and prefix.n_max >= 1 else (0, 1))[: n_max + 1]
+    T = [*known] + [0] * (n_max + 1 - len(known))
     s = [0] * (n_max + 1)
-    if n_max >= 1:
-        T[1] = 1
-        add_to_multiples(s, eps, 1, 1)
-    worker = None
+    for j in range(1, len(known)):
+        add_to_multiples(s, eps, j, j * T[j])
+    worker, split = None, max(SPLIT_FROM, len(known))
     try:
-        for n in range(2, n_max + 1):
-            if n == SPLIT_FROM:
+        for n in range(len(known), n_max + 1):
+            if n == split:
                 worker = _Worker.fork(s, T, eps, n, n_max)
             # the process sums k < m and a worker k >= m; without a worker the
             # step is one sum, since two cost 5-17% more at n = 100..300

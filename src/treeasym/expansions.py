@@ -1,9 +1,11 @@
 """Singular and asymptotic expansions of the counting sequences.
 
-The pipeline builds the exponents of ``zeta`` from counts to ``N`` once,
-as fixed-point integers at the working precision: ``h`` of degree ``2N``
-and its part ``H4`` with ``i >= 4`` of degree ``4N``.  Three split sweeps
-of scaled Taylor shifts, ``H4`` at ``x`` and ``h`` at ``x^2`` and ``x^3``,
+The pipeline builds the exponents of ``zeta`` from counts to ``n`` once,
+as fixed-point integers at the working precision: ``h`` of degree ``2n``
+and its part ``H4`` with ``i >= 4`` of degree ``4n``.  ``n`` is the count
+reach ``N`` asked for, or less: the least reach past which no count moves
+the working precision (:func:`treeasym.solver.solve_exponent`).  Three
+split sweeps of scaled Taylor shifts, ``H4`` at ``x`` and ``h`` at ``x^2`` and ``x^3``,
 with ``T(z^2)`` and ``T(z^3)`` solved there by the functional equation,
 give the short Taylor models of ``log zeta`` at count reach ``N`` and at
 ``N//2``; integer Newton on each model gives ``rho`` and the model's
@@ -277,10 +279,16 @@ def expand_variety(
 
     ``K`` defaults to ``2L+1`` so that ``tau_0 .. tau_L`` are
     derivable; pass a larger ``K`` for more singular terms.  ``N`` is the
-    count reach: the exponents of ``zeta`` are taken to degrees ``2N`` and
-    ``4N``.  The pipeline runs at count reach ``N`` and ``N//2``; the
-    agreement of the two runs gives the certified digits of ``rho``, every
-    ``t_n`` and every ``tau_l``.
+    count reach, at most: the exponents of ``zeta`` are taken to degrees
+    ``2n`` and ``4n`` for ``n = min(N, visible reach)``
+    (:func:`treeasym.solver.solve_exponent`), where the omitted tail of
+    every sweep is below a quarter unit by ``T_d <= rho_lo^-d``, so the
+    counts past it change nothing at the working precision.  ``counts``
+    are read to that ``n``, and computed, or continued when shorter, to it;
+    the result keeps them, and ``rho_result.n_read`` is the ``n``.  The
+    pipeline runs at count reach ``N`` and ``N//2``; the agreement of the
+    two runs gives the certified digits of ``rho``, every ``t_n`` and every
+    ``tau_l``.
     """
     spec = get_variety(variety)
     if L < 0:
@@ -291,10 +299,8 @@ def expand_variety(
         raise ValueError(f"K={K} too small for L={L}; need K >= {2 * L + 1}")
     if N < 2 * K:
         raise ValueError(f"count reach N={N} too small for K={K}; need N >= {2 * K}")
-    if counts is None:
-        counts = spec.count_source(N)
     r_max = derivative_orders_needed(K)
-    rho_result, exponents, models = solve_exponent(spec, counts, N, D, r_max)
+    rho_result, counts, exponents, models = solve_exponent(spec, counts, N, D, r_max)
     (x, model), (x_check, model_check) = models
     rho, ctx = rho_result.rho, rho_result.ctx
     w = hp.fixed_bits(ctx)

@@ -21,11 +21,17 @@ only like ``rho^N``.  At ``y0 = x^2`` and ``x^3``, deep inside the disc of
 Sedgewick, Analytic Combinatorics, VII.5).  Both exponents are fixed-point
 integers (:func:`treeasym.varieties.numeric_exponent`).
 
-Every solve takes the same steps (:func:`solve_models`):
+Every solve takes the same steps (:func:`solve_exponent`, then
+:func:`solve_models`):
 
-1. A start point.  Bisection on Python floats over the prefix of ``h`` of
-   count reach ``BRACKET_REACH`` to a ``10**-3`` bracket, float Newton on a
-   short prefix to about ``FLOAT_BITS`` bits, then, when the bound of
+0. The count reach.  Bisection on Python floats over the exponent of count
+   reach ``BRACKET_REACH`` to a ``10**-3`` bracket; widened, it bounds
+   ``rho`` from below and the sweep points from above, and with
+   ``T_d <= rho_lo^-d`` gives the least reach ``n_read <= N`` past which
+   the omitted tail of every sweep stays below a quarter unit
+   (:func:`_visible_reach`).  The exponents and the counts stop there.
+1. A start point.  From the bracket's midpoint, float Newton on a short
+   prefix of ``h`` to about ``FLOAT_BITS`` bits, then, when the bound of
    :func:`_start_bits` asks for more, integer Newton steps at doubling
    precision, each on the prefix whose count reach matches its bits.
 2. Three split sweeps, the scaled Taylor shift to order
@@ -47,11 +53,11 @@ Every solve takes the same steps (:func:`solve_models`):
 
 No step runs at the full working precision over more than ``R+1``
 coefficients except the three sweeps.  :func:`solve_exponent` is the one
-front end: it builds the exponents, solves at count reach ``N`` and at
-``N//2`` from the same sweeps, and reports their agreement through
-:func:`treeasym.hp.certified_fixed`.  :func:`solve_rho` returns its
-:class:`RhoResult`; :func:`treeasym.expansions.expand_variety` reads the
-models too.
+front end: it finds the count reach, builds the exponents, solves at count
+reach ``N`` (read to ``n_read``) and at ``N//2`` from the same sweeps, and
+reports their agreement through :func:`treeasym.hp.certified_fixed`.
+:func:`solve_rho` returns its :class:`RhoResult`;
+:func:`treeasym.expansions.expand_variety` reads the models too.
 """
 
 from __future__ import annotations
@@ -67,7 +73,8 @@ from .counts import CountSequence
 from .errors import NoBracketError, StalledError
 from .records import Record
 from .series import series_taylor, series_taylor_split
-from .varieties import VarietySpec, log_zeta_taylor, numeric_exponent
+from .varieties import (VarietySpec, float_exponent, log_zeta_taylor, numeric_exponent,
+                        tail_bound, tail_reach)
 
 # Not called here; the benchmark traces both names in this module (perfbench/layers.py).
 from .series import series_eval_deriv_tail  # noqa: F401
@@ -89,9 +96,10 @@ MAX_NEWTON = 80
 #: precision for ``T~ <= 0.6`` (hierarchy at ``rho^2``: 0.55).
 CAYLEY_FLOAT_STEPS = 6
 
-#: Count reach of the exponent prefix that the bracket phase bisects on; its
+#: Count reach of the float exponent that the bracket phase bisects on; its
 #: truncation error at ``rho`` (about ``rho^25``, below ``1e-9``) moves the
-#: root far less than the ``10**-3`` bisection width.
+#: root far less than the ``10**-3`` bisection width.  With the crude bound
+#: ``T_d <= 4^d`` the identity tail is still below ``1e-4`` there.
 BRACKET_REACH = 25
 
 #: Bits of the root that float Newton reaches: the float residual rounds at
@@ -133,6 +141,8 @@ GROWTH_BITS = 2.11
 class RhoResult(Record):
     """Solved singularity with provenance and certification metadata.
 
+    ``n_used`` is the count reach ``N`` asked for and ``n_read <= n_used``
+    the reach whose counts the exponents read (:func:`solve_exponent`).
     ``iterations`` counts the integer Newton iterations on the short Taylor
     model of count reach ``N``, summed over its sweeps; the float and
     precision-graded steps that place the start point, and the Newton steps
@@ -143,6 +153,7 @@ class RhoResult(Record):
     rho: object
     certified_digits: int
     n_used: int
+    n_read: int
     iterations: int
     digits: int       # target digits requested
     ctx: object
@@ -161,41 +172,101 @@ def solve_rho(spec: VarietySpec, counts: CountSequence, N: int, D: int) -> RhoRe
     when Newton fails to reach the ``10**-(D+5)`` step tolerance within
     ``MAX_NEWTON`` iterations.
     """
+    if counts.n_max < N:
+        raise ValueError(f"counts cover n <= {counts.n_max}, need {N}")
     return solve_exponent(spec, counts, N, D, 0)[0]
 
 
-def solve_exponent(spec: VarietySpec, counts: CountSequence, N: int, D: int, r: int) -> tuple:
-    """``(RhoResult, exponents, models)``: the certified root, the exponents and the Taylor models.
+def solve_exponent(spec: VarietySpec, counts: CountSequence | None, N: int, D: int,
+                   r: int) -> tuple:
+    """``(RhoResult, counts, exponents, models)``: the certified root, what it read, the models.
 
-    Checks the inputs as :func:`solve_rho` states, builds the fixed-point
-    exponents ``(h, H4)`` of :func:`treeasym.varieties.numeric_exponent`
-    at the working precision of ``D`` and runs :func:`solve_models` to
-    order ``r``, with count reach ``N//2`` as the check; ``models`` is its
-    ``[(x, L), (x_check, L_check)]``.
+    Checks the inputs as :func:`solve_rho` states, but takes counts of any
+    reach, or None.  Bisects on the exponent prefix of count reach
+    ``BRACKET_REACH`` (:func:`_bracket`), bounds the root from it and takes
+    the count reach ``n_read = min(N, visible reach)`` of
+    :func:`_visible_reach`: counts past it move no sweep by a quarter unit,
+    by the bound ``T_d <= rho_lo^-d`` (:func:`treeasym.varieties.tail_bound`).
+    It extends ``counts`` to ``n_read`` when they are shorter
+    (:func:`treeasym.counts.spec_counts`), builds the fixed-point exponents
+    ``(h, H4)`` of :func:`treeasym.varieties.numeric_exponent` to ``n_read``
+    at the working precision of ``D`` and runs :func:`solve_models` to order
+    ``r``, with count reach ``N//2`` as the check: where ``N//2 >= n_read``
+    the check reads the same exponents, since the counts it adds are
+    invisible.  ``models`` is ``[(x, L), (x_check, L_check)]``.
     """
-    if counts.variety != spec.name:
+    if counts is not None and counts.variety != spec.name:
         raise ValueError(f"count/variety mismatch: {counts.variety} vs {spec.name}")
     if N < MIN_SERIES_ORDER:
         raise ValueError(f"count reach N={N} too small, need N >= {MIN_SERIES_ORDER}")
     if D < hp.MIN_DIGITS:
         raise ValueError(f"target digits {D} too small, need >= {hp.MIN_DIGITS}")
-    if counts.n_max < N:
-        raise ValueError(f"counts cover n <= {counts.n_max}, need {N}")
     ctx = hp.working_context(D)
     w = hp.fixed_bits(ctx)
-    exponents = numeric_exponent(spec, counts, N, ctx)
-    models, iterations = solve_models(spec, exponents, N // 2, r, ctx, D)
+    if counts is None or counts.n_max < BRACKET_REACH:
+        counts = spec.count_source(BRACKET_REACH, counts)
+    coarse = float_exponent(spec, counts, BRACKET_REACH)
+    bracket = _bracket(spec, coarse, DEFAULT_BRACKET)
+    n_read = _visible_reach(spec, coarse, bracket, r + MODEL_EXTRA, w, N)
+    if counts.n_max < n_read:
+        counts = spec.count_source(n_read, counts)
+    exponents = numeric_exponent(spec, counts, n_read, ctx)
+    models, iterations = solve_models(spec, exponents, N // 2, r, ctx, D, sum(bracket) / 2)
     (x, _), (x_check, _) = models
     result = RhoResult(
         variety=spec.name,
         rho=hp.from_fixed(x, w, ctx),
         certified_digits=hp.certified_fixed(x, x_check, w, D, ctx),
         n_used=N,
+        n_read=n_read,
         iterations=iterations,
         digits=D,
         ctx=ctx,
     )
-    return result, exponents, models
+    return result, counts, exponents, models
+
+
+def _visible_reach(spec: VarietySpec, coarse: list, bracket: tuple, R: int, w: int,
+                   N: int) -> int:
+    """The least count reach ``n``, at most ``N``, past which no count moves a sweep by 1/4 unit.
+
+    With ``T_d <= rho_lo^-d`` (:func:`_root_bounds`) the tails past ``n``
+    must stay below a quarter unit in every order ``j <= R``: of ``H4`` at
+    ``x``, below ``2^-(w+2)``, and of ``h`` at ``x^2``, below
+    ``2^-(w+G+2)`` (:data:`COMPOSE_BITS`); ``h`` at ``x^3`` has the same
+    coefficients at a smaller point.  For ``n >= R`` every tail degree is
+    at least ``2R``, so order ``R`` bounds them all.  ``N`` when the root
+    has no bounds.
+    """
+    bounds = _root_bounds(spec, coarse, bracket)
+    if bounds is None:
+        return N
+    rho_lo, x_hi = bounds
+    n = max(R, BRACKET_REACH)
+    G = COMPOSE_BITS * (R + 1)
+    for y, first, bits in ((x_hi**2, 2, w + G + 2), (x_hi, 4, w + 2)):
+        n = tail_reach(y, rho_lo, first, R, bits, n, N)
+    return n
+
+
+def _root_bounds(spec: VarietySpec, coarse: list, bracket: tuple) -> tuple | None:
+    """``(rho_lo, x_hi)``: the bisection bracket, widened to hold ``rho`` and the sweep points.
+
+    ``coarse`` is the float exponent of count reach ``BRACKET_REACH``.
+    Widened by its width on each side, the bracket holds the root ``rho`` of
+    the whole exponent too when the residual of ``coarse`` at each end
+    exceeds in size what the tail past that reach can add there, bounded by
+    :func:`treeasym.varieties.tail_bound` on the crude growth
+    ``T_d <= g^d`` (:meth:`VarietySpec.growth`); else None.  The sweep
+    points, within ``2^-b`` of ``rho``, lie below the upper end.
+    """
+    lo, hi = bracket
+    rho_lo, x_hi = 2 * lo - hi, 2 * hi - lo
+    shift = 2 ** tail_bound(x_hi, 1 / spec.growth(), 2, BRACKET_REACH, 0)
+    if _float_residual(spec, coarse, rho_lo)[0] < -shift and \
+            _float_residual(spec, coarse, x_hi)[0] > shift:
+        return rho_lo, x_hi
+    return None
 
 
 def _start_bits(prec: int, r: int) -> int:
@@ -225,19 +296,22 @@ def _start_bits(prec: int, r: int) -> int:
     )
 
 
-def solve_models(spec: VarietySpec, exponents: tuple, half: int, r: int, ctx, D):
+def solve_models(spec: VarietySpec, exponents: tuple, half: int, r: int, ctx, D,
+                 start: float):
     """Roots and Taylor models of ``log zeta`` at count reach ``N`` and at ``half = N//2``.
 
     ``exponents`` is ``(h, H4)`` of count reach ``N``
-    (:func:`treeasym.varieties.numeric_exponent`).  Returns ``(models,
-    iterations)``.  ``models`` holds ``(x, L)`` for reach ``N`` and for
-    ``half``: the root ``x`` and the Taylor coefficients ``L_0 .. L_r`` of
+    (:func:`treeasym.varieties.numeric_exponent`), and ``start`` the
+    midpoint of the bracket of :func:`_bracket` on its prefix.  Returns
+    ``(models, iterations)``.  ``models`` holds ``(x, L)`` for reach ``N``
+    and for ``half``: the root ``x`` and the Taylor coefficients ``L_0 .. L_r`` of
     ``log zeta`` there in ``d/x`` (``L_j`` is ``x^j`` times the order-``j``
     coefficient), fixed-point at ``w = hp.fixed_bits(ctx)``.
     ``iterations`` counts the model Newton iterations of the first root.
     Both come from three split sweeps at a common start point (see the
-    module docstring), bracketed by ``DEFAULT_BRACKET``; the check cuts
-    ``H4`` at degree ``4 half`` and ``h`` at ``2 half``.
+    module docstring); Newton must stay in ``DEFAULT_BRACKET``.  The check
+    cuts ``H4`` at degree ``4 half`` and ``h`` at ``2 half``, or reads them
+    whole where they are shorter.
     """
     h, H4 = exponents
     w = hp.fixed_bits(ctx)
@@ -247,7 +321,7 @@ def solve_models(spec: VarietySpec, exponents: tuple, half: int, r: int, ctx, D)
     G = COMPOSE_BITS * (R + 1)
     guards = (0, G, G)  # H4 at w, the parts T(z^2) and T(z^3) at w + G
     parts = ((H4, 4 * half + 1), (h, 2 * half + 1), (h, 2 * half + 1))
-    x = _start_point(spec, h[: 2 * half + 1], (lo, hi), w, b)
+    x = _start_point(spec, h[: 2 * half + 1], start, (lo, hi), w, b)
     # x^i floored at w + g, like the sweep's result
     sweeps = [series_taylor_split(c, cut, (x**i << g) >> (i - 1) * w, R, w, g)
               for i, ((c, cut), g) in enumerate(zip(parts, guards), 1)]
@@ -274,15 +348,21 @@ def solve_models(spec: VarietySpec, exponents: tuple, half: int, r: int, ctx, D)
 def _model_at_root(L: list, u: int, r: int, w: int) -> list:
     """Coefficients ``0 .. r`` of the model ``sum L_k u^k`` at its root ``u``, in ``d/rho``.
 
-    The Taylor shift by ``|u| <= 2^-b``, coefficient ``j`` the direct sum
-    ``sum_m C(m, j) L_m u^(m-j)`` by Horner's rule, ``O(R r)`` products;
-    then coefficient ``j`` times ``(1 + u)^j``, since ``d/x = (1 + u) d/rho``
-    for ``rho = x (1 + u)``.  Fixed-point at ``w``.
+    The Taylor shift by ``|u| < 2^-beta``, coefficient ``j`` the direct sum
+    ``sum_m C(m, j) L_m u^(m-j)`` by Horner's rule; then coefficient ``j``
+    times ``(1 + u)^j``, since ``d/x = (1 + u) d/rho`` for ``rho = x (1 + u)``.
+    Fixed-point at ``w``.  With ``|L_m| < 2^B``, term ``m`` is below
+    ``2^(j + B - (beta - 1)(m - j))`` units, so the sum stops after
+    ``k = ceil((j + B + 2) / (beta - 1))`` orders: the terms it leaves out
+    add up to less than half a unit.  At ``D = 40``, ``L = 8`` that is 3 or 4
+    orders of the ``R - j + 1 = 4 .. 13``.
     """
     out, scale = [], 1 << w  # scale = (1 + u)^j
+    beta, B = w - abs(u).bit_length(), max(abs(c) for c in L).bit_length()
     for j in range(r + 1):
+        top = len(L) - 1 if beta < 2 else min(len(L) - 1, j - 1 - (-(j + B + 2) // (beta - 1)))
         acc = 0
-        for m in range(len(L) - 1, j - 1, -1):
+        for m in range(top, j - 1, -1):
             acc = math.comb(m, j) * L[m] + (acc * u >> w)
         out.append(acc * scale >> w)
         scale += scale * u >> w
@@ -384,14 +464,13 @@ def _compose_power(T: list, i: int) -> list:
     return acc
 
 
-def _start_point(spec: VarietySpec, h: tuple, bracket, w: int, b: int) -> int:
+def _start_point(spec: VarietySpec, h: tuple, x: float, bracket, w: int, b: int) -> int:
     """A fixed-point start within about ``2^-b`` of the root of the exponent ``h``.
 
-    Float bisection (:func:`_bracket`) and float Newton, then integer Newton
-    steps that double the bits, each at a width of its bits plus 16 guard
-    bits and on the prefix whose count reach matches them.
+    From the float ``x`` of the bracket phase, float Newton, then integer
+    Newton steps that double the bits, each at a width of its bits plus 16
+    guard bits and on the prefix whose count reach matches them.
     """
-    x = _bracket(spec, h, w, bracket)
     coarse = [_float(c, w) for c in h[: 2 * _reach(FLOAT_BITS, x, h) + 1]]
     for _ in range(8):
         value, slope = _float_residual(spec, coarse, x)
@@ -432,20 +511,19 @@ def _float_residual(spec: VarietySpec, coarse: list, x: float) -> tuple:
     return value + a * math.log(x) + math.log(spec.prefactor) + 1, slope + a / x
 
 
-def _bracket(spec: VarietySpec, h: tuple, w: int, bracket) -> float:
-    """Midpoint of a ``10**-3`` bracket of the root, bisected in floats on a short prefix of ``h``.
+def _bracket(spec: VarietySpec, coarse: list, bracket) -> tuple:
+    """A ``10**-3`` bracket ``(lo, hi)`` of the root, bisected in floats on ``coarse``.
 
-    Raises :class:`NoBracketError` when the residual has no sign change on the bracket.
+    Raises :class:`NoBracketError` when the residual has no sign change on
+    ``bracket``; a residual of exactly 0 gives ``(x, x)``.
     """
-    coarse = [_float(c, w) for c in h[: 2 * BRACKET_REACH + 1]]
-
     def residual(x):
         return _float_residual(spec, coarse, x)[0]
 
-    lo, hi = (_float(end, w) for end in bracket)
+    lo, hi = (float(end) for end in bracket)
     f_lo, f_hi = residual(lo), residual(hi)
     if f_lo == 0 or f_hi == 0:
-        return lo if f_lo == 0 else hi
+        return (lo, lo) if f_lo == 0 else (hi, hi)
     if (f_lo < 0) == (f_hi < 0):
         raise NoBracketError(
             f"{spec.name}: no sign change of log(zeta) + 1 on [{lo:.6g}, {hi:.6g}]"
@@ -456,12 +534,12 @@ def _bracket(spec: VarietySpec, h: tuple, w: int, bracket) -> float:
         mid = (lo + hi) / 2
         f_mid = residual(mid)
         if f_mid == 0:
-            return mid
+            return mid, mid
         if (f_mid < 0) == (f_lo < 0):
             lo, f_lo = mid, f_mid
         else:
             hi = mid
-    return (lo + hi) / 2
+    return lo, hi
 
 
 def _model_root(spec: VarietySpec, L: list, x: int, w: int, tolerance: int, done: int,

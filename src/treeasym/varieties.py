@@ -44,10 +44,13 @@ there only to about ``rho^(N/2)``, because ``zeta`` converges only for
 ``4N`` from the same counts, with truncation error about ``rho^(3N)`` at
 ``rho``, and so is ``h`` at ``rho^2`` and ``rho^3``: the solver
 (:mod:`treeasym.solver`) evaluates ``h`` only there, and ``T(z^2)`` and
-``T(z^3)`` by the functional equation.  The pipeline holds both exponents
-as fixed-point integers ``floor(g_m 2^w)``, ``w`` the working precision
-plus :data:`treeasym.hp.FIXED_GUARD_BITS` bits (:func:`numeric_exponent`),
-computed straight from the integer divisor sums of one pass.  The scaled
+``T(z^3)`` by the functional equation.  Those tails are bounded from
+``T_d <= rho_lo^-d`` (:func:`tail_bound`), so the solver reads the counts
+only to the reach past which no tail is visible at its precision.  The
+pipeline holds both exponents as fixed-point integers ``floor(g_m 2^w)``,
+``w`` the working precision plus :data:`treeasym.hp.FIXED_GUARD_BITS` bits
+(:func:`numeric_exponent`), computed straight from the integer divisor
+sums of one pass.  The scaled
 Taylor shift over them gives their Taylor coefficients at a point ``x`` in
 the scaled variable ``u = d/x`` (one split sweep serves an exponent and its
 ``N//2`` prefix) in ``O(N)`` integer products and ``O(rN)`` integer
@@ -124,7 +127,11 @@ def numeric_exponent(spec: VarietySpec, counts: CountSequence, N: int, ctx) -> t
     degree ``4N``, the degree to which counts to ``N`` give it exactly.
     Each is ``floor(S_m 2^w / m)`` straight from the integer divisor sums
     of one pass; ``sigma/2`` is ``sigma 2^(w-1)`` exactly.  Built once, for
-    the root and the Taylor models of both truncation orders.
+    the root and the Taylor models of both truncation orders.  The solver
+    takes ``N`` as the visible reach ``n_read``: with ``T_d <= rho_lo^-d``
+    the coefficients past degrees ``2N`` and ``4N`` move no sweep by a
+    quarter unit (:func:`tail_bound`), and each exponent is a prefix of the
+    one of any larger reach.
     """
     w = hp.fixed_bits(ctx)
     half = spec.shift_sign << (w - 1)
@@ -135,6 +142,25 @@ def numeric_exponent(spec: VarietySpec, counts: CountSequence, N: int, ctx) -> t
             g[1] -= half
         out.append(tuple(g))
     return tuple(out)
+
+
+def float_exponent(spec: VarietySpec, counts: CountSequence, n: int) -> list:
+    """Floats of the coefficients ``g_0 .. g_(2n)`` of :func:`zeta_exponent`.
+
+    Each ``g_m`` is the correctly rounded ``S_m / m`` of its integer divisor
+    sum, reading the counts to ``n``: for a bisection, without the
+    fixed-point exponent.
+    """
+    if counts.variety != spec.name:
+        raise ValueError(f"count/variety mismatch: {counts.variety} vs {spec.name}")
+    eps = [spec.eps(0), spec.eps(1)] * (n + 1)
+    S = [0] * (2 * n + 1)
+    for d in range(1, n + 1):
+        add_to_multiples(S, eps, d, d * counts[d], first=2)
+    half = spec.shift_sign / 2
+    g = [half] + [S[m] / m for m in range(1, 2 * n + 1)]
+    g[1] -= half
+    return g
 
 
 def zeta_series(spec: VarietySpec, counts: CountSequence, N: int, ctx) -> PowerSeries:
@@ -202,13 +228,74 @@ def model_tail(exponents: tuple, x: int, r: int, w: int) -> int:
     reaches order ``r`` in ``u = d/x`` through ``(1 + u)^i - 1 = i u + ...``;
     the factors ``1/i`` and ``dT~/d log zeta = T~/(1 - T~) < 1`` are left
     out.  All fixed-point at ``w``; the tail is ``x^r`` times that of the
-    unscaled coefficient.
+    unscaled coefficient.  It reads the retained terms, so it moves with the
+    count reach.  Cut at the visible reach, the omitted tail is below
+    ``2^-(w+2)`` in ``H4`` and ``2^-(w+G+2)`` in ``h`` by :func:`tail_bound`
+    on ``T_d <= rho_lo^-d``, and the last retained terms, a few counts
+    before it, lie far below the warning's relative ``10^-(D-10)``.
     """
     h, H4 = exponents
     tail = exponent_tail(H4, x, r, w)
     for i in (2, 3):
         tail += exponent_tail(h, x**i >> (i - 1) * w, r, w) * i**r
     return tail
+
+
+def tail_bound(y: float, rho_lo: float, first: int, n: int, j: int) -> float:
+    """``log2`` of a bound on coefficient ``j`` of an exponent's tail swept at ``y``.
+
+    The exponent is ``sum_{i >= first} eps_i T(z^i)/i``, cut at degree
+    ``first n``, where counts to ``n`` give it exactly; its tail, the
+    coefficients ``c_m`` with ``m > first n``, contributes
+    ``sum_m C(m, j) c_m y^m`` to coefficient ``j`` of the scaled sweep at
+    ``y`` (:func:`treeasym.series.series_taylor`).  The counts satisfy
+    ``T_d <= rho_lo^-d`` for ``rho_lo <= rho``: their series has
+    non-negative coefficients and ``T(rho) <= 1``.  Since
+    ``sum_{i | m} 1/i <= 1 + ln m``,
+
+        |c_m| <= [first | m] rho_lo^(-m/first) / first + (1 + ln m) rho_lo^(-m/(first+1)),
+
+    and each of the two sums is at most its first term over ``1 - q``, with
+    ``q`` the largest ratio of consecutive terms.  ``inf`` when a ``q``
+    reaches 1 or ``first n + 1 <= j``.
+    """
+    a = y**first / rho_lo  # ratio of the terms d and d + 1 of the part i = first
+    gamma = y * rho_lo ** (-1 / (first + 1))
+    top, m = first * (n + 1), first * n + 1  # first terms of the two sums
+    if m <= j:
+        return math.inf
+    q_top = a * ((top + 1) / (top + 1 - j)) ** first
+    q_m = gamma * (m + 1) / (m + 1 - j) * (1 + 1 / m)
+    if max(q_top, q_m) >= 1:
+        return math.inf
+    part = _log2_comb(top, j) + (n + 1) * math.log2(a) - math.log2(first * (1 - q_top))
+    rest = _log2_comb(m, j) + m * math.log2(gamma) + math.log2((1 + math.log(m)) / (1 - q_m))
+    return max(part, rest) + math.log2(1 + 2 ** -abs(part - rest))
+
+
+def tail_reach(y: float, rho_lo: float, first: int, j: int, bits: int, n_min: int,
+               N: int) -> int:
+    """The least ``n`` in ``n_min .. N`` with ``tail_bound(..., n, j) <= -bits``, or ``N``.
+
+    ``first n_min >= j``.  The bound exceeds its first term,
+    ``C(first (n+1), j) a^(n+1) / first`` for ``a = y^first / rho_lo``; the
+    largest ``n`` at which that term alone is above ``2^-bits``, reached
+    from below by re-evaluating the binomial, fails, and the count steps up
+    from there, one bound at a time.
+    """
+    per_count = -math.log2(y**first / rho_lo)
+    n = n_min - 1
+    while (fails := math.ceil((bits - math.log2(first) + _log2_comb(first * (n + 1), j))
+                              / per_count) - 2) > n:
+        n = fails
+    n += 1
+    while n < N and tail_bound(y, rho_lo, first, n, j) > -bits:
+        n += 1
+    return min(n, N)
+
+
+def _log2_comb(m: int, j: int) -> float:
+    return (math.lgamma(m + 1) - math.lgamma(j + 1) - math.lgamma(m - j + 1)) / math.log(2)
 
 
 def zeta_derivatives(

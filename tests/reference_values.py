@@ -197,6 +197,12 @@ CLI_STDOUT_SHA256 = {
         "91e0d082dded4b8cd4f1cf442a3d3ca3d4d321e7f91c24bc7c1927e61f234030",
     "expand polya --order 92 --digits 30 --format csv":
         "0974892a5c9cf63603035e78c336c22266e98dd0f60b0d4b2b6106feed93ff62",
+    # a size below the visible count reach, so the expansion continues the counts
+    "estimate hierarchy --size 50 --digits 30":
+        "abb4e62b1732318b7c4ca7fbf3fa54d0126953831eb16a70f20f407a03ba5e24",
+    # a count reach far past the visible one
+    "expand polya --terms 2000 --digits 30 --format csv":
+        "1c7475edf146f2d618fed55dcea57b7ae10955c94361f4a04dff6d1b08e91fbc",
 }
 
 # sha256 of the whole CSV that ``expand polya --order 100 --digits 60 --format csv``

@@ -218,7 +218,8 @@ def _residual_profile(result, K):
     ratio to the predicted leading term -t_1 t_(K+1) u^((K+2)/2) there."""
     ctx = result.puiseux.ctx
     rho = result.rho_result.rho
-    zeta = zeta_series(result.spec, result.counts, result.rho_result.n_used, ctx)
+    N = result.rho_result.n_used
+    zeta = zeta_series(result.spec, counts_for(result.spec.name, N), N, ctx)
     t = list(result.puiseux.t)
     if result.spec.shift_sign:  # shifted series satisfies the plain equation
         t[0] = ctx.mpf(1)

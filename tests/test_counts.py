@@ -156,6 +156,34 @@ def test_split_keeps_the_exactness_check_in_the_parent(monkeypatch, forks):
     assert len(forks) == _forks_expected()
 
 
+@pytest.mark.parametrize("start", [30, 41, 120])
+@pytest.mark.parametrize("variety", VARIETIES)
+def test_counts_continued_from_a_prefix_equal_a_fresh_run(monkeypatch, forks, variety, start):
+    # with the split from step 41, the continuation starts below, at and past
+    # it; the worker forks at its first step from 41 on all the same
+    spec = VARIETIES[variety]
+    fresh = counts_for(variety, 300).values  # 300 < SPLIT_FROM: no worker
+    prefix = spec.count_source(start)
+    monkeypatch.setattr(treeasym.counts, "SPLIT_FROM", 41)
+    assert spec.count_source(300, prefix).values == fresh
+    assert len(forks) == _forks_expected()
+
+
+@pytest.mark.parametrize("variety", VARIETIES)
+def test_short_and_long_prefixes(variety):
+    spec = VARIETIES[variety]
+    fresh = counts_for(variety, 60).values
+    for start in (0, 1, 2):
+        assert spec.count_source(60, spec.count_source(start)).values == fresh
+    # a prefix past n_max is cut to it
+    assert spec.count_source(20, spec.count_source(60)).values == fresh[:21]
+
+
+def test_a_prefix_of_another_variety_is_rejected():
+    with pytest.raises(ValueError, match="count/variety mismatch: identity vs polya"):
+        POLYA.count_source(30, counts_for("identity", 10))
+
+
 @pytest.mark.parametrize("where", ["add_to_multiples", "_receive"])
 def test_split_survives_a_worker_that_dies(monkeypatch, forks, where):
     # the worker exits at step 100, after reading T_100 (add_to_multiples)

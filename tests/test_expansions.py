@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeasym import expansions, hp, series, solver, varieties
+from treeasym.counts import counts_for
 from treeasym.expansions import (
     derivative_orders_needed,
     error_table,
@@ -64,7 +65,7 @@ class TestSingularCoefficients:
     def test_t1_closed_form(self, pipeline):
         result = pipeline("polya")
         ctx = result.puiseux.ctx
-        counts = result.counts
+        counts = counts_for("polya", 200)
         derivs = zeta_derivatives(result.spec, counts, result.rho_result.rho, 1, 200, ctx)
         expected = -ctx.sqrt(2 * ctx.e * result.rho_result.rho * derivs[1])
         assert agreement_digits(result.puiseux.t[1], expected, ctx) >= 25
@@ -79,7 +80,7 @@ class TestSingularCoefficients:
         result = pipeline("polya")
         ctx = result.puiseux.ctx
         rho = result.rho_result.rho
-        derivs = zeta_derivatives(result.spec, result.counts, rho, 2, 200, ctx)
+        derivs = zeta_derivatives(result.spec, counts_for("polya", 200), rho, 2, 200, ctx)
         zp, zpp = derivs[1], derivs[2]
         expected = -(
             11 * ctx.sqrt(2) * (ctx.e * rho * zp) ** ctx.mpf("1.5") / 36
@@ -110,7 +111,7 @@ class TestSingularCoefficients:
     def test_insufficient_derivatives_rejected(self, pipeline):
         result = pipeline("polya")
         rho, ctx = result.rho_result.rho, result.puiseux.ctx
-        h = numeric_exponent(result.spec, result.counts, 200, ctx)[0]
+        h = numeric_exponent(result.spec, counts_for("polya", 200), 200, ctx)[0]
         x, l = log_model(result.spec, h, rho, 2, ctx)
         with pytest.raises(ValueError, match="derivatives up to order"):
             puiseux_coeffs(result.spec, x, l, 10, hp.fixed_bits(ctx))
@@ -124,8 +125,8 @@ def _solved(variety, L, N, D):
     the inputs of :func:`treeasym.expansions.puiseux_coeffs` at scale ``w``.
     """
     spec, K = get_variety(variety), 2 * L + 1
-    result, _, [(x, l), _] = solve_exponent(spec, spec.count_source(N), N, D,
-                                            derivative_orders_needed(K))
+    result, _, _, [(x, l), _] = solve_exponent(spec, spec.count_source(N), N, D,
+                                               derivative_orders_needed(K))
     return spec, K, result.ctx, x, l, hp.fixed_bits(result.ctx)
 
 
@@ -371,7 +372,7 @@ class TestResidualDecay:
         result = pipeline(variety, L=(K - 1) // 2, K=K)
         ctx = result.puiseux.ctx
         rho = result.rho_result.rho
-        zeta = zeta_series(result.spec, result.counts, 200, ctx)
+        zeta = zeta_series(result.spec, counts_for(variety, 200), 200, ctx)
         # undo the affine correction: the shifted series is the one that
         # satisfies the plain functional equation
         t = list(result.puiseux.t)
@@ -432,7 +433,7 @@ class TestCertification:
         calls = _count_passes(monkeypatch)
         result = expand_variety("hierarchy", L=2, N=100, D=30)
         _assert_split_sweeps(calls, N=100, r=derivative_orders_needed(5), D=30, doubling=0)
-        solve_rho(result.spec, result.counts, 100, 30)
+        solve_rho(result.spec, counts_for("hierarchy", 100), 100, 30)
         _assert_split_sweeps(calls, N=100, r=0, D=30, doubling=0)
 
     def test_doubling_start_steps_run_below_full_width(self, monkeypatch):
@@ -441,7 +442,7 @@ class TestCertification:
         calls = _count_passes(monkeypatch)
         result = expand_variety("polya", L=2, N=300, D=120)
         _assert_split_sweeps(calls, N=300, r=derivative_orders_needed(5), D=120, doubling=2)
-        solve_rho(result.spec, result.counts, 300, 120)
+        solve_rho(result.spec, counts_for("polya", 300), 300, 120)
         _assert_split_sweeps(calls, N=300, r=0, D=120, doubling=2)
 
     def test_stability_between_orders(self, pipeline):
@@ -484,7 +485,7 @@ class TestDirectZetaRoute:
         assert lengths == [derivative_orders_needed(9) + 1]
         _assert_split_sweeps(calls, N=120, r=derivative_orders_needed(9), D=40)
         lengths.clear()
-        solve_rho(result.spec, result.counts, 120, 40)
+        solve_rho(result.spec, counts_for("identity", 120), 120, 40)
         assert lengths == []
         _assert_split_sweeps(calls, N=120, r=0, D=40)
 
@@ -506,18 +507,20 @@ def _count_passes(monkeypatch) -> dict:
 def _assert_split_sweeps(calls, N, r, D, doubling=0):
     """One bracket phase; ``doubling`` start steps below full width; three split
     sweeps to order ``R = r + MODEL_EXTRA``, cut at count reach ``N // 2``:
-    the degree-``4N`` exponent ``H4`` at the start point ``x`` at full
-    width, and the degree-``2N`` exponent ``h`` itself, not a copy, at
+    the degree-``4n`` exponent ``H4`` at the start point ``x`` at full
+    width, and the degree-``2n`` exponent ``h`` itself, not a copy, at
     ``x^2`` and at ``x^3``, both with points and results
-    ``G = COMPOSE_BITS (R + 1)`` bits wider; no other shift at full width."""
+    ``G = COMPOSE_BITS (R + 1)`` bits wider; no other shift at full width.
+    ``n <= N`` is the count reach that the exponents read."""
     w = hp.fixed_bits(working_context(D))
     R = r + solver.MODEL_EXTRA
     G = solver.COMPOSE_BITS * (R + 1)
     assert len(calls["_bracket"]) == 1
     assert sum(width < w for _, _, _, width, *_ in calls["series_taylor"]) == doubling
     (H4, cut4, x, *tail4), (h, cut, x2, *tail2), (h3, cut3, x3, *tail3) = calls["series_taylor_split"]
-    assert (len(H4), cut4) == (4 * N + 1, 4 * (N // 2) + 1)
-    assert (len(h), cut) == (len(h3), cut3) == (2 * N + 1, 2 * (N // 2) + 1)
+    n_read = (len(H4) - 1) // 4
+    assert n_read <= N and len(H4) == 4 * n_read + 1 and cut4 == 4 * (N // 2) + 1
+    assert (len(h), cut) == (len(h3), cut3) == (2 * n_read + 1, 2 * (N // 2) + 1)
     assert h is h3 and tail4 == [R, w, 0] and tail2 == tail3 == [R, w, G]
     assert (x2, x3) == ((x**2 << G) >> w, (x**3 << G) >> 2 * w)
     for coeffs, _, _, width, *_ in calls["series_taylor"]:
@@ -655,6 +658,69 @@ class TestSplitModel:
                 assert certified == D <= agreement_digits(value, truth, ref.asym.ctx), n
 
 
+class TestVisibleReach:
+    """Counts past ``n_read = min(N, visible reach)`` change nothing at the working precision."""
+
+    @staticmethod
+    def _full_reach(variety, L, N, D):
+        """Sections like :func:`_sections` from exponents of the full count reach ``N``,
+        through the same bracket and :func:`treeasym.solver.solve_models`."""
+        spec, K = get_variety(variety), 2 * L + 1
+        ctx = working_context(D)
+        w = hp.fixed_bits(ctx)
+        counts = counts_for(variety, N)
+        coarse = varieties.float_exponent(spec, counts, solver.BRACKET_REACH)
+        start = sum(solver._bracket(spec, coarse, solver.DEFAULT_BRACKET)) / 2
+        models, _ = solver.solve_models(spec, numeric_exponent(spec, counts, N, ctx), N // 2,
+                                        derivative_orders_needed(K), ctx, D, start)
+        (x, l), (x_check, l_check) = models
+        t, t_check = (puiseux_coeffs(spec, x, l, K, w),
+                      puiseux_coeffs(spec, x_check, l_check, K, w))
+        values = [[x], t, tau_coeffs(t, L)]
+        checks = [[x_check], t_check, tau_coeffs(t_check, L)]
+        return [[(hp.from_fixed(v, w, ctx), hp.certified_fixed(v, c, w, D, ctx))
+                 for v, c in zip(vs, cs)] for vs, cs in zip(values, checks)]
+
+    @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
+    @pytest.mark.parametrize("L, N, D", [(8, 100, 40), (4, 200, 60), (18, 300, 80), (46, 200, 30)])
+    def test_values_and_digits_equal_those_of_the_full_reach(self, variety, L, N, D):
+        got = expand_variety(variety, L=L, N=N, D=D)
+        n_read = got.rho_result.n_read
+        assert n_read < N and got.counts.n_max == n_read and got.rho_result.n_used == N
+        assert got.puiseux.n_series == got.asym.n_series == N
+        assert _sections(got) == self._full_reach(variety, L, N, D)
+
+    @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
+    @pytest.mark.parametrize("D", [40, 200])
+    def test_bound_covers_the_omitted_tail(self, variety, D):
+        # the tails past n_read of H4 at rho and of h at rho^2, in every order
+        # j <= R, summed from the exact counts to 400, against the bound at
+        # n_read and the quarter unit it stays below
+        L, N, reach = 8, 400, 400
+        spec = get_variety(variety)
+        got = expand_variety(variety, L=L, N=N, D=D)
+        n = got.rho_result.n_read
+        ctx = working_context(D)
+        w = hp.fixed_bits(ctx)
+        R = derivative_orders_needed(2 * L + 1) + solver.MODEL_EXTRA
+        G = solver.COMPOSE_BITS * (R + 1)
+        counts = counts_for(variety, reach)
+        coarse = varieties.float_exponent(spec, counts, solver.BRACKET_REACH)
+        rho_lo, x_hi = solver._root_bounds(
+            spec, coarse, solver._bracket(spec, coarse, solver.DEFAULT_BRACKET))
+        S, S4 = varieties._divisor_sums(spec, counts, reach)
+        m20 = context(20)
+        rho = m20.mpf(RHO_50[variety])
+        assert rho_lo < rho < x_hi
+        for coeffs, i, first, bits in ((S4, 1, 4, w + 2), (S, 2, 2, w + G + 2)):
+            y, bound = rho**i, varieties.tail_bound(x_hi**i, rho_lo, first, n, R)
+            assert bound <= -bits
+            for j in range(R + 1):
+                tail = m20.fsum(math.comb(m, j) * abs(coeffs[m]) * y**m / m
+                                for m in range(first * n + 1, len(coeffs)))
+                assert 0 < tail <= m20.mpf(2) ** bound, (first, j)
+
+
 class TestTruncationWarning:
     def test_fires_when_the_exponent_is_short(self):
         # polya at N=50: the split model's truncation error is about rho^150 ~ 1e-70
@@ -674,8 +740,8 @@ class TestTruncationWarning:
         (degree ``2N``) at ``rho^2`` and ``rho^3`` times ``i^r``, all scaled by
         ``rho^r`` as the model is."""
         spec, r = get_variety(variety), derivative_orders_needed(2 * L + 1)
-        result, (h, H4), [(x, log_taylor), _] = solve_exponent(spec, spec.count_source(N), N,
-                                                               D, r)
+        result, _, (h, H4), [(x, log_taylor), _] = solve_exponent(spec, spec.count_source(N),
+                                                                  N, D, r)
         ctx, rho = result.ctx, result.rho
         w = hp.fixed_bits(ctx)
 

@@ -62,7 +62,7 @@ def test_post_init_normalises_count_values():
 @pytest.mark.parametrize("rho", [0, 1, -0.5, 1.5])
 def test_post_init_rejects_rho_outside_the_unit_interval(rho):
     with pytest.raises(ValueError, match="rho out of range"):
-        RhoResult("polya", rho, 10, 100, 3, 40, None)
+        RhoResult("polya", rho, 10, 100, 60, 3, 40, None)
 
 
 def test_post_init_rejects_b_file_indices_that_do_not_increase():
