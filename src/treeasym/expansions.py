@@ -57,6 +57,7 @@ where the two models are equal so are their ``t`` and ``tau``.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from typing import Sequence
 
@@ -122,7 +123,8 @@ def puiseux_coeffs(spec: VarietySpec, x: int, l: Sequence[int], K: int, w: int) 
     back after: ``t_0 += sigma*(1-rho)/2`` and ``t_2 += sigma*rho/2``.
 
     The recurrence runs at ``W = w + K + 8`` bits, each ``g_n`` floored
-    once.  Against the exact recurrence on the given integers,
+    once; the two sums of each step are products of list slices run in C,
+    exact on the integers.  Against the exact recurrence on the given integers,
     ``g_n`` errs by at most ``e_n`` units of ``2^-W``: ``e_1 = 1 + 2/|g_1|``
     and, with ``m = n + 1``, ``G_j = |g_j| + e_j 2^-W`` and
     ``F'_i = |F_i| + 2^-W``::
@@ -149,10 +151,12 @@ def puiseux_coeffs(spec: VarietySpec, x: int, l: Sequence[int], K: int, w: int) 
     guard = K + 8
     W = w + guard
     F = [0] + [(-l[i] if i % 2 == 0 else l[i]) << guard for i in range(1, needed + 1)]
+    F2 = [2 * i * f for i, f in enumerate(F)]
     g = [0, -math.isqrt(F[1] << W + 1)]
     for m in range(3, K + 2):
-        S = sum(2 * i * F[i] * g[m - 2 * i] for i in range(1, (m + 1) // 2))
-        C = 2 * sum(g[j] * g[m - j] for j in range(2, (m + 1) // 2))
+        # i < (m+1)/2 against g_(m-2i), j from 2 to below (m+1)/2 against g_(m-j)
+        S = sum(map(operator.mul, F2[1:(m + 1) // 2], g[m - 2::-2]))
+        C = 2 * sum(map(operator.mul, g[2:(m + 1) // 2], g[m - 2::-1]))
         if m % 2 == 0:
             S += m * F[m // 2] << W
             C += g[m // 2] ** 2
@@ -312,11 +316,8 @@ def expand_variety(
         t_check = puiseux_coeffs(spec, x_check, model_check, K, w)
         tau_check = tau_coeffs(t_check, L)
 
-    def real(values):
-        return tuple(hp.from_fixed(v, w, ctx) for v in values)
-
-    def certified(values, checks):
-        return tuple(hp.certified_fixed(v, c, w, D, ctx) for v, c in zip(values, checks))
+    def report(values, checks):  # (mpf values, certified digits), one rounding of each value
+        return zip(*(hp.read_certified(v, c, w, D, ctx) for v, c in zip(values, checks)))
 
     # relative truncation error of the highest derivative that t_K reads;
     # zeta(rho) = 1/e, so the model's short exponential is e rho^r zeta^(r)(rho)/r!,
@@ -331,11 +332,13 @@ def expand_variety(
             TruncationWarning,
             stacklevel=2,
         )
+    t_real, t_digits = report(t, t_check)
+    tau_real, tau_digits = report(tau, tau_check)
     puiseux = PuiseuxExpansion(
         variety=spec.name,
         rho=rho,
-        t=real(t),
-        certified_digits=certified(t, t_check),
+        t=t_real,
+        certified_digits=t_digits,
         n_series=N,
         digits=D,
         ctx=ctx,
@@ -343,8 +346,8 @@ def expand_variety(
     asym = AsymptoticExpansion(
         variety=spec.name,
         rho=rho,
-        tau=real(tau),
-        certified_digits=certified(tau, tau_check),
+        tau=tau_real,
+        certified_digits=tau_digits,
         n_series=N,
         digits=D,
         ctx=ctx,

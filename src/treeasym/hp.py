@@ -12,7 +12,7 @@ concurrent readers.
 Working precision policy: computations targeting ``D`` reported digits run
 at ``D + GUARD_DIGITS`` internal digits.  Certification of the reported
 digits is done separately, by recomputing with the series truncation order
-halved and counting agreement digits (see :func:`certified_fixed`).
+halved and counting agreement digits (see :func:`read_certified`).
 
 Everything between the exponents of ``zeta`` and the reported values runs
 on fixed-point integers: a real ``y`` is held as ``floor(y 2^w)`` with
@@ -23,11 +23,20 @@ shifts over the exponents, the solution of the functional equation at
 scaled variable ``d/x``, their Taylor shift and short exponential, the
 singular coefficients ``t`` and the linear forms that give ``tau``.  mpf
 appears at the edges only: the logarithms of :func:`fixed_log`, and
-:func:`from_fixed` where ``rho``, ``t`` and ``tau`` are stored in the result
-records.  The digit counts are
-exact integer comparisons too: :func:`certified_fixed` reads them off the
-rounded mantissas and exponents of two fixed-point values, by the same rule
-as :func:`agreement_digits` on two mpf values, without building an mpf.
+:func:`read_certified` where ``rho``, ``t`` and ``tau`` are stored in the
+result records.
+
+A solve takes each logarithm once.  The solver keeps the values of
+:func:`fixed_log` in a memo keyed by argument and width that lives for one
+solve and no longer, so the model at count reach ``N`` and its ``N//2``
+check read ``log x`` and the logarithm at the start of each Newton for
+``T~`` once; a logarithm of 1 is 0 and is not taken.  Within that Newton
+``log v`` is read as ``log v0 + log1p((v - v0)/v0)`` from the start ``v0``,
+the second term by the short integer series of :func:`fixed_log1p`.  Each
+reported value is rounded once: :func:`read_certified` gives its mpf and
+its certified digit count from one rounding of the value and, unless the
+two are equal, one of its check, with the exact integer rule of
+:func:`agreement_digits` on the rounded mantissas and exponents.
 """
 
 from __future__ import annotations
@@ -107,6 +116,25 @@ def fixed_log(v: int, w: int) -> int:
     return libmp.to_int(libmp.mpf_shift(y, w), "f")
 
 
+def fixed_log1p(t: int, w: int) -> int:
+    """``floor(log(1 + t 2^-w) 2^w)``, within one unit, for ``|t| < 2^(w-30)``.
+
+    The series ``sum_k (-1)^(k+1) y^k / k`` in integers at ``w + 16`` bits,
+    on ``|y|`` so that every power and quotient floors towards zero: with
+    ``|y| < 2^-30`` it stops after at most ``w / 30 + 2`` terms, each off by
+    less than 2 units of ``2^-(w+16)``, so for ``w < 10^5`` the sum is off
+    by less than half a unit of ``2^-w`` before the last floor.
+    """
+    g, a = w + 16, abs(t) << 16
+    total, power, k = 0, a, 1
+    while power:
+        term = power // k
+        total += term if t > 0 and k % 2 else -term
+        power = power * a >> g
+        k += 1
+    return total >> 16
+
+
 def agreement_digits(a, b, ctx) -> int:
     """Number of leading decimal digits on which ``a`` and ``b`` agree.
 
@@ -135,17 +163,23 @@ def _agreement(a: tuple, b: tuple, dps: int) -> int:
     return len(str(q)) - 1 if q else 0
 
 
-def certified_fixed(value: int, check: int, w: int, D: int, ctx) -> int:
-    """Digits of ``value`` certified by ``check``, its recomputation at order ``N//2``.
+def read_certified(value: int, check: int, w: int, D: int, ctx) -> tuple:
+    """``(mpf, digits)``: ``value`` read back in ``ctx`` and its digits certified by ``check``.
 
-    Both are fixed-point at ``w``.  The count is ``min(agreement_digits(a,
-    b, ctx), D)`` for ``a``, ``b`` the two read back by :func:`from_fixed`:
-    the rule runs on the same rounded ``(sign, man, exp)`` tuples, but builds
-    no mpf.  The pipeline certifies ``rho``, every ``t_n`` and every
-    ``tau_l`` by this rule.
+    ``check`` is the recomputation of ``value`` at order ``N//2``; both are
+    fixed-point at ``w``.  The mpf is :func:`from_fixed` ``(value, w, ctx)``
+    and the count ``min(agreement_digits(a, b, ctx), D)`` for ``a``, ``b``
+    the two read back that way; the rule runs on the same rounded
+    ``(sign, man, exp)`` tuples, and ``value`` is rounded once for both.
+    Equal integers give ``min(ctx.dps, D)``, the pipeline's ``D``, without
+    rounding ``check``.  The pipeline reports ``rho``, every ``t_n`` and
+    every ``tau_l`` through this one function.
     """
-    a, b = (libmp.from_man_exp(v, -w, ctx.prec, "n") for v in (value, check))
-    return min(_agreement(a, b, ctx.dps), D)
+    a = libmp.from_man_exp(value, -w, ctx.prec, "n")
+    if value == check:
+        return ctx.make_mpf(a), min(ctx.dps, D)
+    b = libmp.from_man_exp(check, -w, ctx.prec, "n")
+    return ctx.make_mpf(a), min(_agreement(a, b, ctx.dps), D)
 
 
 def to_decimal(x, digits: int, ctx) -> str:

@@ -164,10 +164,11 @@ def _scaled_shift(coeffs: Sequence[int], x: int, r: int, w: int, g: int,
     W = v + math.comb(size, min(r + 1, size // 2)).bit_length() + 2
     wide = W + max(0, max(map(abs, coeffs)).bit_length() - w) + (2 * size).bit_length()
     power, terms = _fixed_power(x << wide - v, start, wide), []
+    shift, append = wide - W + w, terms.append
     for c in coeffs:
         if not power:
             break  # x^m is below 2^-wide: this term and all later ones are zero
-        terms.append(c * power >> wide - W + w)
+        append(c * power >> shift)
         power = power * x >> v
     while terms and not terms[-1]:
         terms.pop()  # zero terms at the top add nothing to any running sum

@@ -55,7 +55,9 @@ No step runs at the full working precision over more than ``R+1``
 coefficients except the three sweeps.  :func:`solve_exponent` is the one
 front end: it finds the count reach, builds the exponents, solves at count
 reach ``N`` (read to ``n_read``) and at ``N//2`` from the same sweeps, and
-reports their agreement through :func:`treeasym.hp.certified_fixed`.
+reports the root and their agreement through :func:`treeasym.hp.read_certified`.
+Each solve keeps its logarithms in a memo of its own, so the whole and the
+check take each one once (:mod:`treeasym.hp`).
 :func:`solve_rho` returns its :class:`RhoResult`;
 :func:`treeasym.expansions.expand_variety` reads the models too.
 """
@@ -213,10 +215,11 @@ def solve_exponent(spec: VarietySpec, counts: CountSequence | None, N: int, D: i
     exponents = numeric_exponent(spec, counts, n_read, ctx)
     models, iterations = solve_models(spec, exponents, N // 2, r, ctx, D, sum(bracket) / 2)
     (x, _), (x_check, _) = models
+    rho, certified = hp.read_certified(x, x_check, w, D, ctx)
     result = RhoResult(
         variety=spec.name,
-        rho=hp.from_fixed(x, w, ctx),
-        certified_digits=hp.certified_fixed(x, x_check, w, D, ctx),
+        rho=rho,
+        certified_digits=certified,
         n_used=N,
         n_read=n_read,
         iterations=iterations,
@@ -311,7 +314,9 @@ def solve_models(spec: VarietySpec, exponents: tuple, half: int, r: int, ctx, D,
     Both come from three split sweeps at a common start point (see the
     module docstring); Newton must stay in ``DEFAULT_BRACKET``.  The check
     cuts ``H4`` at degree ``4 half`` and ``h`` at ``2 half``, or reads them
-    whole where they are shorter.
+    whole where they are shorter.  Every logarithm goes through one memo of
+    :func:`treeasym.hp.fixed_log` keyed by argument and width, made here and
+    dropped on return, so the whole and the check share them.
     """
     h, H4 = exponents
     w = hp.fixed_bits(ctx)
@@ -321,13 +326,15 @@ def solve_models(spec: VarietySpec, exponents: tuple, half: int, r: int, ctx, D,
     G = COMPOSE_BITS * (R + 1)
     guards = (0, G, G)  # H4 at w, the parts T(z^2) and T(z^3) at w + G
     parts = ((H4, 4 * half + 1), (h, 2 * half + 1), (h, 2 * half + 1))
-    x = _start_point(spec, h[: 2 * half + 1], start, (lo, hi), w, b)
+    log = lru_cache(maxsize=None)(hp.fixed_log)
+    x = _start_point(spec, h[: 2 * half + 1], start, (lo, hi), w, b, log)
     # x^i floored at w + g, like the sweep's result
     sweeps = [series_taylor_split(c, cut, (x**i << g) >> (i - 1) * w, R, w, g)
               for i, ((c, cut), g) in enumerate(zip(parts, guards), 1)]
     tolerance = (1 << w) // 10 ** (D + 5)
     # a sweep that the check shares with the whole gives its part of the model once
-    part = lru_cache(maxsize=None)(lambda i, taylor, at: _log_zeta_part(spec, i, taylor, at, w, G))
+    part = lru_cache(maxsize=None)(
+        lambda i, taylor, at: _log_zeta_part(spec, i, taylor, at, w, G, log))
     models, newton = [], []
     blocks = ([c for c, _ in parts], [c[:cut] for c, cut in parts])  # whole, check
     for taylors, block in zip(zip(*sweeps), blocks):
@@ -369,7 +376,8 @@ def _model_at_root(L: list, u: int, r: int, w: int) -> list:
     return out
 
 
-def _log_zeta_part(spec: VarietySpec, i: int, taylor: tuple, x: int, w: int, G: int) -> list:
+def _log_zeta_part(spec: VarietySpec, i: int, taylor: tuple, x: int, w: int, G: int,
+                   log) -> list:
     """Scaled Taylor coefficients at ``x`` of part ``i`` of ``log zeta``, from a sweep at ``x^i``.
 
     ``log zeta = [log c + a log z + H4] + eps_2 T(z^2)/2 + eps_3 T(z^3)/3``.
@@ -380,16 +388,17 @@ def _log_zeta_part(spec: VarietySpec, i: int, taylor: tuple, x: int, w: int, G: 
     in ``u = d/x`` (:func:`_compose_power`).  Parts 2 and 3 run at
     ``w + G`` (:data:`COMPOSE_BITS`): ``taylor`` is at that scale, and the
     composed coefficients are floored to ``w`` once.  The result is
-    fixed-point at ``w``, to the order of ``taylor``.
+    fixed-point at ``w``, to the order of ``taylor``.  ``log(v, w)`` gives the
+    logarithms, :func:`treeasym.hp.fixed_log` or a memo of it.
     """
     if i == 1:
-        return log_zeta_taylor(spec, taylor, x, w)
-    T = _tree_taylor(spec, taylor, (x**i << G) >> (i - 1) * w, w + G)
+        return log_zeta_taylor(spec, taylor, x, w, log)
+    T = _tree_taylor(spec, taylor, (x**i << G) >> (i - 1) * w, w + G, log)
     eps = spec.eps(i)
     return [eps * c // (i << G) for c in _compose_power(T, i)]
 
 
-def _tree_taylor(spec: VarietySpec, taylor: tuple, y0: int, w: int) -> list:
+def _tree_taylor(spec: VarietySpec, taylor: tuple, y0: int, w: int, log) -> list:
     """Taylor coefficients of ``T`` in ``s = y/y0 - 1`` at ``0 < y0 < rho``, from those of ``h``.
 
     ``taylor`` is the sweep of ``h`` at ``y0``, its coefficients in ``s``.
@@ -398,47 +407,60 @@ def _tree_taylor(spec: VarietySpec, taylor: tuple, y0: int, w: int) -> list:
     ``y0`` for the root with ``T~ < 1``.  With ``y = y0 (1 + s)`` the
     derivative in ``s`` is ``T~_s (1 - T~) = T~ (h_s + a/(1 + s))``, whose
     ``a/(1 + s)`` has the coefficients ``a (-1)^k``; it gives ``T~_(k+1)``
-    from ``T~_0 .. T~_k`` by one division, ``O(R^2)`` products in all.
+    from ``T~_0 .. T~_k`` by one division, ``O(R^2)`` products in all: the
+    sum for order ``k``, ``sum_j u_j dp_(k-j) + sum_j du_j u_(k-j)``, is one
+    product of two lists run in C, ``T~_0 .. T~_k, T~_s`` against ``dp`` and
+    ``T~`` reversed, kept so from one order to the next; exact on the
+    integers.
     ``T = T~ + sigma (1 - y)/2``.  All fixed-point at ``w``, to the order of
-    ``taylor``.
+    ``taylor``; ``log(v, w)`` gives the logarithms (:func:`_cayley_root`).
     """
     one, a, c = 1 << w, spec.z_exponent, spec.prefactor
-    v = _cayley_root(taylor[0] + hp.fixed_log((c.numerator << w) // c.denominator, w),
-                     y0 if a else one, w)
+    c0 = taylor[0] + (log((c.numerator << w) // c.denominator, w) if c != 1 else 0)
+    v = _cayley_root(c0, y0 if a else one, w, log)
     u = [y0 * v >> w if a else v]  # T~ = y^a v
     dp = [k * g + (-1) ** (k - 1) * (a << w) for k, g in enumerate(taylor) if k]  # h_s + a/(1+s)
-    du = []  # T~_s
+    du, rdp, ru = [], [], []  # T~_s; dp_k .. dp_0; T~_k .. T~_1
     for k in range(len(taylor) - 1):
-        total = (sum(map(operator.mul, du, reversed(u[1:])))
-                 + sum(map(operator.mul, u, reversed(dp[: k + 1]))))
+        rdp.insert(0, dp[k])
+        total = sum(map(operator.mul, u + du, rdp + ru))
         du.append(total // (one - u[0]))
         u.append(du[-1] // (k + 1))
+        ru.insert(0, u[-1])
     u[0] += spec.shift_sign * (one - y0) >> 1
     if len(u) > 1:
         u[1] -= spec.shift_sign * y0 >> 1
     return u
 
 
-def _cayley_root(c0: int, s: int, w: int) -> int:
+def _cayley_root(c0: int, s: int, w: int, log) -> int:
     """The root of ``log v - s v = c0`` with ``s v < 1``, by Newton from below.
 
     Fixed-point at ``w``.  The function is increasing and concave there, so
     Newton from below the root climbs to it without overshooting: float
     Newton from ``exp(c0)``, which lies below, then integer Newton from
-    ``2^-40`` (relative) below the float root, each step doubling the bits.
-    A step ``d`` leaves an error of at most ``d^2 / (2 v (1 - s v))``; the
-    steps stop once that is below a quarter unit.
+    ``v0``, ``2^-40`` (relative) below the float root, each step doubling
+    the bits.  ``log(v, w)`` (:func:`treeasym.hp.fixed_log` or a memo of it)
+    is taken once, at ``v0`` with 16 guard bits; each step reads
+    ``log v = log v0 + log1p((v - v0)/v0)`` by :func:`treeasym.hp.fixed_log1p`
+    at the same guard, ``|v - v0| < 2^-30 v0``.  The three errors of that
+    sum are each below a unit of ``2^-(w+16)``, so floored to ``w`` it is
+    within one unit, as ``log(v, w)`` would be.  A step ``d`` leaves an error
+    of at most ``d^2 / (2 v (1 - s v))``; the steps stop once that is below a
+    quarter unit.
     """
-    one = 1 << w
+    one, g = 1 << w, w + 16
     value, slope = c0 / one, s / one
     v = math.exp(value)
     for _ in range(CAYLEY_FLOAT_STEPS):
         v -= (math.log(v) - slope * v - value) * v / (1 - slope * v)
     v = math.floor(math.ldexp(v, 64)) << (w - 64)
     v -= v >> 40
+    v0, log0 = v, log(v << 16, g)
     for _ in range(w.bit_length()):
         u = s * v >> w
-        step = (c0 + u - hp.fixed_log(v, w)) * v // (one - u)
+        log_v = log0 + hp.fixed_log1p(((v - v0) << g) // v0, g) >> 16
+        step = (c0 + u - log_v) * v // (one - u)
         v += step
         if step * step << (w + 1) < v * (one - u):
             return v
@@ -464,12 +486,14 @@ def _compose_power(T: list, i: int) -> list:
     return acc
 
 
-def _start_point(spec: VarietySpec, h: tuple, x: float, bracket, w: int, b: int) -> int:
+def _start_point(spec: VarietySpec, h: tuple, x: float, bracket, w: int, b: int,
+                 log) -> int:
     """A fixed-point start within about ``2^-b`` of the root of the exponent ``h``.
 
     From the float ``x`` of the bracket phase, float Newton, then integer
     Newton steps that double the bits, each at a width of its bits plus 16
     guard bits and on the prefix whose count reach matches them.
+    ``log(v, w)`` gives the logarithms (:func:`solve_models`).
     """
     coarse = [_float(c, w) for c in h[: 2 * _reach(FLOAT_BITS, x, h) + 1]]
     for _ in range(8):
@@ -486,7 +510,7 @@ def _start_point(spec: VarietySpec, h: tuple, x: float, bracket, w: int, b: int)
         shift = max(0, w - bits - 16)
         prefix = [c >> shift for c in h[: 2 * _reach(bits, x, h) + 1]]
         part, width = X >> shift, w - shift
-        model = log_zeta_taylor(spec, series_taylor(prefix, part, 1, width), part, width)
+        model = log_zeta_taylor(spec, series_taylor(prefix, part, 1, width), part, width, log)
         X = (part - (part * _newton_step(spec, model, part, 0, width) >> width)) << shift
     return X
 

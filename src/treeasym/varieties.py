@@ -178,22 +178,26 @@ def zeta_series(spec: VarietySpec, counts: CountSequence, N: int, ctx) -> PowerS
     return PowerSeries(tuple(c * v for v in shifted[: N + 1]))
 
 
-def log_zeta_taylor(spec: VarietySpec, taylor: Sequence[int], x: int, w: int) -> list:
+def log_zeta_taylor(spec: VarietySpec, taylor: Sequence[int], x: int, w: int,
+                    log=None) -> list:
     """Fixed-point scaled Taylor coefficients of ``g + a log z + log c`` at ``x``.
 
     ``taylor`` holds those of an exponent ``g`` in ``u = d/x``
     (:func:`treeasym.series.series_taylor`), and so does the result: for
     ``g = h`` the sum is ``log zeta``, for ``g = H4`` the first part of the
     solver's split model.  ``a log(x (1 + u)) = a (log x + log1p(u))`` adds
-    ``a log x`` (one logarithm, :func:`treeasym.hp.fixed_log`) and
-    ``a (-1)^(k+1) / k`` at order ``k``.
+    ``a log x`` and ``a (-1)^(k+1) / k`` at order ``k``.  The logarithms of
+    ``c`` and ``x`` come from ``log(v, w)``, :func:`treeasym.hp.fixed_log` by
+    default or the solver's memo of it; ``log 1 = 0`` is not taken.
     """
+    log = log or hp.fixed_log
     c = spec.prefactor
     out = list(taylor)
-    out[0] += hp.fixed_log((c.numerator << w) // c.denominator, w)
+    if c != 1:
+        out[0] += log((c.numerator << w) // c.denominator, w)
     a = spec.z_exponent
     if a:
-        out[0] += a * hp.fixed_log(x, w)
+        out[0] += a * log(x, w)
         for k in range(1, len(out)):
             out[k] += (a << w) // k if k % 2 else -((a << w) // k)
     return out

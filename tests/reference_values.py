@@ -209,6 +209,11 @@ CLI_STDOUT_SHA256 = {
 # prints, taken at the same time; the CI's cold order-100 step checks it too
 ORDER_100_CSV_SHA256 = "e3980e7f736043a64da3f930e1bb11d59e8c318f28c374d5d276f294f0e56ad3"
 
+# sha256 of the whole CSV that ``expand polya --order 499 --digits 60 --format csv``
+# prints, the highest order that count reach 2000 allows (K = 999 in t, R = 503
+# in T~); only the CI's cold order-499 step runs it, in about 9 s
+ORDER_499_CSV_SHA256 = "4d8ca5f140d5f0e2f632b70e8501865e9e46a05518acd062da5e13773b017815"
+
 # the one stderr line of ``expand polya --digits 100 --terms 60``
 TRUNCATION_WARNING_LINE = (
     "warning: relative tail of the highest zeta derivative reaches 8.98e-76; "

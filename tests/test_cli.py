@@ -128,13 +128,14 @@ class TestExpand:
         rows, plain, short = rows_and_plain()
         assert plain["t_37"] == "58.46407648339459791" and rows["t_37"][1] == 51
         assert short == 0
-        calls, certified_fixed = [0], treeasym.hp.certified_fixed
+        calls, read_certified = [0], treeasym.hp.read_certified
 
         def every_other_capped(*args):
             calls[0] += 1
-            return min(certified_fixed(*args), 12 if calls[0] % 2 else 60)
+            value, digits = read_certified(*args)
+            return value, min(digits, 12 if calls[0] % 2 else 60)
 
-        monkeypatch.setattr(treeasym.hp, "certified_fixed", every_other_capped)
+        monkeypatch.setattr(treeasym.hp, "read_certified", every_other_capped)
         rows, plain, short = rows_and_plain()
         assert 0 < short < len(plain)
 

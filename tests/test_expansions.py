@@ -6,6 +6,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import libmp
 
 from treeasym import expansions, hp, series, solver, varieties
 from treeasym.counts import counts_for
@@ -614,13 +615,17 @@ class TestSplitModel:
         taylor = series.series_taylor(h, y0, R, w, G)
         c, s = spec.prefactor, y0 if spec.z_exponent else 1 << W
         start = taylor[0] + hp.fixed_log((c.numerator << W) // c.denominator, W)
-        iterates, fixed_log = [], hp.fixed_log
-        monkeypatch.setattr(hp, "fixed_log", lambda v, w: iterates.append(v) or fixed_log(v, w))
-        v = solver._cayley_root(start, s, W)
+        # each Newton iterate v reads log v through the offset (v - v0)/v0
+        # from the start v0, the one argument of the logarithm, 16 bits wider
+        starts, offsets, fixed_log1p = [], [], hp.fixed_log1p
+        monkeypatch.setattr(hp, "fixed_log1p", lambda t, w: offsets.append(t) or fixed_log1p(t, w))
+        v = solver._cayley_root(start, s, W, lambda v, w: starts.append(v >> 16) or hp.fixed_log(v, w))
         monkeypatch.undo()
-        assert 1 <= len(iterates) <= 4
-        assert all(a < b for a, b in zip(iterates, iterates[1:] + [v])), iterates
-        T = solver._tree_taylor(spec, taylor, y0, W)
+        (v0,) = starts
+        assert 1 <= len(offsets) <= 4 and offsets[0] == 0
+        final = ((v - v0) << W + 16) // v0
+        assert all(a < b for a, b in zip(offsets, offsets[1:] + [final])), offsets
+        T = solver._tree_taylor(spec, taylor, y0, W, hp.fixed_log)
         tilde = T[0] - (spec.shift_sign * ((1 << W) - y0) >> 1)
         assert tilde == s * v >> W and 0 < tilde < 1 << W
         composed = solver._compose_power(T, i)
@@ -631,6 +636,44 @@ class TestSplitModel:
                          for n in range(1, N + 1) if i * n >= k)
             assert agreement_digits(hp.from_fixed(T[k], W, ctx), at_y0, ctx) >= D + 5, k
             assert agreement_digits(hp.from_fixed(composed[k], W, ctx), at_rho, ctx) >= D + 5, k
+
+    @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
+    def test_each_logarithm_and_each_rounding_once(self, monkeypatch, variety):
+        # at (8, 100, 40) one expansion takes log x once for the model and its
+        # check, and one logarithm at the start of each Newton for T~ (the
+        # check's T~(x^2) starts where the model's does), besides the start
+        # point's step; log 1 is not taken, and hierarchy's log(1/2) is taken
+        # at each of its three widths.  It rounds each reported value once,
+        # and a check only where it differs from its value.  A second
+        # identical call takes as many logarithms: no memo outlives a solve
+        reads, read_certified = [], hp.read_certified
+
+        class Libmp:  # hp's view of mpmath.libmp: its logarithms and rounded mantissas
+            logs, rounded = [], []
+
+            def __getattr__(self, name):
+                return getattr(libmp, name)
+
+            def mpf_log(self, x, prec, *rounding):
+                self.logs.append(prec)
+                return libmp.mpf_log(x, prec, *rounding)
+
+            def from_man_exp(self, man, exp, *rounding):
+                if rounding:
+                    self.rounded.append(man)
+                return libmp.from_man_exp(man, exp, *rounding)
+
+        monkeypatch.setattr(hp, "read_certified",
+                            lambda v, c, *args: reads.append((v, c)) or read_certified(v, c, *args))
+        monkeypatch.setattr(hp, "libmp", Libmp())
+        expand_variety(variety, L=8, N=100, D=40)
+        first = len(Libmp.logs)
+        assert first <= (4 if get_variety(variety).prefactor == 1 else 5), Libmp.logs
+        assert len(reads) == 1 + 18 + 9  # rho, t_0 .. t_17, tau_0 .. tau_8
+        expected = [v for v, _ in reads] + [c for v, c in reads if c != v]
+        assert sorted(Libmp.rounded) == sorted(expected)
+        expand_variety(variety, L=8, N=100, D=40)
+        assert len(Libmp.logs) == 2 * first
 
     @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
     def test_forty_digits_at_n_100(self, variety, assert_digits):
@@ -678,8 +721,8 @@ class TestVisibleReach:
                       puiseux_coeffs(spec, x_check, l_check, K, w))
         values = [[x], t, tau_coeffs(t, L)]
         checks = [[x_check], t_check, tau_coeffs(t_check, L)]
-        return [[(hp.from_fixed(v, w, ctx), hp.certified_fixed(v, c, w, D, ctx))
-                 for v, c in zip(vs, cs)] for vs, cs in zip(values, checks)]
+        return [[hp.read_certified(v, c, w, D, ctx) for v, c in zip(vs, cs)]
+                for vs, cs in zip(values, checks)]
 
     @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
     @pytest.mark.parametrize("L, N, D", [(8, 100, 40), (4, 200, 60), (18, 300, 80), (46, 200, 30)])

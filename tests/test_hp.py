@@ -122,15 +122,38 @@ def test_from_fixed_is_the_rounded_ldexp(v, w, digits):
     assert hp.from_fixed(v, w, ctx)._mpf_ == ctx.ldexp(ctx.mpf(v), -w)._mpf_
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), w=st.integers(64, 4000))
+def test_fixed_log1p_is_within_one_unit(data, w):
+    # against mpmath's log1p at 64 more bits, floored at w
+    t = data.draw(st.integers(-(2 ** (w - 30)) + 1, 2 ** (w - 30) - 1))
+    ctx = mpmath.mp.clone()
+    ctx.prec = w + 64
+    exact = int(ctx.floor(ctx.log1p(ctx.ldexp(t, -w)) * 2**w))
+    assert abs(hp.fixed_log1p(t, w) - exact) <= 1, (t, w)
+
+
+@pytest.mark.parametrize("w", [64, 226, 4000])
+def test_fixed_log1p_edges(w):
+    ctx = mpmath.mp.clone()
+    ctx.prec = w + 64
+    assert hp.fixed_log1p(0, w) == 0
+    for t in (1, -1, 2 ** (w - 30) - 1, -(2 ** (w - 30)) + 1, 3 << (w - 40)):
+        exact = int(ctx.floor(ctx.log1p(ctx.ldexp(t, -w)) * 2**w))
+        assert abs(hp.fixed_log1p(t, w) - exact) <= 1, (t, w)
+
+
 def _check_values(v, prec):
     """Checks of ``v``: equal, one ulp of ``prec`` bits either way, nearby, opposite sign, zero."""
     ulp = 1 << max(0, abs(v).bit_length() - prec)
     return [v, v + ulp, v - ulp, v + 3 * ulp // 2, v + (ulp >> 1), -v, 0, v >> 7]
 
 
-def _assert_certified_fixed_matches_mpf(v, check, w, D, ctx):
-    expected = min(agreement_digits(hp.from_fixed(v, w, ctx), hp.from_fixed(check, w, ctx), ctx), D)
-    assert hp.certified_fixed(v, check, w, D, ctx) == expected, (v, check)
+def _assert_read_certified_matches_mpf(v, check, w, D, ctx):
+    value = hp.from_fixed(v, w, ctx)
+    expected = min(agreement_digits(value, hp.from_fixed(check, w, ctx), ctx), D)
+    got, digits = hp.read_certified(v, check, w, D, ctx)
+    assert digits == expected and got._mpf_ == value._mpf_, (v, check)
 
 
 class TestCertifiedFixed:
@@ -140,17 +163,17 @@ class TestCertifiedFixed:
     def test_matches_certified_digits_on_mpf(self, v, w, digits, D):
         ctx = context(digits)
         for check in _check_values(v, ctx.prec):
-            _assert_certified_fixed_matches_mpf(v, check, w, D, ctx)
+            _assert_read_certified_matches_mpf(v, check, w, D, ctx)
 
     @pytest.mark.parametrize("v", [0, 1, -1, 3 << 300, -(5 << 250) - 1])
     def test_edge_pairs(self, v):
         ctx, w = context(55), 226
         for check in _check_values(v, ctx.prec):
-            _assert_certified_fixed_matches_mpf(v, check, w, 40, ctx)
-        assert hp.certified_fixed(0, 0, w, 40, ctx) == 40
-        assert hp.certified_fixed(v, v, w, 40, ctx) == 40
+            _assert_read_certified_matches_mpf(v, check, w, 40, ctx)
+        assert hp.read_certified(0, 0, w, 40, ctx)[1] == 40
+        assert hp.read_certified(v, v, w, 40, ctx)[1] == 40
         if v:
-            assert hp.certified_fixed(v, -v, w, 40, ctx) == 0
+            assert hp.read_certified(v, -v, w, 40, ctx)[1] == 0
 
     def test_reads_the_rounded_values(self):
         # y sits just past a decade boundary from x, 20 bits below the
@@ -159,4 +182,4 @@ class TestCertifiedFixed:
         ctx, w = context(30), 200
         x = (3 << (ctx.prec - 2)) << 20
         for k in range(1, 31):
-            _assert_certified_fixed_matches_mpf(x, x - (x // 10**k + 1), w, 30, ctx)
+            _assert_read_certified_matches_mpf(x, x - (x // 10**k + 1), w, 30, ctx)

@@ -65,8 +65,13 @@ def _significant_digits(text: str) -> int:
 # that the cap reaches it
 @pytest.mark.parametrize("terms, digits", [(300, 80), (120, 60)])
 def test_reproduce_tables_print_certified_digits(tmp_path, monkeypatch, capsys, terms, digits):
-    certified_fixed, cap = hp.certified_fixed, 15 if terms == 120 else digits
-    monkeypatch.setattr(hp, "certified_fixed", lambda *args: min(certified_fixed(*args), cap))
+    read_certified, cap = hp.read_certified, 15 if terms == 120 else digits
+
+    def capped(*args):
+        value, certified = read_certified(*args)
+        return value, min(certified, cap)
+
+    monkeypatch.setattr(hp, "read_certified", capped)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(sys, "argv", ["reproduce_tables.py", "--terms", str(terms),
                                       "--digits", str(digits)])

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeasym import solver
+from treeasym import hp, solver
 from treeasym.counts import IDENTITY, counts_for
-from treeasym.hp import agreement_digits
+from treeasym.hp import agreement_digits, working_context
+from treeasym.series import series_taylor
 from treeasym.solver import NoBracketError, StalledError, solve_rho
-from treeasym.varieties import get_variety
+from treeasym.varieties import get_variety, numeric_exponent
 
+import cayley_oracle
 from reference_values import RHO_50
 
 
@@ -142,3 +144,25 @@ def test_compose_power_is_the_exact_composition(T, i):
         exact = [e + c * p for e, p in zip(exact, power)]
         power = [sum(power[j] * s[k - j] for j in range(max(0, k - i), k + 1)) for k in range(R + 1)]
     assert solver._compose_power(T, i) == exact
+
+
+@pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
+@pytest.mark.parametrize("D", [30, 40, 200, 1000])
+def test_cayley_root_matches_a_logarithm_per_step(variety, D):
+    # T~ at y0 = rho^2 and rho^3, at the solver's width w + G: one logarithm
+    # at the start and the log1p series per step against a full logarithm
+    # per step, from the same start and with the same stopping rule
+    spec, R = get_variety(variety), 12
+    ctx = working_context(D)
+    w = hp.fixed_bits(ctx)
+    G = solver.COMPOSE_BITS * (R + 1)
+    W = w + G
+    h = numeric_exponent(spec, counts_for(variety, 60), 60, ctx)[0]
+    x = hp.to_fixed(ctx.mpf(RHO_50[variety]), w, ctx)
+    c = spec.prefactor
+    for i in (2, 3):
+        y0 = (x**i << G) >> (i - 1) * w
+        c0 = series_taylor(h, y0, 0, w, G)[0] + hp.fixed_log((c.numerator << W) // c.denominator, W)
+        s = y0 if spec.z_exponent else 1 << W
+        root = solver._cayley_root(c0, s, W, hp.fixed_log)
+        assert abs(root - cayley_oracle.cayley_root(c0, s, W)) <= 1, i
