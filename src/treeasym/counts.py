@@ -50,9 +50,9 @@ itself to the usable CPUs other than the one the process is on, since a
 guest kernel was seen to keep a freshly forked CPU-bound child on its
 parent's CPU.  It forks only when ``os.fork`` and ``os.sched_getaffinity``
 exist, two or more CPUs are usable and the process runs one thread.  If
-the worker goes (EOF or a broken pipe), the process sums both halves
-itself from that step on; every path returns the same integers and reaps
-the worker before it returns or raises.
+the worker goes, the process closes it and runs the one-process step from
+then on; every path returns the same integers and reaps the worker before
+it returns or raises.
 
 Independent product/fixpoint forms of the same sequences are provided in
 :func:`product_form_oracle` for cross-validation; they extract coefficients
@@ -214,8 +214,9 @@ def spec_counts(spec: VarietySpec, n_max: int,
             m = n // 2 if worker else n
             lower = sum(map(operator.mul, s[1:m], T[n - 1:n - m:-1]))
             upper = worker.receive() if worker else 0
-            if upper is None:  # the worker has gone
-                upper = _upper_half(s, T, n)
+            if upper is None:  # the worker has gone: its half here, then one process
+                worker.close()
+                worker, upper = None, _upper_half(s, T, n)
             # sum_k s(k) U_(n-k) + S_n U_0, with s[n] = S_n since T_n is unset
             total = d * (lower + upper) + half * (s[n - 1] - s[n])
             T[n] = _divide_exactly(total, d * (n - spec.z_exponent) + n * half, n)
@@ -240,12 +241,11 @@ class _Worker:
     It holds its own copies of ``s`` and ``T``; each step it sends its half
     to the parent and reads back ``T_n``.  Integers cross the pipes as an
     8-byte length and ``int.to_bytes``.  The worker leaves only through
-    ``os._exit``; on EOF or a broken pipe the parent stops using it.
+    ``os._exit``; once it has gone, :func:`spec_counts` closes it.
     """
 
     def __init__(self, pid: int, reader, writer):
         self.pid, self.reader, self.writer = pid, reader, writer
-        self.gone = False
 
     @classmethod
     def fork(cls, s: list, T: list, eps: list, start: int, n_max: int) -> _Worker | None:
@@ -281,20 +281,17 @@ class _Worker:
         return cls(pid, open(up_r, "rb"), open(down_w, "wb"))
 
     def receive(self) -> int | None:
-        """The worker's half of this step, or None once it has gone."""
-        if not self.gone:
-            try:
-                return _receive(self.reader)
-            except EOFError:
-                self.gone = True
-        return None
+        """The worker's half of this step, or None when it has gone."""
+        try:
+            return _receive(self.reader)
+        except EOFError:
+            return None
 
     def send(self, value: int) -> None:
-        if not self.gone:
-            try:
-                _send(self.writer, value)
-            except BrokenPipeError:
-                self.gone = True
+        try:
+            _send(self.writer, value)
+        except BrokenPipeError:  # the worker has gone; the next receive meets EOF
+            pass
 
     def close(self) -> None:
         """Close both pipe ends, so a running worker meets EOF, and reap it."""

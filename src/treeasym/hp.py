@@ -10,9 +10,11 @@ nothing in this package does.  Kept to that rule they are safe under
 concurrent readers.
 
 Working precision policy: computations targeting ``D`` reported digits run
-at ``D + GUARD_DIGITS`` internal digits.  Certification of the reported
-digits is done separately, by recomputing with the series truncation order
-halved and counting agreement digits (see :func:`read_certified`).
+at ``D + GUARD_DIGITS`` internal digits and are certified by their agreement
+with a recomputation at count reach ``N//2`` (:func:`read_certified`).
+Where ``N//2 >= n_read``, the reach the solver reads, both read the same
+counts and sweeps: the count is ``D`` by construction and rests on the
+visible-reach bound ``T_d <= rho_lo^-d`` (:mod:`treeasym.solver`).
 
 Everything between the exponents of ``zeta`` and the reported values runs
 on fixed-point integers: a real ``y`` is held as ``floor(y 2^w)`` with

@@ -168,14 +168,12 @@ class RhoResult(Record):
 def solve_rho(spec: VarietySpec, counts: CountSequence, N: int, D: int) -> RhoResult:
     """Solve ``zeta(rho) = exp(-1)`` to ``D`` target digits, certified at ``N//2``.
 
-    ``counts`` must be ``spec``'s, cover indices up to ``N``, and ``N`` must
-    be at least ``MIN_SERIES_ORDER``.  Raises :class:`NoBracketError` when
-    no sign change exists on ``DEFAULT_BRACKET`` and :class:`StalledError`
-    when Newton fails to reach the ``10**-(D+5)`` step tolerance within
-    ``MAX_NEWTON`` iterations.
+    ``counts`` must be ``spec``'s, of any reach (:func:`solve_exponent`
+    continues them), and ``N`` at least ``MIN_SERIES_ORDER``.  Raises
+    :class:`NoBracketError` when no sign change exists on
+    ``DEFAULT_BRACKET`` and :class:`StalledError` when Newton fails to
+    reach the ``10**-(D+5)`` step tolerance within ``MAX_NEWTON`` iterations.
     """
-    if counts.n_max < N:
-        raise ValueError(f"counts cover n <= {counts.n_max}, need {N}")
     return solve_exponent(spec, counts, N, D, 0)[0]
 
 
@@ -183,22 +181,19 @@ def solve_exponent(spec: VarietySpec, counts: CountSequence | None, N: int, D: i
                    r: int) -> tuple:
     """``(RhoResult, counts, exponents, models)``: the certified root, what it read, the models.
 
-    Checks the inputs as :func:`solve_rho` states, but takes counts of any
-    reach, or None.  Bisects on the exponent prefix of count reach
-    ``BRACKET_REACH`` (:func:`_bracket`), bounds the root from it and takes
-    the count reach ``n_read = min(N, visible reach)`` of
-    :func:`_visible_reach`: counts past it move no sweep by a quarter unit,
-    by the bound ``T_d <= rho_lo^-d`` (:func:`treeasym.varieties.tail_bound`).
-    It extends ``counts`` to ``n_read`` when they are shorter
-    (:func:`treeasym.counts.spec_counts`), builds the fixed-point exponents
-    ``(h, H4)`` of :func:`treeasym.varieties.numeric_exponent` to ``n_read``
-    at the working precision of ``D`` and runs :func:`solve_models` to order
-    ``r``, with count reach ``N//2`` as the check: where ``N//2 >= n_read``
-    the check reads the same exponents, since the counts it adds are
-    invisible.  ``models`` is ``[(x, L), (x_check, L_check)]``.
+    Checks ``N`` and ``D`` as :func:`solve_rho` states; ``counts`` may be
+    None, and counts of another variety fail before any exponent is built.
+    Bisects on the exponent prefix of count reach ``BRACKET_REACH``
+    (:func:`_bracket`), bounds the root from it and takes the count reach
+    ``n_read = min(N, visible reach)`` of :func:`_visible_reach`: by
+    ``T_d <= rho_lo^-d`` (:func:`treeasym.varieties.tail_bound`) counts past
+    it move no sweep by a quarter unit.  It extends ``counts`` to ``n_read``
+    when they are shorter, builds the fixed-point exponents ``(h, H4)`` of
+    :func:`treeasym.varieties.numeric_exponent` there at the working
+    precision of ``D`` and runs :func:`solve_models` to order ``r`` with
+    count reach ``N//2`` as the check, which reads the same exponents where
+    ``N//2 >= n_read``.  ``models`` is ``[(x, L), (x_check, L_check)]``.
     """
-    if counts is not None and counts.variety != spec.name:
-        raise ValueError(f"count/variety mismatch: {counts.variety} vs {spec.name}")
     if N < MIN_SERIES_ORDER:
         raise ValueError(f"count reach N={N} too small, need N >= {MIN_SERIES_ORDER}")
     if D < hp.MIN_DIGITS:

@@ -49,8 +49,8 @@ there only to about ``rho^(N/2)``, because ``zeta`` converges only for
 only to the reach past which no tail is visible at its precision.  The
 pipeline holds both exponents as fixed-point integers ``floor(g_m 2^w)``,
 ``w`` the working precision plus :data:`treeasym.hp.FIXED_GUARD_BITS` bits
-(:func:`numeric_exponent`), computed straight from the integer divisor
-sums of one pass.  The scaled
+(:func:`numeric_exponent`); every exponent, exact, fixed-point or float,
+takes its divisor sums from one pass (:func:`_divisor_sums`).  The scaled
 Taylor shift over them gives their Taylor coefficients at a point ``x`` in
 the scaled variable ``u = d/x`` (one split sweep serves an exponent and its
 ``N//2`` prefix) in ``O(N)`` integer products and ``O(rN)`` integer
@@ -147,16 +147,10 @@ def numeric_exponent(spec: VarietySpec, counts: CountSequence, N: int, ctx) -> t
 def float_exponent(spec: VarietySpec, counts: CountSequence, n: int) -> list:
     """Floats of the coefficients ``g_0 .. g_(2n)`` of :func:`zeta_exponent`.
 
-    Each ``g_m`` is the correctly rounded ``S_m / m`` of its integer divisor
-    sum, reading the counts to ``n``: for a bisection, without the
-    fixed-point exponent.
+    Each ``g_m`` is ``S_m / m`` of :func:`_divisor_sums`, correctly rounded:
+    for a bisection, without the fixed-point exponent.
     """
-    if counts.variety != spec.name:
-        raise ValueError(f"count/variety mismatch: {counts.variety} vs {spec.name}")
-    eps = [spec.eps(0), spec.eps(1)] * (n + 1)
-    S = [0] * (2 * n + 1)
-    for d in range(1, n + 1):
-        add_to_multiples(S, eps, d, d * counts[d], first=2)
+    S = _divisor_sums(spec, counts, n)[0]
     half = spec.shift_sign / 2
     g = [half] + [S[m] / m for m in range(1, 2 * n + 1)]
     g[1] -= half

@@ -3,8 +3,10 @@
 The 19-digit expansion coefficients, 50-digit singularity constants,
 listed sequence prefixes and the hierarchy relative-error grid are
 published reference data for the three shipped varieties; tests treat
-them as opaque strings and never recompute them.  The digests of the counts
-to 2000 were taken from the one-process recurrence, past the b-files' n=500.
+them as opaque strings and never recompute them.  ``RHO_400`` comes from
+the counts-free oracle of ``functional_oracle.py``, which a test reruns at
+60 digits only.  The digests of the counts to 2000 were taken from the
+one-process recurrence, past the b-files' n=500.
 """
 
 VARIETY_ORDER = ("polya", "identity", "hierarchy")
@@ -13,6 +15,35 @@ RHO_50 = {
     "polya": "0.33832185689920769519611262571701705318377460753297",
     "identity": "0.39721309688424004148565407022739873422987370995276",
     "hierarchy": "0.28083266698420035539318755911632333333736599643391",
+}
+
+# rho to 400 significant digits from the counts-free functional-equation oracle
+# (tests/functional_oracle.py) at 410 digits, agreeing with its run at 430
+RHO_400 = {
+    "polya": (
+        "0.3383218568992076951961126257170170531837746075329677955723037762576660"
+        "50189620766563528798367318884453011260439916719656595534846791668071272359290515"
+        "58349624121568268286473809648050446439585098015217544206058260941878348645240207"
+        "54509715991703803474532925107802103638899829040353504128944293750662430655013056"
+        "10312382397215058008780624648411946635953408006577388726663199735597912799255663"
+        "0217723750"
+    ),
+    "identity": (
+        "0.3972130968842400414856540702273987342298737099527598603623316724000728"
+        "95769821975694883731270565496079083731096636119885790647322404956387326514462681"
+        "10709590423242207962851226570928738330650601801569400136184644558247181259329996"
+        "26617856190034432718902191710739928802922091603719239295424151264476109613937193"
+        "70704394342572539673892083986506878697398361961728857554592814494269535544107313"
+        "9156825622"
+    ),
+    "hierarchy": (
+        "0.2808326669842003553931875591163233333373659964339101158104178665861126"
+        "64567731152115384510011230183331932362227616945836078183009078244909653446685333"
+        "23054022247797910044022371181911553230463215664714669196735523301144952991964655"
+        "85052083515263107247315389209658885743849901747337439500018927224560440018933347"
+        "58171780838425943853429199324988342830548721666546894203783682148008099568554178"
+        "8558426823"
+    ),
 }
 
 # singular-expansion coefficients t_0 .. t_18, 19 significant digits
@@ -203,6 +234,9 @@ CLI_STDOUT_SHA256 = {
     # a count reach far past the visible one
     "expand polya --terms 2000 --digits 30 --format csv":
         "1c7475edf146f2d618fed55dcea57b7ae10955c94361f4a04dff6d1b08e91fbc",
+    # the whole pipeline at the CLI's MAX_DIGITS; every value certifies 1000 digits
+    "expand identity --digits 1000 --terms 2000 --format csv":
+        "999205fbf7479cae1aa32ee72d23fc45a79f2ff873ae7c58f005aa8c698aac62",
 }
 
 # sha256 of the whole CSV that ``expand polya --order 100 --digits 60 --format csv``

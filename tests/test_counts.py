@@ -187,10 +187,11 @@ def test_a_prefix_of_another_variety_is_rejected():
 @pytest.mark.parametrize("where", ["add_to_multiples", "_receive"])
 def test_split_survives_a_worker_that_dies(monkeypatch, forks, where):
     # the worker exits at step 100, after reading T_100 (add_to_multiples)
-    # or after sending its half and before reading T_100 (_receive)
+    # or after sending its half and before reading T_100 (_receive); the
+    # parent meets EOF at step 101 and runs alone from there
     sequential = counts_for("polya", 300).values
-    parent, real = os.getpid(), getattr(treeasym.counts, where)
-    calls = []
+    parent, real, real_send = os.getpid(), getattr(treeasym.counts, where), treeasym.counts._send
+    calls, sent = [], []
 
     def dying(*args):
         if os.getpid() != parent:
@@ -199,10 +200,18 @@ def test_split_survives_a_worker_that_dies(monkeypatch, forks, where):
                 os._exit(3)
         return real(*args)
 
+    def send(stream, value):
+        if os.getpid() == parent:
+            sent.append(value)
+        return real_send(stream, value)
+
     monkeypatch.setattr(treeasym.counts, "SPLIT_FROM", 41)
     monkeypatch.setattr(treeasym.counts, where, dying)
+    monkeypatch.setattr(treeasym.counts, "_send", send)
     assert counts_for("polya", 300).values == sequential
     assert len(forks) == _forks_expected()
+    # T_41 .. T_100, and nothing once the worker has gone
+    assert sent == (list(sequential[41:101]) if forks else [])
 
 
 @pytest.mark.parametrize("case", ["one usable CPU", "a second thread"])

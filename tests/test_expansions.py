@@ -33,7 +33,7 @@ from puiseux_oracle import (
     t_values,
 )
 from qr_oracle import compositions
-from reference_values import RHO_50, T_TABLE, TAU_TABLE
+from reference_values import RHO_50, RHO_400, T_TABLE, TAU_TABLE
 from two_run_oracle import expand as two_run_expand
 from two_run_oracle import log_model
 
@@ -465,6 +465,14 @@ class TestDirectZetaRoute:
         assert result.rho_result.certified_digits == 40
         assert result.asym.certified_digits[0] == 40
         assert agreement_digits(result.rho_result.rho, ctx.mpf(RHO_50[variety]), ctx) >= 49
+
+    @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
+    def test_four_hundred_digits_of_rho_match_the_functional_oracle(self, variety):
+        # N//2 >= n_read, so the check reads the model's own sweeps and certifies
+        # D by construction; only the counts-free reference tests these digits
+        result = expand_variety(variety, L=4, N=800, D=400).rho_result
+        assert result.certified_digits == 400
+        assert result.ctx.nstr(result.rho, 400, strip_zeros=False) == RHO_400[variety]
 
     def test_no_order_n_exponential_and_no_termwise_evaluation(self, monkeypatch):
         lengths = []

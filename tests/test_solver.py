@@ -13,6 +13,7 @@ from treeasym.solver import NoBracketError, StalledError, solve_rho
 from treeasym.varieties import get_variety, numeric_exponent
 
 import cayley_oracle
+import functional_oracle
 from reference_values import RHO_50
 
 
@@ -35,6 +36,17 @@ def test_reference_values_30_digits(rho_results, variety):
     result = rho_results[variety]
     ctx = result.ctx
     assert agreement_digits(result.rho, ctx.mpf(RHO_50[variety]), ctx) >= 30
+
+
+@pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
+def test_functional_oracle_matches_the_reference_and_the_solver(rho_results, variety):
+    # the oracle reads no counts: every T(x^m), m >= 2, comes from Lambert W
+    oracle = functional_oracle.rho(variety, 60)
+    result = rho_results[variety]
+    ctx = result.ctx
+    assert ctx.nstr(ctx.mpf(oracle), 50) == RHO_50[variety]
+    assert result.certified_digits == 60
+    assert ctx.nstr(result.rho, 60, strip_zeros=False) == oracle
 
 
 def test_certification_metadata(rho_results):
@@ -74,8 +86,13 @@ def test_input_validation(pipeline_counts):
         solve_rho(spec, pipeline_counts["polya"], 30, 60)
     with pytest.raises(ValueError, match="too small"):
         solve_rho(spec, pipeline_counts["polya"], 200, 20)
-    with pytest.raises(ValueError, match="counts cover"):
-        solve_rho(spec, counts_for("polya", 100), 150, 60)
+
+
+@pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
+def test_counts_of_any_reach_give_the_same_result(rho_results, variety):
+    # counts to 20, below the bracket's reach, are continued as expand_variety's are
+    assert solve_rho(get_variety(variety), counts_for(variety, 20), 200, 60) == \
+        rho_results[variety]
 
 
 @pytest.mark.parametrize("variety", ["identity", "hierarchy"])
@@ -86,8 +103,10 @@ def test_counts_of_another_variety_rejected_before_any_work(pipeline_counts, mon
         raise AssertionError("numeric_exponent ran on mismatched counts")
 
     monkeypatch.setattr(solver, "numeric_exponent", no_work)
-    with pytest.raises(ValueError, match="count/variety mismatch: .* vs polya"):
-        solve_rho(get_variety("polya"), pipeline_counts[variety], 200, 60)
+    # caught by float_exponent, and by spec_counts below the bracket's reach
+    for counts in (pipeline_counts[variety], counts_for(variety, 10)):
+        with pytest.raises(ValueError, match="count/variety mismatch: .* vs polya"):
+            solve_rho(get_variety("polya"), counts, 200, 60)
 
 
 def test_newton_stall_reported(pipeline_counts, monkeypatch):

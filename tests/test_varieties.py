@@ -12,6 +12,7 @@ from treeasym.varieties import (
     IDENTITY,
     POLYA,
     VARIETIES,
+    float_exponent,
     get_variety,
     numeric_exponent,
     zeta_derivatives,
@@ -94,6 +95,7 @@ class TestZetaSeries:
             for n in range(1, 2 * N // i + 1):
                 g[i * n] += Fraction(spec.eps(i) * counts[n], i)
         assert zeta_exponent(spec, counts, N).coeffs == tuple(g)
+        assert float_exponent(spec, counts, N) == list(map(float, g))  # correctly rounded
 
     @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
     def test_numeric_exponent_is_the_floored_fixed_point_exponent(self, variety):
