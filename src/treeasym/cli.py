@@ -234,10 +234,9 @@ def cmd_expand(args: argparse.Namespace) -> int:
         _print(f"# expand variety={payload['variety']} N={payload['n_series']} "
                f"D={payload['digits']}")
         _print(f"rho,,{payload['rho']},{payload['rho_certified_digits']}")
-        for i, (v, c) in enumerate(zip(payload["t"], payload["t_certified_digits"])):
-            _print(f"t,{i},{v},{c}")
-        for i, (v, c) in enumerate(zip(payload["tau"], payload["tau_certified_digits"])):
-            _print(f"tau,{i},{v},{c}")
+        for name in ("t", "tau"):
+            for i, (v, c) in enumerate(zip(payload[name], payload[f"{name}_certified_digits"])):
+                _print(f"{name},{i},{v},{c}")
     else:
         import json
 

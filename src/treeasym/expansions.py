@@ -334,24 +334,9 @@ def expand_variety(
         )
     t_real, t_digits = report(t, t_check)
     tau_real, tau_digits = report(tau, tau_check)
-    puiseux = PuiseuxExpansion(
-        variety=spec.name,
-        rho=rho,
-        t=t_real,
-        certified_digits=t_digits,
-        n_series=N,
-        digits=D,
-        ctx=ctx,
-    )
-    asym = AsymptoticExpansion(
-        variety=spec.name,
-        rho=rho,
-        tau=tau_real,
-        certified_digits=tau_digits,
-        n_series=N,
-        digits=D,
-        ctx=ctx,
-    )
+    shared = dict(variety=spec.name, rho=rho, n_series=N, digits=D, ctx=ctx)
+    puiseux = PuiseuxExpansion(t=t_real, certified_digits=t_digits, **shared)
+    asym = AsymptoticExpansion(tau=tau_real, certified_digits=tau_digits, **shared)
     return VarietyExpansion(
         spec=spec, counts=counts, rho_result=rho_result, puiseux=puiseux, asym=asym
     )

@@ -129,9 +129,10 @@ def series_taylor_split(coeffs: Sequence[int], cut: int, x: int, r: int, w: int,
     With ``f = f_low + z^cut f_high``, ``x^cut`` sits in the terms of
     ``f_high``, so the two blocks' shifts join exactly through the binomials
     ``C(cut, k)`` (Vandermonde's identity).  The prefix is scaled by itself
-    alone, so its result is ``series_taylor``'s.  Both are within 2 units of
-    ``2^-(w+g)`` for ``|x| < 1``; ``x = 0`` gives ``c_0`` and zeros, and orders
-    beyond a block's degree are zero.
+    alone, so its result is ``series_taylor``'s; with no block above the cut,
+    or one whose terms all floor to zero, the whole equals it.  Both are
+    within 2 units of ``2^-(w+g)`` for ``|x| < 1``; ``x = 0`` gives ``c_0``
+    and zeros, and orders beyond a block's degree are zero.
     """
     if not 0 < cut:
         raise ValueError(f"cut {cut} must be positive")
@@ -139,8 +140,6 @@ def series_taylor_split(coeffs: Sequence[int], cut: int, x: int, r: int, w: int,
     high, V = _scaled_shift(coeffs[cut:], x, r, w, g, cut) if cut < len(coeffs) else ([0], W)
     w += g  # the scale of x and of the result
     prefix = tuple(v >> W - w for v in low)
-    if not any(high):  # no block above the cut, or its terms all below 2^-V
-        return prefix, prefix
     # V >= W: the guard grows with the degree
     binomials = [math.comb(cut, k) for k in range(r + 1)]
     return tuple((low[j] << V - W) + sum(map(operator.mul, binomials[j::-1], high)) >> V - w

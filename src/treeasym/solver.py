@@ -68,7 +68,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import count, repeat
 
 from . import hp
 from .counts import CountSequence
@@ -203,7 +203,7 @@ def solve_exponent(spec: VarietySpec, counts: CountSequence | None, N: int, D: i
     if counts is None or counts.n_max < BRACKET_REACH:
         counts = spec.count_source(BRACKET_REACH, counts)
     coarse = float_exponent(spec, counts, BRACKET_REACH)
-    bracket = _bracket(spec, coarse, DEFAULT_BRACKET)
+    bracket = _bracket(spec, coarse)
     n_read = _visible_reach(spec, coarse, bracket, r + MODEL_EXTRA, w, N)
     if counts.n_max < n_read:
         counts = spec.count_source(n_read, counts)
@@ -307,11 +307,13 @@ def solve_models(spec: VarietySpec, exponents: tuple, half: int, r: int, ctx, D,
     coefficient), fixed-point at ``w = hp.fixed_bits(ctx)``.
     ``iterations`` counts the model Newton iterations of the first root.
     Both come from three split sweeps at a common start point (see the
-    module docstring); Newton must stay in ``DEFAULT_BRACKET``.  The check
-    cuts ``H4`` at degree ``4 half`` and ``h`` at ``2 half``, or reads them
-    whole where they are shorter.  Every logarithm goes through one memo of
-    :func:`treeasym.hp.fixed_log` keyed by argument and width, made here and
-    dropped on return, so the whole and the check share them.
+    module docstring); Newton must stay in ``DEFAULT_BRACKET``.  One helper
+    forms the sweep points ``x^i``, floored at ``w + g``, for the first
+    sweep and each re-sweep, and the memo of the model parts keys on them.
+    The check cuts ``H4`` at degree ``4 half`` and ``h`` at ``2 half``, or
+    reads them whole where they are shorter.  Every logarithm goes through
+    one memo of :func:`treeasym.hp.fixed_log` keyed by argument and width,
+    made here and dropped on return, so the whole and the check share them.
     """
     h, H4 = exponents
     w = hp.fixed_bits(ctx)
@@ -321,27 +323,29 @@ def solve_models(spec: VarietySpec, exponents: tuple, half: int, r: int, ctx, D,
     G = COMPOSE_BITS * (R + 1)
     guards = (0, G, G)  # H4 at w, the parts T(z^2) and T(z^3) at w + G
     parts = ((H4, 4 * half + 1), (h, 2 * half + 1), (h, 2 * half + 1))
+
+    def points(x):  # x^i floored at w + g, like the sweep's result; x itself for i = 1
+        return [(x**i << g) >> (i - 1) * w for i, g in enumerate(guards, 1)]
+
     log = lru_cache(maxsize=None)(hp.fixed_log)
-    x = _start_point(spec, h[: 2 * half + 1], start, (lo, hi), w, b, log)
-    # x^i floored at w + g, like the sweep's result
-    sweeps = [series_taylor_split(c, cut, (x**i << g) >> (i - 1) * w, R, w, g)
-              for i, ((c, cut), g) in enumerate(zip(parts, guards), 1)]
+    x = _start_point(spec, h[: 2 * half + 1], start, w, b, log)
+    sweeps = [series_taylor_split(c, cut, y, R, w, g)
+              for (c, cut), y, g in zip(parts, points(x), guards)]
     tolerance = (1 << w) // 10 ** (D + 5)
     # a sweep that the check shares with the whole gives its part of the model once
     part = lru_cache(maxsize=None)(
-        lambda i, taylor, at: _log_zeta_part(spec, i, taylor, at, w, G, log))
+        lambda i, taylor, y: _log_zeta_part(spec, i, taylor, y, w, G, log))
     models, newton = [], []
     blocks = ([c for c, _ in parts], [c[:cut] for c, cut in parts])  # whole, check
     for taylors, block in zip(zip(*sweeps), blocks):
         at, iterations = x, 0
         while True:
-            L = list(map(sum, zip(*(part(i, t, at) for i, t in enumerate(taylors, 1)))))
+            L = list(map(sum, zip(*map(part, count(1), taylors, points(at)))))
             u, iterations = _model_root(spec, L, at, w, tolerance, iterations, (lo, hi))
             if abs(at * u) <= 1 << (2 * w - b):
                 break
             at += at * u >> w  # too far for the model: sweep again at its root
-            taylors = [series_taylor(c, (at**i << g) >> (i - 1) * w, R, w, g)
-                       for i, (c, g) in enumerate(zip(block, guards), 1)]
+            taylors = [series_taylor(c, y, R, w, g) for c, y, g in zip(block, points(at), guards)]
         models.append((at + (at * u >> w), _model_at_root(L, u, r, w)))
         newton.append(iterations)
     return models, newton[0]
@@ -371,24 +375,24 @@ def _model_at_root(L: list, u: int, r: int, w: int) -> list:
     return out
 
 
-def _log_zeta_part(spec: VarietySpec, i: int, taylor: tuple, x: int, w: int, G: int,
+def _log_zeta_part(spec: VarietySpec, i: int, taylor: tuple, y: int, w: int, G: int,
                    log) -> list:
-    """Scaled Taylor coefficients at ``x`` of part ``i`` of ``log zeta``, from a sweep at ``x^i``.
+    """Scaled Taylor coefficients at ``x`` of part ``i`` of ``log zeta``, from a sweep at ``y``.
 
     ``log zeta = [log c + a log z + H4] + eps_2 T(z^2)/2 + eps_3 T(z^3)/3``.
     Part 1, in brackets, is :func:`treeasym.varieties.log_zeta_taylor` on
-    the sweep of ``H4`` at ``x``.  Parts 2 and 3 take the Taylor
-    coefficients of ``T`` in ``s = y/y0 - 1`` at ``y0 = x^i`` from the sweep
-    of ``h`` there (:func:`_tree_taylor`), then those of ``T(x^i (1+u)^i)``
-    in ``u = d/x`` (:func:`_compose_power`).  Parts 2 and 3 run at
-    ``w + G`` (:data:`COMPOSE_BITS`): ``taylor`` is at that scale, and the
-    composed coefficients are floored to ``w`` once.  The result is
+    the sweep of ``H4`` at ``y = x``.  Parts 2 and 3 take the Taylor
+    coefficients of ``T`` in ``s = z/y - 1`` from the sweep of ``h`` at
+    ``y``, ``x^i`` floored at ``w + G`` (:func:`_tree_taylor`), then those of
+    ``T(x^i (1+u)^i)`` in ``u = d/x`` (:func:`_compose_power`).  Parts 2 and
+    3 run at ``w + G`` (:data:`COMPOSE_BITS`): ``taylor`` is at that scale,
+    and the composed coefficients are floored to ``w`` once.  The result is
     fixed-point at ``w``, to the order of ``taylor``.  ``log(v, w)`` gives the
     logarithms, :func:`treeasym.hp.fixed_log` or a memo of it.
     """
     if i == 1:
-        return log_zeta_taylor(spec, taylor, x, w, log)
-    T = _tree_taylor(spec, taylor, (x**i << G) >> (i - 1) * w, w + G, log)
+        return log_zeta_taylor(spec, taylor, y, w, log)
+    T = _tree_taylor(spec, taylor, y, w + G, log)
     eps = spec.eps(i)
     return [eps * c // (i << G) for c in _compose_power(T, i)]
 
@@ -423,8 +427,7 @@ def _tree_taylor(spec: VarietySpec, taylor: tuple, y0: int, w: int, log) -> list
         u.append(du[-1] // (k + 1))
         ru.insert(0, u[-1])
     u[0] += spec.shift_sign * (one - y0) >> 1
-    if len(u) > 1:
-        u[1] -= spec.shift_sign * y0 >> 1
+    u[1] -= spec.shift_sign * y0 >> 1
     return u
 
 
@@ -481,20 +484,20 @@ def _compose_power(T: list, i: int) -> list:
     return acc
 
 
-def _start_point(spec: VarietySpec, h: tuple, x: float, bracket, w: int, b: int,
-                 log) -> int:
+def _start_point(spec: VarietySpec, h: tuple, x: float, w: int, b: int, log) -> int:
     """A fixed-point start within about ``2^-b`` of the root of the exponent ``h``.
 
-    From the float ``x`` of the bracket phase, float Newton, then integer
-    Newton steps that double the bits, each at a width of its bits plus 16
-    guard bits and on the prefix whose count reach matches them.
-    ``log(v, w)`` gives the logarithms (:func:`solve_models`).
+    From the float ``x`` of the bracket phase, float Newton within the
+    floats of ``DEFAULT_BRACKET``, then integer Newton steps that double the
+    bits, each at a width of its bits plus 16 guard bits and on the prefix
+    whose count reach matches them.  ``log(v, w)`` gives the logarithms.
     """
     coarse = [_float(c, w) for c in h[: 2 * _reach(FLOAT_BITS, x, h) + 1]]
+    lo, hi = map(float, DEFAULT_BRACKET)
     for _ in range(8):
         value, slope = _float_residual(spec, coarse, x)
         x -= value / slope
-        if not _float(bracket[0], w) <= x <= _float(bracket[1], w):
+        if not lo <= x <= hi:
             raise StalledError(f"{spec.name}: Newton left the bracket at {x:.12g}")
         if abs(value / slope) < 2.0 ** -FLOAT_BITS:
             break
@@ -530,16 +533,17 @@ def _float_residual(spec: VarietySpec, coarse: list, x: float) -> tuple:
     return value + a * math.log(x) + math.log(spec.prefactor) + 1, slope + a / x
 
 
-def _bracket(spec: VarietySpec, coarse: list, bracket) -> tuple:
+def _bracket(spec: VarietySpec, coarse: list) -> tuple:
     """A ``10**-3`` bracket ``(lo, hi)`` of the root, bisected in floats on ``coarse``.
 
-    Raises :class:`NoBracketError` when the residual has no sign change on
-    ``bracket``; a residual of exactly 0 gives ``(x, x)``.
+    Starts from the floats of ``DEFAULT_BRACKET``, read at each call.
+    Raises :class:`NoBracketError` when the residual has no sign change
+    there; a residual of exactly 0 gives ``(x, x)``.
     """
     def residual(x):
         return _float_residual(spec, coarse, x)[0]
 
-    lo, hi = (float(end) for end in bracket)
+    lo, hi = map(float, DEFAULT_BRACKET)
     f_lo, f_hi = residual(lo), residual(hi)
     if f_lo == 0 or f_hi == 0:
         return (lo, lo) if f_lo == 0 else (hi, hi)

@@ -33,7 +33,7 @@ from puiseux_oracle import (
     t_values,
 )
 from qr_oracle import compositions
-from reference_values import RHO_50, RHO_400, T_TABLE, TAU_TABLE
+from reference_values import RHO_50, RHO_400, RHO_1000, T_TABLE, TAU_TABLE
 from two_run_oracle import expand as two_run_expand
 from two_run_oracle import log_model
 
@@ -474,6 +474,14 @@ class TestDirectZetaRoute:
         assert result.certified_digits == 400
         assert result.ctx.nstr(result.rho, 400, strip_zeros=False) == RHO_400[variety]
 
+    @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
+    def test_thousand_digits_of_rho_match_the_functional_oracle(self, variety):
+        # n_read (749/880/639) <= N//2 here too: the tail bound alone stands
+        # behind the 1000 certified digits, and the counts-free reference checks them
+        result = expand_variety(variety, L=4, N=2000, D=1000).rho_result
+        assert result.certified_digits == 1000
+        assert result.ctx.nstr(result.rho, 1000, strip_zeros=False) == RHO_1000[variety]
+
     def test_no_order_n_exponential_and_no_termwise_evaluation(self, monkeypatch):
         lengths = []
         original = expansions.series_exp_fixed
@@ -721,7 +729,7 @@ class TestVisibleReach:
         w = hp.fixed_bits(ctx)
         counts = counts_for(variety, N)
         coarse = varieties.float_exponent(spec, counts, solver.BRACKET_REACH)
-        start = sum(solver._bracket(spec, coarse, solver.DEFAULT_BRACKET)) / 2
+        start = sum(solver._bracket(spec, coarse)) / 2
         models, _ = solver.solve_models(spec, numeric_exponent(spec, counts, N, ctx), N // 2,
                                         derivative_orders_needed(K), ctx, D, start)
         (x, l), (x_check, l_check) = models
@@ -757,8 +765,8 @@ class TestVisibleReach:
         G = solver.COMPOSE_BITS * (R + 1)
         counts = counts_for(variety, reach)
         coarse = varieties.float_exponent(spec, counts, solver.BRACKET_REACH)
-        rho_lo, x_hi = solver._root_bounds(
-            spec, coarse, solver._bracket(spec, coarse, solver.DEFAULT_BRACKET))
+        rho_lo, x_hi = solver._root_bounds(spec, coarse, solver._bracket(spec, coarse))
+        assert varieties.tail_bound(x_hi, rho_lo, 4, n, 4 * n + 1) == math.inf
         S, S4 = varieties._divisor_sums(spec, counts, reach)
         m20 = context(20)
         rho = m20.mpf(RHO_50[variety])
@@ -770,6 +778,22 @@ class TestVisibleReach:
                 tail = m20.fsum(math.comb(m, j) * abs(coeffs[m]) * y**m / m
                                 for m in range(first * n + 1, len(coeffs)))
                 assert 0 < tail <= m20.mpf(2) ** bound, (first, j)
+
+    @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
+    def test_no_root_bounds_reads_every_count(self, monkeypatch, variety):
+        # a crude growth so large that the tail ratio past BRACKET_REACH
+        # reaches 1: tail_bound is inf, _root_bounds None, and the solve
+        # falls back to the whole count reach
+        spec = get_variety(variety)
+        monkeypatch.setattr(type(spec), "growth", lambda self: 1e6)
+        reach = solver.BRACKET_REACH
+        coarse = varieties.float_exponent(spec, counts_for(variety, reach), reach)
+        assert solver._root_bounds(spec, coarse, solver._bracket(spec, coarse)) is None
+        result = expand_variety(variety, L=8, N=100, D=40).rho_result
+        assert result.n_read == result.n_used == 100
+        assert result.certified_digits == 40
+        ctx = result.ctx
+        assert agreement_digits(result.rho, ctx.mpf(RHO_50[variety]), ctx) >= 40
 
 
 class TestTruncationWarning:

@@ -402,12 +402,16 @@ class TestTaylorSplit:
         assert low[:2] == series_taylor(coeffs[:2], 3 << (w - 3), 1, w)
         assert max(units_off(whole, coeffs, 3, 3, 7)) <= 2
 
-    @pytest.mark.parametrize("extra", [0, 3])
-    def test_cut_at_the_end_returns_the_prefix_twice(self, extra):
+    @pytest.mark.parametrize("extra, tail", [pytest.param(0, 0, id="0"), pytest.param(3, 0, id="3"),
+                                             pytest.param(0, 4, id="floored-block")])
+    def test_cut_at_the_end_returns_the_prefix_twice(self, extra, tail):
+        # no block above the cut, or one of unit coefficients (-1)^m whose
+        # terms (5/16)^m, m >= 9, all floor to zero
         w = 100
         X = -(5 << (w - 4))
         coeffs = [(k * k - 7) << (w - 3) for k in range(9)]
-        whole, low = series_taylor_split(coeffs, len(coeffs) + extra, X, 4, w)
+        block = [(-1) ** m for m in range(9, 9 + tail)]
+        whole, low = series_taylor_split(coeffs + block, len(coeffs) + extra, X, 4, w)
         assert whole == low == series_taylor(coeffs, X, 4, w)
 
     def test_cut_must_be_positive(self):
