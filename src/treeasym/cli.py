@@ -198,30 +198,6 @@ def cmd_counts(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _decimal(value, certified: int, ctx) -> str:
-    from . import hp
-
-    # round-trip decimal at certified digits plus 2
-    return hp.to_decimal(value, certified + 2, ctx)
-
-
-def _expansion_payload(result: VarietyExpansion) -> dict:
-    rho_result, puiseux, asym = result.rho_result, result.puiseux, result.asym
-    ctx = puiseux.ctx
-    return {
-        "variety": puiseux.variety,
-        "n_series": puiseux.n_series,
-        "digits": puiseux.digits,
-        "rho": _decimal(rho_result.rho, rho_result.certified_digits, ctx),
-        "rho_certified_digits": rho_result.certified_digits,
-        "solver_iterations": rho_result.iterations,
-        "t": [_decimal(v, c, ctx) for v, c in zip(puiseux.t, puiseux.certified_digits)],
-        "t_certified_digits": list(puiseux.certified_digits),
-        "tau": [_decimal(v, c, ctx) for v, c in zip(asym.tau, asym.certified_digits)],
-        "tau_certified_digits": list(asym.certified_digits),
-    }
-
-
 def cmd_expand(args: argparse.Namespace) -> int:
     from . import hp
 
@@ -229,28 +205,40 @@ def cmd_expand(args: argparse.Namespace) -> int:
     if args.order < 0:
         raise ValueError(f"--order must be non-negative, got {args.order}")
     result = _expansion_for_orders(args, args.order, 0, args.puiseux_terms)
-    payload = _expansion_payload(result)
+    rho_result, puiseux = result.rho_result, result.puiseux
+    ctx = puiseux.ctx
+    # (value, certified digits) of each coefficient, read once for every format
+    table = {"t": list(zip(puiseux.t, puiseux.certified_digits)),
+             "tau": list(zip(result.asym.tau, result.asym.certified_digits))}
+    # data lines round-trip at the certified digits plus 2
+    rho = hp.to_decimal(rho_result.rho, rho_result.certified_digits + 2, ctx)
     if args.fmt == "csv":
-        _print(f"# expand variety={payload['variety']} N={payload['n_series']} "
-               f"D={payload['digits']}")
-        _print(f"rho,,{payload['rho']},{payload['rho_certified_digits']}")
-        for name in ("t", "tau"):
-            for i, (v, c) in enumerate(zip(payload[name], payload[f"{name}_certified_digits"])):
-                _print(f"{name},{i},{v},{c}")
+        _print(f"# expand variety={puiseux.variety} N={puiseux.n_series} D={puiseux.digits}")
+        _print(f"rho,,{rho},{rho_result.certified_digits}")
+        for name, rows in table.items():
+            for i, (value, c) in enumerate(rows):
+                _print(f"{name},{i},{hp.to_decimal(value, c + 2, ctx)},{c}")
     else:
         import json
 
+        payload = {
+            "variety": puiseux.variety,
+            "n_series": puiseux.n_series,
+            "digits": puiseux.digits,
+            "rho": rho,
+            "rho_certified_digits": rho_result.certified_digits,
+            "solver_iterations": rho_result.iterations,
+        }
+        for name, rows in table.items():
+            payload[name] = [hp.to_decimal(value, c + 2, ctx) for value, c in rows]
+            payload[f"{name}_certified_digits"] = [c for _, c in rows]
         _print(json.dumps(payload, indent=2))
     # plain rows: 19 significant digits at most, and never more than the data lines
-    ctx = result.puiseux.ctx
-    if args.table1:
-        _print()
-        for i, (value, c) in enumerate(zip(result.puiseux.t, result.puiseux.certified_digits)):
-            _print(f"t_{i} {hp.to_decimal(value, min(19, c + 2), ctx)}")
-    if args.table2:
-        _print()
-        for i, (value, c) in enumerate(zip(result.asym.tau, result.asym.certified_digits)):
-            _print(f"tau_{i} {hp.to_decimal(value, min(19, c + 2), ctx)}")
+    for wanted, (name, rows) in zip((args.table1, args.table2), table.items()):
+        if wanted:
+            _print()
+            for i, (value, c) in enumerate(rows):
+                _print(f"{name}_{i} {hp.to_decimal(value, min(19, c + 2), ctx)}")
     return EXIT_OK
 
 

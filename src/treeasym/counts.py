@@ -350,10 +350,7 @@ _RECURRENCES = {name: spec.count_source for name, spec in VARIETIES.items()}
 
 def counts_for(variety: str, n_max: int) -> CountSequence:
     """Dispatch to the counts of ``variety`` (see ``VARIETY_NAMES``)."""
-    try:
-        return _RECURRENCES[variety](n_max)
-    except KeyError:
-        raise ValueError(f"unknown variety {variety!r}; expected one of {VARIETY_NAMES}")
+    return _RECURRENCES[get_variety(variety).name](n_max)
 
 
 def product_form_oracle(
@@ -368,14 +365,10 @@ def product_form_oracle(
         raise ValueError(f"oracle bound exceeded: n_max={n_max} > bound={bound}")
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
-    if variety == "polya":
-        values = _product_extraction(n_max, negative_exponent=True)
-    elif variety == "identity":
-        values = _product_extraction(n_max, negative_exponent=False)
-    elif variety == "hierarchy":
+    if get_variety(variety) is HIERARCHY:
         values = _hierarchy_fixpoint(n_max)
     else:
-        raise ValueError(f"unknown variety {variety!r}; expected one of {VARIETY_NAMES}")
+        values = _product_extraction(n_max, negative_exponent=variety == "polya")
     return CountSequence(variety, values)
 
 

@@ -51,9 +51,6 @@ class OeisFixture(Record):
                 )
             last = n
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.pairs)
-
     def __len__(self) -> int:
         return len(self.pairs)
 
@@ -147,7 +144,7 @@ def verify_counts(
     source: str = "fixture",
 ) -> VerifyReport:
     """Exact comparison of ``counts.values[n]`` with b-file entry ``n``."""
-    reference = fixture.as_dict()
+    reference = dict(fixture.pairs)
     compared = 0
     mismatches = []
     for n in range(counts.n_max + 1):

@@ -170,7 +170,7 @@ def solve_rho(spec: VarietySpec, counts: CountSequence, N: int, D: int) -> RhoRe
 
     ``counts`` must be ``spec``'s, of any reach (:func:`solve_exponent`
     continues them), and ``N`` at least ``MIN_SERIES_ORDER``.  Raises
-    :class:`NoBracketError` when no sign change exists on
+    :class:`NoBracketError` unless ``log zeta + 1`` rises through 0 on
     ``DEFAULT_BRACKET`` and :class:`StalledError` when Newton fails to
     reach the ``10**-(D+5)`` step tolerance within ``MAX_NEWTON`` iterations.
     """
@@ -300,11 +300,12 @@ def solve_models(spec: VarietySpec, exponents: tuple, half: int, r: int, ctx, D,
 
     ``exponents`` is ``(h, H4)`` of count reach ``N``
     (:func:`treeasym.varieties.numeric_exponent`), and ``start`` the
-    midpoint of the bracket of :func:`_bracket` on its prefix.  Returns
-    ``(models, iterations)``.  ``models`` holds ``(x, L)`` for reach ``N``
-    and for ``half``: the root ``x`` and the Taylor coefficients ``L_0 .. L_r`` of
-    ``log zeta`` there in ``d/x`` (``L_j`` is ``x^j`` times the order-``j``
-    coefficient), fixed-point at ``w = hp.fixed_bits(ctx)``.
+    midpoint of the bracket of :func:`_bracket` on its prefix, from which
+    :func:`_start_point` reads the whole ``h``.  Returns ``(models, iterations)``.
+    ``models`` holds ``(x, L)`` for reach ``N`` and for ``half``: the root
+    ``x`` and the Taylor coefficients ``L_0 .. L_r`` of ``log zeta`` there
+    in ``d/x`` (``L_j`` is ``x^j`` times the order-``j`` coefficient),
+    fixed-point at ``w = hp.fixed_bits(ctx)``.
     ``iterations`` counts the model Newton iterations of the first root.
     Both come from three split sweeps at a common start point (see the
     module docstring); Newton must stay in ``DEFAULT_BRACKET``.  One helper
@@ -328,7 +329,7 @@ def solve_models(spec: VarietySpec, exponents: tuple, half: int, r: int, ctx, D,
         return [(x**i << g) >> (i - 1) * w for i, g in enumerate(guards, 1)]
 
     log = lru_cache(maxsize=None)(hp.fixed_log)
-    x = _start_point(spec, h[: 2 * half + 1], start, w, b, log)
+    x = _start_point(spec, h, start, w, b, log)
     sweeps = [series_taylor_split(c, cut, y, R, w, g)
               for (c, cut), y, g in zip(parts, points(x), guards)]
     tolerance = (1 << w) // 10 ** (D + 5)
@@ -485,7 +486,7 @@ def _compose_power(T: list, i: int) -> list:
 
 
 def _start_point(spec: VarietySpec, h: tuple, x: float, w: int, b: int, log) -> int:
-    """A fixed-point start within about ``2^-b`` of the root of the exponent ``h``.
+    """A fixed-point start within about ``2^-b`` of the root of the whole exponent ``h``.
 
     From the float ``x`` of the bracket phase, float Newton within the
     floats of ``DEFAULT_BRACKET``, then integer Newton steps that double the
@@ -536,30 +537,26 @@ def _float_residual(spec: VarietySpec, coarse: list, x: float) -> tuple:
 def _bracket(spec: VarietySpec, coarse: list) -> tuple:
     """A ``10**-3`` bracket ``(lo, hi)`` of the root, bisected in floats on ``coarse``.
 
-    Starts from the floats of ``DEFAULT_BRACKET``, read at each call.
-    Raises :class:`NoBracketError` when the residual has no sign change
-    there; a residual of exactly 0 gives ``(x, x)``.
+    Starts from the floats of ``DEFAULT_BRACKET``, read at each call; the
+    residual ``f`` must rise there, as ``zeta`` does on ``(0, rho]`` and as
+    :func:`_root_bounds` and ``puiseux_coeffs`` need, so
+    :class:`NoBracketError` unless ``f(lo) < 0 < f(hi)``.
     """
     def residual(x):
         return _float_residual(spec, coarse, x)[0]
 
     lo, hi = map(float, DEFAULT_BRACKET)
     f_lo, f_hi = residual(lo), residual(hi)
-    if f_lo == 0 or f_hi == 0:
-        return (lo, lo) if f_lo == 0 else (hi, hi)
-    if (f_lo < 0) == (f_hi < 0):
+    if not f_lo < 0 < f_hi:
         raise NoBracketError(
-            f"{spec.name}: no sign change of log(zeta) + 1 on [{lo:.6g}, {hi:.6g}]"
+            f"{spec.name}: no sign change of log(zeta) + 1 from - to + on [{lo:.6g}, {hi:.6g}]"
             f" (endpoint residuals {f_lo:.6g}, {f_hi:.6g})"
         )
     # bisect to ~3 digits; Newton converges quadratically from there
     while hi - lo > 1e-3:
         mid = (lo + hi) / 2
-        f_mid = residual(mid)
-        if f_mid == 0:
-            return mid, mid
-        if (f_mid < 0) == (f_lo < 0):
-            lo, f_lo = mid, f_mid
+        if residual(mid) < 0:
+            lo = mid
         else:
             hi = mid
     return lo, hi

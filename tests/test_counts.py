@@ -60,10 +60,20 @@ def test_hierarchy_n4_hand_evaluation():
 
 def test_counts_dispatch():
     assert counts_for("polya", 5).values == POLYA.count_source(5).values
-    with pytest.raises(ValueError, match="unknown variety"):
-        counts_for("cayley", 5)
+    for unknown in (counts_for, product_form_oracle):
+        with pytest.raises(ValueError, match="unknown variety"):
+            unknown("cayley", 5)
     with pytest.raises(ValueError):
         counts_for("polya", -1)
+
+
+def test_a_key_error_inside_a_recurrence_is_not_an_unknown_variety(monkeypatch):
+    def failing(n_max):
+        raise KeyError("inside the recurrence")
+
+    monkeypatch.setitem(treeasym.counts._RECURRENCES, "polya", failing)
+    with pytest.raises(KeyError, match="inside the recurrence"):
+        counts_for("polya", 5)
 
 
 @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])

@@ -1,12 +1,13 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeasym import hp, solver
-from treeasym.counts import IDENTITY, counts_for
+from treeasym.counts import IDENTITY, POLYA, counts_for
 from treeasym.hp import agreement_digits, working_context
 from treeasym.series import series_taylor
 from treeasym.solver import NoBracketError, StalledError, solve_rho
@@ -49,6 +50,23 @@ def test_functional_oracle_matches_the_reference_and_the_solver(rho_results, var
     assert ctx.nstr(result.rho, 60, strip_zeros=False) == oracle
 
 
+@pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
+def test_functional_oracle_matches_the_model(variety):
+    # the model that t and tau read, L_j = x^j times the order-j Taylor
+    # coefficient of log zeta at its root x, against mpmath.taylor of the
+    # counts-free oracle at the same point
+    result, _, _, models = solver.solve_exponent(get_variety(variety), None, 100, 30, 3)
+    (x, L), w = models[0], hp.fixed_bits(result.ctx)
+    ctx = mpmath.MPContext()
+    ctx.dps = 40
+    X = ctx.ldexp(x, -w)
+    c = ctx.taylor(lambda z: functional_oracle.log_zeta_plus_one(ctx, variety, z), X, 3)
+    c[0] -= 1  # log zeta, not log zeta + 1
+    assert len(L) == len(c) == 4
+    for j, (L_j, c_j) in enumerate(zip(L, c)):
+        assert agreement_digits(ctx.ldexp(L_j, -w), X**j * c_j, ctx) >= 30, j
+
+
 def test_certification_metadata(rho_results):
     for result in rho_results.values():
         assert 15 <= result.certified_digits <= 60
@@ -78,6 +96,14 @@ def test_no_bracket_error_carries_diagnostics(pipeline_counts, monkeypatch):
     monkeypatch.setattr(solver, "DEFAULT_BRACKET", (Fraction(1, 100), Fraction(2, 100)))
     with pytest.raises(NoBracketError, match="no sign change"):
         solve_rho(spec, pipeline_counts["polya"], 200, 60)
+
+
+def test_a_falling_residual_has_no_bracket(monkeypatch):
+    # the residual changes sign at 0.3, but falling: every later stage needs
+    # it rising, as zeta does on (0, rho], so the bracket phase stops there
+    monkeypatch.setattr(solver, "_float_residual", lambda spec, coarse, x: (0.3 - x, -1.0))
+    with pytest.raises(NoBracketError, match="no sign change.*endpoint residuals"):
+        solver._bracket(POLYA, [])
 
 
 def test_input_validation(pipeline_counts):
@@ -128,11 +154,11 @@ def test_half_order_reaches_reference(pipeline_counts, variety):
 
 
 def test_a_model_root_beyond_its_range_is_swept_again(monkeypatch):
-    # at N = 50, D = 40 the identity start, on the prefix of count reach 25,
-    # lies further from the roots of both split models than their range: each
-    # model's three exponents (H4 of degree 4n and h, twice, of degree 2n, for
-    # n = 50 and its check 25) are swept again at its root, and the result
-    # still agrees with the reference
+    # at N = 50, D = 80 the identity start, from h of count reach 50 (good to
+    # about rho^50), lies 2^-78 from the roots of both split models, beyond
+    # their range of b = 82 bits: each model's three exponents (H4 of degree
+    # 4n and h, twice, of degree 2n, for n = 50 and its check 25) are swept
+    # again at its root, and the result still agrees with the reference
     swept = []
     taylor = solver.series_taylor
 
@@ -141,7 +167,7 @@ def test_a_model_root_beyond_its_range_is_swept_again(monkeypatch):
         return taylor(coeffs, x, r, w, g)
 
     monkeypatch.setattr(solver, "series_taylor", recording)
-    result = solve_rho(IDENTITY, counts_for("identity", 50), 50, 40)
+    result = solve_rho(IDENTITY, counts_for("identity", 50), 50, 80)
     R = solver.MODEL_EXTRA
     assert [s for s in swept if s[1] == R] == [(201, R), (101, R), (101, R),
                                                 (101, R), (51, R), (51, R)]
