@@ -13,12 +13,10 @@ Usage: python scripts/reproduce_tables.py [--terms N] [--digits D]
 
 import argparse
 import time
-import warnings
 
 from treeasym.counts import counts_for
 from treeasym.expansions import error_table, expand_variety
 from treeasym.hp import to_decimal
-from treeasym.series import TruncationWarning
 
 VARIETIES = ("polya", "identity", "hierarchy")
 SIZES = (10, 20, 50, 100, 200, 500)
@@ -30,7 +28,6 @@ def main():
     parser.add_argument("--terms", type=int, default=300, help="series order N (default 300)")
     parser.add_argument("--digits", type=int, default=80, help="target digits D (default 80)")
     args = parser.parse_args()
-    warnings.simplefilter("ignore", TruncationWarning)
 
     results = {}
     for variety in VARIETIES:

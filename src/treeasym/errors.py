@@ -20,4 +20,4 @@ class StalledError(SolverError):
 
 
 class TruncationWarning(UserWarning):
-    """Series truncation order is too small for the requested precision."""
+    """The count reach proves fewer digits than requested (``RhoResult.truncation_digits``)."""

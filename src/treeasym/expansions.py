@@ -44,14 +44,14 @@ the terms through ``tau_k / n^k`` (``k+1`` summands).
 Everything from the sweeps to ``tau`` runs on integers scaled by ``2^w``;
 ``rho``, ``t`` and ``tau`` become mpf values only where
 :func:`expand_variety` stores them in its result records.  Their certified
-digits and the tail indicator are read off the integers too: the
-indicator sums the tails of the split model's own exponents
-(:func:`treeasym.varieties.model_tail`), and its scale
-``e rho^r zeta^(r)(rho)/r!`` is the short exponential of the model
-(:func:`treeasym.series.series_exp_fixed`), since ``zeta(rho) = 1/e``.  It
-runs the pipeline at ``N`` and at ``N//2``; both roots and models come
-from the same sweeps, so the second has no bracket phase of its own, and
-where the two models are equal so are their ``t`` and ``tau``.
+digits are read off the integers too.  It runs the pipeline at ``N`` and
+at ``N//2``; both roots and models come from the same sweeps, so the
+second has no bracket phase of its own, and where the two models are
+equal so are their ``t`` and ``tau``.  Whether ``N`` is enough for ``D``
+digits is decided once, by the solver: the tail bound on
+``T_d <= rho_lo^-d`` that chooses the count reach also gives the digits
+that the cut proves (``RhoResult.truncation_digits``), and
+:func:`expand_variety` warns when they fall below ``D``.
 """
 
 from __future__ import annotations
@@ -65,9 +65,9 @@ from . import hp
 from .counts import CountSequence
 from .kernels import tau_symbolic
 from .records import Record
-from .series import TruncationWarning, series_exp_fixed
+from .series import TruncationWarning
 from .solver import RhoResult, solve_exponent
-from .varieties import VarietySpec, get_variety, model_tail
+from .varieties import VarietySpec, get_variety
 
 # Not called here; the benchmark traces these names in this module (perfbench/layers.py).
 from .kernels import b_seq  # noqa: F401
@@ -292,7 +292,8 @@ def expand_variety(
     the result keeps them, and ``rho_result.n_read`` is the ``n``.  The
     pipeline runs at count reach ``N`` and ``N//2``; the agreement of the
     two runs gives the certified digits of ``rho``, every ``t_n`` and every
-    ``tau_l``.
+    ``tau_l``.  A :class:`TruncationWarning` says how many digits the count
+    reach proves when ``rho_result.truncation_digits < D``.
     """
     spec = get_variety(variety)
     if L < 0:
@@ -304,7 +305,7 @@ def expand_variety(
     if N < 2 * K:
         raise ValueError(f"count reach N={N} too small for K={K}; need N >= {2 * K}")
     r_max = derivative_orders_needed(K)
-    rho_result, counts, exponents, models = solve_exponent(spec, counts, N, D, r_max)
+    rho_result, counts, models = solve_exponent(spec, counts, N, D, r_max)
     (x, model), (x_check, model_check) = models
     rho, ctx = rho_result.rho, rho_result.ctx
     w = hp.fixed_bits(ctx)
@@ -319,15 +320,9 @@ def expand_variety(
     def report(values, checks):  # (mpf values, certified digits), one rounding of each value
         return zip(*(hp.read_certified(v, c, w, D, ctx) for v, c in zip(values, checks)))
 
-    # relative truncation error of the highest derivative that t_K reads;
-    # zeta(rho) = 1/e, so the model's short exponential is e rho^r zeta^(r)(rho)/r!,
-    # and the tail carries the same rho^r
-    tail = model_tail(exponents, x, r_max, w)
-    top = series_exp_fixed(model, w)[r_max]
-    if tail * 10 ** (D - 10) > abs(top):
-        ratio = hp.from_fixed(tail, w, ctx) / abs(hp.from_fixed(top, w, ctx))
+    if rho_result.truncation_digits < D:
         warnings.warn(
-            f"relative tail of the highest zeta derivative reaches {ctx.nstr(ratio, 3)}; "
+            f"count reach {N} proves {rho_result.truncation_digits} digits; "
             f"truncation order {N} is small for {D} digits",
             TruncationWarning,
             stacklevel=2,

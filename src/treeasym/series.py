@@ -23,7 +23,7 @@ from . import hp
 from .records import Record
 
 # Not raised here; re-exported because pyproject's warning filter, perfbench/run.py
-# and scripts/ name it as series.TruncationWarning.
+# and the tests name it as series.TruncationWarning.
 from .errors import TruncationWarning  # noqa: F401
 
 

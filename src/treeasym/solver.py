@@ -29,7 +29,8 @@ Every solve takes the same steps (:func:`solve_exponent`, then
    ``rho`` from below and the sweep points from above, and with
    ``T_d <= rho_lo^-d`` gives the least reach ``n_read <= N`` past which
    the omitted tail of every sweep stays below a quarter unit
-   (:func:`_visible_reach`).  The exponents and the counts stop there.
+   (:func:`_visible_reach`), and the digits that this cut proves.  The
+   exponents and the counts stop there.
 1. A start point.  From the bracket's midpoint, float Newton on a short
    prefix of ``h`` to about ``FLOAT_BITS`` bits, then, when the bound of
    :func:`_start_bits` asks for more, integer Newton steps at doubling
@@ -145,6 +146,8 @@ class RhoResult(Record):
 
     ``n_used`` is the count reach ``N`` asked for and ``n_read <= n_used``
     the reach whose counts the exponents read (:func:`solve_exponent`).
+    ``truncation_digits``, at most ``digits``, is what the tail bound proves
+    of that cut (:func:`_visible_reach`); ``expand_variety`` warns below ``digits``.
     ``iterations`` counts the integer Newton iterations on the short Taylor
     model of count reach ``N``, summed over its sweeps; the float and
     precision-graded steps that place the start point, and the Newton steps
@@ -154,6 +157,7 @@ class RhoResult(Record):
     variety: str
     rho: object
     certified_digits: int
+    truncation_digits: int
     n_used: int
     n_read: int
     iterations: int
@@ -179,7 +183,7 @@ def solve_rho(spec: VarietySpec, counts: CountSequence, N: int, D: int) -> RhoRe
 
 def solve_exponent(spec: VarietySpec, counts: CountSequence | None, N: int, D: int,
                    r: int) -> tuple:
-    """``(RhoResult, counts, exponents, models)``: the certified root, what it read, the models.
+    """``(RhoResult, counts, models)``: the certified root, the counts it read, the models.
 
     Checks ``N`` and ``D`` as :func:`solve_rho` states; ``counts`` may be
     None, and counts of another variety fail before any exponent is built.
@@ -187,8 +191,9 @@ def solve_exponent(spec: VarietySpec, counts: CountSequence | None, N: int, D: i
     (:func:`_bracket`), bounds the root from it and takes the count reach
     ``n_read = min(N, visible reach)`` of :func:`_visible_reach`: by
     ``T_d <= rho_lo^-d`` (:func:`treeasym.varieties.tail_bound`) counts past
-    it move no sweep by a quarter unit.  It extends ``counts`` to ``n_read``
-    when they are shorter, builds the fixed-point exponents ``(h, H4)`` of
+    it move no sweep by a quarter unit, and the same bound gives the
+    ``truncation_digits``.  It extends ``counts`` to ``n_read`` when they
+    are shorter, builds the fixed-point exponents ``(h, H4)`` of
     :func:`treeasym.varieties.numeric_exponent` there at the working
     precision of ``D`` and runs :func:`solve_models` to order ``r`` with
     count reach ``N//2`` as the check, which reads the same exponents where
@@ -204,7 +209,7 @@ def solve_exponent(spec: VarietySpec, counts: CountSequence | None, N: int, D: i
         counts = spec.count_source(BRACKET_REACH, counts)
     coarse = float_exponent(spec, counts, BRACKET_REACH)
     bracket = _bracket(spec, coarse)
-    n_read = _visible_reach(spec, coarse, bracket, r + MODEL_EXTRA, w, N)
+    n_read, truncation_digits = _visible_reach(spec, coarse, bracket, r, w, N, D)
     if counts.n_max < n_read:
         counts = spec.count_source(n_read, counts)
     exponents = numeric_exponent(spec, counts, n_read, ctx)
@@ -215,36 +220,44 @@ def solve_exponent(spec: VarietySpec, counts: CountSequence | None, N: int, D: i
         variety=spec.name,
         rho=rho,
         certified_digits=certified,
+        truncation_digits=truncation_digits,
         n_used=N,
         n_read=n_read,
         iterations=iterations,
         digits=D,
         ctx=ctx,
     )
-    return result, counts, exponents, models
+    return result, counts, models
 
 
-def _visible_reach(spec: VarietySpec, coarse: list, bracket: tuple, R: int, w: int,
-                   N: int) -> int:
-    """The least count reach ``n``, at most ``N``, past which no count moves a sweep by 1/4 unit.
+def _visible_reach(spec: VarietySpec, coarse: list, bracket: tuple, r: int, w: int, N: int,
+                   D: int) -> tuple:
+    """``(n_read, truncation_digits)``: the count reach the solve reads, and the digits it proves.
 
-    With ``T_d <= rho_lo^-d`` (:func:`_root_bounds`) the tails past ``n``
-    must stay below a quarter unit in every order ``j <= R``: of ``H4`` at
-    ``x``, below ``2^-(w+2)``, and of ``h`` at ``x^2``, below
-    ``2^-(w+G+2)`` (:data:`COMPOSE_BITS`); ``h`` at ``x^3`` has the same
-    coefficients at a smaller point.  For ``n >= R`` every tail degree is
-    at least ``2R``, so order ``R`` bounds them all.  ``N`` when the root
-    has no bounds.
+    ``n_read`` is the least ``n <= N`` past which, with ``T_d <= rho_lo^-d``
+    (:func:`_root_bounds`), the tails stay below a quarter unit in every
+    order ``j <= R = r + MODEL_EXTRA``: of ``H4`` at ``x``, below
+    ``2^-(w+2)``, and of ``h`` at ``x^2``, below ``2^-(w+G+2)``
+    (:data:`COMPOSE_BITS`); ``h`` at ``x^3`` has the same coefficients at a
+    smaller point.  For ``n >= R`` every tail degree is at least ``2R``, so
+    order ``R`` bounds them all.  ``truncation_digits`` is the least of
+    ``D`` and the digits the same bounds prove at ``n_read`` in order ``r``,
+    the one ``t_K`` reads, with ``COMPOSE_BITS (r + 1)`` guard bits on
+    ``h``: ``D`` wherever ``n_read < N``, where both lie below ``2^-w``.
+    ``(N, 0)`` when the root has no bounds.
     """
     bounds = _root_bounds(spec, coarse, bracket)
     if bounds is None:
-        return N
+        return N, 0
     rho_lo, x_hi = bounds
+    R = r + MODEL_EXTRA
     n = max(R, BRACKET_REACH)
     G = COMPOSE_BITS * (R + 1)
     for y, first, bits in ((x_hi**2, 2, w + G + 2), (x_hi, 4, w + 2)):
         n = tail_reach(y, rho_lo, first, R, bits, n, N)
-    return n
+    bits = min(-tail_bound(x_hi, rho_lo, 4, n, r),
+               -tail_bound(x_hi**2, rho_lo, 2, n, r) - COMPOSE_BITS * (r + 1))
+    return n, int(max(0, min(D, bits * math.log10(2))))
 
 
 def _root_bounds(spec: VarietySpec, coarse: list, bracket: tuple) -> tuple | None:

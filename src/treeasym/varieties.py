@@ -57,8 +57,7 @@ the scaled variable ``u = d/x`` (one split sweep serves an exponent and its
 additions; adding ``a log z + log c`` gives those of ``log zeta``
 (:func:`log_zeta_taylor`).  Their short exponential on integers
 (:func:`treeasym.series.series_exp_fixed`) gives those of ``zeta`` up to
-the factor ``zeta(x)``, which at the root is ``1/e``, so the pipeline never
-forms it (:mod:`treeasym.expansions`).
+the factor ``zeta(x)`` (:func:`zeta_derivatives`).
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ from .counts import CountSequence, VarietySpec, add_to_multiples
 
 # Re-exported: the spec table lives in counts, and callers read it here too.
 from .counts import HIERARCHY, IDENTITY, POLYA, VARIETIES, get_variety  # noqa: F401
-from .series import PowerSeries, _fixed_power, series_exp, series_exp_fixed, series_taylor
+from .series import PowerSeries, series_exp, series_exp_fixed, series_taylor
 
 # Not called here; the benchmark traces this name in this module (perfbench/layers.py).
 from .series import series_eval_deriv_tail  # noqa: F401
@@ -195,48 +194,6 @@ def log_zeta_taylor(spec: VarietySpec, taylor: Sequence[int], x: int, w: int,
         for k in range(1, len(out)):
             out[k] += (a << w) // k if k % 2 else -((a << w) // k)
     return out
-
-
-def exponent_tail(h: tuple, x: int, r: int, w: int) -> int:
-    """Tail indicator of ``x^r h^(r)(x) / r!``: the summed size of its last five retained terms.
-
-    The terms are ``binom(m, r) |g_m| x^m`` for the top five degrees ``m``
-    of the numeric exponent ``h``, a stand-in for the first omitted ones.
-    ``h``, ``0 < x < 1`` and the result are fixed-point at ``w``.  The sum
-    runs by Horner's rule from the top degree, then takes the factor
-    ``x^m`` of the lowest ``m``.  That power can lie far below ``2^-w``
-    while the sum is large, so it is held with ``wide - w`` extra bits,
-    enough that it keeps ``w`` significant bits.
-    """
-    top = len(h) - 1
-    low = max(r, top - 4)
-    acc = 0
-    for m in range(top, low - 1, -1):
-        acc = abs(h[m]) * math.comb(m, r) + (acc * x >> w)
-    wide = w + low * (w + 1 - x.bit_length())  # x^low >= 2^(w - wide)
-    return acc * _fixed_power(x << (wide - w), low, wide) >> wide
-
-
-def model_tail(exponents: tuple, x: int, r: int, w: int) -> int:
-    """Tail indicator of the order-``r`` scaled Taylor coefficient of the split model at ``x``.
-
-    ``exponents`` is ``(h, H4)`` (:func:`numeric_exponent`).  The sum of
-    :func:`exponent_tail` of ``H4`` at ``x`` and of ``h`` at ``x^2`` and
-    ``x^3``, the last two times ``i^r``: order ``r`` in ``s = y/x^i - 1``
-    reaches order ``r`` in ``u = d/x`` through ``(1 + u)^i - 1 = i u + ...``;
-    the factors ``1/i`` and ``dT~/d log zeta = T~/(1 - T~) < 1`` are left
-    out.  All fixed-point at ``w``; the tail is ``x^r`` times that of the
-    unscaled coefficient.  It reads the retained terms, so it moves with the
-    count reach.  Cut at the visible reach, the omitted tail is below
-    ``2^-(w+2)`` in ``H4`` and ``2^-(w+G+2)`` in ``h`` by :func:`tail_bound`
-    on ``T_d <= rho_lo^-d``, and the last retained terms, a few counts
-    before it, lie far below the warning's relative ``10^-(D-10)``.
-    """
-    h, H4 = exponents
-    tail = exponent_tail(H4, x, r, w)
-    for i in (2, 3):
-        tail += exponent_tail(h, x**i >> (i - 1) * w, r, w) * i**r
-    return tail
 
 
 def tail_bound(y: float, rho_lo: float, first: int, n: int, j: int) -> float:

@@ -429,7 +429,7 @@ def test_truncation_warning_is_one_plain_line(capsys):
     code, out, err = run(capsys, "expand", "polya", "--digits", "100", "--terms", "60")
     assert code == 0
     assert err.count("\n") == 1
-    assert err.startswith("warning: relative tail of the highest zeta derivative reaches ")
+    assert err.startswith("warning: count reach 60 proves ")
     assert err.endswith("; truncation order 60 is small for 100 digits\n")
     quiet_code, quiet_out, quiet_err = run(capsys, "expand", "polya", "--digits", "100",
                                            "--terms", "200")

@@ -126,8 +126,8 @@ def _solved(variety, L, N, D):
     the inputs of :func:`treeasym.expansions.puiseux_coeffs` at scale ``w``.
     """
     spec, K = get_variety(variety), 2 * L + 1
-    result, _, _, [(x, l), _] = solve_exponent(spec, spec.count_source(N), N, D,
-                                               derivative_orders_needed(K))
+    result, _, [(x, l), _] = solve_exponent(spec, spec.count_source(N), N, D,
+                                            derivative_orders_needed(K))
     return spec, K, result.ctx, x, l, hp.fixed_bits(result.ctx)
 
 
@@ -332,7 +332,7 @@ class TestPipelineGuards:
         monkeypatch.setattr(varieties, "zeta_exponent", no_series)
         monkeypatch.setattr(varieties, "_divisor_sums", no_series)
         monkeypatch.setattr(varieties, "series_exp", no_series)
-        monkeypatch.setattr(expansions, "series_exp_fixed", no_series)
+        monkeypatch.setattr(varieties, "series_exp_fixed", no_series)
         with pytest.raises(ValueError, match="order L must be >= 0, got -1"):
             expand_variety("hierarchy", L=-1)
 
@@ -409,24 +409,6 @@ class TestCertification:
         assert all(5 <= c <= 60 for c in tau_cert)
         assert all(c >= 15 for c in tau_cert[:5])
 
-    def test_one_series_exponential_per_order(self, monkeypatch):
-        # one integer exponential of the short log-zeta model, at the order-N
-        # root for the truncation warning; no series exponential at all
-        lengths = []
-        original = expansions.series_exp_fixed
-
-        def counted(g, w):
-            lengths.append(len(g))
-            return original(g, w)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("series exponential on the pipeline path")
-
-        monkeypatch.setattr(expansions, "series_exp_fixed", counted)
-        monkeypatch.setattr(varieties, "series_exp", forbidden)
-        expand_variety("polya", L=2, N=100, D=30)
-        assert lengths == [derivative_orders_needed(5) + 1]
-
     def test_one_bisection_per_expansion(self, monkeypatch):
         # three split sweeps, each over all its coefficients, give both
         # orders; the N // 2 result has no bracket phase of its own, and
@@ -483,27 +465,17 @@ class TestDirectZetaRoute:
         assert result.ctx.nstr(result.rho, 1000, strip_zeros=False) == RHO_1000[variety]
 
     def test_no_order_n_exponential_and_no_termwise_evaluation(self, monkeypatch):
-        lengths = []
-        original = expansions.series_exp_fixed
-
-        def counted(g, w):
-            lengths.append(len(g))
-            return original(g, w)
-
         def forbidden(*args, **kwargs):
             raise AssertionError("series exponential or term-wise evaluation on the pipeline path")
 
-        monkeypatch.setattr(expansions, "series_exp_fixed", counted)
-        monkeypatch.setattr(varieties, "series_exp", forbidden)
+        for name in ("series_exp", "series_exp_fixed"):
+            monkeypatch.setattr(varieties, name, forbidden)
         for owner in (series, varieties, solver):
             monkeypatch.setattr(owner, "series_eval_deriv_tail", forbidden)
         calls = _count_passes(monkeypatch)
         result = expand_variety("identity", L=4, N=120, D=40)
-        assert lengths == [derivative_orders_needed(9) + 1]
         _assert_split_sweeps(calls, N=120, r=derivative_orders_needed(9), D=40)
-        lengths.clear()
         solve_rho(result.spec, counts_for("identity", 120), 120, 40)
-        assert lengths == []
         _assert_split_sweeps(calls, N=120, r=0, D=40)
 
 
@@ -783,13 +755,18 @@ class TestVisibleReach:
     def test_no_root_bounds_reads_every_count(self, monkeypatch, variety):
         # a crude growth so large that the tail ratio past BRACKET_REACH
         # reaches 1: tail_bound is inf, _root_bounds None, and the solve
-        # falls back to the whole count reach
+        # falls back to the whole count reach, which then proves no digits
         spec = get_variety(variety)
         monkeypatch.setattr(type(spec), "growth", lambda self: 1e6)
         reach = solver.BRACKET_REACH
         coarse = varieties.float_exponent(spec, counts_for(variety, reach), reach)
         assert solver._root_bounds(spec, coarse, solver._bracket(spec, coarse)) is None
-        result = expand_variety(variety, L=8, N=100, D=40).rho_result
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", TruncationWarning)
+            result = expand_variety(variety, L=8, N=100, D=40).rho_result
+        assert [str(c.message) for c in caught if c.category is TruncationWarning] == [
+            "count reach 100 proves 0 digits; truncation order 100 is small for 40 digits"]
+        assert result.truncation_digits == 0
         assert result.n_read == result.n_used == 100
         assert result.certified_digits == 40
         ctx = result.ctx
@@ -808,67 +785,29 @@ class TestTruncationWarning:
             warnings.simplefilter("error", TruncationWarning)
             expand_variety(variety, L=8, N=200, D=40)
 
-    @staticmethod
-    def _mpf_indicator(variety, L, N, D):
-        """The relative tail on mpf values, from the split model's own exponents:
-        the last five terms of ``H4`` (degree ``4N``) at ``rho``, and of ``h``
-        (degree ``2N``) at ``rho^2`` and ``rho^3`` times ``i^r``, all scaled by
-        ``rho^r`` as the model is."""
-        spec, r = get_variety(variety), derivative_orders_needed(2 * L + 1)
-        result, _, (h, H4), [(x, log_taylor), _] = solve_exponent(spec, spec.count_source(N),
-                                                                  N, D, r)
-        ctx, rho = result.ctx, result.rho
-        w = hp.fixed_bits(ctx)
-
-        def last_five(g, y):
-            top = len(g) - 1
-            return sum(abs(hp.from_fixed(g[m], w, ctx)) * math.comb(m, r) * y**m
-                       for m in range(max(r, top - 4), top + 1))
-
-        tail = last_five(H4, rho) + sum(last_five(h, rho**i) * i**r for i in (2, 3))
-        ratio = tail / abs(hp.from_fixed(series.series_exp_fixed(log_taylor, w)[r], w, ctx))
-        return ratio, ratio > ctx.mpf(10) ** (-(D - 10)), ctx
-
     @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
     @pytest.mark.parametrize(
         "L, N, D", [(4, 50, 60), (4, 50, 100), (4, 60, 80), (8, 100, 40), (8, 100, 120),
                     (8, 120, 80), (8, 200, 40), (40, 200, 60)]
     )
-    def test_fires_where_the_mpf_indicator_did(self, variety, L, N, D):
-        ratio, fires, ctx = self._mpf_indicator(variety, L, N, D)
+    def test_fires_where_the_true_digits_fall_short(self, variety, L, N, D):
+        # the true digits: the least agreement of rho and every tau_l with a run
+        # at twice the count reach and 30 more digits; the proven truncation
+        # digits never exceed them, and an uncapped reach proves all D
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", TruncationWarning)
-            expand_variety(variety, L=L, N=N, D=D)
-        messages = [str(c.message) for c in caught if c.category is TruncationWarning]
-        if fires:
-            assert messages == [f"relative tail of the highest zeta derivative reaches "
-                                f"{ctx.nstr(ratio, 3)}; truncation order {N} is small for "
-                                f"{D} digits"]
-        else:
-            assert messages == []
-
-    def test_sweep_covers_both_outcomes(self):
-        # the sweep above is only a check if some configurations fire and some do not
-        assert self._mpf_indicator("identity", 4, 60, 80)[1]
-        assert not self._mpf_indicator("polya", 4, 60, 80)[1]
-
-    @pytest.mark.parametrize("variety", ["polya", "identity", "hierarchy"])
-    def test_fixed_point_sum_matches_mpf(self, variety):
-        # the fixed-point sum against the mpf one where the power x^m lies
-        # far below 2^-w but the terms do not
-        spec, N, D, r = get_variety(variety), 100, 30, 9
-        ctx = working_context(D)
-        w = hp.fixed_bits(ctx)
-        h = numeric_exponent(spec, spec.count_source(N), N, ctx)[0]
-        x = hp.to_fixed(ctx.mpf(RHO_50[variety]), w, ctx)
-        rho = hp.from_fixed(x, w, ctx)
-        expected = sum(abs(hp.from_fixed(h[m], w, ctx)) * math.comb(m, r) * rho**m
-                       for m in range(2 * N - 4, 2 * N + 1))
-        got = hp.from_fixed(varieties.exponent_tail(h, x, r, w), w, ctx)
-        assert rho ** (2 * N - 4) < ctx.mpf(2) ** -(w + 30) < expected * 10**-20
-        # within two units of 2^-w: the scaled sum is rho^r times the unscaled
-        # one, so its fixed-point floor holds fewer relative digits; each
-        # variety still keeps the digits it reaches (measured 23.9, 30.7 and
-        # 15.6 for polya, identity and hierarchy)
-        assert abs(got - expected) <= 2 * ctx.mpf(2) ** -w
-        assert agreement_digits(got, expected, ctx) >= {"hierarchy": 15}.get(variety, 20)
+            result = expand_variety(variety, L=L, N=N, D=D)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            reference = expand_variety(variety, L=L, N=2 * N, D=D + 30)
+        ctx = reference.asym.ctx
+        true = min(agreement_digits(a, b, ctx) for a, b in
+                   zip((result.rho_result.rho, *result.asym.tau),
+                       (reference.rho_result.rho, *reference.asym.tau)))
+        proven = result.rho_result.truncation_digits
+        assert proven <= true
+        if result.rho_result.n_read < N:
+            assert proven == D
+        expected = [f"count reach {N} proves {proven} digits; truncation order {N} is small "
+                    f"for {D} digits"] if true < D else []
+        assert [str(c.message) for c in caught if c.category is TruncationWarning] == expected

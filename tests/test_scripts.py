@@ -37,6 +37,17 @@ def test_reproduce_tables_smoke(tmp_path):
         assert agreement_digits(ctx.mpf(value), ctx.mpf(RHO_50[variety]), ctx) >= 49, variety
     ratios = tmp_path / "ratio_hierarchy.csv"
     assert ratios.read_text().splitlines()[0] == "size,order,ratio"
+    assert proc.stderr == ""
+
+
+def test_reproduce_tables_warns_where_the_count_reach_is_short(tmp_path):
+    # L = 18 reads the model to order 19: count reach 74 proves 70 digits of
+    # polya and 54 of identity, short of 80, and 88 of hierarchy
+    proc = _reproduce_tables(tmp_path, "--terms", "74", "--digits", "80")
+    warned = [line.partition("TruncationWarning: ")[2] for line in proc.stderr.splitlines()
+              if "TruncationWarning: " in line]
+    assert warned == [f"count reach 74 proves {digits} digits; truncation order 74 is small "
+                      f"for 80 digits" for digits in (70, 54)]
 
 
 def _table(stdout: str, title: str) -> list:

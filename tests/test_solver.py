@@ -55,7 +55,7 @@ def test_functional_oracle_matches_the_model(variety):
     # the model that t and tau read, L_j = x^j times the order-j Taylor
     # coefficient of log zeta at its root x, against mpmath.taylor of the
     # counts-free oracle at the same point
-    result, _, _, models = solver.solve_exponent(get_variety(variety), None, 100, 30, 3)
+    result, _, models = solver.solve_exponent(get_variety(variety), None, 100, 30, 3)
     (x, L), w = models[0], hp.fixed_bits(result.ctx)
     ctx = mpmath.MPContext()
     ctx.dps = 40
